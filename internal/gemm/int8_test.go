@@ -2,6 +2,7 @@ package gemm
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 
 	"orpheus/internal/tensor"
@@ -186,6 +187,10 @@ var int8Cases = []int8Case{
 	{m: 11, n: 13, k: 21, transC: true, colQuant: true, bias: true, act: ActReLU},
 	{m: 64, n: 9, k: 130, transC: true, colQuant: true},
 	{m: 17, n: 19, k: 23, colQuant: true, act: ActLeakyReLU},
+	{m: 16, n: 9, k: 12, colQuant: true, act: ActReLU6, bias: true},
+	{m: 12, n: 7, k: 8, transC: true, colQuant: true, act: ActLeakyReLU},
+	{m: 300, n: 20, k: 260, act: ActLeakyReLU},       // three M-tiles in one group
+	{m: 520, n: 530, k: 9, bias: true, act: ActReLU}, // group narrows the column block
 }
 
 func (ic int8Case) String() string {
@@ -257,9 +262,55 @@ func buildCall(ic int8Case, a []int8, scaleA []float32, rowSum []int32, src *tes
 	return c
 }
 
+// storeTileTwoPass is the requantize epilogue in its original two-pass
+// form — requantize a row (or TransC column), then sweep it again with
+// applyActivationRow — kept as the oracle for storeTile's fused
+// single-pass loops.
+func (c *CallInt8) storeTileTwoPass(acc []int32, ldc, img, ii, jj, mc, nc int) {
+	if c.TransC {
+		for j := 0; j < nc; j++ {
+			col := c.C[(jj+j)*c.M+ii : (jj+j)*c.M+ii+mc]
+			sB := c.BScale[jj+j]
+			z := c.BZero[jj+j]
+			for r := 0; r < mc; r++ {
+				v := float32(acc[r*ldc+j]-z*c.RowSum[ii+r]) * (c.ScaleA[ii+r] * sB)
+				if c.BiasRow != nil {
+					v += c.BiasRow[ii+r]
+				}
+				col[r] = v
+			}
+			applyActivationRow(col, c.Act, c.Alpha)
+		}
+		return
+	}
+	base := img*c.StrideC + jj
+	for r := 0; r < mc; r++ {
+		row := c.C[base+(ii+r)*c.N : base+(ii+r)*c.N+nc]
+		sA := c.ScaleA[ii+r]
+		rs := c.RowSum[ii+r]
+		var bv float32
+		if c.BiasRow != nil {
+			bv = c.BiasRow[ii+r]
+		}
+		arow := acc[r*ldc : r*ldc+nc]
+		if c.ColQuant {
+			for i, a := range arow {
+				row[i] = float32(a-c.BZero[jj+i]*rs)*(sA*c.BScale[jj+i]) + bv
+			}
+		} else {
+			s := sA * c.BScale[img]
+			comp := c.BZero[img] * rs
+			for i, a := range arow {
+				row[i] = float32(a-comp)*s + bv
+			}
+		}
+		applyActivationRow(row, c.Act, c.Alpha)
+	}
+}
+
 // refInt8 computes the expected output from first principles: a naive
-// int32 accumulation over the quantized operands, then the shared
-// requantize epilogue (storeTile over the full matrix).
+// int32 accumulation over the quantized operands, then the two-pass
+// requantize epilogue over the full matrix.
 func refInt8(c *CallInt8, ic int8Case, a []int8, src *testSrc8) []float32 {
 	images := c.images()
 	want := make([]float32, len(c.C))
@@ -276,7 +327,7 @@ func refInt8(c *CallInt8, ic int8Case, a []int8, src *testSrc8) []float32 {
 				acc[r*ic.n+j] = s
 			}
 		}
-		ref.storeTile(acc, ic.n, img, 0, 0, ic.m, ic.n)
+		ref.storeTileTwoPass(acc, ic.n, img, 0, 0, ic.m, ic.n)
 	}
 	return want
 }
@@ -336,6 +387,98 @@ func TestInt8KernelDifferential(t *testing.T) {
 						}
 					}
 				})
+			}
+		}
+	}
+}
+
+// countingSrc8 wraps a PackSrc8 and counts the requests per panel.
+type countingSrc8 struct {
+	PackSrc8
+	mu    sync.Mutex
+	calls map[[3]int]int
+}
+
+func (s *countingSrc8) PackPanel8(dst []byte, img, pp, jj, kc, nc, nr int) {
+	s.mu.Lock()
+	s.calls[[3]int{img, pp, jj}]++
+	s.mu.Unlock()
+	s.PackSrc8.PackPanel8(dst, img, pp, jj, kc, nc, nr)
+}
+
+// TestInt8PacksEachPanelOnce holds the loop order to its point: with four
+// M-tiles (M = 512) a serial call asks its source for every (img, pp, jj)
+// panel exactly once, covering the whole K×N extent of each image, and
+// pooled runs — which may split M to feed their workers — still produce a
+// C bit-identical to the serial one.
+func TestInt8PacksEachPanelOnce(t *testing.T) {
+	for _, ic := range []int8Case{
+		{m: 512, n: 49, k: 600, bias: true, act: ActReLU},
+		{m: 512, n: 700, k: 300, batch: 2},
+	} {
+		t.Run(ic.String(), func(t *testing.T) {
+			a, scaleA, rowSum, b, bias := int8Buffers(ic, 99)
+			images := max(ic.batch, 1)
+			src := &countingSrc8{PackSrc8: newTestSrc8(b, ic.k, ic.n, images, ic.k*ic.n, false), calls: map[[3]int]int{}}
+			call := buildCall(ic, a, scaleA, rowSum, src.PackSrc8.(*testSrc8), bias)
+			call.B = src
+			var ctx Context
+			ctx.RunInt8(call)
+			nc, _ := blocking8(ic.m, ic.n, images, 1)
+			want := images * ((ic.k + kcBlock - 1) / kcBlock) * ((ic.n + nc - 1) / nc)
+			if len(src.calls) != want {
+				t.Errorf("serial run packed %d distinct panels, want %d", len(src.calls), want)
+			}
+			for key, n := range src.calls {
+				if n != 1 {
+					t.Errorf("panel (img %d, pp %d, jj %d) packed %d times", key[0], key[1], key[2], n)
+				}
+			}
+			serial := append([]float32(nil), call.C...)
+			pool := NewPool(4)
+			defer pool.Close()
+			for _, workers := range []int{2, 4} {
+				for i := range call.C {
+					call.C[i] = -1
+				}
+				pool.RunInt8(&ctx, call, workers)
+				for i := range serial {
+					if call.C[i] != serial[i] {
+						t.Fatalf("workers=%d: C[%d] = %v, serial %v", workers, i, call.C[i], serial[i])
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestBlocking8 checks the invariants runUnit8 and the pool rely on for
+// any shape and worker count: blocks fit the accumulator and every kernel
+// geometry, one worker gets whole-M groups (up to the accumulator's
+// height), and a many-worker call is cut into at least as many units as
+// there are workers or M-tiles × 512-column blocks to hand out.
+func TestBlocking8(t *testing.T) {
+	for _, m := range []int{1, 64, 128, 129, 512, 1000, 2048, 5000} {
+		for _, n := range []int{1, 49, 196, 512, 513, 12544} {
+			for _, images := range []int{1, 3} {
+				for _, workers := range []int{1, 2, 4, 7, 64} {
+					nc, gm := blocking8(m, n, images, workers)
+					if nc%maxNR8 != 0 || nc < ncMin8 || nc > ncBlock || gm%mcBlock != 0 || gm < mcBlock || gm*nc > accCap8 {
+						t.Fatalf("m%d n%d img%d w%d: nc %d gm %d break the blocking bounds", m, n, images, workers, nc, gm)
+					}
+					if nc < ncBlock && gm*(nc+ncMin8) <= accCap8 {
+						t.Errorf("m%d n%d img%d w%d: nc %d is narrower than a %d-row group needs", m, n, images, workers, nc, gm)
+					}
+					tm := (m + mcBlock - 1) / mcBlock
+					if fewest := (tm + maxGroupTiles8 - 1) / maxGroupTiles8; workers == 1 && (m+gm-1)/gm != fewest {
+						t.Errorf("m%d n%d: serial call cut into %d groups re-packs panels, %d fit", m, n, (m+gm-1)/gm, fewest)
+					}
+					units := (m + gm - 1) / gm * ((n + nc - 1) / nc) * images
+					old := tm * ((n + ncBlock - 1) / ncBlock) * images
+					if units < min(workers, old) {
+						t.Errorf("m%d n%d img%d w%d: %d units, per-tile blocking had %d", m, n, images, workers, units, old)
+					}
+				}
 			}
 		}
 	}

@@ -6,18 +6,18 @@ import (
 )
 
 // Pooled execution of quantized GEMMs. task8 mirrors task: the call is
-// split into (image, macro-tile) units claimed from a shared counter, and
-// each claimed tile runs runTile8 — full-K accumulation into the worker's
-// own int32 scratch followed by the requantize store — so caller- and
-// helper-executed tiles finish identically and no two tiles touch the same
-// C element.
+// split into the (image, column block, M-tile group) units of blocking8,
+// claimed from a shared counter, and each claimed unit runs runUnit8 —
+// full-K accumulation into the worker's own int32 scratch followed by the
+// requantize store — so caller- and helper-executed units finish
+// identically and no two units touch the same C element.
 type task8 struct {
-	call         CallInt8
-	kern         *kernel8
-	tileM, tileN int
-	next         atomic.Int64
-	wg           sync.WaitGroup
-	failure      panicSlot
+	call    CallInt8
+	kern    *kernel8
+	nc, gm  int // column block width and group height from blocking8
+	next    atomic.Int64
+	wg      sync.WaitGroup
+	failure panicSlot
 }
 
 // finish implements poolWork.
@@ -26,22 +26,24 @@ func (t *task8) finish() { t.wg.Done() }
 // fail implements poolWork.
 func (t *task8) fail(r any) { t.failure.set(r) }
 
-// drain implements poolWork: claim and execute tiles until the grid is
+// drain implements poolWork: claim and execute units until the grid is
 // exhausted.
 func (t *task8) drain(ctx *Context) {
-	tiles := int64(t.tileM) * int64(t.tileN) * int64(t.call.images())
-	grid := t.tileM * t.tileN
+	c := &t.call
+	tn := (c.N + t.nc - 1) / t.nc
+	grid := (c.M + t.gm - 1) / t.gm * tn
+	units := int64(grid) * int64(c.images())
 	for {
 		i := t.next.Add(1) - 1
-		if i >= tiles {
+		if i >= units {
 			return
 		}
 		idx := int(i)
 		img := idx / grid
 		idx %= grid
-		ii := (idx / t.tileN) * mcBlock
-		jj := (idx % t.tileN) * ncBlock
-		ctx.runTile8(t.kern, &t.call, img, ii, jj)
+		ii := (idx / tn) * t.gm
+		jj := (idx % tn) * t.nc
+		ctx.runUnit8(t.kern, c, img, ii, min(ii+t.gm, c.M), jj, min(t.nc, c.N-jj))
 	}
 }
 
@@ -55,11 +57,9 @@ func (p *Pool) RunInt8(ctx *Context, c CallInt8, workers int) {
 	if c.M == 0 || c.N == 0 {
 		return
 	}
-	tm := (c.M + mcBlock - 1) / mcBlock
-	tn := (c.N + ncBlock - 1) / ncBlock
-	tiles := tm * tn * c.images()
-	if workers > tiles {
-		workers = tiles
+	nc, gm := blocking8(c.M, c.N, c.images(), workers)
+	if units := (c.M + gm - 1) / gm * ((c.N + nc - 1) / nc) * c.images(); workers > units {
+		workers = units
 	}
 	if workers <= 1 {
 		ctx.RunInt8(c)
@@ -68,7 +68,7 @@ func (p *Pool) RunInt8(ctx *Context, c CallInt8, workers int) {
 	t := task8Pool.Get().(*task8)
 	t.call = c
 	t.kern = activeKernel8()
-	t.tileM, t.tileN = tm, tn
+	t.nc, t.gm = nc, gm
 	t.next.Store(0)
 	helpers := workers - 1
 	if helpers > p.workers {

@@ -1,18 +1,23 @@
 package gemm
 
+import "encoding/binary"
+
 // Activation-quantization helpers for the int8 tier's pack boundary.
 //
 // The quantizing pack sources scan a layer input once for its range and
 // then convert it to uint8 in bulk, so the im2col pack walk degenerates
 // to byte copies: a 3x3 convolution visits every input pixel ~9 times,
 // and quantizing inside the walk was measured to cost several times the
-// int8 GEMM itself on small-K layers. Both helpers dispatch to AVX2
-// implementations on amd64 and fall back to portable Go elsewhere.
+// int8 GEMM itself on small-K layers. InterleaveQuads is the byte move
+// those walks are made of. All three dispatch to AVX2 implementations on
+// amd64 and fall back to portable Go elsewhere.
 
-// minMaxImpl / quantizeU8Impl are swapped by platform init functions.
+// minMaxImpl / quantizeU8Impl / interleaveImpl are swapped by platform
+// init functions.
 var (
 	minMaxImpl     = minMaxF32Go
 	quantizeU8Impl = quantizeU8Go
+	interleaveImpl = interleaveQuadsGo
 )
 
 // MinMaxF32 returns the minimum and maximum of v. An empty slice returns
@@ -35,6 +40,28 @@ func MinMaxF32(v []float32) (lo, hi float32) {
 // bit for bit on NaN-free inputs.
 func QuantizeU8(dst []byte, src []float32, inv, zf float32) {
 	quantizeU8Impl(dst, src, inv, zf)
+}
+
+// InterleaveQuads writes n columns of one k-quad of the int8 B layout:
+//
+//	dst[4i+t] = r_t[i*stride]   for t in 0..3, i in 0..n-1
+//
+// r0..r3 are the quad's four source rows (consecutive k), stride the
+// element distance between consecutive columns within a row (1 for a
+// stride-1 convolution's output-pixel run). dst must hold 4n bytes and
+// each row (n-1)*stride+1. Unit stride takes the vectorised path.
+func InterleaveQuads(dst, r0, r1, r2, r3 []byte, n, stride int) {
+	if n > 0 {
+		interleaveImpl(dst, r0, r1, r2, r3, n, stride)
+	}
+}
+
+// interleaveQuadsGo is the portable body: one uint32 store per column.
+func interleaveQuadsGo(dst, r0, r1, r2, r3 []byte, n, stride int) {
+	for i, o := 0, 0; i < n; i, o = i+1, o+stride {
+		binary.LittleEndian.PutUint32(dst[4*i:],
+			uint32(r0[o])|uint32(r1[o])<<8|uint32(r2[o])<<16|uint32(r3[o])<<24)
+	}
 }
 
 func minMaxF32Go(v []float32) (lo, hi float32) {

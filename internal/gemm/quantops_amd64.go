@@ -2,14 +2,16 @@
 
 package gemm
 
-// AVX2 dispatch for the activation-quantization helpers. Both reuse the
-// fp32 kernel's CPUID/XGETBV probe; the asm routines handle the aligned
-// body and the Go wrappers finish the tail scalar-wise.
+// AVX2 dispatch for the activation-quantization helpers. All reuse the
+// fp32 kernel's CPUID/XGETBV probe; the min/max and quantize routines
+// handle the aligned body and the Go wrappers finish the tail
+// scalar-wise, the interleave handles any length itself.
 
 func init() {
 	if hasAVX2FMA() {
 		minMaxImpl = minMaxF32AVX2Wrap
 		quantizeU8Impl = quantizeU8AVX2Wrap
+		interleaveImpl = interleaveQuadsAVX2Wrap
 	}
 }
 
@@ -49,4 +51,19 @@ func quantizeU8AVX2Wrap(dst []byte, src []float32, inv, zf float32) {
 		quantizeU8AVX2(&dst[0], &src[0], int64(n), inv, zf)
 	}
 	quantizeU8Go(dst[n:], src[n:], inv, zf)
+}
+
+// interleaveQuadsAVX2 writes dst[4i+t] = r_t[i] for n ≥ 1 columns.
+// Implemented in quantops_amd64.s.
+//
+//go:noescape
+func interleaveQuadsAVX2(dst, r0, r1, r2, r3 *byte, n int64)
+
+func interleaveQuadsAVX2Wrap(dst, r0, r1, r2, r3 []byte, n, stride int) {
+	if stride != 1 {
+		interleaveQuadsGo(dst, r0, r1, r2, r3, n, stride)
+		return
+	}
+	_, _, _, _, _ = dst[4*n-1], r0[n-1], r1[n-1], r2[n-1], r3[n-1]
+	interleaveQuadsAVX2(&dst[0], &r0[0], &r1[0], &r2[0], &r3[0], int64(n))
 }

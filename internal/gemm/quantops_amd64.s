@@ -101,3 +101,109 @@ DATA quantPerm<>+20(SB)/4, $6
 DATA quantPerm<>+24(SB)/4, $3
 DATA quantPerm<>+28(SB)/4, $7
 GLOBL quantPerm<>(SB), RODATA, $32
+
+// func interleaveQuadsAVX2(dst, r0, r1, r2, r3 *byte, n int64)
+//
+// dst[4i+t] = r_t[i] for n ≥ 1 columns: the k-quad transpose of the int8
+// B layout. Blocks of 16, 8 and 4 columns are two levels of unpack —
+// bytes of (r0,r1) and (r2,r3) to words, then those words to dwords, each
+// dword one column's quad — and the last 0–3 columns move bytewise. VEX
+// 128-bit forms only, so no upper state is dirtied.
+TEXT ·interleaveQuadsAVX2(SB), NOSPLIT, $0-48
+	MOVQ dst+0(FP), DI
+	MOVQ r0+8(FP), R8
+	MOVQ r1+16(FP), R9
+	MOVQ r2+24(FP), R10
+	MOVQ r3+32(FP), R11
+	MOVQ n+40(FP), CX
+
+	CMPQ CX, $16
+	JLT  iq8
+
+iq16:
+	VMOVDQU (R8), X0
+	VMOVDQU (R9), X1
+	VMOVDQU (R10), X2
+	VMOVDQU (R11), X3
+	VPUNPCKLBW X1, X0, X4   // r0/r1 words, columns 0-7
+	VPUNPCKHBW X1, X0, X5   // columns 8-15
+	VPUNPCKLBW X3, X2, X6   // r2/r3 words, columns 0-7
+	VPUNPCKHBW X3, X2, X7   // columns 8-15
+	VPUNPCKLWD X6, X4, X0   // quads of columns 0-3
+	VPUNPCKHWD X6, X4, X1   // 4-7
+	VPUNPCKLWD X7, X5, X2   // 8-11
+	VPUNPCKHWD X7, X5, X3   // 12-15
+	VMOVDQU X0, (DI)
+	VMOVDQU X1, 16(DI)
+	VMOVDQU X2, 32(DI)
+	VMOVDQU X3, 48(DI)
+	ADDQ $16, R8
+	ADDQ $16, R9
+	ADDQ $16, R10
+	ADDQ $16, R11
+	ADDQ $64, DI
+	SUBQ $16, CX
+	CMPQ CX, $16
+	JGE  iq16
+
+iq8:
+	CMPQ CX, $8
+	JLT  iq4
+	VMOVQ (R8), X0
+	VMOVQ (R9), X1
+	VMOVQ (R10), X2
+	VMOVQ (R11), X3
+	VPUNPCKLBW X1, X0, X4
+	VPUNPCKLBW X3, X2, X6
+	VPUNPCKLWD X6, X4, X0
+	VPUNPCKHWD X6, X4, X1
+	VMOVDQU X0, (DI)
+	VMOVDQU X1, 16(DI)
+	ADDQ $8, R8
+	ADDQ $8, R9
+	ADDQ $8, R10
+	ADDQ $8, R11
+	ADDQ $32, DI
+	SUBQ $8, CX
+
+iq4:
+	CMPQ CX, $4
+	JLT  iq1
+	VMOVD (R8), X0
+	VMOVD (R9), X1
+	VMOVD (R10), X2
+	VMOVD (R11), X3
+	VPUNPCKLBW X1, X0, X4
+	VPUNPCKLBW X3, X2, X6
+	VPUNPCKLWD X6, X4, X0
+	VMOVDQU X0, (DI)
+	ADDQ $4, R8
+	ADDQ $4, R9
+	ADDQ $4, R10
+	ADDQ $4, R11
+	ADDQ $16, DI
+	SUBQ $4, CX
+
+iq1:
+	TESTQ CX, CX
+	JZ    iqdone
+
+iqbyte:
+	MOVB (R8), AX
+	MOVB AX, (DI)
+	MOVB (R9), AX
+	MOVB AX, 1(DI)
+	MOVB (R10), AX
+	MOVB AX, 2(DI)
+	MOVB (R11), AX
+	MOVB AX, 3(DI)
+	INCQ R8
+	INCQ R9
+	INCQ R10
+	INCQ R11
+	ADDQ $4, DI
+	DECQ CX
+	JNZ  iqbyte
+
+iqdone:
+	RET

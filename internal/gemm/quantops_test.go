@@ -55,3 +55,40 @@ func TestQuantizeU8MatchesScalar(t *testing.T) {
 		}
 	}
 }
+
+// TestInterleaveQuadsAsmMatchesGo pins the dispatched InterleaveQuads
+// (AVX2 at unit stride where available) to dst[4i+t] = r_t[i*stride]
+// computed bytewise, for every length across the 16/8/4/1-column blocks of
+// the assembly body, on sources and destinations at every alignment, and
+// requires the bytes on either side of the 4n written to stay untouched.
+func TestInterleaveQuadsAsmMatchesGo(t *testing.T) {
+	r := rand.New(rand.NewSource(13))
+	back := make([]byte, 4*(3*70+8))
+	r.Read(back)
+	for _, stride := range []int{1, 2, 3} {
+		for n := 0; n <= 70; n++ {
+			for align := 0; align < 4; align++ {
+				span := (max(n, 1)-1)*stride + 1
+				var rows [4][]byte
+				for t := range rows {
+					rows[t] = back[t*(3*70+8)+align+t:][:span]
+				}
+				const guard = 0xEE
+				buf := make([]byte, align+4*n+8)
+				for i := range buf {
+					buf[i] = guard
+				}
+				InterleaveQuads(buf[align:], rows[0], rows[1], rows[2], rows[3], n, stride)
+				for i, b := range buf {
+					want := byte(guard)
+					if c := i - align; c >= 0 && c < 4*n {
+						want = rows[c%4][c/4*stride]
+					}
+					if b != want {
+						t.Fatalf("stride %d n %d align %d: byte %d = %#x, want %#x", stride, n, align, i-align, b, want)
+					}
+				}
+			}
+		}
+	}
+}

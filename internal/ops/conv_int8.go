@@ -15,10 +15,11 @@ import (
 // channel at first use (symmetric, |q| ≤ quant.QMaxGemm) and cached
 // prepacked in the plan's ConstCache; activations are quantized to uint8
 // per image into kernel-private scratch (never a graph tensor) and the
-// pack walk copies bytes from it — a kh·kw-fold saving over quantizing
-// inside the walk, where each input pixel is revisited once per kernel
-// tap; the int32→fp32 requantize, zero-point compensation, bias and
-// activation all ride the GEMM tile-store epilogue.
+// pack walk interleaves bytes from it a k-quad at a time — a kh·kw-fold
+// saving over quantizing inside the walk, where each input pixel is
+// revisited once per kernel tap; the int32→fp32 requantize, zero-point
+// compensation, bias and activation all ride the GEMM tile-store
+// epilogue.
 //
 // The kernel registers as quantized: policies only select it when the
 // plan opted into int8 execution, and the equivalence tests hold it to a
@@ -92,9 +93,9 @@ func runConvIm2colInt8(ctx *Ctx, n *graph.Node, in, out []*tensor.Tensor) error 
 	perGroup := gemm.PackedAInt8Size(coutG, kdim)
 
 	src := &ctx.convSrc8
-	src.quantizeBatch(x, p.n, p.cin*p.h*p.w)
+	src.quantize(x, &p)
 	for g := 0; g < p.groups; g++ {
-		src.init(x, &p, g)
+		src.chan0 = g * (p.cin / p.groups)
 		var bg []float32
 		if bias != nil {
 			bg = bias[g*coutG : (g+1)*coutG]
@@ -161,148 +162,154 @@ func growU8(s []byte, n int) []byte {
 // the NCHW input built once per conv call. Quantizing inside the pack
 // walk would redo the float math once per kernel tap (~9x for a 3x3),
 // which on small-K layers costs more than the int8 GEMM itself; a bulk
-// vectorised pre-pass makes the walk pure byte moves. Padding emits the
-// image's zero-point byte so it dequantizes to exactly zero after
-// compensation. Read-only during a call, so pool workers may pack panels
+// vectorised pre-pass makes the walk pure byte moves. The copy carries the
+// convolution's padding as a border of the image's zero-point byte —
+// which dequantizes to exactly zero after compensation — so every tap of
+// every output pixel is an in-bounds read and the walk has no padding
+// branch. Read-only during a call, so pool workers may pack panels
 // concurrently.
 type convPackSrc8 struct {
-	geo convPackSrc
+	cin, chan0             int // channels per image; first channel of the group
+	hp, wp                 int // padded plane dims
+	kh, kw, sh, sw, dh, dw int
+	ow                     int
 
-	// q8 is the quantized batch input (same NCHW indexing as the fp32
-	// tensor); scales/zeros are the per-image parameters the requantize
-	// epilogue needs.
-	q8     []byte
-	scales []float32
-	zeros  []int32
+	// q8 is the quantized batch input, NCHW over padded hp×wp planes;
+	// stage holds one unpadded image between the bulk quantize and the row
+	// copies into q8. scales/zeros are the per-image parameters the
+	// requantize epilogue needs.
+	q8, stage []byte
+	scales    []float32
+	zeros     []int32
 }
 
-// quantizeBatch scans each image of the batch (stride elements apiece),
-// derives its quantization parameters and converts it to uint8 in q8.
-// The buffers are reused across calls, so the steady state allocates
-// nothing.
-func (s *convPackSrc8) quantizeBatch(x []float32, images, stride int) {
-	s.scales = growF32(s.scales, images)
-	s.zeros = growI32(s.zeros, images)
-	s.q8 = growU8(s.q8, images*stride)
-	for img := 0; img < images; img++ {
+// quantize scans each image of the batch, derives its quantization
+// parameters and converts it to uint8 in q8, padded per p. The buffers
+// are reused across calls, so the steady state allocates nothing.
+func (s *convPackSrc8) quantize(x []float32, p *convParams) {
+	s.cin = p.cin
+	s.hp, s.wp = p.h+p.padT+p.padB, p.w+p.padL+p.padR
+	s.kh, s.kw, s.sh, s.sw, s.dh, s.dw = p.kh, p.kw, p.sh, p.sw, p.dh, p.dw
+	s.ow = p.ow
+
+	s.scales = growF32(s.scales, p.n)
+	s.zeros = growI32(s.zeros, p.n)
+	stride, pstride := p.cin*p.h*p.w, p.cin*s.hp*s.wp
+	s.q8 = growU8(s.q8, p.n*pstride)
+	padded := pstride != stride
+	if padded {
+		s.stage = growU8(s.stage, stride)
+	}
+	for img := 0; img < p.n; img++ {
 		xi := x[img*stride : (img+1)*stride]
 		lo, hi := gemm.MinMaxF32(xi)
 		scale, zero := quantRange(lo, hi)
 		s.scales[img] = scale
 		s.zeros[img] = zero
-		gemm.QuantizeU8(s.q8[img*stride:], xi, 1/scale, float32(zero)+0.5)
+		qi := s.q8[img*pstride : (img+1)*pstride]
+		if !padded {
+			gemm.QuantizeU8(qi, xi, 1/scale, float32(zero)+0.5)
+			continue
+		}
+		gemm.QuantizeU8(s.stage, xi, 1/scale, float32(zero)+0.5)
+		fillU8(qi, byte(zero))
+		for c := 0; c < p.cin; c++ {
+			for y := 0; y < p.h; y++ {
+				copy(qi[(c*s.hp+y+p.padT)*s.wp+p.padL:], s.stage[(c*p.h+y)*p.w:][:p.w])
+			}
+		}
 	}
 }
 
-// init points the source at group g of the convolution described by p.
-// quantizeBatch must already have run for the batch.
-func (s *convPackSrc8) init(x []float32, p *convParams, g int) {
-	s.geo.init(x, p, g)
+// fillU8 sets every byte of b to v.
+func fillU8(b []byte, v byte) {
+	if len(b) == 0 {
+		return
+	}
+	b[0] = v
+	for n := 1; n < len(b); n *= 2 {
+		copy(b[n:], b[:n])
+	}
 }
 
-// PackPanel8 implements gemm.PackSrc8 with the same run-walk structure as
-// convPackSrc.PackPanel: rows decode to (channel, ky, kx), columns walk
-// output pixels in runs within one output row, and the stride-1 interior
-// is a bounds-free byte copy from the pre-quantized input. The k-quad
-// layout makes a row's bytes land 4 apart within the strip.
-//
-// Two hoists keep integer division off the per-byte path: each row's
-// (channel offset, tap offsets) are decoded once per panel into stack
-// tables instead of once per strip, and the (oy, ox) output coordinate is
-// carried incrementally through the run walk instead of re-divided per
-// run. On a 3x3/stride-1 layer these divisions were the largest single
-// pack cost after the quantize pre-pass.
+// PackPanel8 implements gemm.PackSrc8 a k-quad at a time: the quad's four
+// rows decode to (channel, ky, kx) taps once per panel, and one flat walk
+// carries the panel's columns through output pixels and strips together,
+// moving each stretch that stays within one output row and one strip with
+// a single gemm.InterleaveQuads straight from the padded planes. Every
+// coordinate is carried incrementally; the walk divides only at panel
+// entry.
 func (s *convPackSrc8) PackPanel8(dst []byte, img, pp, jj, kc, nc, nr int) {
-	g := &s.geo
-	khw := g.kh * g.kw
-	plane := g.h * g.w
-	imgBase := (img*g.cin + g.chan0) * plane
-	zb := byte(s.zeros[img])
-	kcq4 := (kc + 3) &^ 3
-	var chOff, rowDy, rowDx [gemm.MaxPanelK]int32
-	for p := 0; p < kc; p++ {
-		kd := pp + p
-		ic := kd / khw
-		rem := kd - ic*khw
-		ky := rem / g.kw
-		kx := rem - ky*g.kw
-		chOff[p] = int32(ic * plane)
-		rowDy[p] = int32(ky*g.dh - g.padT) // iy = oy*sh + dy
-		rowDx[p] = int32(kx*g.dw - g.padL) // ix = ox*sw + dx
+	kcq := (kc + 3) >> 2
+	plane := s.hp * s.wp
+	q8 := s.q8[(img*s.cin+s.chan0)*plane:]
+	ic := pp / (s.kh * s.kw)
+	rem := pp - ic*s.kh*s.kw
+	ky := rem / s.kw
+	kx := rem - ky*s.kw
+	oy0 := jj / s.ow
+	ox0 := jj - oy0*s.ow
+	rowStep := s.sh * s.wp
+	for q := 0; q < kcq; q++ {
+		// tap[t] is the padded-plane offset output pixel (0, 0) reads for
+		// the quad's row t. Rows past kc borrow row 0's and are zeroed
+		// below.
+		var tap [4]int
+		for t := range tap {
+			if 4*q+t >= kc {
+				tap[t] = tap[0]
+				continue
+			}
+			tap[t] = ic*plane + ky*s.dh*s.wp + kx*s.dw
+			if kx++; kx == s.kw {
+				kx = 0
+				if ky++; ky == s.kh {
+					ky = 0
+					ic++
+				}
+			}
+		}
+		row := oy0 * rowStep // source offset of the current output row
+		ox, jl := ox0, 0
+		d := dst[q*nr*4:] // the quad's columns in the current strip
+		for j := 0; j < nc; {
+			n := min(s.ow-ox, nr-jl, nc-j)
+			at := row + ox*s.sw
+			gemm.InterleaveQuads(d[jl*4:], q8[tap[0]+at:], q8[tap[1]+at:], q8[tap[2]+at:], q8[tap[3]+at:], n, s.sw)
+			j += n
+			if ox += n; ox == s.ow {
+				ox = 0
+				row += rowStep
+			}
+			if jl += n; jl == nr && j < nc {
+				jl = 0
+				d = d[kcq*nr*4:]
+			}
+		}
 	}
-	for j := 0; j < nc; j += nr {
-		cols := min(nr, nc-j)
-		strip := dst[(j/nr)*nr*kcq4:]
-		col0 := jj + j
-		oy0 := col0 / g.ow
-		ox0 := col0 - oy0*g.ow
-		for p := 0; p < kc; p++ {
-			qc := s.q8[imgBase+int(chOff[p]) : imgBase+int(chOff[p])+plane]
-			dy := int(rowDy[p])
-			dx := int(rowDx[p])
-			row := strip[(p>>2)*nr*4+(p&3):]
-			oy, ox := oy0, ox0
-			cc := 0
-			for cc < cols {
-				run := min(g.ow-ox, cols-cc)
-				iy := oy*g.sh + dy
-				if iy < 0 || iy >= g.h {
-					for i := 0; i < run; i++ {
-						row[(cc+i)*4] = zb
-					}
-				} else {
-					qrow := qc[iy*g.w : (iy+1)*g.w]
-					ix := ox*g.sw + dx
-					if g.sw == 1 {
-						lo, hi := 0, run
-						if ix < 0 {
-							lo = min(-ix, run)
-						}
-						if ix+run > g.w {
-							hi = g.w - ix
-						}
-						if hi < lo {
-							hi = lo
-						}
-						for i := 0; i < lo; i++ {
-							row[(cc+i)*4] = zb
-						}
-						for i := lo; i < hi; i++ {
-							row[(cc+i)*4] = qrow[ix+i]
-						}
-						for i := hi; i < run; i++ {
-							row[(cc+i)*4] = zb
-						}
-					} else {
-						for i := 0; i < run; i++ {
-							if ix >= 0 && ix < g.w {
-								row[(cc+i)*4] = qrow[ix]
-							} else {
-								row[(cc+i)*4] = zb
-							}
-							ix += g.sw
-						}
-					}
-				}
-				cc += run
-				ox += run
-				if ox == g.ow {
-					ox = 0
-					oy++
-				}
-			}
-			// Columns beyond nc are geometric padding (their products are
-			// discarded), zeroed per the PackSrc8 contract.
-			for i := cols; i < nr; i++ {
-				row[i*4] = 0
+	if tail := kc & 3; tail != 0 {
+		// The last quad's rows beyond kc multiply A's zero k-padding; the
+		// contract still wants them zero.
+		for j := 0; j < nc; j += nr {
+			last := dst[((j/nr)*kcq+kcq-1)*nr*4:]
+			for jl := 0; jl < min(nr, nc-j); jl++ {
+				clear(last[jl*4+tail : jl*4+4])
 			}
 		}
-		// Quad-tail rows beyond kc multiply A's zero k-padding; zero them.
-		for p := kc; p < kcq4; p++ {
-			row := strip[(p>>2)*nr*4+(p&3):]
-			for i := 0; i < nr; i++ {
-				row[i*4] = 0
-			}
-		}
+	}
+	zeroPadCols(dst, kcq, nr, nc)
+}
+
+// zeroPadCols clears the columns beyond nc of a panel's last strip —
+// geometric padding whose products are discarded — per the PackSrc8
+// contract.
+func zeroPadCols(dst []byte, kcq, nr, nc int) {
+	jl := nc % nr
+	if jl == 0 {
+		return
+	}
+	last := dst[(nc/nr)*kcq*nr*4:]
+	for q := 0; q < kcq; q++ {
+		clear(last[q*nr*4+jl*4 : (q+1)*nr*4])
 	}
 }

@@ -63,11 +63,13 @@ func runDenseGemmInt8(ctx *Ctx, n *graph.Node, in, out []*tensor.Tensor) error {
 // densePackSrc8 presents the activation matrix X[N,K] as the virtual
 // uint8 B of the transposed dense GEMM: B[p][j] = Q_j(X[j][p]), each
 // sample column j quantized with its own parameters. init converts X to
-// uint8 in one vectorised pass per sample, so the pack walk — which
-// revisits a sample once per M-tile — is pure byte moves over one
-// contiguous row.
+// uint8 in one vectorised pass per sample, so the pack walk is pure byte
+// moves: a k-quad's four rows are four consecutive bytes of each sample,
+// one sample row apart from column to column.
 type densePackSrc8 struct {
-	k int
+	// ld is q8's row stride: K rounded up to whole quads, the tail bytes
+	// zero, so the last quad reads its k padding from the row itself.
+	ld int
 
 	// q8 is the quantized activation matrix; scales/zeros are the
 	// per-sample parameters for the epilogue. Buffers reused across calls.
@@ -78,43 +80,32 @@ type densePackSrc8 struct {
 
 // init derives each sample's parameters and quantizes X into q8.
 func (s *densePackSrc8) init(x []float32, samples, k int) {
-	s.k = k
+	s.ld = (k + 3) &^ 3
 	s.scales = growF32(s.scales, samples)
 	s.zeros = growI32(s.zeros, samples)
-	s.q8 = growU8(s.q8, samples*k)
+	s.q8 = growU8(s.q8, samples*s.ld)
 	for j := 0; j < samples; j++ {
 		xj := x[j*k : (j+1)*k]
 		lo, hi := gemm.MinMaxF32(xj)
 		scale, zero := quantRange(lo, hi)
 		s.scales[j] = scale
 		s.zeros[j] = zero
-		gemm.QuantizeU8(s.q8[j*k:], xj, 1/scale, float32(zero)+0.5)
+		qj := s.q8[j*s.ld : (j+1)*s.ld]
+		gemm.QuantizeU8(qj, xj, 1/scale, float32(zero)+0.5)
+		clear(qj[k:])
 	}
 }
 
 // PackPanel8 implements gemm.PackSrc8; img is always 0 (TransC calls are
-// unbatched).
+// unbatched). pp is a multiple of 4, so every quad is four in-row bytes.
 func (s *densePackSrc8) PackPanel8(dst []byte, img, pp, jj, kc, nc, nr int) {
-	kcq4 := (kc + 3) &^ 3
-	for j0 := 0; j0 < nc; j0 += nr {
-		cols := min(nr, nc-j0)
-		strip := dst[(j0/nr)*nr*kcq4:]
-		for jl := 0; jl < cols; jl++ {
-			col := jj + j0 + jl
-			qr := s.q8[col*s.k+pp : col*s.k+pp+kc]
-			base := jl * 4
-			for p := 0; p < kc; p++ {
-				strip[base+(p>>2)*nr*4+(p&3)] = qr[p]
-			}
-			for p := kc; p < kcq4; p++ {
-				strip[base+(p>>2)*nr*4+(p&3)] = 0
-			}
-		}
-		for jl := cols; jl < nr; jl++ {
-			base := jl * 4
-			for p := 0; p < kcq4; p++ {
-				strip[base+(p>>2)*nr*4+(p&3)] = 0
-			}
+	kcq := (kc + 3) >> 2
+	for j := 0; j < nc; j += nr {
+		d := dst[(j/nr)*kcq*nr*4:]
+		for q := 0; q < kcq; q++ {
+			r := s.q8[(jj+j)*s.ld+pp+4*q:]
+			gemm.InterleaveQuads(d[q*nr*4:], r, r[1:], r[2:], r[3:], min(nr, nc-j), s.ld)
 		}
 	}
+	zeroPadCols(dst, kcq, nr, nc)
 }

@@ -5,7 +5,6 @@ import (
 
 	"orpheus/internal/graph"
 	"orpheus/internal/tensor"
-	"orpheus/internal/zoo"
 )
 
 // countOp returns how many nodes of the given op the graph holds.
@@ -201,39 +200,5 @@ func TestConvertLayoutIdempotent(t *testing.T) {
 	}
 	if changed {
 		t.Fatal("ConvertLayout not idempotent: second run reported changes")
-	}
-}
-
-// TestConvertLayoutZoo is the acceptance sweep: every zoo model converts
-// with zero materialised transposes and matches its NCHW answer to 1e-5.
-func TestConvertLayoutZoo(t *testing.T) {
-	for _, m := range zoo.Models() {
-		m := m
-		t.Run(m.Name, func(t *testing.T) {
-			if testing.Short() && (m.Name == "inception-v3" || m.Name == "resnet-50") {
-				t.Skip("short mode")
-			}
-			g, err := m.Build(1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ref := g.Clone()
-			if _, err := Default().Run(ref); err != nil {
-				t.Fatal(err)
-			}
-			opt, stats := runLayout(t, g)
-			if stats.Remaining != 0 {
-				t.Errorf("%s: %d transposes remain (stats %+v)", m.Name, stats.Remaining, stats)
-			}
-			if stats.NHWCNodes == 0 {
-				t.Errorf("%s: nothing converted", m.Name)
-			}
-			x := tensor.Rand(tensor.NewRNG(tensor.SeedFromString(m.Name)), -1, 1, m.InputShape...)
-			want := evaluate(t, ref, x)
-			got := evaluate(t, opt, x)
-			if d := relDiff(got, want); d > 1e-5 {
-				t.Errorf("%s: NHWC output diverges: rel diff %g", m.Name, d)
-			}
-		})
 	}
 }

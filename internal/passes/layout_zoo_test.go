@@ -1,0 +1,73 @@
+package passes_test
+
+import (
+	"context"
+	"testing"
+
+	"orpheus/internal/backend"
+	"orpheus/internal/graph"
+	"orpheus/internal/passes"
+	"orpheus/internal/runtime"
+	"orpheus/internal/tensor"
+	"orpheus/internal/zoo"
+)
+
+// evaluateOrpheus runs an already-optimised graph under the orpheus
+// backend's default kernel policy. Those kernels are pinned to the
+// reference kernels by the ops and backend batteries; running full zoo
+// models on conv.direct here cost two minutes of tier-1 for no extra
+// coverage of the pass under test.
+func evaluateOrpheus(t testing.TB, g *graph.Graph, x *tensor.Tensor) *tensor.Tensor {
+	t.Helper()
+	be, err := backend.ByName("orpheus")
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := runtime.Compile(g, runtime.Options{Policy: be.NewPolicy()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := runtime.NewSession(plan).Run(context.Background(), map[string]*tensor.Tensor{g.Inputs[0].Name: x})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range out {
+		return v.Clone()
+	}
+	t.Fatal("no outputs")
+	return nil
+}
+
+// TestConvertLayoutZoo is the acceptance sweep: every zoo model converts
+// with zero materialised transposes and matches its NCHW answer to 1e-5.
+func TestConvertLayoutZoo(t *testing.T) {
+	for _, m := range zoo.Models() {
+		m := m
+		t.Run(m.Name, func(t *testing.T) {
+			if testing.Short() && (m.Name == "inception-v3" || m.Name == "resnet-50") {
+				t.Skip("short mode")
+			}
+			g, err := m.Build(1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref := g.Clone()
+			if _, err := passes.Default().Run(ref); err != nil {
+				t.Fatal(err)
+			}
+			opt, stats := passes.RunLayout(t, g)
+			if stats.Remaining != 0 {
+				t.Errorf("%s: %d transposes remain (stats %+v)", m.Name, stats.Remaining, stats)
+			}
+			if stats.NHWCNodes == 0 {
+				t.Errorf("%s: nothing converted", m.Name)
+			}
+			x := tensor.Rand(tensor.NewRNG(tensor.SeedFromString(m.Name)), -1, 1, m.InputShape...)
+			want := evaluateOrpheus(t, ref, x)
+			got := evaluateOrpheus(t, opt, x)
+			if d := passes.RelDiff(got, want); d > 1e-5 {
+				t.Errorf("%s: NHWC output diverges: rel diff %g", m.Name, d)
+			}
+		})
+	}
+}

@@ -208,10 +208,11 @@ func BenchmarkKernelGEMMInt8(b *testing.B) {
 }
 
 // BenchmarkQuantModel times full single-sample inference with the plan
-// compiled fp32 versus int8 (WithInt8 / PrepareOpts.Int8) — the PR-7
-// before/after pair behind BENCH_pr7.json. The weights-B/run metric
-// reports the packed constant footprint, which the int8 tier shrinks
-// roughly 4x.
+// compiled fp32 versus int8 (WithInt8 / PrepareOpts.Int8) — the quick
+// in-process counterpart of the benchmark's dense-fp32 / dense-int8
+// workloads, and the one to profile (-cpuprofile). The weights-B/run
+// metric reports the packed constant footprint, which the int8 tier
+// shrinks roughly 4x.
 func BenchmarkQuantModel(b *testing.B) {
 	for _, model := range []string{"wrn-40-2", "mobilenet-v1", "resnet-18"} {
 		g := cachedModel(b, model)
