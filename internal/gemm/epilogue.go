@@ -1,5 +1,7 @@
 package gemm
 
+import "math"
+
 // Virtual B operands and fused epilogues for the packed tier.
 //
 // A PackSrc lets a Call describe its B operand *implicitly*: instead of
@@ -67,61 +69,30 @@ func (c *Call) hasEpilogue() bool {
 // rows×cols region of dst whose top-left element is C[r0][c0] (absolute
 // matrix coordinates, so the bias vectors index correctly). ldc is the row
 // stride of dst. Called once per macro-tile, immediately after the tile's
-// final k-panel is stored, so the operands are still cache-resident. Each
-// row is finished in a single fused pass — bias add and activation
-// together — with the mode branches hoisted out of the element loop.
+// final k-panel is stored, so the operands are still cache-resident. A
+// row-bias row is finished in a single fused pass — bias add and
+// activation together.
 func (c *Call) applyEpilogueTile(dst []float32, r0, c0, rows, cols, ldc int) {
 	var bcol []float32
 	if c.BiasCol != nil {
 		bcol = c.BiasCol[c0 : c0+cols]
 	}
-	alpha := c.Alpha
 	for r := 0; r < rows; r++ {
 		row := dst[(r0+r)*ldc+c0 : (r0+r)*ldc+c0+cols]
 		var bv float32
 		if c.BiasRow != nil {
 			bv = c.BiasRow[r0+r]
 		}
-		if bcol != nil {
+		switch {
+		case bcol != nil:
 			for i := range row {
 				row[i] += bv + bcol[i]
 			}
-			applyActivationRow(row, c.Act, alpha)
-			continue
-		}
-		switch c.Act {
-		case ActNone:
-			if bv != 0 {
-				for i := range row {
-					row[i] += bv
-				}
+			if c.Act != ActNone {
+				ActivateRow(row, row, c.Act, c.Alpha)
 			}
-		case ActReLU:
-			for i, v := range row {
-				v += bv
-				if v < 0 {
-					v = 0
-				}
-				row[i] = v
-			}
-		case ActReLU6:
-			for i, v := range row {
-				v += bv
-				if v < 0 {
-					v = 0
-				} else if v > 6 {
-					v = 6
-				}
-				row[i] = v
-			}
-		case ActLeakyReLU:
-			for i, v := range row {
-				v += bv
-				if v < 0 {
-					v = alpha * v
-				}
-				row[i] = v
-			}
+		case c.Act != ActNone || bv != 0:
+			biasActivateRow(row, row, bv, c.Act, c.Alpha)
 		}
 	}
 }
@@ -132,31 +103,44 @@ func (c *Call) applyEpilogueAll(dst []float32) {
 	c.applyEpilogueTile(dst, 0, 0, c.M, c.N, c.ldc())
 }
 
-// applyActivationRow applies act in place. The switch sits outside the
-// hot tile loop's inner body so each row pays one branch, not one per
-// element.
-func applyActivationRow(row []float32, act Activation, alpha float32) {
+// negZero is the bias that changes nothing: x + (−0) is x for every x,
+// −0 and NaN included, so "no bias" needs no loops of its own.
+var negZero = math.Float32frombits(1 << 31)
+
+// ActivateRow stores act(src[i]) to dst[i] for i in [0, len(dst)); dst and
+// src may be the same slice, and src must be at least as long as dst. It
+// is the one definition of the elementwise activations: the GEMM
+// epilogues, the standalone activation kernels and the depthwise row
+// finish all land here. ActNone copies.
+func ActivateRow(dst, src []float32, act Activation, alpha float32) {
+	biasActivateRow(dst, src, negZero, act, alpha)
+}
+
+// biasActivateRow stores act(src[i]+bias) to dst[i]. The mode switch sits
+// outside the element loops, and each loop body is activate with a
+// constant mode — a select on the value's bits the compiler turns into a
+// conditional move, where a branch on the sign of a pre-activation
+// mispredicts every other element.
+func biasActivateRow(dst, src []float32, bias float32, act Activation, alpha float32) {
+	src = src[:len(dst)]
 	switch act {
 	case ActNone:
+		for i, v := range src {
+			dst[i] = v + bias
+		}
 	case ActReLU:
-		for i, v := range row {
-			if v < 0 {
-				row[i] = 0
-			}
+		n := reluRowHead(dst, src, bias)
+		dst, src = dst[n:], src[n:]
+		for i, v := range src {
+			dst[i] = activate(v+bias, ActReLU, 0)
 		}
 	case ActReLU6:
-		for i, v := range row {
-			if v < 0 {
-				row[i] = 0
-			} else if v > 6 {
-				row[i] = 6
-			}
+		for i, v := range src {
+			dst[i] = activate(v+bias, ActReLU6, 0)
 		}
 	case ActLeakyReLU:
-		for i, v := range row {
-			if v < 0 {
-				row[i] = alpha * v
-			}
+		for i, v := range src {
+			dst[i] = activate(v+bias, ActLeakyReLU, alpha)
 		}
 	}
 }

@@ -217,3 +217,79 @@ func TestPoolSweep(t *testing.T) {
 		}
 	}
 }
+
+// applyActivationRow is the activation in its original form — a branch on
+// the sign of each value — kept as the oracle for ActivateRow's selects
+// and for storeTileTwoPass.
+func applyActivationRow(row []float32, act Activation, alpha float32) {
+	switch act {
+	case ActNone:
+	case ActReLU:
+		for i, v := range row {
+			if v < 0 {
+				row[i] = 0
+			}
+		}
+	case ActReLU6:
+		for i, v := range row {
+			if v < 0 {
+				row[i] = 0
+			} else if v > 6 {
+				row[i] = 6
+			}
+		}
+	case ActLeakyReLU:
+		for i, v := range row {
+			if v < 0 {
+				row[i] = alpha * v
+			}
+		}
+	}
+}
+
+// TestActivateRowMatchesBranches holds ActivateRow and the fused-bias form
+// bit for bit to the branching loops they replace: values either side of
+// every threshold, −0, ±Inf, NaN and denormals mixed into random ones, at
+// every row length across the vector body and the scalar tail and every
+// 4-byte alignment, in place and between slices.
+func TestActivateRowMatchesBranches(t *testing.T) {
+	special := []float32{0, negZero, 1, -1, 5.9999995, 6, 6.0000005, 7, -7, 1e-42, -1e-42,
+		float32(math.Inf(1)), float32(math.Inf(-1)), float32(math.NaN()), math.MaxFloat32, -math.MaxFloat32}
+	r := tensor.NewRNG(23)
+	back := tensor.Rand(r, -8, 8, 80).Data()
+	for i := range back {
+		if i%3 == 0 {
+			back[i] = special[(i/3)%len(special)]
+		}
+	}
+	for _, act := range []Activation{ActNone, ActReLU, ActReLU6, ActLeakyReLU} {
+		for _, bias := range []float32{0, 0.25, -6, 6} {
+			for n := 0; n <= 70; n++ {
+				src := back[n%4:][:n]
+				want := append([]float32(nil), src...)
+				got := make([]float32, n+1)[1:] // dst and src at different alignments
+				if bias == 0 {
+					ActivateRow(got, src, act, 0.1)
+				} else {
+					for i := range want {
+						want[i] += bias
+					}
+					biasActivateRow(got, src, bias, act, 0.1)
+				}
+				applyActivationRow(want, act, 0.1)
+				inPlace := append([]float32(nil), src...)
+				if bias == 0 {
+					ActivateRow(inPlace, inPlace, act, 0.1)
+				} else {
+					biasActivateRow(inPlace, inPlace, bias, act, 0.1)
+				}
+				for i := range want {
+					w := math.Float32bits(want[i])
+					if g, p := math.Float32bits(got[i]), math.Float32bits(inPlace[i]); g != w || p != w {
+						t.Fatalf("act %d bias %v n %d: f(%v) = %#x, in place %#x, want %#x", act, bias, n, src[i], g, p, w)
+					}
+				}
+			}
+		}
+	}
+}

@@ -362,21 +362,20 @@ func packA(dst, a []float32, ii, pp, mc, kc, lda, mr int) {
 }
 
 // packB copies a kc×nc panel of B (row pp, col jj) into strips of nr
-// columns, row-major within each strip. Columns beyond nc are zero-padded.
+// columns, row-major within each strip: one copy per strip row. Columns
+// beyond nc are zero-padded.
 func packB(dst, b []float32, pp, jj, kc, nc, ldb, nr int) {
 	di := 0
 	for j := 0; j < nc; j += nr {
 		cols := min(nr, nc-j)
+		base := pp*ldb + jj + j
 		for p := 0; p < kc; p++ {
-			base := (pp+p)*ldb + jj + j
-			for cc := 0; cc < cols; cc++ {
-				dst[di] = b[base+cc]
-				di++
-			}
+			copy(dst[di:di+cols], b[base:base+cols])
 			for cc := cols; cc < nr; cc++ {
-				dst[di] = 0
-				di++
+				dst[di+cc] = 0
 			}
+			di += nr
+			base += ldb
 		}
 	}
 }

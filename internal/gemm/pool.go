@@ -261,11 +261,10 @@ func sweepRows(data, bias []float32, lo, hi, rowLen int, act Activation, alpha f
 			bv = bias[r%len(bias)]
 		}
 		if bv != 0 {
-			for i := range row {
-				row[i] += bv
-			}
+			biasActivateRow(row, row, bv, act, alpha)
+		} else if act != ActNone {
+			ActivateRow(row, row, act, alpha)
 		}
-		applyActivationRow(row, act, alpha)
 	}
 }
 

@@ -4,7 +4,8 @@ package gemm
 
 // Vectorised row helpers for amd64. FMARow backs the NHWC depthwise
 // convolution kernel, whose inner loop is a straight elementwise FMA over
-// the channel axis.
+// the channel axis; AXPYRow backs the NCHW one, whose inner loop is one
+// broadcast weight times a run of input columns.
 
 // vecAVX2 gates the assembly row helpers on the same probe as the AVX2
 // GEMM kernel.
@@ -29,3 +30,71 @@ func FMARow(dst, a, b []float32) {
 //
 //go:noescape
 func fmaRowAVX2(dst, a, b *float32, n int64)
+
+// AXPYRow is the row primitive of NCHW depthwise convolution — one scalar
+// times a run of an input row, added to a run of an output row — applied
+// to rows consecutive rows in one call:
+//
+//	dst[r*ldd+i] += a * x[r*ldx+i*stride]   r in [0, rows), i in [0, n)
+//
+// dst and x must reach the last element that touches. Strides 1 and 2 —
+// the column strides depthwise convolutions have — run AVX2/FMA bodies
+// that take any n, since rows of 7 and 14 columns are as common as rows
+// of 112; other strides take the portable loop.
+func AXPYRow(dst []float32, ldd int, x []float32, ldx, stride int, a float32, n, rows int) {
+	if n <= 0 || rows <= 0 {
+		return
+	}
+	_ = dst[(rows-1)*ldd+n-1]
+	_ = x[(rows-1)*ldx+(n-1)*stride]
+	switch {
+	case !vecAVX2 || stride > 2:
+		axpyRowGo(dst, ldd, x, ldx, stride, a, n, rows)
+	case stride == 1:
+		axpyRowsAVX2(&dst[0], int64(ldd), &x[0], int64(ldx), a, int64(n), int64(rows))
+	default:
+		// The vector body reads 16 floats for 8 outputs, one more than the
+		// last output needs: leave the block that would run past the end
+		// of x on the last row to the scalar tail.
+		q := n &^ 7
+		if (rows-1)*ldx+2*q > len(x) {
+			q -= 8
+		}
+		axpyRows2AVX2(&dst[0], int64(ldd), &x[0], int64(ldx), a, int64(q), int64(n-q), int64(rows))
+	}
+}
+
+// axpyRowsAVX2 is AXPYRow at stride 1 for n, rows ≥ 1. Implemented in
+// vec_amd64.s.
+//
+//go:noescape
+func axpyRowsAVX2(dst *float32, ldd int64, x *float32, ldx int64, a float32, n, rows int64)
+
+// axpyRows2AVX2 is AXPYRow at stride 2 for rows ≥ 1 and n = q+tail
+// columns, q a multiple of 8 handled 8 outputs at a time and tail one at
+// a time. Implemented in vec_amd64.s.
+//
+//go:noescape
+func axpyRows2AVX2(dst *float32, ldd int64, x *float32, ldx int64, a float32, q, tail, rows int64)
+
+// reluRowHead stores relu(src[i]+bias) to dst[i] for the leading elements
+// the AVX2 body takes — whole blocks of 8 — and returns how many that was;
+// the caller finishes the row with activate. ReLU is the activation every
+// zoo model runs after every convolution, and the scalar select costs
+// ~0.9 ns an element: a third of conv.depthwise, the whole of the
+// pointwise convolutions' epilogue.
+func reluRowHead(dst, src []float32, bias float32) int {
+	n := len(dst) &^ 7
+	if !vecAVX2 || n == 0 {
+		return 0
+	}
+	_ = src[n-1]
+	reluRowAVX2(&dst[0], &src[0], bias, int64(n))
+	return n
+}
+
+// reluRowAVX2 computes dst[i] = relu(src[i]+bias) for i in [0, n); n must
+// be a positive multiple of 8. Implemented in vec_amd64.s.
+//
+//go:noescape
+func reluRowAVX2(dst, src *float32, bias float32, n int64)

@@ -26,3 +26,172 @@ fmaloop:
 	JNZ  fmaloop
 	VZEROUPPER
 	RET
+
+// func axpyRowsAVX2(dst *float32, ldd int64, x *float32, ldx int64, a float32, n, rows int64)
+//
+// dst[r*ldd+i] += a*x[r*ldx+i] for r in [0, rows), i in [0, n); n and
+// rows ≥ 1. Each row goes 16 lanes at a time, then one block of 8, then
+// the last n%8 as 4 + 2 + 1 lanes: exact-width stores. (One VMASKMOVPS
+// would do, but a masked store holds up every load that overlaps its
+// masked-out lanes — the start of the next row — until it commits, which
+// more than doubled the time of a 14-wide row.)
+TEXT ·axpyRowsAVX2(SB), NOSPLIT, $0-56
+	MOVQ         dst+0(FP), R8
+	MOVQ         ldd+8(FP), R10
+	MOVQ         x+16(FP), R9
+	MOVQ         ldx+24(FP), R11
+	VBROADCASTSS a+32(FP), Y0
+	MOVQ         n+40(FP), R12
+	MOVQ         rows+48(FP), R13
+	SHLQ         $2, R10
+	SHLQ         $2, R11
+
+axpyrow:
+	MOVQ R8, DI
+	MOVQ R9, SI
+	MOVQ R12, CX
+
+axpy16:
+	CMPQ        CX, $16
+	JLT         axpy8
+	VMOVUPS     (DI), Y1
+	VMOVUPS     32(DI), Y2
+	VFMADD231PS (SI), Y0, Y1
+	VFMADD231PS 32(SI), Y0, Y2
+	VMOVUPS     Y1, (DI)
+	VMOVUPS     Y2, 32(DI)
+	ADDQ        $64, SI
+	ADDQ        $64, DI
+	SUBQ        $16, CX
+	JMP         axpy16
+
+axpy8:
+	CMPQ        CX, $8
+	JLT         axpytail
+	VMOVUPS     (DI), Y1
+	VFMADD231PS (SI), Y0, Y1
+	VMOVUPS     Y1, (DI)
+	ADDQ        $32, SI
+	ADDQ        $32, DI
+	SUBQ        $8, CX
+
+axpytail:
+	TESTQ       $4, CX
+	JZ          axpy2
+	VMOVUPS     (DI), X1
+	VFMADD231PS (SI), X0, X1
+	VMOVUPS     X1, (DI)
+	ADDQ        $16, SI
+	ADDQ        $16, DI
+
+axpy2:
+	TESTQ       $2, CX
+	JZ          axpy1
+	VMOVSD      (DI), X1
+	VMOVSD      (SI), X2
+	VFMADD231PS X2, X0, X1
+	VMOVSD      X1, (DI)
+	ADDQ        $8, SI
+	ADDQ        $8, DI
+
+axpy1:
+	TESTQ       $1, CX
+	JZ          axpynext
+	VMOVSS      (DI), X1
+	VFMADD231SS (SI), X0, X1
+	VMOVSS      X1, (DI)
+
+axpynext:
+	ADDQ R10, R8
+	ADDQ R11, R9
+	DECQ R13
+	JNZ  axpyrow
+	VZEROUPPER
+	RET
+
+// func axpyRows2AVX2(dst *float32, ldd int64, x *float32, ldx int64, a float32, q, tail, rows int64)
+//
+// dst[r*ldd+i] += a*x[r*ldx+2i] for r in [0, rows), i in [0, q+tail).
+// Eight outputs per iteration over a row's first q (a multiple of 8): two
+// 8-float loads, VSHUFPS keeps the even elements of each 128-bit lane
+// pair and VPERMPD puts the four pairs back in order. Then tail outputs
+// one at a time, still fused.
+TEXT ·axpyRows2AVX2(SB), NOSPLIT, $0-64
+	MOVQ         dst+0(FP), R8
+	MOVQ         ldd+8(FP), R10
+	MOVQ         x+16(FP), R9
+	MOVQ         ldx+24(FP), R11
+	VBROADCASTSS a+32(FP), Y0
+	MOVQ         q+40(FP), R12
+	MOVQ         tail+48(FP), BX
+	MOVQ         rows+56(FP), R13
+	SHLQ         $2, R10
+	SHLQ         $2, R11
+	SHRQ         $3, R12
+
+axpy2row:
+	MOVQ  R8, DI
+	MOVQ  R9, SI
+	MOVQ  R12, CX
+	MOVQ  BX, DX
+	TESTQ CX, CX
+	JZ    axpy2tail
+
+axpy2loop:
+	VMOVUPS     (SI), Y1
+	VMOVUPS     32(SI), Y2
+	VSHUFPS     $0x88, Y2, Y1, Y1
+	VPERMPD     $0xD8, Y1, Y1
+	VMOVUPS     (DI), Y2
+	VFMADD231PS Y1, Y0, Y2
+	VMOVUPS     Y2, (DI)
+	ADDQ        $64, SI
+	ADDQ        $32, DI
+	DECQ        CX
+	JNZ         axpy2loop
+
+axpy2tail:
+	TESTQ DX, DX
+	JZ    axpy2next
+
+axpy2one:
+	VMOVSS      (DI), X2
+	VFMADD231SS (SI), X0, X2
+	VMOVSS      X2, (DI)
+	ADDQ        $8, SI
+	ADDQ        $4, DI
+	DECQ        DX
+	JNZ         axpy2one
+
+axpy2next:
+	ADDQ R10, R8
+	ADDQ R11, R9
+	DECQ R13
+	JNZ  axpy2row
+	VZEROUPPER
+	RET
+
+// func reluRowAVX2(dst, src *float32, bias float32, n int64)
+//
+// dst[i] = relu(src[i]+bias) over n elements, 8 per iteration; n is a
+// positive multiple of 8. VMAXPS returns its second source unless the
+// first is greater, so with zero first a −0 or NaN sum passes through
+// with its bits intact, exactly as activate's select leaves it.
+TEXT ·reluRowAVX2(SB), NOSPLIT, $0-32
+	MOVQ         dst+0(FP), DI
+	MOVQ         src+8(FP), SI
+	VBROADCASTSS bias+16(FP), Y0
+	MOVQ         n+24(FP), CX
+	VXORPS       Y3, Y3, Y3
+	SHRQ         $3, CX
+
+reluloop:
+	VADDPS  (SI), Y0, Y1
+	VMAXPS  Y1, Y3, Y1
+	VMOVUPS Y1, (DI)
+	ADDQ    $32, SI
+	ADDQ    $32, DI
+	DECQ    CX
+	JNZ     reluloop
+	VZEROUPPER
+	RET

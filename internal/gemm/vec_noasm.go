@@ -12,3 +12,22 @@ func FMARow(dst, a, b []float32) {
 		dst[i] += a[i] * b[i]
 	}
 }
+
+// AXPYRow is the row primitive of NCHW depthwise convolution — one scalar
+// times a run of an input row, added to a run of an output row — applied
+// to rows consecutive rows in one call:
+//
+//	dst[r*ldd+i] += a * x[r*ldx+i*stride]   r in [0, rows), i in [0, n)
+//
+// dst and x must reach the last element that touches. Portable form;
+// amd64 dispatches strides 1 and 2 to AVX2/FMA loops when the CPU
+// supports them.
+func AXPYRow(dst []float32, ldd int, x []float32, ldx, stride int, a float32, n, rows int) {
+	if n > 0 {
+		axpyRowGo(dst, ldd, x, ldx, stride, a, n, rows)
+	}
+}
+
+// reluRowHead reports that no leading elements were taken: there is no
+// vector body here, and the caller's activate loop does the whole row.
+func reluRowHead(dst, src []float32, bias float32) int { return 0 }

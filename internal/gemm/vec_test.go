@@ -1,0 +1,66 @@
+package gemm
+
+import (
+	"math"
+	"math/rand"
+	"testing"
+)
+
+// axpyFused reports whether AXPYRow rounds once per element (the FMA
+// assembly) rather than after the multiply and again after the add (the
+// portable loop on amd64): a·a = 1 + 2⁻¹¹ + 2⁻²⁴ loses its last term when
+// rounded to float32, so only a fused a·a − round(a·a) is non-zero.
+func axpyFused() bool {
+	a := float32(1 + 1.0/4096)
+	d := []float32{-(a * a)}
+	AXPYRow(d, 1, []float32{a}, 1, 1, a, 1, 1)
+	return d[0] != 0
+}
+
+// TestAXPYRowAsmMatchesGo pins the dispatched AXPYRow (AVX2/FMA at strides
+// 1 and 2 where available, otherwise the portable loop, which must then be
+// exact) to dst[r*ldd+i] + a*x[r*ldx+i*stride] for every row length across
+// the vector, masked and scalar blocks of the assembly bodies, over 1 and 3
+// rows, on operands at every 4-byte alignment. x ends at the last element
+// read and at the end of its backing array, and every float of dst outside
+// the rows — before, between and after — must stay untouched.
+func TestAXPYRowAsmMatchesGo(t *testing.T) {
+	r := rand.New(rand.NewSource(17))
+	fused := axpyFused()
+	const guard = 1234.5
+	for _, stride := range []int{1, 2, 3} {
+		for _, rows := range []int{1, 3} {
+			for n := 0; n <= 70; n++ {
+				for align := 0; align < 4; align++ {
+					ldd, ldx := n+3, (n+1)*stride+align
+					x := make([]float32, align+(rows-1)*ldx+max(n-1, 0)*stride+1)[align:]
+					for i := range x {
+						x[i] = r.Float32()*2 - 1
+					}
+					buf := make([]float32, align+rows*ldd+8)
+					want := make([]float32, len(buf))
+					for i := range buf {
+						buf[i], want[i] = guard, guard
+					}
+					a := r.Float32()*2 - 1
+					for row := 0; row < rows; row++ {
+						for i := 0; i < n; i++ {
+							at := align + row*ldd + i
+							buf[at] = r.Float32()*2 - 1
+							want[at] = buf[at] + a*x[row*ldx+i*stride]
+						}
+					}
+					AXPYRow(buf[align:], ldd, x, ldx, stride, a, n, rows)
+					for i, got := range buf {
+						if (want[i] == guard || !fused) && got != want[i] {
+							t.Fatalf("stride %d rows %d n %d align %d: element %d = %v, want exactly %v", stride, rows, n, align, i-align, got, want[i])
+						}
+						if math.Abs(float64(got-want[i])) > 1e-6 {
+							t.Fatalf("stride %d rows %d n %d align %d: element %d = %v, want %v", stride, rows, n, align, i-align, got, want[i])
+						}
+					}
+				}
+			}
+		}
+	}
+}

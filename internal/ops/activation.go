@@ -3,6 +3,7 @@ package ops
 import (
 	"math"
 
+	"orpheus/internal/gemm"
 	"orpheus/internal/graph"
 	"orpheus/internal/tensor"
 )
@@ -18,42 +19,18 @@ func init() {
 }
 
 func runRelu(ctx *Ctx, n *graph.Node, in, out []*tensor.Tensor) error {
-	x, y := in[0].Data(), out[0].Data()
-	for i, v := range x {
-		if v < 0 {
-			y[i] = 0
-		} else {
-			y[i] = v
-		}
-	}
+	gemm.ActivateRow(out[0].Data(), in[0].Data(), gemm.ActReLU, 0)
 	return nil
 }
 
 func runRelu6(ctx *Ctx, n *graph.Node, in, out []*tensor.Tensor) error {
-	x, y := in[0].Data(), out[0].Data()
-	for i, v := range x {
-		switch {
-		case v < 0:
-			y[i] = 0
-		case v > 6:
-			y[i] = 6
-		default:
-			y[i] = v
-		}
-	}
+	gemm.ActivateRow(out[0].Data(), in[0].Data(), gemm.ActReLU6, 0)
 	return nil
 }
 
 func runLeakyRelu(ctx *Ctx, n *graph.Node, in, out []*tensor.Tensor) error {
 	alpha := float32(n.Attrs.Float("alpha", 0.01))
-	x, y := in[0].Data(), out[0].Data()
-	for i, v := range x {
-		if v < 0 {
-			y[i] = alpha * v
-		} else {
-			y[i] = v
-		}
-	}
+	gemm.ActivateRow(out[0].Data(), in[0].Data(), gemm.ActLeakyReLU, alpha)
 	return nil
 }
 

@@ -212,7 +212,7 @@ func (s *convPackSrc8) quantize(x []float32, p *convParams) {
 			continue
 		}
 		gemm.QuantizeU8(s.stage, xi, 1/scale, float32(zero)+0.5)
-		fillU8(qi, byte(zero))
+		fill(qi, byte(zero))
 		for c := 0; c < p.cin; c++ {
 			for y := 0; y < p.h; y++ {
 				copy(qi[(c*s.hp+y+p.padT)*s.wp+p.padL:], s.stage[(c*p.h+y)*p.w:][:p.w])
@@ -221,8 +221,8 @@ func (s *convPackSrc8) quantize(x []float32, p *convParams) {
 	}
 }
 
-// fillU8 sets every byte of b to v.
-func fillU8(b []byte, v byte) {
+// fill sets every element of b to v.
+func fill[T byte | float32](b []T, v T) {
 	if len(b) == 0 {
 		return
 	}

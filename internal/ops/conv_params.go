@@ -175,7 +175,7 @@ func (p convParams) flops() int64 {
 }
 
 // gemmActivation maps a fused-activation attribute onto the GEMM epilogue
-// enum. Unknown names panic, mirroring applyActivation.
+// enum. Unknown names panic.
 func gemmActivation(act string) gemm.Activation {
 	switch act {
 	case "":
@@ -193,29 +193,7 @@ func gemmActivation(act string) gemm.Activation {
 
 // applyActivation applies a fused activation in place.
 func applyActivation(data []float32, act string, alpha float32) {
-	switch act {
-	case "":
-	case "relu":
-		for i, v := range data {
-			if v < 0 {
-				data[i] = 0
-			}
-		}
-	case "relu6":
-		for i, v := range data {
-			if v < 0 {
-				data[i] = 0
-			} else if v > 6 {
-				data[i] = 6
-			}
-		}
-	case "leakyrelu":
-		for i, v := range data {
-			if v < 0 {
-				data[i] = alpha * v
-			}
-		}
-	default:
-		panic(fmt.Sprintf("ops: unknown fused activation %q", act))
+	if a := gemmActivation(act); a != gemm.ActNone {
+		gemm.ActivateRow(data, data, a, alpha)
 	}
 }

@@ -192,8 +192,8 @@ func (c *Ctx) GEMM8(call gemm.CallInt8) {
 // the sweep is spread across the shared GEMM worker pool instead of
 // running as a single-threaded loop. Kernels whose output comes straight
 // from a GEMM should fuse the epilogue into the Call instead; Sweep
-// serves the ones that cannot (direct, Winograd, depthwise,
-// spatial-pack) and the explicit im2col comparison path.
+// serves the ones that cannot (direct, Winograd, spatial-pack) and the
+// explicit im2col comparison path.
 func (c *Ctx) Sweep(y, bias []float32, rows, rowLen int, act string, alpha float32) {
 	a := gemmActivation(act)
 	if bias == nil && a == gemm.ActNone {

@@ -102,4 +102,6 @@ var convMatrix = []convCase{
 	{name: "depthwise-s2", n: 2, cin: 4, h: 9, w: 9, cout: 4, kh: 3, kw: 3, sh: 2, sw: 2, padT: 1, padL: 1, padB: 1, padR: 1, dh: 1, dw: 1, groups: 4},
 	{name: "batch3", n: 3, cin: 3, h: 6, w: 6, cout: 4, kh: 3, kw: 3, sh: 1, sw: 1, padT: 1, padL: 1, padB: 1, padR: 1, dh: 1, dw: 1, groups: 1},
 	{name: "wide", n: 1, cin: 16, h: 5, w: 5, cout: 24, kh: 3, kw: 3, sh: 1, sw: 1, padT: 1, padL: 1, padB: 1, padR: 1, dh: 1, dw: 1, groups: 1, bias: true},
+	{name: "depthwise-m2", n: 1, cin: 3, h: 8, w: 8, cout: 6, kh: 3, kw: 3, sh: 1, sw: 1, padT: 1, padL: 1, padB: 1, padR: 1, dh: 1, dw: 1, groups: 3, bias: true},
+	{name: "depthwise-m2-s2", n: 2, cin: 4, h: 9, w: 9, cout: 8, kh: 3, kw: 3, sh: 2, sw: 2, padT: 1, padL: 1, padB: 1, padR: 1, dh: 1, dw: 1, groups: 4},
 }
