@@ -34,7 +34,7 @@ func main() {
 		workers   = flag.Int("workers", 1, "kernel thread budget")
 		reps      = flag.Int("reps", 3, "timed repetitions")
 		warmup    = flag.Int("warmup", 1, "warm-up runs")
-		profile   = flag.Bool("profile", false, "print a per-layer breakdown")
+		profile   = flag.Bool("profile", false, "print a per-layer breakdown of one run made after the -warmup runs")
 		tracePath = flag.String("trace", "", "write a Chrome trace (chrome://tracing) of one profiled run to this file")
 		seed      = flag.Uint64("seed", 42, "seed for the synthetic input tensor")
 		topK      = flag.Int("top", 5, "print the top-K output classes")
@@ -78,6 +78,13 @@ func main() {
 
 	x := orpheus.RandomTensor(*seed, model.InputShape()...)
 	if *profile || *tracePath != "" {
+		// The first run of a session prepacks every layer's weights; warm
+		// up first so the table ranks the layers by their steady state.
+		for i := 0; i < *warmup; i++ {
+			if _, err := sess.Predict(ctx, x); err != nil {
+				fatal(err)
+			}
+		}
 		out, timings, err := sess.PredictProfiled(ctx, x)
 		if err != nil {
 			fatal(err)

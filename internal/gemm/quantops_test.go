@@ -57,18 +57,21 @@ func TestQuantizeU8MatchesScalar(t *testing.T) {
 }
 
 // TestInterleaveQuadsAsmMatchesGo pins the dispatched InterleaveQuads
-// (AVX2 at unit stride where available) to dst[4i+t] = r_t[i*stride]
+// (AVX2 at strides 1 and 2 where available) to dst[4i+t] = r_t[i*stride]
 // computed bytewise, for every length across the 16/8/4/1-column blocks of
-// the assembly body, on sources and destinations at every alignment, and
+// the unit-stride body and the 8-column blocks of the stride-2 one, on
+// sources and destinations at every alignment, with rows that end at the
+// last byte read (where the stride-2 body must leave its last block to the
+// portable loop) and rows with a byte to spare (where it need not), and
 // requires the bytes on either side of the 4n written to stay untouched.
 func TestInterleaveQuadsAsmMatchesGo(t *testing.T) {
 	r := rand.New(rand.NewSource(13))
-	back := make([]byte, 4*(3*70+8))
+	back := make([]byte, 4*(3*70+9))
 	r.Read(back)
 	for _, stride := range []int{1, 2, 3} {
 		for n := 0; n <= 70; n++ {
 			for align := 0; align < 4; align++ {
-				span := (max(n, 1)-1)*stride + 1
+				span := (max(n, 1)-1)*stride + 1 + align%2
 				var rows [4][]byte
 				for t := range rows {
 					rows[t] = back[t*(3*70+8)+align+t:][:span]

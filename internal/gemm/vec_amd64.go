@@ -5,7 +5,8 @@ package gemm
 // Vectorised row helpers for amd64. FMARow backs the NHWC depthwise
 // convolution kernel, whose inner loop is a straight elementwise FMA over
 // the channel axis; AXPYRow backs the NCHW one, whose inner loop is one
-// broadcast weight times a run of input columns.
+// broadcast weight times a run of input columns, and average pooling;
+// MaxRow backs max pooling; GatherRow backs the strided im2col gather.
 
 // vecAVX2 gates the assembly row helpers on the same probe as the AVX2
 // GEMM kernel.
@@ -53,15 +54,22 @@ func AXPYRow(dst []float32, ldd int, x []float32, ldx, stride int, a float32, n,
 	case stride == 1:
 		axpyRowsAVX2(&dst[0], int64(ldd), &x[0], int64(ldx), a, int64(n), int64(rows))
 	default:
-		// The vector body reads 16 floats for 8 outputs, one more than the
-		// last output needs: leave the block that would run past the end
-		// of x on the last row to the scalar tail.
-		q := n &^ 7
-		if (rows-1)*ldx+2*q > len(x) {
-			q -= 8
-		}
+		q := stride2Head(n, (rows-1)*ldx, len(x))
 		axpyRows2AVX2(&dst[0], int64(ldd), &x[0], int64(ldx), a, int64(q), int64(n-q), int64(rows))
 	}
+}
+
+// stride2Head returns how many of a row's n outputs the stride-2 vector
+// bodies take. They read 16 elements for 8 outputs, one more than the last
+// output needs: the block that would run past the end of x on the last
+// row, which starts at lastRow of its lenX elements, is left to the scalar
+// tail.
+func stride2Head(n, lastRow, lenX int) int {
+	q := n &^ 7
+	if lastRow+2*q > lenX {
+		q -= 8
+	}
+	return q
 }
 
 // axpyRowsAVX2 is AXPYRow at stride 1 for n, rows ≥ 1. Implemented in
@@ -76,6 +84,68 @@ func axpyRowsAVX2(dst *float32, ldd int64, x *float32, ldx int64, a float32, n, 
 //
 //go:noescape
 func axpyRows2AVX2(dst *float32, ldd int64, x *float32, ldx int64, a float32, q, tail, rows int64)
+
+// MaxRow is the row primitive of max pooling — a run of an input row
+// folded into a run of an output row with max — applied to rows consecutive
+// rows in one call:
+//
+//	dst[r*ldd+i] = max(dst[r*ldd+i], x[r*ldx+i*stride])   r in [0, rows), i in [0, n)
+//
+// dst keeps its value unless x is greater. dst and x must reach the last
+// element that touches. Strides 1 and 2 run AVX2 bodies shaped like
+// AXPYRow's, with the same over-read guard at stride 2; other strides take
+// the portable loop.
+func MaxRow(dst []float32, ldd int, x []float32, ldx, stride, n, rows int) {
+	if n <= 0 || rows <= 0 {
+		return
+	}
+	_ = dst[(rows-1)*ldd+n-1]
+	_ = x[(rows-1)*ldx+(n-1)*stride]
+	switch {
+	case !vecAVX2 || stride > 2:
+		maxRowGo(dst, ldd, x, ldx, stride, n, rows)
+	case stride == 1:
+		maxRowsAVX2(&dst[0], int64(ldd), &x[0], int64(ldx), int64(n), int64(rows))
+	default:
+		q := stride2Head(n, (rows-1)*ldx, len(x))
+		maxRows2AVX2(&dst[0], int64(ldd), &x[0], int64(ldx), int64(q), int64(n-q), int64(rows))
+	}
+}
+
+// maxRowsAVX2 is MaxRow at stride 1 for n, rows ≥ 1. Implemented in
+// vec_amd64.s.
+//
+//go:noescape
+func maxRowsAVX2(dst *float32, ldd int64, x *float32, ldx int64, n, rows int64)
+
+// maxRows2AVX2 is MaxRow at stride 2 for rows ≥ 1 and n = q+tail columns,
+// q a multiple of 8 handled 8 outputs at a time and tail one at a time.
+// Implemented in vec_amd64.s.
+//
+//go:noescape
+func maxRows2AVX2(dst *float32, ldd int64, x *float32, ldx int64, q, tail, rows int64)
+
+// GatherRow copies every stride-th element of x: dst[i] = x[i*stride] for
+// i in [0, len(dst)) — the row primitive of a strided convolution's
+// im2col gather. x must reach the last element that reads. Stride 2
+// de-interleaves whole blocks of 8 in AVX2 registers, under the stride-2
+// over-read guard; the rest of the row and other strides take the
+// portable loop.
+func GatherRow(dst, x []float32, stride int) {
+	q := 0
+	if vecAVX2 && stride == 2 {
+		if q = stride2Head(len(dst), 0, len(x)); q > 0 {
+			gatherRow2AVX2(&dst[0], &x[0], int64(q))
+		}
+	}
+	gatherRowGo(dst[q:], x[q*stride:], stride)
+}
+
+// gatherRow2AVX2 stores x[2i] to dst[i] for i in [0, n); n must be a
+// positive multiple of 8. Implemented in vec_amd64.s.
+//
+//go:noescape
+func gatherRow2AVX2(dst, x *float32, n int64)
 
 // reluRowHead stores relu(src[i]+bias) to dst[i] for the leading elements
 // the AVX2 body takes — whole blocks of 8 — and returns how many that was;

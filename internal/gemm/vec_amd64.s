@@ -171,6 +171,166 @@ axpy2next:
 	VZEROUPPER
 	RET
 
+// func maxRowsAVX2(dst *float32, ldd int64, x *float32, ldx int64, n, rows int64)
+//
+// dst[r*ldd+i] = max(dst[r*ldd+i], x[r*ldx+i]) for r in [0, rows), i in
+// [0, n); n and rows ≥ 1. The row is cut as in axpyRowsAVX2. VMAXPS
+// returns its second source — dst, the memory operand — unless the first
+// is greater, which is maxRowGo's comparison bit for bit.
+TEXT ·maxRowsAVX2(SB), NOSPLIT, $0-48
+	MOVQ dst+0(FP), R8
+	MOVQ ldd+8(FP), R10
+	MOVQ x+16(FP), R9
+	MOVQ ldx+24(FP), R11
+	MOVQ n+32(FP), R12
+	MOVQ rows+40(FP), R13
+	SHLQ $2, R10
+	SHLQ $2, R11
+
+maxrow:
+	MOVQ R8, DI
+	MOVQ R9, SI
+	MOVQ R12, CX
+
+max16:
+	CMPQ    CX, $16
+	JLT     max8
+	VMOVUPS (SI), Y1
+	VMOVUPS 32(SI), Y2
+	VMAXPS  (DI), Y1, Y1
+	VMAXPS  32(DI), Y2, Y2
+	VMOVUPS Y1, (DI)
+	VMOVUPS Y2, 32(DI)
+	ADDQ    $64, SI
+	ADDQ    $64, DI
+	SUBQ    $16, CX
+	JMP     max16
+
+max8:
+	CMPQ    CX, $8
+	JLT     maxtail
+	VMOVUPS (SI), Y1
+	VMAXPS  (DI), Y1, Y1
+	VMOVUPS Y1, (DI)
+	ADDQ    $32, SI
+	ADDQ    $32, DI
+	SUBQ    $8, CX
+
+maxtail:
+	TESTQ   $4, CX
+	JZ      max2
+	VMOVUPS (SI), X1
+	VMAXPS  (DI), X1, X1
+	VMOVUPS X1, (DI)
+	ADDQ    $16, SI
+	ADDQ    $16, DI
+
+max2:
+	TESTQ  $2, CX
+	JZ     max1
+	VMOVSD (SI), X1
+	VMOVSD (DI), X2
+	VMAXPS X2, X1, X1
+	VMOVSD X1, (DI)
+	ADDQ   $8, SI
+	ADDQ   $8, DI
+
+max1:
+	TESTQ  $1, CX
+	JZ     maxnext
+	VMOVSS (SI), X1
+	VMAXSS (DI), X1, X1
+	VMOVSS X1, (DI)
+
+maxnext:
+	ADDQ R10, R8
+	ADDQ R11, R9
+	DECQ R13
+	JNZ  maxrow
+	VZEROUPPER
+	RET
+
+// func maxRows2AVX2(dst *float32, ldd int64, x *float32, ldx int64, q, tail, rows int64)
+//
+// dst[r*ldd+i] = max(dst[r*ldd+i], x[r*ldx+2i]) for r in [0, rows), i in
+// [0, q+tail): axpyRows2AVX2's de-interleave with VMAXPS in place of the
+// FMA.
+TEXT ·maxRows2AVX2(SB), NOSPLIT, $0-56
+	MOVQ dst+0(FP), R8
+	MOVQ ldd+8(FP), R10
+	MOVQ x+16(FP), R9
+	MOVQ ldx+24(FP), R11
+	MOVQ q+32(FP), R12
+	MOVQ tail+40(FP), BX
+	MOVQ rows+48(FP), R13
+	SHLQ $2, R10
+	SHLQ $2, R11
+	SHRQ $3, R12
+
+max2row:
+	MOVQ  R8, DI
+	MOVQ  R9, SI
+	MOVQ  R12, CX
+	MOVQ  BX, DX
+	TESTQ CX, CX
+	JZ    max2tail
+
+max2loop:
+	VMOVUPS (SI), Y1
+	VMOVUPS 32(SI), Y2
+	VSHUFPS $0x88, Y2, Y1, Y1
+	VPERMPD $0xD8, Y1, Y1
+	VMAXPS  (DI), Y1, Y1
+	VMOVUPS Y1, (DI)
+	ADDQ    $64, SI
+	ADDQ    $32, DI
+	DECQ    CX
+	JNZ     max2loop
+
+max2tail:
+	TESTQ DX, DX
+	JZ    max2next
+
+max2one:
+	VMOVSS (SI), X1
+	VMAXSS (DI), X1, X1
+	VMOVSS X1, (DI)
+	ADDQ   $8, SI
+	ADDQ   $4, DI
+	DECQ   DX
+	JNZ    max2one
+
+max2next:
+	ADDQ R10, R8
+	ADDQ R11, R9
+	DECQ R13
+	JNZ  max2row
+	VZEROUPPER
+	RET
+
+// func gatherRow2AVX2(dst, x *float32, n int64)
+//
+// dst[i] = x[2i] over n outputs, 8 per iteration; n is a positive multiple
+// of 8. The same de-interleave, stored as is.
+TEXT ·gatherRow2AVX2(SB), NOSPLIT, $0-24
+	MOVQ dst+0(FP), DI
+	MOVQ x+8(FP), SI
+	MOVQ n+16(FP), CX
+	SHRQ $3, CX
+
+gather2loop:
+	VMOVUPS (SI), Y1
+	VMOVUPS 32(SI), Y2
+	VSHUFPS $0x88, Y2, Y1, Y1
+	VPERMPD $0xD8, Y1, Y1
+	VMOVUPS Y1, (DI)
+	ADDQ    $64, SI
+	ADDQ    $32, DI
+	DECQ    CX
+	JNZ     gather2loop
+	VZEROUPPER
+	RET
+
 // func reluRowAVX2(dst, src *float32, bias float32, n int64)
 //
 // dst[i] = relu(src[i]+bias) over n elements, 8 per iteration; n is a

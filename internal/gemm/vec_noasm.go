@@ -28,6 +28,29 @@ func AXPYRow(dst []float32, ldd int, x []float32, ldx, stride int, a float32, n,
 	}
 }
 
+// MaxRow is the row primitive of max pooling — a run of an input row
+// folded into a run of an output row with max — applied to rows consecutive
+// rows in one call:
+//
+//	dst[r*ldd+i] = max(dst[r*ldd+i], x[r*ldx+i*stride])   r in [0, rows), i in [0, n)
+//
+// dst keeps its value unless x is greater. dst and x must reach the last
+// element that touches. Portable form; amd64 dispatches strides 1 and 2 to
+// AVX2 loops when the CPU supports them.
+func MaxRow(dst []float32, ldd int, x []float32, ldx, stride, n, rows int) {
+	if n > 0 {
+		maxRowGo(dst, ldd, x, ldx, stride, n, rows)
+	}
+}
+
+// GatherRow copies every stride-th element of x: dst[i] = x[i*stride] for
+// i in [0, len(dst)) — the row primitive of a strided convolution's
+// im2col gather. x must reach the last element that reads. Portable form;
+// amd64 de-interleaves stride 2 in AVX2 registers when the CPU supports it.
+func GatherRow(dst, x []float32, stride int) {
+	gatherRowGo(dst, x, stride)
+}
+
 // reluRowHead reports that no leading elements were taken: there is no
 // vector body here, and the caller's activate loop does the whole row.
 func reluRowHead(dst, src []float32, bias float32) int { return 0 }

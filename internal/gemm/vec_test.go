@@ -64,3 +64,85 @@ func TestAXPYRowAsmMatchesGo(t *testing.T) {
 		}
 	}
 }
+
+// TestMaxRowAsmMatchesGo pins the dispatched MaxRow to its portable body
+// bit for bit — −Inf seeds, zeros of both signs and NaNs in x included —
+// for every row length across the vector, partial and scalar blocks of the
+// AVX2 bodies, over 1 to 3 rows, at every 4-byte alignment. x ends at the
+// last element read, which at stride 2 is the case the over-read guard is
+// for, and dst outside the rows must stay untouched.
+func TestMaxRowAsmMatchesGo(t *testing.T) {
+	r := rand.New(rand.NewSource(23))
+	special := []float32{float32(math.Inf(-1)), 0, negZero, float32(math.NaN())}
+	draw := func() float32 {
+		if r.Intn(4) == 0 {
+			return special[r.Intn(len(special))]
+		}
+		return r.Float32()*2 - 1
+	}
+	const guard = 1234.5
+	for _, stride := range []int{1, 2, 3} {
+		for rows := 1; rows <= 3; rows++ {
+			for n := 1; n <= 40; n++ {
+				for align := 0; align < 4; align++ {
+					ldd, ldx := n+3, (n+1)*stride+align
+					x := make([]float32, align+(rows-1)*ldx+(n-1)*stride+1)[align:]
+					for i := range x {
+						x[i] = draw()
+					}
+					got := make([]float32, align+rows*ldd+8)
+					for i := range got {
+						got[i] = guard
+					}
+					for row := 0; row < rows; row++ {
+						for i := 0; i < n; i++ {
+							// dst is never NaN: it starts at −Inf and only
+							// takes values that compared greater.
+							v := draw()
+							for v != v {
+								v = draw()
+							}
+							got[align+row*ldd+i] = v
+						}
+					}
+					want := append([]float32(nil), got...)
+					maxRowGo(want[align:], ldd, x, ldx, stride, n, rows)
+					MaxRow(got[align:], ldd, x, ldx, stride, n, rows)
+					for i := range got {
+						if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+							t.Fatalf("stride %d rows %d n %d align %d: element %d = %v, want exactly %v", stride, rows, n, align, i-align, got[i], want[i])
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestGatherRowAsmMatchesGo pins GatherRow to dst[i] = x[i*stride] for
+// every length across its vector head and scalar tail, x ending at the
+// last element read.
+func TestGatherRowAsmMatchesGo(t *testing.T) {
+	r := rand.New(rand.NewSource(29))
+	for _, stride := range []int{1, 2, 3} {
+		for n := 0; n <= 40; n++ {
+			for align := 0; align < 4; align++ {
+				x := make([]float32, align+max(n-1, 0)*stride+1)[align:]
+				for i := range x {
+					x[i] = r.Float32()*2 - 1
+				}
+				got := make([]float32, n+2)
+				got[n], got[n+1] = 1234.5, 1234.5
+				GatherRow(got[:n], x, stride)
+				for i := 0; i < n; i++ {
+					if got[i] != x[i*stride] {
+						t.Fatalf("stride %d n %d align %d: element %d = %v, want %v", stride, n, align, i, got[i], x[i*stride])
+					}
+				}
+				if got[n] != 1234.5 || got[n+1] != 1234.5 {
+					t.Fatalf("stride %d n %d align %d: wrote past dst", stride, n, align)
+				}
+			}
+		}
+	}
+}

@@ -1,5 +1,7 @@
 package ops
 
+import "orpheus/internal/gemm"
+
 // Implicit-GEMM convolution support: a gemm.PackSrc that packs B panels
 // straight from the NCHW input image.
 //
@@ -40,79 +42,67 @@ func (s *convPackSrc) init(x []float32, p *convParams, g int) {
 
 // PackPanel implements gemm.PackSrc: the kc×nc panel at (pp, jj) of image
 // img's unfold matrix, written as strips of nr columns (row-major within
-// each strip), edge strips zero-padded. Rows decode to (channel, ky, kx);
-// columns to output pixels, walked in runs that stay within one output
-// row so the interior fast path is a bounds-free copy.
+// each strip), edge strips zero-padded. Rows decode to (channel, ky, kx)
+// and a strip's first column to an output pixel once at entry, and are
+// carried from there; columns are walked in runs that stay within one
+// output row, so each run is one bounds-free copy — strided when sw > 1.
 func (s *convPackSrc) PackPanel(dst []float32, img, pp, jj, kc, nc, nr int) {
 	khw := s.kh * s.kw
 	plane := s.h * s.w
 	imgBase := (img*s.cin + s.chan0) * plane
+	ic0 := pp / khw
+	ky0 := (pp - ic0*khw) / s.kw
+	kx0 := pp - ic0*khw - ky0*s.kw
 	for j := 0; j < nc; j += nr {
 		cols := min(nr, nc-j)
 		strip := dst[(j/nr)*kc*nr:]
+		oy0 := (jj + j) / s.ow
+		ox0 := jj + j - oy0*s.ow
+		ic, ky, kx := ic0, ky0, kx0
 		for p := 0; p < kc; p++ {
-			kd := pp + p
-			ic := kd / khw
-			rem := kd - ic*khw
-			ky := rem / s.kw
-			kx := rem - ky*s.kw
-			xc := s.x[imgBase+ic*plane : imgBase+(ic+1)*plane]
+			xc := s.x[imgBase+ic*plane:][:plane]
 			dy := ky*s.dh - s.padT // iy = oy*sh + dy
 			dx := kx*s.dw - s.padL // ix = ox*sw + dx
 			row := strip[p*nr : p*nr+nr]
-			col := jj + j
-			cc := 0
-			for cc < cols {
-				oy := col / s.ow
-				ox := col - oy*s.ow
+			oy, ox := oy0, ox0
+			for cc := 0; cc < cols; {
 				run := min(s.ow-ox, cols-cc)
 				seg := row[cc : cc+run]
 				iy := oy*s.sh + dy
 				if iy < 0 || iy >= s.h {
-					for i := range seg {
-						seg[i] = 0
-					}
+					clear(seg)
 				} else {
-					xrow := xc[iy*s.w : (iy+1)*s.w]
+					// The run's pixels [lo, hi) read a column inside the
+					// row — worked out once per run, so no pixel is
+					// bounds-tested: zero the fringes, gather the live
+					// middle in one strided copy. The source slice runs on
+					// to the end of the plane, which lets GatherRow's
+					// stride-2 body read its one float past the last
+					// column everywhere but on the plane's last row.
 					ix := ox*s.sw + dx
-					if s.sw == 1 {
-						// Contiguous gather: zero the out-of-bounds
-						// fringes, copy the live middle [lo, hi).
-						lo, hi := 0, run
-						if ix < 0 {
-							lo = min(-ix, run)
-						}
-						if ix+run > s.w {
-							hi = s.w - ix
-						}
-						if hi < lo {
-							hi = lo
-						}
-						for i := 0; i < lo; i++ {
-							seg[i] = 0
-						}
-						if hi > lo {
-							copy(seg[lo:hi], xrow[ix+lo:ix+hi])
-						}
-						for i := hi; i < run; i++ {
-							seg[i] = 0
-						}
-					} else {
-						for i := range seg {
-							if ix >= 0 && ix < s.w {
-								seg[i] = xrow[ix]
-							} else {
-								seg[i] = 0
-							}
-							ix += s.sw
-						}
+					lo, hi := 0, run
+					if ix < 0 {
+						lo = min((-ix+s.sw-1)/s.sw, run)
 					}
+					if ix+(run-1)*s.sw >= s.w {
+						hi = max((s.w-ix+s.sw-1)/s.sw, lo)
+					}
+					clear(seg[:lo])
+					if hi > lo {
+						gemm.GatherRow(seg[lo:hi], xc[iy*s.w+ix+lo*s.sw:], s.sw)
+					}
+					clear(seg[hi:])
 				}
+				// A run ends at the end of its output row or of the strip.
 				cc += run
-				col += run
+				oy, ox = oy+1, 0
 			}
-			for i := cols; i < nr; i++ {
-				row[i] = 0
+			clear(row[cols:])
+			if kx++; kx == s.kw {
+				kx = 0
+				if ky++; ky == s.kh {
+					ky, ic = 0, ic+1
+				}
 			}
 		}
 	}

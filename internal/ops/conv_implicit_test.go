@@ -2,6 +2,7 @@ package ops
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"orpheus/internal/gemm"
@@ -115,6 +116,71 @@ func TestConvImplicitMatchesExplicit(t *testing.T) {
 							}
 						})
 					})
+				}
+			}
+		}
+	}
+}
+
+// stridedPackCases are geometries whose strided gather runs are long
+// enough to reach GatherRow's vector body and wide enough to end on the
+// last column of a row, on top of the battery's small ones.
+var stridedPackCases = []convCase{
+	{name: "stem-like", n: 2, cin: 3, h: 30, w: 45, cout: 4, kh: 7, kw: 7, sh: 2, sw: 2, padT: 3, padL: 3, padB: 3, padR: 3, dh: 1, dw: 1, groups: 1},
+	{name: "s2-even-width", n: 1, cin: 2, h: 12, w: 64, cout: 2, kh: 3, kw: 3, sh: 2, sw: 2, padT: 1, padL: 1, padB: 1, padR: 1, dh: 1, dw: 1, groups: 1},
+	{name: "s2-pointwise", n: 1, cin: 4, h: 9, w: 39, cout: 4, kh: 1, kw: 1, sh: 2, sw: 2, dh: 1, dw: 1, groups: 1},
+	{name: "s3-wide", n: 1, cin: 2, h: 10, w: 70, cout: 2, kh: 3, kw: 4, sh: 3, sw: 3, padT: 1, padL: 2, padB: 0, padR: 1, dh: 1, dw: 1, groups: 1},
+	{name: "s2-dilated", n: 1, cin: 3, h: 21, w: 40, cout: 3, kh: 3, kw: 3, sh: 2, sw: 2, padT: 2, padL: 2, padB: 2, padR: 2, dh: 2, dw: 2, groups: 1},
+	{name: "s2-grouped", n: 2, cin: 6, h: 11, w: 37, cout: 6, kh: 3, kw: 3, sh: 1, sw: 2, padT: 1, padL: 0, padB: 1, padR: 2, dh: 1, dw: 1, groups: 3},
+}
+
+// TestPackPanelMatchesIm2Col holds convPackSrc.PackPanel to
+// tensor.Im2ColInto bit for bit: every panel of every (image, group), cut
+// at several (kc, nc, nr), must be the unfold matrix's block in strip
+// layout with zeroed edge-strip padding — on every stride, padding,
+// dilation and group geometry of the battery.
+func TestPackPanelMatchesIm2Col(t *testing.T) {
+	for _, tc := range append(implicitBattery(), stridedPackCases...) {
+		inputs := tc.tensors(tensor.SeedFromString(tc.name))
+		p, err := resolveConvRT(buildNode(t, "Conv", tc.attrs(), inputs...), inputs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		x := inputs[0].Data()
+		cinG := p.cin / p.groups
+		kdim, cols := cinG*p.kh*p.kw, p.oh*p.ow
+		want := make([]float32, kdim*cols)
+		for img := 0; img < p.n; img++ {
+			for g := 0; g < p.groups; g++ {
+				tensor.Im2ColInto(want, x[(img*p.cin+g*cinG)*p.h*p.w:], 1, cinG, p.h, p.w,
+					p.kh, p.kw, p.sh, p.sw, p.padT, p.padL, p.dh, p.dw, p.oh, p.ow)
+				var src convPackSrc
+				src.init(x, &p, g)
+				for _, cut := range [][3]int{{kdim, cols, 8}, {7, 40, 16}, {5, 100, 32}} {
+					kcMax, ncMax, nr := cut[0], cut[1], cut[2]
+					dst := make([]float32, kcMax*((ncMax+nr-1)/nr)*nr)
+					for pp := 0; pp < kdim; pp += kcMax {
+						kc := min(kcMax, kdim-pp)
+						for jj := 0; jj < cols; jj += ncMax {
+							nc := min(ncMax, cols-jj)
+							for i := range dst {
+								dst[i] = 1234.5
+							}
+							src.PackPanel(dst, img, pp, jj, kc, nc, nr)
+							for j := 0; j < (nc+nr-1)/nr*nr; j++ {
+								for k := 0; k < kc; k++ {
+									var w float32
+									if j < nc {
+										w = want[(pp+k)*cols+jj+j]
+									}
+									if got := dst[(j/nr)*kc*nr+k*nr+j%nr]; math.Float32bits(got) != math.Float32bits(w) {
+										t.Fatalf("%s img %d group %d panel (%d,%d) %dx%d nr %d: [%d][%d] = %v, want %v",
+											tc.name, img, g, pp, jj, kc, nc, nr, k, j, got, w)
+									}
+								}
+							}
+						}
+					}
 				}
 			}
 		}

@@ -85,6 +85,42 @@ func TestAddMulExact(t *testing.T) {
 	}
 }
 
+// TestAddMulBlocksMatchScalar holds the blocked vector add and multiply to
+// the one-element-at-a-time definitions bit for bit — zeros of both signs
+// included, whose sum and product signs a careless seed would lose — on
+// lengths on both sides of one block and of a vector, with every fused
+// activation.
+func TestAddMulBlocksMatchScalar(t *testing.T) {
+	negZero := float32(math.Copysign(0, -1))
+	for _, n := range []int{1, 7, 8, 9, blockFloats - 1, blockFloats, blockFloats + 1, 3*blockFloats + 13} {
+		a := tensor.Rand(tensor.NewRNG(uint64(n)), -1, 1, n)
+		b := tensor.Rand(tensor.NewRNG(uint64(n)+1), -1, 1, n)
+		for i := 0; i < n; i += 3 {
+			a.Data()[i] = []float32{0, negZero, -1}[i/3%3]
+			b.Data()[i] = []float32{negZero, 0, 0, negZero}[i/3%4]
+		}
+		prod := runKernel(t, "mul.direct", "Mul", nil, a, b).Data()
+		for i, got := range prod {
+			if want := a.Data()[i] * b.Data()[i]; math.Float32bits(got) != math.Float32bits(want) {
+				t.Fatalf("n %d: mul[%d] = %v, want %v", n, i, got, want)
+			}
+		}
+		for _, act := range []string{"", "relu", "relu6", "leakyrelu"} {
+			sum := runKernel(t, "add.direct", "Add", graph.Attrs{"activation": act, "alpha": 0.1}, a, b).Data()
+			want := make([]float32, n)
+			for i := range want {
+				want[i] = a.Data()[i] + b.Data()[i]
+			}
+			applyActivation(want, act, 0.1)
+			for i, got := range sum {
+				if math.Float32bits(got) != math.Float32bits(want[i]) {
+					t.Fatalf("n %d act %q: add[%d] = %v, want %v", n, act, i, got, want[i])
+				}
+			}
+		}
+	}
+}
+
 func TestAddScalarBroadcast(t *testing.T) {
 	a := tensor.FromSlice([]float32{1, 2, 3}, 3)
 	s := tensor.Scalar(10)

@@ -3,6 +3,7 @@ package ops
 import (
 	"math"
 
+	"orpheus/internal/gemm"
 	"orpheus/internal/graph"
 	"orpheus/internal/tensor"
 )
@@ -15,156 +16,101 @@ func init() {
 	Register(NewOverwritingKernel("globalavgpool.direct", "GlobalAveragePool", nil, runGlobalAvgPool))
 }
 
+// planeWalk returns the window walk of the pool (init not yet called) and
+// how many planes it runs over: every (image, channel) plane of an NCHW
+// tensor, or every image of an NHWC one with its pixels c floats wide.
+func (p *poolParams) planeWalk() (g planeWalk, planes int) {
+	g = planeWalk{h: p.h, w: p.w, oh: p.oh, ow: p.ow, kh: p.kh, kw: p.kw,
+		sh: p.sh, sw: p.sw, dh: 1, dw: 1, padT: p.padT, padL: p.padL, c: 1}
+	if p.layout == "nhwc" {
+		g.c = p.c
+		return g, p.n
+	}
+	return g, p.n * p.c
+}
+
+// runMaxPool is the plane walk (planewalk.go) seeded with −Inf, each window
+// tap one gemm.MaxRow. max keeps the value it holds unless the tap's is
+// greater, as the scalar walk's comparison did, so outputs are that walk's
+// bit for bit (pool_test.go keeps it as the oracle).
 func runMaxPool(ctx *Ctx, n *graph.Node, in, out []*tensor.Tensor) error {
 	p, err := resolvePoolRT(n, in)
 	if err != nil {
 		return err
 	}
 	x, y := in[0].Data(), out[0].Data()
-	if p.layout == "nhwc" {
-		// Channel-innermost: one output pixel is a C-vector, reduced
-		// vector-wise over the window taps.
-		for b := 0; b < p.n; b++ {
-			for oy := 0; oy < p.oh; oy++ {
-				for ox := 0; ox < p.ow; ox++ {
-					base := ((b*p.oh+oy)*p.ow + ox) * p.c
-					dst := y[base : base+p.c]
-					for i := range dst {
-						dst[i] = float32(math.Inf(-1))
-					}
-					for ky := 0; ky < p.kh; ky++ {
-						iy := oy*p.sh - p.padT + ky
-						if iy < 0 || iy >= p.h {
-							continue
-						}
-						for kx := 0; kx < p.kw; kx++ {
-							ix := ox*p.sw - p.padL + kx
-							if ix < 0 || ix >= p.w {
-								continue
-							}
-							src := x[((b*p.h+iy)*p.w+ix)*p.c:][:p.c]
-							for i, v := range src {
-								if v > dst[i] {
-									dst[i] = v
-								}
-							}
-						}
-					}
-				}
-			}
-		}
-		return nil
-	}
-	for b := 0; b < p.n; b++ {
-		for c := 0; c < p.c; c++ {
-			src := x[(b*p.c+c)*p.h*p.w:]
-			dst := y[(b*p.c+c)*p.oh*p.ow:]
-			for oy := 0; oy < p.oh; oy++ {
-				for ox := 0; ox < p.ow; ox++ {
-					best := float32(math.Inf(-1))
-					for ky := 0; ky < p.kh; ky++ {
-						iy := oy*p.sh - p.padT + ky
-						if iy < 0 || iy >= p.h {
-							continue
-						}
-						for kx := 0; kx < p.kw; kx++ {
-							ix := ox*p.sw - p.padL + kx
-							if ix < 0 || ix >= p.w {
-								continue
-							}
-							if v := src[iy*p.w+ix]; v > best {
-								best = v
-							}
-						}
-					}
-					dst[oy*p.ow+ox] = best
-				}
-			}
-		}
+	g, planes := p.planeWalk()
+	g.init()
+	inSize, outSize := p.h*p.w*g.c, p.oh*p.ow*g.c
+	for i := 0; i < planes; i++ {
+		src, dst := x[i*inSize:][:inSize], y[i*outSize:][:outSize]
+		g.walk(func(oy0, rows int) {
+			fill(g.block(dst, oy0, rows), float32(math.Inf(-1)))
+		}, func(_, _ int, op rowOp) {
+			gemm.MaxRow(dst[op.dst:], op.ldd, src[op.src:], op.ldx, op.stride, op.n, op.rows)
+		}, func(int, int) {})
 	}
 	return nil
 }
 
+// runAvgPool is the plane walk seeded with zero, each window tap one
+// gemm.AXPYRow with a = 1 (a fused 1·x + sum rounds once, like the add it
+// stands for), so a block holds the scalar walk's sums in its order; the
+// finish scales each by its window's in-image tap count, which is
+// separable — validRows(oy) × validCols(ox), kw along the whole interior
+// of a row — or by kh·kw under count_include_pad. NCHW divides and NHWC
+// multiplies by the reciprocal, as the scalar walks of the two layouts
+// did, so each layout's outputs are unchanged to the bit.
 func runAvgPool(ctx *Ctx, n *graph.Node, in, out []*tensor.Tensor) error {
 	p, err := resolvePoolRT(n, in)
 	if err != nil {
 		return err
 	}
 	x, y := in[0].Data(), out[0].Data()
-	if p.layout == "nhwc" {
-		for b := 0; b < p.n; b++ {
-			for oy := 0; oy < p.oh; oy++ {
-				for ox := 0; ox < p.ow; ox++ {
-					base := ((b*p.oh+oy)*p.ow + ox) * p.c
-					dst := y[base : base+p.c]
-					for i := range dst {
-						dst[i] = 0
-					}
-					count := 0
-					for ky := 0; ky < p.kh; ky++ {
-						iy := oy*p.sh - p.padT + ky
-						if iy < 0 || iy >= p.h {
-							continue
-						}
-						for kx := 0; kx < p.kw; kx++ {
-							ix := ox*p.sw - p.padL + kx
-							if ix < 0 || ix >= p.w {
-								continue
-							}
-							src := x[((b*p.h+iy)*p.w+ix)*p.c:][:p.c]
-							for i, v := range src {
-								dst[i] += v
-							}
-							count++
-						}
-					}
-					if p.includePad {
-						count = p.kh * p.kw
-					}
-					if count > 0 {
-						inv := 1 / float32(count)
-						for i := range dst {
-							dst[i] *= inv
-						}
-					}
-				}
+	g, planes := p.planeWalk()
+	g.init()
+	inSize, outSize := p.h*p.w*g.c, p.oh*p.ow*g.c
+	scale := func(seg []float32, count int) {
+		switch {
+		case count == 0: // a window wholly in padding: the sum is the seed
+		case p.layout == "nhwc":
+			inv := 1 / float32(count)
+			for i := range seg {
+				seg[i] *= inv
+			}
+		default:
+			for i := range seg {
+				seg[i] /= float32(count)
 			}
 		}
-		return nil
 	}
-	for b := 0; b < p.n; b++ {
-		for c := 0; c < p.c; c++ {
-			src := x[(b*p.c+c)*p.h*p.w:]
-			dst := y[(b*p.c+c)*p.oh*p.ow:]
-			for oy := 0; oy < p.oh; oy++ {
-				for ox := 0; ox < p.ow; ox++ {
-					var sum float32
-					count := 0
-					for ky := 0; ky < p.kh; ky++ {
-						iy := oy*p.sh - p.padT + ky
-						if iy < 0 || iy >= p.h {
-							continue
-						}
-						for kx := 0; kx < p.kw; kx++ {
-							ix := ox*p.sw - p.padL + kx
-							if ix < 0 || ix >= p.w {
-								continue
-							}
-							sum += src[iy*p.w+ix]
-							count++
-						}
-					}
-					if p.includePad {
-						count = p.kh * p.kw
-					}
-					if count == 0 {
-						dst[oy*p.ow+ox] = 0
+	// Output columns [in0, in1) see all kw window columns inside the row.
+	in0, in1 := g.taps()[0].lo, g.taps()[p.kw-1].hi
+	for i := 0; i < planes; i++ {
+		src, dst := x[i*inSize:][:inSize], y[i*outSize:][:outSize]
+		g.walk(func(oy0, rows int) {
+			clear(g.block(dst, oy0, rows))
+		}, func(_, _ int, op rowOp) {
+			gemm.AXPYRow(dst[op.dst:], op.ldd, src[op.src:], op.ldx, op.stride, 1, op.n, op.rows)
+		}, func(oy0, rows int) {
+			if p.includePad {
+				scale(g.block(dst, oy0, rows), p.kh*p.kw)
+				return
+			}
+			for oy := oy0; oy < oy0+rows; oy++ {
+				r, nr := g.block(dst, oy, 1), g.validRows(oy)
+				for ox := 0; ox < p.ow; {
+					end, nc := ox+1, p.kw
+					if in0 <= ox && ox < in1 {
+						end = in1
 					} else {
-						dst[oy*p.ow+ox] = sum / float32(count)
+						nc = g.validCols(ox)
 					}
+					scale(r[ox*g.c:end*g.c], nr*nc)
+					ox = end
 				}
 			}
-		}
+		})
 	}
 	return nil
 }
