@@ -304,8 +304,7 @@ func BenchmarkPredictConcurrent(b *testing.B) {
 // batch of n samples on a MaxBatch-8 plan. ns/op is the whole batch;
 // inf/s is the derived per-sample throughput — the number that shows the
 // amortisation win as n grows (packed weight panels are read once per
-// batch instead of once per sample). The CI bench-smoke step records this
-// family into BENCH_pr2.json via cmd/orpheus-benchjson.
+// batch instead of once per sample).
 func BenchmarkBatch(b *testing.B) {
 	benchBatch(b, 1, []int{1, 4, 8})
 }

@@ -41,7 +41,6 @@ func main() {
 		workers    = flag.Int("workers", 1, "thread count for measured runs (paper uses 1)")
 		models     = flag.String("models", "", "comma-separated model subset (default: all five)")
 		csvPath    = flag.String("csv", "", "also write the report as CSV to this file")
-		wireOnly   = flag.Bool("wire", false, "wire experiment: benchmark only the binary tensor format (skip the JSON baseline)")
 		shards     = flag.String("shards", "", "shard experiment: comma-separated addresses of running orpheus-shard stages, in pipeline order (default: in-process loopback stages)")
 		list       = flag.Bool("list", false, "list experiment ids and exit")
 	)
@@ -65,7 +64,6 @@ func main() {
 		Reps:    *reps,
 		Warmup:  *warmup,
 		Workers: *workers,
-		Wire:    *wireOnly,
 	}
 	if *models != "" {
 		cfg.Models = strings.Split(*models, ",")

@@ -97,12 +97,6 @@ func (c *Call) applyEpilogueTile(dst []float32, r0, c0, rows, cols, ldc int) {
 	}
 }
 
-// applyEpilogueAll applies the epilogue over an entire M×N image of C —
-// the K == 0 store case, where no macro-kernel runs.
-func (c *Call) applyEpilogueAll(dst []float32) {
-	c.applyEpilogueTile(dst, 0, 0, c.M, c.N, c.ldc())
-}
-
 // negZero is the bias that changes nothing: x + (−0) is x for every x,
 // −0 and NaN included, so "no bias" needs no loops of its own.
 var negZero = math.Float32frombits(1 << 31)

@@ -2,15 +2,19 @@
 // computational core of GEMM-based convolution and dense layers in
 // Orpheus.
 //
-// Three implementations are provided, mirroring the tiers an edge inference
-// framework typically carries:
+// Two implementations are provided:
 //
 //   - Naive: textbook triple loop; the correctness reference.
-//   - Blocked: cache-blocked loop nest with an ikj inner order.
-//   - Packed (Context.Run): panel packing plus a register-blocked
+//   - Packed (Context.Run, Pool.Run): panel packing plus a register-blocked
 //     micro-kernel; the production path used by the Orpheus backend. It
-//     supports overwrite (beta=0) semantics and prepacked constant
-//     operands, and scales across a persistent worker Pool.
+//     supports overwrite (beta=0) semantics, prepacked constant operands
+//     and virtual operands packed straight from a tensor, and has a
+//     quantized u8×s8 twin (Context.RunInt8, Pool.RunInt8; int8.go).
+//
+// Every packed call, of either dtype, is cut into independent units — one
+// (image, column block, row group) each — and executed by one walk over
+// them, on the calling goroutine alone or shared with a persistent worker
+// Pool (pool.go); the result is the same bit for bit either way.
 //
 // The packed tier's micro-kernel is chosen at runtime by CPU-feature
 // dispatch (see kernel.go): AVX2/FMA 8x8 assembly on amd64, NEON 8x8 on
@@ -57,40 +61,4 @@ func Naive(a, b, c []float32, m, n, k int) {
 			c[i*n+j] += s
 		}
 	}
-}
-
-// Blocked computes C += A·B using cache blocking with an i-k-j inner order,
-// which streams B rows and keeps a C row hot. Block sizes match the packed
-// tier's panel constants so the two tiers see the same cache working set.
-// The inner loop is branch-free: inference matrices are dense, so skipping
-// zero A values costs more in mispredictions than it saves in arithmetic.
-func Blocked(a, b, c []float32, m, n, k int) {
-	validate(a, b, c, m, n, k)
-	for jj := 0; jj < n; jj += ncBlock {
-		jmax := min(jj+ncBlock, n)
-		for pp := 0; pp < k; pp += kcBlock {
-			pmax := min(pp+kcBlock, k)
-			for ii := 0; ii < m; ii += mcBlock {
-				imax := min(ii+mcBlock, m)
-				for i := ii; i < imax; i++ {
-					ci := c[i*n : i*n+n]
-					ai := a[i*k : i*k+k]
-					for p := pp; p < pmax; p++ {
-						av := ai[p]
-						bp := b[p*n : p*n+n]
-						for j := jj; j < jmax; j++ {
-							ci[j] += av * bp[j]
-						}
-					}
-				}
-			}
-		}
-	}
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

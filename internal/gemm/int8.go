@@ -4,28 +4,27 @@ import "math"
 
 // Quantized (u8×s8 → int32) packed GEMM tier.
 //
-// The int8 tier reuses the packed-tier architecture — panel packing, macro
-// tiles, micro-kernel dispatch, pool scheduling — with three differences:
+// The int8 tier is the packed tier over again — panel packing, micro-kernel
+// dispatch, and the walk of pool.go: units of (image, column block, row
+// group), each packing its activation panel once per k-panel and sweeping
+// it with the group's M-tiles, run in order or claimed by the pool — with
+// three differences:
 //
 //   - Operands are quantized: A (weights) is signed int8, B (activations)
 //     is unsigned uint8, and the micro-kernels accumulate exact int32 dot
 //     products along k-quads of 4 (the VPMADDUBSW / VPDPBUSD reduction
-//     unit). The fp32 output is produced only once, by the requantize
-//     epilogue, while the accumulator tile is cache-resident.
+//     unit).
 //
 //   - B is always virtual: a PackSrc8 quantizes fp32 activations per
 //     kc×nc panel as it packs (convolution straight from the NCHW input,
 //     dense from the row-major activation matrix), so no materialised
 //     int8 activation tensor ever exists.
 //
-//   - Execution is block-at-a-time over the full K extent, and the
-//     virtual B is the expensive operand, so the loop order is image →
-//     column block → k-panel → pack once → M-tiles: a block of C spanning
-//     a group of M-tiles accumulates all its k-panels into a per-Context
-//     int32 scratch (always full micro-tiles, so there is no edge
-//     staging), then the requantize+bias+activation epilogue stores the
-//     fp32 result in one pass. Serial and pooled execution share this
-//     structure; see blocking8 for how the blocks are cut.
+//   - A unit accumulates all its k-panels into a per-Context int32
+//     scratch (always full micro-tiles, so there is no edge staging), and
+//     the fp32 output is produced only once, by the requantize + bias +
+//     activation epilogue storing the unit in one pass. The scratch is
+//     what caps a unit's rows × columns (accCap8).
 //
 // # Value contract
 //
@@ -174,63 +173,65 @@ func (c *CallInt8) validate() {
 	}
 }
 
-// Int8 blocking. A unit of work is (image, column block, M-tile group):
-// its activation panels are packed once each and reused by every M-tile of
-// the group, so the accumulator spans the group's rows × the column block.
-const (
-	// accCap8 bounds the int32 accumulator a Context holds, in elements:
-	// twice the mcBlock×ncBlock tile the tier used when it packed per
-	// M-tile. Taller groups narrow their column block to stay within it.
-	accCap8 = 2 * mcBlock * ncBlock
-	// ncMin8 is the narrowest column block, a multiple of every nr; groups
-	// are capped at the height whose accumulator fits at that width.
-	ncMin8         = 64
-	maxGroupTiles8 = accCap8 / (mcBlock * ncMin8)
-)
-
-// blocking8 fixes the units of an m×n call over images for up to workers
-// goroutines: column blocks of nc columns and groups of gm rows. M is cut
-// into the fewest groups the accumulator allows — one worker packs every
-// panel exactly once — and into more only while the units leave workers
-// without one, down to single M-tiles. The column block is the widest that
-// fits the accumulator at the chosen group height.
-func blocking8(m, n, images, workers int) (nc, gm int) {
-	tm := (m + mcBlock - 1) / mcBlock
-	for groups := (tm + maxGroupTiles8 - 1) / maxGroupTiles8; ; groups++ {
-		gt := (tm + groups - 1) / groups
-		nc = min(ncBlock, accCap8/(gt*mcBlock)&^(ncMin8-1))
-		if gt == 1 || (n+nc-1)/nc*images*((tm+gt-1)/gt) >= workers {
-			return nc, gt * mcBlock
-		}
-	}
-}
+// accCap8 bounds the int32 accumulator a Context holds, in elements, and
+// with it the rows × columns of an int8 unit (see blocking): twice the
+// mcBlock×ncBlock tile the tier used when it packed per M-tile. Taller row
+// groups narrow their column block to stay within it, so a group is at
+// most accCap8/ncMin rows.
+const accCap8 = 2 * mcBlock * ncBlock
 
 // RunInt8 executes the quantized call single-threaded. Hot paths should
 // hold a long-lived Context so the int8 packing and accumulator scratch is
 // reused across calls.
 func (ctx *Context) RunInt8(c CallInt8) {
-	c.validate()
-	if c.M == 0 || c.N == 0 {
-		return
-	}
-	kern := activeKernel8()
-	nc, gm := blocking8(c.M, c.N, c.images(), 1)
-	for img := 0; img < c.images(); img++ {
-		for jj := 0; jj < c.N; jj += nc {
-			for ii := 0; ii < c.M; ii += gm {
-				ctx.runUnit8(kern, &c, img, ii, min(ii+gm, c.M), jj, min(nc, c.N-jj))
-			}
-		}
+	w := gemm8Work{call: c}
+	for i, n := 0, w.plan(1); i < n; i++ {
+		w.runUnit(ctx, i)
 	}
 }
 
-// runUnit8 computes rows [i0, i1) × columns [jj, jj+nc) of one image's C.
-// For every k-panel the activation panel is packed once and swept by each
-// M-tile of the group, accumulating into the Context's int32 scratch (full
-// micro-tiles, padded geometry); then the requantize epilogue stores the
-// fp32 block in a single pass. K == 0 requantizes a zero accumulator (bias
-// + activation only). i0 is a multiple of mcBlock.
-func (ctx *Context) runUnit8(kern *kernel8, c *CallInt8, img, i0, i1, jj, nc int) {
+// RunInt8 executes the quantized call using up to workers goroutines, the
+// caller included, exactly as Run does an fp32 one. ctx supplies the
+// caller's packing and accumulator scratch.
+func (p *Pool) RunInt8(ctx *Context, c CallInt8, workers int) {
+	if workers <= 1 {
+		ctx.RunInt8(c)
+		return
+	}
+	j := jobs.Get().(*job)
+	j.gemm8.call = c
+	p.submit(ctx, j, &j.gemm8, workers)
+}
+
+// gemm8Work is one quantized call cut into units, the int8 twin of
+// gemmWork.
+type gemm8Work struct {
+	call CallInt8
+	kern *kernel8
+	grid unitGrid
+}
+
+// plan implements unitWork.
+func (w *gemm8Work) plan(workers int) int {
+	c := &w.call
+	c.validate()
+	if c.M == 0 || c.N == 0 {
+		return 0
+	}
+	w.kern = activeKernel8()
+	w.grid = blocking(c.M, c.N, c.images(), workers, mcBlock, accCap8)
+	return w.grid.units()
+}
+
+// runUnit implements unitWork: rows [i0, i1) × columns [jj, jj+nc) of one
+// image's C. For every k-panel the activation panel is packed once and
+// swept by each M-tile of the group, accumulating into the Context's int32
+// scratch (full micro-tiles, padded geometry); then the requantize
+// epilogue stores the fp32 block in a single pass. K == 0 requantizes a
+// zero accumulator (bias + activation only).
+func (w *gemm8Work) runUnit(ctx *Context, unit int) {
+	c, kern := &w.call, w.kern
+	img, i0, i1, jj, nc := w.grid.unit(unit)
 	rows := roundUp(i1-i0, kern.mr)
 	ldc := roundUp(nc, kern.nr)
 	ctx.growAcc()
@@ -241,7 +242,7 @@ func (ctx *Context) runUnit8(kern *kernel8, c *CallInt8, img, i0, i1, jj, nc int
 	pm := roundUp(c.M, kern.mr)
 	for pp := 0; pp < c.K; pp += kcBlock {
 		kc := min(kcBlock, c.K-pp)
-		kcq := (kc + kQuad - 1) / kQuad
+		kcq := ceilDiv(kc, kQuad)
 		ctx.growB8()
 		pb := ctx.packB8
 		c.B.PackPanel8(pb, img, pp, jj, kc, nc, kern.nr)
@@ -502,7 +503,7 @@ func (ctx *Context) growB8() {
 }
 
 func (ctx *Context) growAcc() {
-	// blocking8 keeps group rows × column block within accCap8, and both
+	// blocking keeps group rows × column block within accCap8, and both
 	// are multiples of every registered kernel geometry, so the padded
 	// rows and row stride never exceed them.
 	if cap(ctx.acc32) < accCap8 {

@@ -2,7 +2,6 @@ package gemm
 
 import (
 	"fmt"
-	"sync"
 	"testing"
 
 	"orpheus/internal/tensor"
@@ -395,22 +394,19 @@ func TestInt8KernelDifferential(t *testing.T) {
 // countingSrc8 wraps a PackSrc8 and counts the requests per panel.
 type countingSrc8 struct {
 	PackSrc8
-	mu    sync.Mutex
-	calls map[[3]int]int
+	panelCounts
 }
 
 func (s *countingSrc8) PackPanel8(dst []byte, img, pp, jj, kc, nc, nr int) {
-	s.mu.Lock()
-	s.calls[[3]int{img, pp, jj}]++
-	s.mu.Unlock()
+	s.add(img, pp, jj)
 	s.PackSrc8.PackPanel8(dst, img, pp, jj, kc, nc, nr)
 }
 
 // TestInt8PacksEachPanelOnce holds the loop order to its point: with four
 // M-tiles (M = 512) a serial call asks its source for every (img, pp, jj)
 // panel exactly once, covering the whole K×N extent of each image, and
-// pooled runs — which may split M to feed their workers — still produce a
-// C bit-identical to the serial one.
+// pooled runs — which may split M to feed their workers — ask once per row
+// group and still produce a C bit-identical to the serial one.
 func TestInt8PacksEachPanelOnce(t *testing.T) {
 	for _, ic := range []int8Case{
 		{m: 512, n: 49, k: 600, bias: true, act: ActReLU},
@@ -419,21 +415,15 @@ func TestInt8PacksEachPanelOnce(t *testing.T) {
 		t.Run(ic.String(), func(t *testing.T) {
 			a, scaleA, rowSum, b, bias := int8Buffers(ic, 99)
 			images := max(ic.batch, 1)
-			src := &countingSrc8{PackSrc8: newTestSrc8(b, ic.k, ic.n, images, ic.k*ic.n, false), calls: map[[3]int]int{}}
+			src := &countingSrc8{PackSrc8: newTestSrc8(b, ic.k, ic.n, images, ic.k*ic.n, false)}
 			call := buildCall(ic, a, scaleA, rowSum, src.PackSrc8.(*testSrc8), bias)
 			call.B = src
+			grid := func(workers int) unitGrid {
+				return blocking(ic.m, ic.n, images, workers, mcBlock, accCap8)
+			}
 			var ctx Context
 			ctx.RunInt8(call)
-			nc, _ := blocking8(ic.m, ic.n, images, 1)
-			want := images * ((ic.k + kcBlock - 1) / kcBlock) * ((ic.n + nc - 1) / nc)
-			if len(src.calls) != want {
-				t.Errorf("serial run packed %d distinct panels, want %d", len(src.calls), want)
-			}
-			for key, n := range src.calls {
-				if n != 1 {
-					t.Errorf("panel (img %d, pp %d, jj %d) packed %d times", key[0], key[1], key[2], n)
-				}
-			}
+			src.check(t, "serial", grid(1), ic.k)
 			serial := append([]float32(nil), call.C...)
 			pool := NewPool(4)
 			defer pool.Close()
@@ -442,45 +432,10 @@ func TestInt8PacksEachPanelOnce(t *testing.T) {
 					call.C[i] = -1
 				}
 				pool.RunInt8(&ctx, call, workers)
-				for i := range serial {
-					if call.C[i] != serial[i] {
-						t.Fatalf("workers=%d: C[%d] = %v, serial %v", workers, i, call.C[i], serial[i])
-					}
-				}
+				src.check(t, fmt.Sprintf("workers=%d", workers), grid(workers), ic.k)
+				sameBits(t, fmt.Sprintf("workers=%d", workers), call.C, serial)
 			}
 		})
-	}
-}
-
-// TestBlocking8 checks the invariants runUnit8 and the pool rely on for
-// any shape and worker count: blocks fit the accumulator and every kernel
-// geometry, one worker gets whole-M groups (up to the accumulator's
-// height), and a many-worker call is cut into at least as many units as
-// there are workers or M-tiles × 512-column blocks to hand out.
-func TestBlocking8(t *testing.T) {
-	for _, m := range []int{1, 64, 128, 129, 512, 1000, 2048, 5000} {
-		for _, n := range []int{1, 49, 196, 512, 513, 12544} {
-			for _, images := range []int{1, 3} {
-				for _, workers := range []int{1, 2, 4, 7, 64} {
-					nc, gm := blocking8(m, n, images, workers)
-					if nc%maxNR8 != 0 || nc < ncMin8 || nc > ncBlock || gm%mcBlock != 0 || gm < mcBlock || gm*nc > accCap8 {
-						t.Fatalf("m%d n%d img%d w%d: nc %d gm %d break the blocking bounds", m, n, images, workers, nc, gm)
-					}
-					if nc < ncBlock && gm*(nc+ncMin8) <= accCap8 {
-						t.Errorf("m%d n%d img%d w%d: nc %d is narrower than a %d-row group needs", m, n, images, workers, nc, gm)
-					}
-					tm := (m + mcBlock - 1) / mcBlock
-					if fewest := (tm + maxGroupTiles8 - 1) / maxGroupTiles8; workers == 1 && (m+gm-1)/gm != fewest {
-						t.Errorf("m%d n%d: serial call cut into %d groups re-packs panels, %d fit", m, n, (m+gm-1)/gm, fewest)
-					}
-					units := (m + gm - 1) / gm * ((n + nc - 1) / nc) * images
-					old := tm * ((n + ncBlock - 1) / ncBlock) * images
-					if units < min(workers, old) {
-						t.Errorf("m%d n%d img%d w%d: %d units, per-tile blocking had %d", m, n, images, workers, units, old)
-					}
-				}
-			}
-		}
 	}
 }
 

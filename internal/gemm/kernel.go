@@ -38,28 +38,24 @@ import (
 // in elements; store overwrites C instead of accumulating.
 type microKernelFunc func(pa, pb, c []float32, kc, ldc int, store bool)
 
-// kernel bundles a micro-kernel with the packing geometry it consumes.
-// mc/nc are the macro-panel blocking factors, derived from mcBlock/ncBlock
-// rounded down to a multiple of the micro-tile so every interior panel is a
-// whole number of strips (tiles wider than 8, like the 14x32 AVX-512
-// kernel, do not divide the shared 128x512 macro block evenly).
+// kernel bundles a micro-kernel with the packing geometry it consumes. mc
+// is the M-tile height: mcBlock rounded down to a multiple of mr so every
+// interior panel is a whole number of strips (tiles taller than 8, like the
+// 14x32 AVX-512 kernel, do not divide 128 evenly). Column blocks are cut
+// from ncBlock in multiples of ncMin, which every nr divides.
 type kernel struct {
 	name   string
 	mr, nr int // micro-tile rows and columns
-	mc, nc int // macro-panel rows and columns (multiples of mr/nr)
+	mc     int // M-tile rows (a multiple of mr)
 	micro  microKernelFunc
 }
 
-// newKernel derives the macro geometry for a micro-tile. The derived mc/nc
-// keep the PackedASize/PackedBSize panel formulas exact: with mc ≡ 0
-// (mod mr), roundUp(M, mr) splits as full panels of mc plus the rounded
-// remainder, so panel offsets pm*pp + ii*kc stay valid.
+// newKernel derives the M-tile height for a micro-tile. It keeps the
+// PackedASize panel formula exact: with mc ≡ 0 (mod mr), roundUp(M, mr)
+// splits as full panels of mc plus the rounded remainder, so panel offsets
+// pm*pp + ii*kc stay valid.
 func newKernel(name string, mr, nr int, micro microKernelFunc) *kernel {
-	return &kernel{
-		name: name, mr: mr, nr: nr,
-		mc: mcBlock - mcBlock%mr, nc: ncBlock - ncBlock%nr,
-		micro: micro,
-	}
+	return &kernel{name: name, mr: mr, nr: nr, mc: mcBlock - mcBlock%mr, micro: micro}
 }
 
 // Micro-tile geometry bounds. Shared scratch (the macro-kernel edge-tile
@@ -94,13 +90,9 @@ func registerKernel(k *kernel) {
 	if k.mr > maxMR || k.nr > maxNR {
 		panicf("gemm: kernel %s tile %dx%d exceeds max %dx%d", k.name, k.mr, k.nr, maxMR, maxNR)
 	}
-	if k.mc <= 0 || k.nc <= 0 || k.mc%k.mr != 0 || k.nc%k.nr != 0 {
-		panicf("gemm: kernel %s macro panel %dx%d is not a multiple of tile %dx%d",
-			k.name, k.mc, k.nc, k.mr, k.nr)
-	}
-	if k.mc > mcBlock || k.nc > ncBlock {
-		panicf("gemm: kernel %s macro panel %dx%d exceeds scratch block %dx%d",
-			k.name, k.mc, k.nc, mcBlock, ncBlock)
+	if k.mc <= 0 || k.mc > mcBlock || k.mc%k.mr != 0 || ncMin%k.nr != 0 {
+		panicf("gemm: kernel %s tile %dx%d does not divide its %d-row M-tile (at most %d) and %d-column blocks",
+			k.name, k.mr, k.nr, k.mc, mcBlock, ncMin)
 	}
 	if !kernelFamilies[k.name] {
 		panicf("gemm: kernel %s missing from kernelFamilies", k.name)

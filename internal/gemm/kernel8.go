@@ -65,9 +65,9 @@ func registerKernel8(k *kernel8) {
 	if k.mr > maxMR8 || k.nr > maxNR8 {
 		panicf("gemm: int8 kernel %s tile %dx%d exceeds max %dx%d", k.name, k.mr, k.nr, maxMR8, maxNR8)
 	}
-	if mcBlock%k.mr != 0 || ncBlock%k.nr != 0 {
-		panicf("gemm: int8 kernel %s tile %dx%d does not divide %dx%d macro blocks",
-			k.name, k.mr, k.nr, mcBlock, ncBlock)
+	if mcBlock%k.mr != 0 || ncMin%k.nr != 0 {
+		panicf("gemm: int8 kernel %s tile %dx%d does not divide %d-row M-tiles and %d-column blocks",
+			k.name, k.mr, k.nr, mcBlock, ncMin)
 	}
 	if !int8Families[k.name] {
 		panicf("gemm: int8 kernel %s missing from int8Families", k.name)

@@ -1,5 +1,7 @@
 package gemm
 
+import "math"
+
 // Packing + micro-kernel GEMM. This is the "production" tier: panels of A
 // and B are repacked into contiguous strips sized for the register-blocked
 // micro-kernel, which computes one mr×nr block of C per inner iteration.
@@ -7,11 +9,12 @@ package gemm
 // by CPU-feature dispatch — see kernel.go; the pure-Go 4x8 kernel below is
 // the portable fallback and the correctness reference for the SIMD ones.
 //
-// The general entry point is Call executed through Context.Run (or a Pool
-// for the parallel tiers): it supports both accumulating (C += A·B) and
-// overwriting (C = A·B) semantics, and either operand may be supplied
-// prepacked (see prepack.go) so run-invariant weights are packed once per
-// model instead of once per inference.
+// The general entry point is Call executed through Context.Run or, with a
+// worker budget, Pool.Run — the same walk over the same units (pool.go). It
+// supports both accumulating (C += A·B) and overwriting (C = A·B)
+// semantics, and either operand may be supplied prepacked (see prepack.go)
+// so run-invariant weights are packed once per model instead of once per
+// inference.
 
 const (
 	mcBlock = 128 // rows of A per packed panel
@@ -36,8 +39,9 @@ const (
 // operand: image i multiplies B[i*StrideB:] into C[i*StrideC:]. This is
 // the shape of batched inference through a constant weight matrix — the
 // packed weight panels are loaded once and reused across the whole batch,
-// and a worker Pool spreads its macro-tiles across batch×tile. PackedB is
-// unsupported for batched calls (each image would need its own panels).
+// and a worker Pool claims the units of every image from one counter.
+// PackedB is unsupported for batched calls (each image would need its own
+// panels).
 //
 // BPack, when non-nil, replaces the B operand entirely: the packed tier
 // asks the source for each kc×nc panel instead of re-packing a
@@ -83,8 +87,6 @@ type Call struct {
 	BiasCol []float32  // optional per-column epilogue bias, len ≥ N
 	Act     Activation // epilogue activation, applied after the bias add
 	Alpha   float32    // LeakyReLU slope
-
-	img int // image index handed to BPack when Run splits a batch itself
 }
 
 // images returns the batch count, treating the zero value as 1.
@@ -204,92 +206,95 @@ type Context struct {
 
 // Run executes the call single-threaded. Hot inference paths should hold a
 // long-lived Context so the packing buffers are reused across calls.
-// Batched calls run image by image over the shared A operand.
 func (ctx *Context) Run(c Call) {
-	c.validate()
-	if c.M == 0 || c.N == 0 {
-		return
+	w := gemmWork{call: c}
+	for i, n := 0, w.plan(1); i < n; i++ {
+		w.runUnit(ctx, i)
 	}
-	if c.K == 0 {
-		if c.Store {
-			for img := 0; img < c.images(); img++ {
-				zeroCWindow(c.C[img*c.StrideC:], c.M, c.N, c.ldc())
-				if c.hasEpilogue() {
-					c.applyEpilogueAll(c.C[img*c.StrideC:])
-				}
-			}
-		}
-		return
-	}
-	kern := activeKernel()
-	if c.images() > 1 {
-		sub := c
-		sub.Batch, sub.StrideB, sub.StrideC = 0, 0, 0
-		for img := 0; img < c.images(); img++ {
-			if c.BPack != nil || c.APack != nil {
-				// The pack source reads its own image; B panels are shared.
-				sub.img = img
-			} else {
-				sub.B = c.B[img*c.StrideB:]
-			}
-			sub.C = c.C[img*c.StrideC:]
-			ctx.run(kern, sub)
-		}
-		return
-	}
-	ctx.run(kern, c)
 }
 
-// run executes one validated, unbatched call with the given kernel.
-// (c.img selects the image a BPack source reads when the caller split a
-// batch.)
-func (ctx *Context) run(kern *kernel, c Call) {
+// gemmWork is one fp32 call cut into units (see blocking). kern is the
+// micro-kernel resolved by plan, so every unit of one call — caller- and
+// helper-executed — packs and computes with the same geometry.
+type gemmWork struct {
+	call Call
+	kern *kernel
+	grid unitGrid
+}
+
+// plan implements unitWork. An empty C, or an accumulating product over an
+// empty shared dimension, has no units.
+func (w *gemmWork) plan(workers int) int {
+	c := &w.call
+	c.validate()
+	if c.M == 0 || c.N == 0 || (c.K == 0 && !c.Store) {
+		return 0
+	}
+	w.kern = activeKernel()
+	w.grid = blocking(c.M, c.N, c.images(), workers, w.kern.mc, math.MaxInt)
+	return w.grid.units()
+}
+
+// runUnit implements unitWork: rows [i0, i1) × columns [jj, jj+nc) of one
+// image's C across the full K extent. For every k-panel the B panel is
+// packed (or located) once and swept by each M-tile of the row group, so a
+// virtual B is gathered once per unit however tall the group is. Every C
+// element accumulates its k-panels in ascending order whatever the cut, so
+// the result does not depend on it; the epilogue fires exactly once per
+// element, with the final k-panel's tile store while the tile is
+// cache-hot. A pack source is handed the image index; raw B is strided by
+// image except under APack, whose batches share B.
+func (w *gemmWork) runUnit(ctx *Context, unit int) {
+	c, kern := &w.call, w.kern
+	img, i0, i1, jj, nc := w.grid.unit(unit)
+	cc := c.C[img*c.StrideC:]
+	ldc := c.ldc()
+	if c.K == 0 { // Store with an empty product: C = 0, then the epilogue
+		zeroCWindow(cc[i0*ldc+jj:], i1-i0, nc, ldc)
+		if c.hasEpilogue() {
+			c.applyEpilogueTile(cc, i0, jj, i1-i0, nc, ldc)
+		}
+		return
+	}
 	pm := roundUp(c.M, kern.mr)
 	pn := roundUp(c.N, kern.nr)
-	ldc := c.ldc()
 	for pp := 0; pp < c.K; pp += kcBlock {
 		kc := min(kcBlock, c.K-pp)
-		st := c.Store && pp == 0
-		// The epilogue fires exactly once per output element: with the
-		// final k-panel's tile store, while the tile is cache-hot.
-		var epi *Call
-		if pp+kc == c.K && c.hasEpilogue() {
-			epi = &c
-		}
-		for jj := 0; jj < c.N; jj += kern.nc {
-			nc := min(kern.nc, c.N-jj)
-			var pb []float32
-			switch {
-			case c.BPack != nil:
-				ctx.growB()
-				c.BPack.PackPanel(ctx.packB, c.img, pp, jj, kc, nc, kern.nr)
-				pb = ctx.packB
-			case c.PackedB != nil:
-				pb = c.PackedB[pn*pp+jj*kc:]
-			default:
-				ctx.growB()
-				packB(ctx.packB, c.B, pp, jj, kc, nc, c.N, kern.nr)
-				pb = ctx.packB
+		var pb []float32
+		switch {
+		case c.BPack != nil:
+			ctx.growB()
+			c.BPack.PackPanel(ctx.packB, img, pp, jj, kc, nc, kern.nr)
+			pb = ctx.packB
+		case c.PackedB != nil:
+			pb = c.PackedB[pn*pp+jj*kc:]
+		default:
+			b := c.B
+			if c.APack == nil {
+				b = b[img*c.StrideB:]
 			}
-			for ii := 0; ii < c.M; ii += kern.mc {
-				mc := min(kern.mc, c.M-ii)
-				var pa []float32
-				switch {
-				case c.APack != nil:
-					ctx.growA()
-					c.APack.PackPanelA(ctx.packA, c.img, ii, pp, mc, kc, kern.mr)
-					pa = ctx.packA
-				case c.PackedA != nil:
-					pa = c.PackedA[pm*pp+ii*kc:]
-				default:
-					ctx.growA()
-					packA(ctx.packA, c.A, ii, pp, mc, kc, c.K, kern.mr)
-					pa = ctx.packA
-				}
-				ctx.macroKernel(kern, pa, pb, c.C, ii, jj, mc, nc, kc, ldc, st)
-				if epi != nil {
-					epi.applyEpilogueTile(c.C, ii, jj, mc, nc, ldc)
-				}
+			ctx.growB()
+			packB(ctx.packB, b, pp, jj, kc, nc, c.N, kern.nr)
+			pb = ctx.packB
+		}
+		for ii := i0; ii < i1; ii += kern.mc {
+			mc := min(kern.mc, i1-ii)
+			var pa []float32
+			switch {
+			case c.APack != nil:
+				ctx.growA()
+				c.APack.PackPanelA(ctx.packA, img, ii, pp, mc, kc, kern.mr)
+				pa = ctx.packA
+			case c.PackedA != nil:
+				pa = c.PackedA[pm*pp+ii*kc:]
+			default:
+				ctx.growA()
+				packA(ctx.packA, c.A, ii, pp, mc, kc, c.K, kern.mr)
+				pa = ctx.packA
+			}
+			ctx.macroKernel(kern, pa, pb, cc, ii, jj, mc, nc, kc, ldc, c.Store && pp == 0)
+			if pp+kc == c.K && c.hasEpilogue() {
+				c.applyEpilogueTile(cc, ii, jj, mc, nc, ldc)
 			}
 		}
 	}
@@ -384,7 +389,7 @@ func packB(dst, b []float32, pp, jj, kc, nc, ldb, nr int) {
 // store selects overwrite (C = panel product) over accumulate for this
 // panel's contribution. The receiver supplies the edge-tile staging buffer.
 // Any fused epilogue is applied by the caller after the macro-tile's final
-// k-panel (see run/runTile), so it runs exactly once per output element.
+// k-panel (see runUnit), so it runs exactly once per output element.
 func (ctx *Context) macroKernel(kern *kernel, pa, pb, c []float32, ii, jj, mc, nc, kc, ldc int, store bool) {
 	mr, nr := kern.mr, kern.nr
 	for i := 0; i < mc; i += mr {

@@ -6,97 +6,158 @@ import (
 	"sync/atomic"
 )
 
-// Pool is a persistent set of GEMM worker goroutines. The seed spawned a
-// fresh goroutine per row split on every Parallel call; a Pool instead
-// parks its workers on a channel for the life of the process and splits
-// each GEMM into macro-tiles (mcBlock×ncBlock blocks of C) that the
-// submitting goroutine and any idle workers claim from a shared atomic
-// counter until the grid is drained. Submitting costs a few atomic
-// operations, never a goroutine spawn, and tiling over both dimensions of
-// C means small-M convolution GEMMs (few output channels, many pixels)
-// still fan out across cores.
+// Units of work and the pool that claims them.
 //
-// Each worker owns a private packing Context, so panel scratch is reused
-// across every GEMM the worker ever touches. A Pool may serve concurrent
-// Run calls from many sessions; tasks are independent.
-//
-// Besides GEMMs the pool also executes row sweeps (Sweep): flat
-// bias+activation passes over an output tensor, claimed from the same
-// shared-counter grid, so kernels that cannot fuse their epilogue into a
-// GEMM still spread the sweep across cores without spawning goroutines.
+// Every call the package executes — an fp32 GEMM, an int8 GEMM, a row
+// sweep — is cut by its plan into independent units that write disjoint
+// outputs, and executed by running the units: in order on the calling
+// goroutine (Context.Run, Context.RunInt8, a Pool entry point with
+// workers ≤ 1), or claimed one at a time from a shared counter by the
+// caller and whichever pool workers are idle (Pool.submit). Both run the
+// same runUnit over units cut by the same plan, and an output element is
+// computed the same way whatever the cut, so a result does not depend on
+// the worker count.
+
+// unitWork is what a kind of work supplies. plan validates the work and
+// cuts it for up to workers goroutines, returning the number of units;
+// runUnit executes unit i of those on ctx's scratch.
+type unitWork interface {
+	plan(workers int) int
+	runUnit(ctx *Context, i int)
+}
+
+// unitGrid is the cut of a GEMM into units: each image's m×n C in column
+// blocks of nc columns and row groups of gm rows, one unit per (image,
+// column block, row group). A unit packs each of its B panels once and
+// reuses it across the group's M-tiles.
+type unitGrid struct {
+	m, n, images int
+	nc, gm       int
+}
+
+// ncMin is the narrowest column block, a multiple of every kernel's nr.
+const ncMin = 64
+
+// blocking cuts an m×n call over images into units for up to workers
+// goroutines. mc is the M-tile height; accCap bounds rows × columns of one
+// unit for the tiers that hold a unit-sized accumulator (math.MaxInt for
+// none). M is cut into the fewest groups accCap allows at the narrowest
+// column block — one worker packs every panel exactly once — and into more
+// only while the units leave workers without one, down to single M-tiles.
+// The column block is the widest that fits accCap at the chosen height.
+func blocking(m, n, images, workers, mc, accCap int) unitGrid {
+	tm := ceilDiv(m, mc)
+	for groups := ceilDiv(tm, accCap/(mc*ncMin)); ; groups++ {
+		gt := ceilDiv(tm, groups)
+		g := unitGrid{m: m, n: n, images: images, gm: gt * mc,
+			nc: min(ncBlock, accCap/(gt*mc)&^(ncMin-1))}
+		if gt == 1 || g.units() >= workers {
+			return g
+		}
+	}
+}
+
+// units returns the number of units in the grid.
+func (g *unitGrid) units() int {
+	return g.images * ceilDiv(g.n, g.nc) * ceilDiv(g.m, g.gm)
+}
+
+// unit decodes unit i: image, rows [i0, i1) and nc columns from jj. Units
+// are ordered image → column block → row group, so a serial walk finishes
+// one column block of C before it packs the next one's panels.
+func (g *unitGrid) unit(i int) (img, i0, i1, jj, nc int) {
+	groups := ceilDiv(g.m, g.gm)
+	perImage := groups * ceilDiv(g.n, g.nc)
+	img, i = i/perImage, i%perImage
+	i0 = i % groups * g.gm
+	jj = i / groups * g.nc
+	return img, i0, min(i0+g.gm, g.m), jj, min(g.nc, g.n-jj)
+}
+
+// Pool is a persistent set of worker goroutines parked on a channel for
+// the life of the process. A submitted call costs a few atomic operations,
+// never a goroutine spawn; the submitting goroutine always takes part, so
+// progress never depends on a worker being free. Each worker owns a
+// private packing Context, so panel scratch is reused across every call
+// the worker ever touches. A Pool may serve concurrent calls from many
+// sessions; jobs are independent.
 type Pool struct {
 	workers int
-	tasks   chan poolWork
+	tasks   chan *job
 }
 
-// poolWork is one unit a pool worker executes: a tiled GEMM task or a row
-// sweep. drain claims and runs work shares until exhausted; finish signals
-// the submitter that this helper is done; fail records a panic recovered
-// while draining so the submitter can re-raise it on its own goroutine.
-type poolWork interface {
-	drain(ctx *Context)
-	finish()
-	fail(r any)
+// job is one pooled call in flight: the work, its unit counter, the
+// helpers that were handed it and the first panic any of them recovered.
+// The payloads live in the job so that submitting allocates nothing.
+type job struct {
+	work  unitWork // one of the payloads below
+	units int64
+	next  atomic.Int64
+	wg    sync.WaitGroup
+
+	mu       sync.Mutex
+	panicked any
+
+	gemm  gemmWork
+	gemm8 gemm8Work
+	sweep sweepWork
 }
 
-// drainRecover runs one share of w behind the pool's panic barrier: a
-// panicking kernel tile is recorded on the task (first panic wins) instead
-// of unwinding the goroutine. Workers survive poisoned tasks, and the
-// submitter re-raises the panic after every helper has checked in, so the
+var jobs = sync.Pool{New: func() any { return new(job) }}
+
+// drain claims and runs units until none are left, behind the pool's panic
+// barrier: a panicking unit is recorded on the job (first panic wins)
+// instead of unwinding the goroutine. Workers survive poisoned jobs, and
+// submit re-raises the panic after every helper has checked in, so the
 // fault surfaces exactly once, on the goroutine that owns the request.
-func drainRecover(w poolWork, ctx *Context) {
+func (j *job) drain(ctx *Context) {
 	defer func() {
 		if r := recover(); r != nil {
-			w.fail(r)
+			j.mu.Lock()
+			if j.panicked == nil {
+				j.panicked = r
+			}
+			j.mu.Unlock()
 		}
 	}()
-	w.drain(ctx)
-}
-
-// task is one tiled GEMM in flight. Tiles are claimed via next; wg tracks
-// the helpers that received the task so Run can return only when every
-// claimed tile has been written. kern is the micro-kernel resolved at
-// submission, so every tile of one call — caller- and helper-executed —
-// packs and computes with the same geometry.
-type task struct {
-	call         Call
-	kern         *kernel
-	tileM, tileN int
-	next         atomic.Int64
-	wg           sync.WaitGroup
-	failure      panicSlot
-}
-
-// finish implements poolWork.
-func (t *task) finish() { t.wg.Done() }
-
-// fail implements poolWork.
-func (t *task) fail(r any) { t.failure.set(r) }
-
-// panicSlot stores the first panic recovered across a task's helpers.
-// set is called only on the (cold) panic path; take is called by the
-// submitter after wg.Wait, which orders it after every set.
-type panicSlot struct {
-	mu sync.Mutex
-	r  any
-}
-
-func (s *panicSlot) set(r any) {
-	s.mu.Lock()
-	if s.r == nil {
-		s.r = r
+	for {
+		i := j.next.Add(1) - 1
+		if i >= j.units {
+			return
+		}
+		j.work.runUnit(ctx, int(i))
 	}
-	s.mu.Unlock()
 }
 
-// take returns and clears the stored panic.
-func (s *panicSlot) take() any {
-	r := s.r
-	s.r = nil
-	return r
+// submit plans w — a payload of j — for up to workers goroutines, the
+// caller included, and returns when every unit has run. Helpers are
+// recruited only from pool workers idle right now; ctx is the caller's
+// scratch.
+func (p *Pool) submit(ctx *Context, j *job, w unitWork, workers int) {
+	units := w.plan(workers)
+	j.work, j.units = w, int64(units)
+	j.next.Store(0)
+	for h := min(workers, units, p.workers+1) - 1; h > 0; h-- {
+		j.wg.Add(1)
+		select {
+		case p.tasks <- j:
+		default:
+			// No worker idle right now; the caller keeps this share.
+			j.wg.Done()
+		}
+	}
+	j.drain(ctx)
+	j.wg.Wait() // orders every helper's writes, j.panicked included, before here
+	r := j.panicked
+	j.work, j.panicked = nil, nil
+	j.gemm, j.gemm8, j.sweep = gemmWork{}, gemm8Work{}, sweepWork{}
+	jobs.Put(j)
+	if r != nil {
+		// The runtime's step barrier converts it to a typed error and
+		// quarantines the session.
+		panic(r)
+	}
 }
-
-var taskPool = sync.Pool{New: func() any { return new(task) }}
 
 // NewPool starts a pool with the given number of persistent workers
 // (minimum 1). Workers park on an unbuffered channel when idle.
@@ -104,7 +165,7 @@ func NewPool(workers int) *Pool {
 	if workers < 1 {
 		workers = 1
 	}
-	p := &Pool{workers: workers, tasks: make(chan poolWork)}
+	p := &Pool{workers: workers, tasks: make(chan *job)}
 	for i := 0; i < workers; i++ {
 		go p.worker()
 	}
@@ -113,16 +174,16 @@ func NewPool(workers int) *Pool {
 
 func (p *Pool) worker() {
 	var ctx Context
-	for w := range p.tasks {
-		drainRecover(w, &ctx)
-		w.finish()
+	for j := range p.tasks {
+		j.drain(&ctx)
+		j.wg.Done()
 	}
 }
 
 // Workers returns the number of persistent worker goroutines.
 func (p *Pool) Workers() int { return p.workers }
 
-// Close terminates the pool's workers. No Run may be in flight or issued
+// Close terminates the pool's workers. No call may be in flight or issued
 // afterwards; the shared pool is never closed.
 func (p *Pool) Close() { close(p.tasks) }
 
@@ -140,260 +201,76 @@ func Shared() *Pool {
 	return sharedPool
 }
 
-// Run executes c using up to workers goroutines, the caller included. The
-// caller always participates (so progress never depends on pool
-// availability) and ctx supplies its packing scratch; helpers are
-// recruited only from workers idle at submission time. Run returns when C
-// is fully written.
-//
-// Batched calls (c.Batch > 1) tile across batch×tile: every (image,
-// macro-tile) pair is an independent unit of work claimed from the shared
+// Run executes c using up to workers goroutines, the caller included, and
+// returns when C is fully written; ctx supplies the caller's packing
+// scratch. Units of every image of a batched call are claimed from one
 // counter, so small per-image GEMMs still fan out across cores when the
-// batch is deep.
+// batch is deep. A panic in any unit is re-raised here.
 func (p *Pool) Run(ctx *Context, c Call, workers int) {
-	c.validate()
-	if c.M == 0 || c.N == 0 {
-		return
-	}
-	if c.K == 0 {
-		if c.Store {
-			for img := 0; img < c.images(); img++ {
-				zeroCWindow(c.C[img*c.StrideC:], c.M, c.N, c.ldc())
-				if c.hasEpilogue() {
-					c.applyEpilogueAll(c.C[img*c.StrideC:])
-				}
-			}
-		}
-		return
-	}
-	kern := activeKernel()
-	tm := (c.M + kern.mc - 1) / kern.mc
-	tn := (c.N + kern.nc - 1) / kern.nc
-	tiles := tm * tn * c.images()
-	if workers > tiles {
-		workers = tiles
-	}
 	if workers <= 1 {
 		ctx.Run(c)
 		return
 	}
-	t := taskPool.Get().(*task)
-	t.call = c
-	t.kern = kern
-	t.tileM, t.tileN = tm, tn
-	t.next.Store(0)
-	helpers := workers - 1
-	if helpers > p.workers {
-		helpers = p.workers
-	}
-	for i := 0; i < helpers; i++ {
-		t.wg.Add(1)
-		select {
-		case p.tasks <- t:
-		default:
-			// No worker idle right now; the caller keeps this share.
-			t.wg.Done()
-		}
-	}
-	drainRecover(t, ctx)
-	t.wg.Wait()
-	r := t.failure.take()
-	t.call = Call{}
-	t.kern = nil
-	taskPool.Put(t)
-	if r != nil {
-		// Re-raise on the submitting goroutine: the runtime's step barrier
-		// converts it to a typed error and quarantines the session.
-		panic(r)
-	}
+	j := jobs.Get().(*job)
+	j.gemm.call = c
+	p.submit(ctx, j, &j.gemm, workers)
 }
 
-// sweepTask is one parallel row sweep in flight: rows×rowLen elements of
-// data get bias[row%len(bias)] added (when bias is non-nil) and act
-// applied, with chunks of rows claimed from the shared counter. It backs
-// Pool.Sweep for kernels whose epilogue cannot fuse into a GEMM tile
-// store (direct, Winograd and depthwise convolution activations).
-type sweepTask struct {
+// sweepWork is one row sweep: rows×rowLen elements of data get
+// bias[row%len(bias)] added (when bias is non-nil) and act applied, a
+// chunk of rows per unit. It backs Pool.Sweep for kernels whose epilogue
+// cannot fuse into a GEMM tile store (direct, Winograd and spatial-pack
+// convolution activations).
+type sweepWork struct {
 	data, bias   []float32
 	rows, rowLen int
-	chunk        int // rows per claimed share
+	chunk        int // rows per unit
 	act          Activation
 	alpha        float32
-	next         atomic.Int64
-	wg           sync.WaitGroup
-	failure      panicSlot
 }
 
-// fail implements poolWork.
-func (t *sweepTask) fail(r any) { t.failure.set(r) }
-
-var sweepPool = sync.Pool{New: func() any { return new(sweepTask) }}
-
-// drain implements poolWork: claim row chunks until the sweep is done.
-func (t *sweepTask) drain(ctx *Context) {
-	chunks := int64((t.rows + t.chunk - 1) / t.chunk)
-	for {
-		i := t.next.Add(1) - 1
-		if i >= chunks {
-			return
-		}
-		lo := int(i) * t.chunk
-		hi := min(lo+t.chunk, t.rows)
-		sweepRows(t.data, t.bias, lo, hi, t.rowLen, t.act, t.alpha)
+// plan implements unitWork: enough rows per unit to amortise the claim
+// (≥ ~4096 elements).
+func (w *sweepWork) plan(int) int {
+	if w.rows <= 0 || w.rowLen <= 0 || (w.bias == nil && w.act == ActNone) {
+		return 0
 	}
+	w.chunk = ceilDiv(4096, w.rowLen)
+	return ceilDiv(w.rows, w.chunk)
 }
 
-// finish implements poolWork.
-func (t *sweepTask) finish() { t.wg.Done() }
-
-// SweepRows is the serial form of Pool.Sweep: row r of the rows×rowLen
-// region gets bias[r%len(bias)] added (bias may be nil) and act applied.
-func SweepRows(data, bias []float32, rows, rowLen int, act Activation, alpha float32) {
-	sweepRows(data, bias, 0, rows, rowLen, act, alpha)
-}
-
-// sweepRows applies the bias+activation pass to rows [lo, hi).
-func sweepRows(data, bias []float32, lo, hi, rowLen int, act Activation, alpha float32) {
-	for r := lo; r < hi; r++ {
-		row := data[r*rowLen : (r+1)*rowLen]
+// runUnit implements unitWork.
+func (w *sweepWork) runUnit(_ *Context, i int) {
+	for r := i * w.chunk; r < min((i+1)*w.chunk, w.rows); r++ {
+		row := w.data[r*w.rowLen : (r+1)*w.rowLen]
 		var bv float32
-		if bias != nil {
-			bv = bias[r%len(bias)]
+		if w.bias != nil {
+			bv = w.bias[r%len(w.bias)]
 		}
 		if bv != 0 {
-			biasActivateRow(row, row, bv, act, alpha)
-		} else if act != ActNone {
-			ActivateRow(row, row, act, alpha)
+			biasActivateRow(row, row, bv, w.act, w.alpha)
+		} else if w.act != ActNone {
+			ActivateRow(row, row, w.act, w.alpha)
 		}
 	}
 }
 
 // Sweep applies a fused bias-add and activation over a rows×rowLen
-// row-major region of data, in parallel across the pool: row r gets
-// bias[r%len(bias)] added to every element (bias may be nil for an
-// activation-only sweep), then act applied. This is the epilogue shape of
-// an NCHW tensor — rows are (batch, channel) planes, len(bias) the
-// channel count. The caller participates like Run; workers <= 1 (or a
-// small sweep) runs inline. No goroutines are spawned and nothing
+// row-major region of data using up to workers goroutines, the caller
+// included: row r gets bias[r%len(bias)] added to every element (bias may
+// be nil for an activation-only sweep), then act applied. This is the
+// epilogue shape of an NCHW tensor — rows are (batch, channel) planes,
+// len(bias) the channel count. No goroutines are spawned and nothing
 // allocates on the steady-state path.
 func (p *Pool) Sweep(data, bias []float32, rows, rowLen int, act Activation, alpha float32, workers int) {
-	if rows <= 0 || rowLen <= 0 || (bias == nil && act == ActNone) {
-		return
-	}
-	// Claim enough rows per share to amortise the atomic (≥ ~4096
-	// elements) and cap helper count at the chunk count.
-	chunk := 1
-	if rowLen < 4096 {
-		chunk = (4096 + rowLen - 1) / rowLen
-	}
-	chunks := (rows + chunk - 1) / chunk
-	if workers > chunks {
-		workers = chunks
-	}
+	w := sweepWork{data: data, bias: bias, rows: rows, rowLen: rowLen, act: act, alpha: alpha}
 	if workers <= 1 {
-		sweepRows(data, bias, 0, rows, rowLen, act, alpha)
+		for i, n := 0, w.plan(1); i < n; i++ {
+			w.runUnit(nil, i)
+		}
 		return
 	}
-	t := sweepPool.Get().(*sweepTask)
-	t.data, t.bias = data, bias
-	t.rows, t.rowLen, t.chunk = rows, rowLen, chunk
-	t.act, t.alpha = act, alpha
-	t.next.Store(0)
-	helpers := workers - 1
-	if helpers > p.workers {
-		helpers = p.workers
-	}
-	for i := 0; i < helpers; i++ {
-		t.wg.Add(1)
-		select {
-		case p.tasks <- t:
-		default:
-			// No worker idle right now; the caller keeps this share.
-			t.wg.Done()
-		}
-	}
-	drainRecover(t, nil)
-	t.wg.Wait()
-	r := t.failure.take()
-	t.data, t.bias = nil, nil
-	sweepPool.Put(t)
-	if r != nil {
-		panic(r)
-	}
-}
-
-// drain claims and executes tiles until the grid is exhausted.
-func (t *task) drain(ctx *Context) {
-	tiles := int64(t.tileM) * int64(t.tileN) * int64(t.call.images())
-	for {
-		i := t.next.Add(1) - 1
-		if i >= tiles {
-			return
-		}
-		t.runTile(ctx, int(i))
-	}
-}
-
-// runTile computes one mc×nc macro block of one image's C across the
-// full K extent. Tiles split C on micro-tile boundaries, so no two tiles
-// touch the same element; batched calls lay images out as consecutive
-// tile grids over their strided B/C windows. The task's call carries any
-// BPack/APack source and epilogue, so caller- and worker-executed tiles
-// pack and finish identically.
-func (t *task) runTile(ctx *Context, idx int) {
-	c := &t.call
-	kern := t.kern
-	grid := t.tileM * t.tileN
-	img := idx / grid
-	idx %= grid
-	var cb []float32
-	if c.BPack == nil && c.APack == nil && c.B != nil {
-		cb = c.B[img*c.StrideB:]
-	} else {
-		cb = c.B // shared weights (APack batches) or unused (BPack/PackedB)
-	}
-	cc := c.C[img*c.StrideC:]
-	ldc := c.ldc()
-	ii := (idx / t.tileN) * kern.mc
-	jj := (idx % t.tileN) * kern.nc
-	mc := min(kern.mc, c.M-ii)
-	nc := min(kern.nc, c.N-jj)
-	pm := roundUp(c.M, kern.mr)
-	pn := roundUp(c.N, kern.nr)
-	for pp := 0; pp < c.K; pp += kcBlock {
-		kc := min(kcBlock, c.K-pp)
-		var epi *Call
-		if pp+kc == c.K && c.hasEpilogue() {
-			epi = c
-		}
-		var pa, pb []float32
-		switch {
-		case c.APack != nil:
-			ctx.growA()
-			c.APack.PackPanelA(ctx.packA, img, ii, pp, mc, kc, kern.mr)
-			pa = ctx.packA
-		case c.PackedA != nil:
-			pa = c.PackedA[pm*pp+ii*kc:]
-		default:
-			ctx.growA()
-			packA(ctx.packA, c.A, ii, pp, mc, kc, c.K, kern.mr)
-			pa = ctx.packA
-		}
-		switch {
-		case c.BPack != nil:
-			ctx.growB()
-			c.BPack.PackPanel(ctx.packB, img, pp, jj, kc, nc, kern.nr)
-			pb = ctx.packB
-		case c.PackedB != nil:
-			pb = c.PackedB[pn*pp+jj*kc:]
-		default:
-			ctx.growB()
-			packB(ctx.packB, cb, pp, jj, kc, nc, c.N, kern.nr)
-			pb = ctx.packB
-		}
-		ctx.macroKernel(kern, pa, pb, cc, ii, jj, mc, nc, kc, ldc, c.Store && pp == 0)
-		if epi != nil {
-			epi.applyEpilogueTile(cc, ii, jj, mc, nc, ldc)
-		}
-	}
+	j := jobs.Get().(*job)
+	j.sweep = w
+	p.submit(nil, j, &j.sweep, workers)
 }

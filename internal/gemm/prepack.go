@@ -6,10 +6,11 @@ package gemm
 // implementation repacked their panels on every inference. PrepackA and
 // PrepackB produce, once, the exact panel layout the macro-kernel consumes;
 // Call.PackedA / Call.PackedB then skip that side's per-call packing
-// entirely. The layout mirrors the blocked loop nest: k-panels (kcBlock
-// columns) outermost, then mc-row (or nc-column) macro panels within each,
-// so panel (pp, ii) of A starts at roundUp(m,mr)*pp + ii*kc — exact for any
-// kernel because mc/nc are multiples of the micro-tile.
+// entirely. The layout is k-panels (kcBlock columns) outermost, then the
+// mr-row (or nr-column) strips of the whole matrix within each, so the panel
+// of A at (row ii, k pp) starts at roundUp(m,mr)*pp + ii*kc — exact for any
+// M-tile or column block that starts on a strip boundary, however a call is
+// cut into units.
 //
 // The panel layout bakes in the active micro-kernel's mr×nr geometry
 // (kernel.go): buffers prepacked under one kernel are invalid after
@@ -17,7 +18,9 @@ package gemm
 // Size functions must be consulted under the same kernel that will run
 // the Call.
 
-func roundUp(x, q int) int { return (x + q - 1) / q * q }
+func ceilDiv(x, q int) int { return (x + q - 1) / q }
+
+func roundUp(x, q int) int { return ceilDiv(x, q) * q }
 
 // PackedASize returns the buffer length PrepackAInto requires for an m×k
 // matrix under the active kernel: every row panel is padded up to a
@@ -57,8 +60,8 @@ func PrepackBInto(dst, b []float32, k, n int) {
 	pn := roundUp(n, kern.nr)
 	for pp := 0; pp < k; pp += kcBlock {
 		kc := min(kcBlock, k-pp)
-		for jj := 0; jj < n; jj += kern.nc {
-			nc := min(kern.nc, n-jj)
+		for jj := 0; jj < n; jj += ncBlock {
+			nc := min(ncBlock, n-jj)
 			packB(dst[pn*pp+jj*kc:], b, pp, jj, kc, nc, n, kern.nr)
 		}
 	}

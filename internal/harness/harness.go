@@ -43,9 +43,6 @@ type Config struct {
 	Models []string
 	// Device is the simulated target (default HiKey 970).
 	Device *device.Device
-	// Wire restricts the "wire" experiment's client to the binary tensor
-	// format, skipping the JSON baseline (orpheus-bench -wire).
-	Wire bool
 	// Shards points the "shard" experiment at externally started
 	// orpheus-shard stage processes (orpheus-bench -shards
 	// host1:port,host2:port,... in pipeline order) instead of spinning

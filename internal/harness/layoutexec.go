@@ -2,6 +2,7 @@ package harness
 
 import (
 	"fmt"
+	"math"
 
 	"orpheus/internal/backend"
 	"orpheus/internal/passes"
@@ -13,9 +14,7 @@ import (
 // E4 "layout": NHWC layout planning against the NCHW baseline, per zoo
 // model — measured latency both ways, speedup, output relative error, the
 // ConvertLayout counters (how many transposes the pass inserted and then
-// removed, how many materialised), and what the auto arbiter picks. The
-// companion of the int8 experiment: where "quant" changes the arithmetic,
-// "layout" changes the element order the same arithmetic walks.
+// removed, how many materialised), and what the auto arbiter picks.
 func init() {
 	register(&Experiment{ID: "layout", Title: "E4: NHWC layout planning vs NCHW (speed, equivalence, fold counters)", Run: runLayoutExec})
 }
@@ -94,4 +93,18 @@ func runLayoutExec(cfg *Config) (*Report, error) {
 	rep.AddNote("nhwc path: layout-assignment pass + channel-innermost conv/depthwise kernels; transposes only at unfoldable frontiers")
 	rep.AddNote("folded = frontier transposes removed (pair-cancelled + elided + folded into conv gathers); left = materialised Transpose nodes")
 	return rep, nil
+}
+
+// relErr32 is ||a-b|| / ||b||.
+func relErr32(a, b []float32) float64 {
+	var num, den float64
+	for i := range a {
+		d := float64(a[i] - b[i])
+		num += d * d
+		den += float64(b[i]) * float64(b[i])
+	}
+	if den == 0 {
+		return 0
+	}
+	return math.Sqrt(num / den)
 }

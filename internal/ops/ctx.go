@@ -165,45 +165,28 @@ func NewCtx(workers int) *Ctx {
 	return &Ctx{Workers: workers, scratch: make(map[ctxKey][]float32)}
 }
 
-// GEMM executes one GEMM call: single-threaded on the session's packing
-// context when the worker budget is 1, otherwise tiled across the
-// process-wide persistent worker pool with the caller participating.
+// GEMM executes one GEMM call on the process-wide worker pool with a
+// budget of c.Workers goroutines, the caller — and its packing context —
+// included; a budget of 1 runs the whole call inline.
 func (c *Ctx) GEMM(call gemm.Call) {
-	if c.Workers > 1 {
-		gemm.Shared().Run(&c.Gemm, call, c.Workers)
-		return
-	}
-	c.Gemm.Run(call)
+	gemm.Shared().Run(&c.Gemm, call, c.Workers)
 }
 
 // GEMM8 executes one quantized GEMM call with the same worker routing as
 // GEMM.
 func (c *Ctx) GEMM8(call gemm.CallInt8) {
-	if c.Workers > 1 {
-		gemm.Shared().RunInt8(&c.Gemm, call, c.Workers)
-		return
-	}
-	c.Gemm.RunInt8(call)
+	gemm.Shared().RunInt8(&c.Gemm, call, c.Workers)
 }
 
 // Sweep applies an optional per-channel bias and a fused activation over
 // an NCHW tensor laid out as rows×rowLen (rows = batch×channels, bias
-// indexed by row%len(bias); bias may be nil). With a multi-worker budget
-// the sweep is spread across the shared GEMM worker pool instead of
-// running as a single-threaded loop. Kernels whose output comes straight
-// from a GEMM should fuse the epilogue into the Call instead; Sweep
-// serves the ones that cannot (direct, Winograd, spatial-pack) and the
-// explicit im2col comparison path.
+// indexed by row%len(bias); bias may be nil), with the same worker routing
+// as GEMM. Kernels whose output comes straight from a GEMM should fuse the
+// epilogue into the Call instead; Sweep serves the ones that cannot
+// (direct, Winograd, spatial-pack) and the explicit im2col comparison
+// path.
 func (c *Ctx) Sweep(y, bias []float32, rows, rowLen int, act string, alpha float32) {
-	a := gemmActivation(act)
-	if bias == nil && a == gemm.ActNone {
-		return
-	}
-	if c.Workers > 1 {
-		gemm.Shared().Sweep(y, bias, rows, rowLen, a, alpha, c.Workers)
-		return
-	}
-	gemm.SweepRows(y, bias, rows, rowLen, a, alpha)
+	gemm.Shared().Sweep(y, bias, rows, rowLen, gemmActivation(act), alpha, c.Workers)
 }
 
 func (c *Ctx) consts() *ConstCache {

@@ -34,8 +34,7 @@ func cheapWireModel(tb testing.TB) *graph.Graph {
 // BenchmarkWirePredict measures end-to-end /predict latency — client
 // encode, HTTP round trip, server decode/execute/encode, client decode —
 // for the JSON and binary tensor body formats over one live TCP
-// connection. CI snapshots the pair into BENCH_pr8.json; the binary
-// format's reason to exist is this ratio.
+// connection; the binary format's reason to exist is this ratio.
 func BenchmarkWirePredict(b *testing.B) {
 	s := New()
 	if err := s.AddModel("wire", cheapWireModel(b), "orpheus", 1); err != nil {

@@ -204,8 +204,9 @@ func WithMaxBatch(n int) CompileOption {
 // on the fly at the GEMM pack boundary, and the int32→fp32 requantize,
 // bias and activation fuse into the GEMM epilogue. Outputs differ from
 // fp32 by the quantization error (typically well under 1% relative on
-// the zoo models — validate for your model, e.g. with
-// `orpheus-bench -experiment quant`). With the "orpheus-tuned" backend
+// the zoo models — validate for your model; `go run ./bench -workload
+// dense-int8` checks resnet-18 against fp32 goldens on every op). With
+// the "orpheus-tuned" backend
 // the auto-tuner instead arbitrates fp32 vs int8 per layer and batch
 // size on measured time.
 func WithInt8() CompileOption {
