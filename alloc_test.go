@@ -25,7 +25,7 @@ func TestSessionRunSteadyStateAllocFree(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			plan, err := be.Prepare(g, 1)
+			plan, err := be.PrepareWith(g, backend.PrepareOpts{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -63,7 +63,7 @@ func TestBatchedSessionRunAllocFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := be.PrepareBatched(g, 1, maxBatch)
+	plan, err := be.PrepareWith(g, backend.PrepareOpts{MaxBatch: maxBatch})
 	if err != nil {
 		t.Fatal(err)
 	}

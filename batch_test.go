@@ -3,6 +3,7 @@ package orpheus
 import (
 	"context"
 	"fmt"
+	"strings"
 	"testing"
 
 	"orpheus/internal/graph"
@@ -20,30 +21,41 @@ var batchCells = []struct {
 	model, backendName string
 	workers            int
 	batches            []int
+	int8               bool
 }{
-	{"wrn-40-2", "orpheus", 1, []int{1, 2, 3, 8}},
-	{"mobilenet-v1", "orpheus", 1, []int{1, 2, 3, 8}},
-	{"resnet-18", "orpheus", 1, []int{1, 2}},
-	{"inception-v3", "orpheus", 1, []int{1, 2}},
-	{"resnet-50", "orpheus", 1, []int{1, 2}},
-	{"wrn-40-2", "orpheus-heuristic", 1, []int{1, 2, 3, 8}},
-	{"wrn-40-2", "orpheus-tuned", 1, []int{1, 2}},
-	{"wrn-40-2", "tvm-sim", 1, []int{1, 2, 3, 8}},
-	{"wrn-40-2", "torch-sim", 1, []int{1, 2, 3, 8}},
-	{"wrn-40-2", "tflite-sim", 2, []int{1, 2, 3, 8}},
-	{"resnet-18", "darknet-sim", 1, []int{1, 2}},
-	{"wrn-40-2", "orpheus", 4, []int{1, 2, 3, 8}}, // multi-worker batch×tile path
+	{"wrn-40-2", "orpheus", 1, []int{1, 2, 3, 8}, false},
+	{"mobilenet-v1", "orpheus", 1, []int{1, 2, 3, 8}, false},
+	{"resnet-18", "orpheus", 1, []int{1, 2}, false},
+	{"inception-v3", "orpheus", 1, []int{1, 2}, false},
+	{"resnet-50", "orpheus", 1, []int{1, 2}, false},
+	{"wrn-40-2", "orpheus-heuristic", 1, []int{1, 2, 3, 8}, false},
+	{"wrn-40-2", "orpheus-tuned", 1, []int{1, 2}, false},
+	{"wrn-40-2", "tvm-sim", 1, []int{1, 2, 3, 8}, false},
+	{"wrn-40-2", "torch-sim", 1, []int{1, 2, 3, 8}, false},
+	{"wrn-40-2", "tflite-sim", 2, []int{1, 2, 3, 8}, false},
+	{"resnet-18", "darknet-sim", 1, []int{1, 2}, false},
+	{"wrn-40-2", "orpheus", 4, []int{1, 2, 3, 8}, false}, // multi-worker batch×tile path
+	// The tuner arbitrating fp32 vs int8: one decision at compile, so a
+	// sample is answered by the same kernels whatever batch it rides in.
+	{"wrn-40-2", "orpheus-tuned", 1, []int{1, 4}, true},
 }
 
 // TestBatchedMatchesLooped asserts the tentpole invariant: a batched
 // inference is numerically identical to the same samples predicted one by
-// one through the same compiled session.
+// one through the same compiled session. On the tuned backend — the one
+// policy that measures — it also checks that a profiled run at every
+// batch size executes exactly the kernels PlanSummary prints.
 func TestBatchedMatchesLooped(t *testing.T) {
 	for _, cell := range batchCells {
 		cell := cell
 		name := fmt.Sprintf("%s/%s", cell.model, cell.backendName)
 		if cell.workers > 1 {
 			name = fmt.Sprintf("%s/workers%d", name, cell.workers)
+		}
+		opts := []CompileOption{WithBackend(cell.backendName), WithWorkers(cell.workers)}
+		if cell.int8 {
+			name += "/int8"
+			opts = append(opts, WithInt8())
 		}
 		t.Run(name, func(t *testing.T) {
 			if testing.Short() && cell.model != "wrn-40-2" {
@@ -59,7 +71,7 @@ func TestBatchedMatchesLooped(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sess, err := m.Compile(WithBackend(cell.backendName), WithWorkers(cell.workers), WithMaxBatch(maxN))
+			sess, err := m.Compile(append(opts, WithMaxBatch(maxN))...)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -82,6 +94,22 @@ func TestBatchedMatchesLooped(t *testing.T) {
 					if !tensor.AllClose(got[i], want[i], 0) {
 						t.Errorf("n=%d sample %d: batched output diverged from looped Predict (max diff %g)",
 							n, i, tensor.MaxAbsDiff(got[i], want[i]))
+					}
+				}
+				if cell.backendName != "orpheus-tuned" {
+					continue
+				}
+				batch := tensor.New(append([]int{n}, m.InputShape()[1:]...)...)
+				for i, in := range inputs[:n] {
+					copy(batch.Data()[i*in.Size():], in.Data())
+				}
+				_, timings, err := sess.PredictProfiled(context.Background(), batch)
+				if err != nil {
+					t.Fatalf("n=%d profiled: %v", n, err)
+				}
+				for i, line := range sess.PlanSummary() {
+					if f := strings.Fields(line); f[len(f)-1] != timings[i].Kernel {
+						t.Errorf("n=%d: %s ran %s, PlanSummary says %s", n, f[0], timings[i].Kernel, f[len(f)-1])
 					}
 				}
 			}

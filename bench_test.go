@@ -1,17 +1,10 @@
-// Benchmark harness regenerating the paper's evaluation.
-//
-// One benchmark family per published result:
-//
-//   - BenchmarkFig2/<model>/<framework> — Figure 2: single-thread
-//     inference time of the five models under each framework backend.
-//     DarkNet runs only on the ResNets and TF-Lite is absent, as in the
-//     paper. Reported ns/op is one full inference on the host CPU; the
-//     shape (who wins per model) is what reproduces the figure.
-//   - BenchmarkTableI — Table I: regenerates the framework comparison and
-//     reports the derived Performance ratings as metrics.
-//   - BenchmarkConvAlgosSweep (A1), BenchmarkPassesAblation (A2),
-//     BenchmarkMemoryPlanner (A3), BenchmarkLayerwise (A4),
-//     BenchmarkAutotune (A5) — the ablation studies from DESIGN.md.
+// Benchmarks of the multi-worker and batched paths no row of the bench/
+// suite covers yet: concurrent Predict through the session pool
+// (BenchmarkPredictConcurrent), batch-native Session.Run at one worker and
+// at the full core budget (BenchmarkBatch, BenchmarkBatchParallel), and
+// the pooled GEMM over a conv-shaped matrix (BenchmarkParallelGEMM).
+// Single-request latency, per-layer tables and the paper's figures live
+// in `go run ./bench` and `orpheus-bench -experiment ...`.
 //
 // Run: go test -bench=. -benchmem   (add -benchtime=1x for a quick pass)
 package orpheus
@@ -26,9 +19,6 @@ import (
 	"orpheus/internal/backend"
 	"orpheus/internal/gemm"
 	"orpheus/internal/graph"
-	"orpheus/internal/harness"
-	"orpheus/internal/ops"
-	"orpheus/internal/passes"
 	"orpheus/internal/runtime"
 	"orpheus/internal/tensor"
 	"orpheus/internal/zoo"
@@ -50,228 +40,11 @@ func cachedModel(b *testing.B, name string) *graph.Graph {
 	return g
 }
 
-// fig2Cells enumerates the (model, backend) pairs of the figure. The two
-// largest models are benchmarked on the three main frameworks; DarkNet
-// joins for the ResNets exactly as the paper reports.
-var fig2Cells = []struct{ model, backendName string }{
-	{"wrn-40-2", "orpheus"},
-	{"wrn-40-2", "tvm-sim"},
-	{"wrn-40-2", "torch-sim"},
-	{"mobilenet-v1", "orpheus"},
-	{"mobilenet-v1", "tvm-sim"},
-	{"mobilenet-v1", "torch-sim"},
-	{"resnet-18", "orpheus"},
-	{"resnet-18", "tvm-sim"},
-	{"resnet-18", "torch-sim"},
-	{"resnet-18", "darknet-sim"},
-	{"inception-v3", "orpheus"},
-	{"inception-v3", "tvm-sim"},
-	{"inception-v3", "torch-sim"},
-	{"resnet-50", "orpheus"},
-	{"resnet-50", "tvm-sim"},
-	{"resnet-50", "torch-sim"},
-	{"resnet-50", "darknet-sim"},
-}
-
-func BenchmarkFig2(b *testing.B) {
-	for _, cell := range fig2Cells {
-		cell := cell
-		b.Run(cell.model+"/"+cell.backendName, func(b *testing.B) {
-			g := cachedModel(b, cell.model)
-			be, err := backend.ByName(cell.backendName)
-			if err != nil {
-				b.Fatal(err)
-			}
-			plan, err := be.Prepare(g, 1)
-			if err != nil {
-				b.Fatal(err)
-			}
-			sess := runtime.NewSession(plan)
-			x := tensor.Rand(tensor.NewRNG(1), -1, 1, g.Inputs[0].Shape...)
-			in := map[string]*tensor.Tensor{g.Inputs[0].Name: x}
-			if _, err := sess.Run(context.Background(), in); err != nil { // warm-up
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := sess.Run(context.Background(), in); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkTableI regenerates Table I's derived Performance row. The
-// benchmark measures the full derivation (five models through the A73
-// cost model) and reports the ratings as metrics.
-func BenchmarkTableI(b *testing.B) {
-	var ratings map[string]int
-	for i := 0; i < b.N; i++ {
-		var err error
-		ratings, err = harness.DerivePerformanceRatings(&harness.Config{Mode: harness.ModeSim})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for fw, r := range ratings {
-		b.ReportMetric(float64(r), "rating-"+fw)
-	}
-}
-
-// BenchmarkConvAlgosSweep (A1) times each conv algorithm on a small and a
-// large layer, exposing the GEMM/spatial-pack crossover.
-func BenchmarkConvAlgosSweep(b *testing.B) {
-	shapes := []struct{ c, hw int }{{16, 16}, {32, 32}, {64, 28}, {128, 14}, {256, 14}}
-	for _, sh := range shapes {
-		r := tensor.NewRNG(tensor.SeedFromString(fmt.Sprintf("bench-%d-%d", sh.c, sh.hw)))
-		g := graph.New("sweep")
-		xv, _ := g.Input("x", []int{1, sh.c, sh.hw, sh.hw})
-		wv, _ := g.Const("w", tensor.HeNormal(r, sh.c, sh.c, 3, 3))
-		_, err := g.Add("Conv", "conv", graph.Attrs{"pads": []int{1, 1, 1, 1}}, xv, wv)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := g.InferShapes(); err != nil {
-			b.Fatal(err)
-		}
-		n := g.Nodes[0]
-		x := tensor.Rand(r, -1, 1, 1, sh.c, sh.hw, sh.hw)
-		for _, kname := range []string{"conv.direct", "conv.im2col", "conv.spatialpack", "conv.winograd"} {
-			k := ops.ByName(kname)
-			if !k.Supports(n) {
-				continue
-			}
-			b.Run(fmt.Sprintf("%dx%dx%d/%s", sh.c, sh.hw, sh.hw, kname), func(b *testing.B) {
-				ctx := ops.NewCtx(1)
-				out := tensor.New(n.Outputs[0].Shape...)
-				ins := []*tensor.Tensor{x, wv.Const}
-				outs := []*tensor.Tensor{out}
-				b.SetBytes(int64(ops.NodeFlops(n)))
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if err := k.Run(ctx, n, ins, outs); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkPassesAblation (A2) compares raw vs optimised execution of
-// WRN-40-2.
-func BenchmarkPassesAblation(b *testing.B) {
-	for _, optimised := range []bool{false, true} {
-		name := "raw"
-		if optimised {
-			name = "optimised"
-		}
-		b.Run(name, func(b *testing.B) {
-			g := cachedModel(b, "wrn-40-2").Clone()
-			if err := g.Finalize(); err != nil {
-				b.Fatal(err)
-			}
-			if optimised {
-				if _, err := passes.Default().Run(g); err != nil {
-					b.Fatal(err)
-				}
-			}
-			be, _ := backend.ByName("orpheus")
-			policy := be.NewPolicy()
-			plan, err := runtime.Compile(g, runtime.Options{Policy: policy})
-			if err != nil {
-				b.Fatal(err)
-			}
-			sess := runtime.NewSession(plan)
-			x := tensor.Rand(tensor.NewRNG(2), -1, 1, g.Inputs[0].Shape...)
-			in := map[string]*tensor.Tensor{g.Inputs[0].Name: x}
-			if _, err := sess.Run(context.Background(), in); err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := sess.Run(context.Background(), in); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkMemoryPlanner (A3) measures plan compilation and reports the
-// arena footprint vs the no-reuse footprint for ResNet-18.
-func BenchmarkMemoryPlanner(b *testing.B) {
-	g := cachedModel(b, "resnet-18")
-	be, _ := backend.ByName("orpheus")
-	var plan *runtime.Plan
-	var err error
-	for i := 0; i < b.N; i++ {
-		plan, err = be.Prepare(g, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(plan.ArenaBytes())/(1<<20), "arena-MB")
-	b.ReportMetric(float64(plan.NoReuseBytes())/(1<<20), "noreuse-MB")
-}
-
-// BenchmarkLayerwise (A4) measures a fully profiled run (per-layer
-// timestamps enabled) of WRN-40-2.
-func BenchmarkLayerwise(b *testing.B) {
-	g := cachedModel(b, "wrn-40-2")
-	be, _ := backend.ByName("orpheus")
-	plan, err := be.Prepare(g, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	sess := runtime.NewSession(plan)
-	x := tensor.Rand(tensor.NewRNG(3), -1, 1, g.Inputs[0].Shape...)
-	in := map[string]*tensor.Tensor{g.Inputs[0].Name: x}
-	if _, err := sess.Run(context.Background(), in); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := sess.RunProfiled(context.Background(), in); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkAutotune (A5) measures WRN-40-2 under the empirically tuned
-// policy (tuning happens during Prepare, outside the timed loop).
-func BenchmarkAutotune(b *testing.B) {
-	g := cachedModel(b, "wrn-40-2")
-	be, _ := backend.ByName("orpheus-tuned")
-	plan, err := be.Prepare(g, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	sess := runtime.NewSession(plan)
-	x := tensor.Rand(tensor.NewRNG(4), -1, 1, g.Inputs[0].Shape...)
-	in := map[string]*tensor.Tensor{g.Inputs[0].Name: x}
-	if _, err := sess.Run(context.Background(), in); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := sess.Run(context.Background(), in); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkPredictConcurrent measures saturated multi-request throughput
 // through the pooled Predict path: GOMAXPROCS goroutines share one
 // compiled plan (and its packed weights) while each in-flight request
 // borrows a private session. Compare ns/op here against the matching
-// BenchmarkFig2 single-session latency to see the scaling; the seed
-// serialised requests on a single session.
+// single-session latency (`go run ./bench`) to see the scaling.
 func BenchmarkPredictConcurrent(b *testing.B) {
 	for _, model := range []string{"wrn-40-2", "mobilenet-v1"} {
 		b.Run(model, func(b *testing.B) {
@@ -331,7 +104,7 @@ func benchBatch(b *testing.B, workers int, ns []int) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		plan, err := be.PrepareBatched(g, workers, maxBatch)
+		plan, err := be.PrepareWith(g, backend.PrepareOpts{Workers: workers, MaxBatch: maxBatch})
 		if err != nil {
 			b.Fatal(err)
 		}

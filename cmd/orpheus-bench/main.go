@@ -1,14 +1,13 @@
 // orpheus-bench regenerates the paper's evaluation — Figure 2, Table I and
 // the ablation experiments A1–A5 — plus the repo's own experiments:
-// "batch" (batched throughput at n = 1, 4, 8) and "simd" (GEMM
-// micro-kernel ablation on the same Call stream).
+// "batch" (batched throughput at n = 1, 4, 8), "layout" (NHWC vs NCHW
+// plans) and "shard" (pipeline-parallel stages).
 //
 // Usage:
 //
 //	orpheus-bench                                  # every experiment, simulated A73
 //	orpheus-bench -experiment fig2 -mode both      # fig2, simulated + measured
 //	orpheus-bench -experiment fig2 -mode measure -reps 5 -models wrn-40-2,resnet-18
-//	orpheus-bench -experiment simd -mode measure   # pure-Go vs SIMD kernels, this host
 //	orpheus-bench -experiment shard                # pipeline-parallel sharding, loopback stages
 //	orpheus-bench -shards host1:9101,host2:9102    # same, against running orpheus-shard processes
 //	orpheus-bench -list                            # list experiment ids

@@ -3,7 +3,6 @@ package backend
 import (
 	"fmt"
 	"sort"
-	"sync"
 	"time"
 
 	"orpheus/internal/graph"
@@ -18,93 +17,56 @@ import (
 // profile-guided flavour of the paper's "multiple implementations selected
 // at runtime" and the subject of ablation A5.
 //
-// The policy is batch-aware (runtime.BatchPolicy): when a session of a
-// MaxBatch plan binds a smaller batch n, SelectBatch re-tunes at the
-// batch-n shapes, so a kernel that wins at the planned batch does not get
-// blindly reused where a different one is faster. With AllowInt8 set the
-// quantized kernels join the candidate pool and the tuner arbitrates
-// fp32 vs int8 per (layer, batch) on measured time.
+// Tuning happens inside runtime.Compile, at the node's planned (MaxBatch)
+// shapes, and nowhere else: the winners are the plan's kernels at every
+// runtime batch size, so no request ever waits for a measurement and one
+// sample is answered by the same kernels whatever batch it rides in. With
+// int8 the quantized kernels join the candidate pool and the tuner
+// arbitrates fp32 vs int8 per layer on measured time.
 type AutoTunePolicy struct {
 	// Repeats per kernel measurement (after one warm-up); default 3.
 	Repeats int
-	// AllowInt8 admits quantized kernels as candidates; the winner is
-	// still decided purely on measured time. Leave false for bit-accurate
-	// fp32 plans. Setting it also makes the policy an Int8Arbiter, so
-	// Compile(Options{Int8: true}) leaves the tuner's per-layer decision
-	// in charge instead of forcing int8 everywhere.
-	AllowInt8 bool
-	// Trace receives one line per tuning decision when non-nil.
-	Trace func(sig, winner string, times map[string]time.Duration)
 
-	// mu guards cache: Select runs at compile time, but SelectBatch is
-	// called from session binding, potentially from many goroutines.
-	mu sync.Mutex
+	// int8 admits quantizedKernels(n) as candidates; the winner is still
+	// decided purely on measured time. False keeps plans bit-accurate fp32.
+	int8 bool
 	// cache maps signature → kernel name.
 	cache map[string]string
 }
 
-// NewAutoTunePolicy returns an empty-cache tuner.
-func NewAutoTunePolicy() *AutoTunePolicy {
-	return &AutoTunePolicy{cache: make(map[string]string)}
+// NewAutoTunePolicy returns an empty-cache tuner; int8 is the plan's
+// quantized-tier flag.
+func NewAutoTunePolicy(int8 bool) *AutoTunePolicy {
+	return &AutoTunePolicy{int8: int8, cache: make(map[string]string)}
 }
 
 // Name implements runtime.Policy.
 func (p *AutoTunePolicy) Name() string { return "autotune" }
 
-// ArbitratesInt8 implements runtime.Int8Arbiter: with AllowInt8 the tuner
-// decides fp32 vs int8 per layer itself.
-func (p *AutoTunePolicy) ArbitratesInt8() bool { return p.AllowInt8 }
-
 // Select implements runtime.Policy, tuning at the node's planned shapes.
 func (p *AutoTunePolicy) Select(n *graph.Node) (ops.Kernel, error) {
-	in := make([][]int, len(n.Inputs))
-	for i, v := range n.Inputs {
-		in[i] = v.Shape
-	}
-	out := make([][]int, len(n.Outputs))
-	for i, v := range n.Outputs {
-		out[i] = v.Shape
-	}
-	return p.selectAt(n, in, out)
-}
-
-// SelectBatch implements runtime.BatchPolicy, tuning at the batch-n
-// shapes a session is about to bind.
-func (p *AutoTunePolicy) SelectBatch(n *graph.Node, batch int, inShapes, outShapes [][]int) (ops.Kernel, error) {
-	return p.selectAt(n, inShapes, outShapes)
-}
-
-func (p *AutoTunePolicy) selectAt(n *graph.Node, inShapes, outShapes [][]int) (ops.Kernel, error) {
-	sig := signatureAt(n, inShapes)
-	p.mu.Lock()
-	name, ok := p.cache[sig]
-	p.mu.Unlock()
-	if ok {
+	sig := nodeSignature(n)
+	if name, ok := p.cache[sig]; ok {
 		return ops.ByName(name), nil
 	}
-	winner, times, err := p.tune(n, inShapes, outShapes, sig)
+	winner, err := p.tune(n, sig)
 	if err != nil {
 		return nil, err
 	}
-	p.mu.Lock()
 	p.cache[sig] = winner.Name()
-	p.mu.Unlock()
-	if p.Trace != nil {
-		p.Trace(sig, winner.Name(), times)
-	}
 	return winner, nil
 }
 
 // tune benchmarks every supporting kernel on synthetic tensors of the
-// given shapes (constants use their real tensors — quantized candidates
+// node's shapes (constants use their real tensors — quantized candidates
 // need the actual weights).
-func (p *AutoTunePolicy) tune(n *graph.Node, inShapes, outShapes [][]int, sig string) (ops.Kernel, map[string]time.Duration, error) {
-	candidates := supportingKernels(n, p.AllowInt8)
+func (p *AutoTunePolicy) tune(n *graph.Node, sig string) (ops.Kernel, error) {
+	candidates := supportingKernels(n, p.int8)
 	if len(candidates) == 0 {
-		return nil, nil, fmt.Errorf("backend: no kernel supports node %q (%s)", n.Name, n.Op)
+		return nil, fmt.Errorf("backend: no kernel supports node %q (%s)", n.Name, n.Op)
 	}
 	if len(candidates) == 1 {
-		return candidates[0], nil, nil
+		return candidates[0], nil
 	}
 	reps := p.Repeats
 	if reps <= 0 {
@@ -116,14 +78,13 @@ func (p *AutoTunePolicy) tune(n *graph.Node, inShapes, outShapes [][]int, sig st
 		if v.IsConst() {
 			in[i] = v.Const
 		} else {
-			in[i] = tensor.Rand(r, -1, 1, inShapes[i]...)
+			in[i] = tensor.Rand(r, -1, 1, v.Shape...)
 		}
 	}
 	out := make([]*tensor.Tensor, len(n.Outputs))
-	for i := range n.Outputs {
-		out[i] = tensor.New(outShapes[i]...)
+	for i, v := range n.Outputs {
+		out[i] = tensor.New(v.Shape...)
 	}
-	times := make(map[string]time.Duration, len(candidates))
 	var best ops.Kernel
 	var bestTime time.Duration
 	for _, k := range candidates {
@@ -138,37 +99,28 @@ func (p *AutoTunePolicy) tune(n *graph.Node, inShapes, outShapes [][]int, sig st
 			}
 		}
 		elapsed := time.Since(start) / time.Duration(reps)
-		times[k.Name()] = elapsed
 		if best == nil || elapsed < bestTime {
 			best, bestTime = k, elapsed
 		}
 	}
 	if best == nil {
-		return nil, nil, fmt.Errorf("backend: every candidate kernel failed for node %q", n.Name)
+		return nil, fmt.Errorf("backend: every candidate kernel failed for node %q", n.Name)
 	}
-	return best, times, nil
+	return best, nil
 }
 
-// CacheSize returns the number of tuned signatures so far.
-func (p *AutoTunePolicy) CacheSize() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.cache)
-}
-
-// supportingKernels lists the registered kernels able to run n, in stable
-// name order. Quantized kernels are candidates only when the caller
-// opted into int8 — they are numerically different implementations, not
-// interchangeable fp32 ones.
-func supportingKernels(n *graph.Node, allowInt8 bool) []ops.Kernel {
+// supportingKernels lists the tuner's candidates for n in stable name
+// order: every fp32 kernel able to run it, plus the quantized ones when
+// the plan opted into int8.
+func supportingKernels(n *graph.Node, int8 bool) []ops.Kernel {
 	var out []ops.Kernel
 	for _, k := range ops.ForOp(n.Op) {
-		if !allowInt8 && ops.IsQuantized(k) {
-			continue
-		}
-		if k.Supports(n) {
+		if !ops.IsQuantized(k) && k.Supports(n) {
 			out = append(out, k)
 		}
+	}
+	if int8 {
+		out = append(out, quantizedKernels(n)...)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name() < out[j].Name() })
 	return out
@@ -178,16 +130,6 @@ func supportingKernels(n *graph.Node, allowInt8 bool) []ops.Kernel {
 // op, attributes and input shapes (names excluded so identical layers
 // share one entry).
 func nodeSignature(n *graph.Node) string {
-	in := make([][]int, len(n.Inputs))
-	for i, v := range n.Inputs {
-		in[i] = v.Shape
-	}
-	return signatureAt(n, in)
-}
-
-// signatureAt is nodeSignature with explicit input shapes, for batch-aware
-// tuning keys.
-func signatureAt(n *graph.Node, inShapes [][]int) string {
 	keys := make([]string, 0, len(n.Attrs))
 	for k := range n.Attrs {
 		keys = append(keys, k)
@@ -197,15 +139,13 @@ func signatureAt(n *graph.Node, inShapes [][]int) string {
 	for _, k := range keys {
 		sig += fmt.Sprintf("|%s=%v", k, n.Attrs[k])
 	}
-	for _, shape := range inShapes {
-		sig += "|" + tensor.ShapeString(shape)
+	for _, v := range n.Inputs {
+		sig += "|" + tensor.ShapeString(v.Shape)
 	}
 	return sig
 }
 
 // interface checks
 var _ runtime.Policy = (*AutoTunePolicy)(nil)
-var _ runtime.BatchPolicy = (*AutoTunePolicy)(nil)
-var _ runtime.Int8Arbiter = (*AutoTunePolicy)(nil)
 var _ runtime.Policy = (*PreferencePolicy)(nil)
 var _ runtime.Policy = (*HeuristicPolicy)(nil)

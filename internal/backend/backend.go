@@ -25,7 +25,9 @@ type Backend struct {
 
 	// NewPolicy creates a fresh kernel-selection policy (fresh so that
 	// stateful policies like the auto-tuner do not leak between models).
-	NewPolicy func() runtime.Policy
+	// int8 is the plan's quantized-tier flag (PrepareOpts.Int8); the
+	// package comment states what every policy does with it.
+	NewPolicy func(int8 bool) runtime.Policy
 
 	// Optimize applies the graph-simplification pipeline before running
 	// (graph frameworks do; eager frameworks such as PyTorch and DarkNet
@@ -47,20 +49,6 @@ type Backend struct {
 	SimDispatchNs float64
 }
 
-// Prepare optimises (a clone of) g according to the backend's rules and
-// compiles it. workers <= 0 means 1. Returns an error if the backend
-// cannot honour the requested thread count.
-func (b *Backend) Prepare(g *graph.Graph, workers int) (*runtime.Plan, error) {
-	return b.PrepareBatched(g, workers, 1)
-}
-
-// PrepareBatched is Prepare with the plan parameterised by a maximum
-// runtime batch size: arena slots are sized for maxBatch and sessions
-// accept any batch 1 ≤ n ≤ maxBatch per Run. maxBatch <= 0 means 1.
-func (b *Backend) PrepareBatched(g *graph.Graph, workers, maxBatch int) (*runtime.Plan, error) {
-	return b.PrepareWith(g, PrepareOpts{Workers: workers, MaxBatch: maxBatch})
-}
-
 // PrepareOpts parameterises PrepareWith.
 type PrepareOpts struct {
 	// Workers is the kernel goroutine budget; <= 0 means 1.
@@ -75,18 +63,20 @@ type PrepareOpts struct {
 	// Layout selects the tensor layout the plan executes in: "" or
 	// "nchw" keeps the importer's NCHW convention, "nhwc" runs the
 	// layout-assignment pass (channel-innermost kernels, transposes only
-	// at unavoidable frontiers), and "auto" compiles both and keeps the
-	// measured winner. "nhwc" and "auto" require an optimising backend —
+	// at unavoidable frontiers). "nhwc" requires an optimising backend —
 	// the conversion is a pipeline pass.
 	Layout string
 	// LayoutStats, when non-nil, receives the ConvertLayout counters for
-	// Layout "nhwc"/"auto" plans (the inspect tool and the layout
-	// experiment read them).
+	// Layout "nhwc" plans (the inspect tool and the layout experiment
+	// read them).
 	LayoutStats *passes.LayoutStats
 }
 
 // PrepareWith optimises (a clone of) g according to the backend's rules
-// and compiles it with the given options.
+// and compiles it with the given options. It is the one way a backend
+// turns a graph into a plan, and its runtime.Compile call — asking a
+// fresh NewPolicy(o.Int8) once per node — the one place the plan's
+// kernels are decided; sessions never revisit the choice.
 func (b *Backend) PrepareWith(g *graph.Graph, o PrepareOpts) (*runtime.Plan, error) {
 	if o.Workers <= 0 {
 		o.Workers = 1
@@ -96,11 +86,8 @@ func (b *Backend) PrepareWith(g *graph.Graph, o PrepareOpts) (*runtime.Plan, err
 	}
 	switch o.Layout {
 	case "", "nchw", "nhwc":
-	case "auto":
-		plan, _, err := b.AutoLayout(g, o)
-		return plan, err
 	default:
-		return nil, fmt.Errorf("backend %s: unknown layout %q (want nchw, nhwc or auto)", b.Name, o.Layout)
+		return nil, fmt.Errorf("backend %s: unknown layout %q (want nchw or nhwc)", b.Name, o.Layout)
 	}
 	if o.Layout == "nhwc" && !b.Optimize {
 		return nil, fmt.Errorf("backend %s: layout nhwc needs the optimisation pipeline, which this backend disables", b.Name)
@@ -118,19 +105,12 @@ func (b *Backend) PrepareWith(g *graph.Graph, o PrepareOpts) (*runtime.Plan, err
 			return nil, err
 		}
 	}
-	policy := b.NewPolicy()
-	if o.Int8 {
-		if at, ok := policy.(*AutoTunePolicy); ok {
-			at.AllowInt8 = true
-		}
-	}
 	return runtime.Compile(work, runtime.Options{
-		Policy:              policy,
+		Policy:              b.NewPolicy(o.Int8),
 		Workers:             o.Workers,
 		MaxBatch:            o.MaxBatch,
 		NoBufferReuse:       b.NoBufferReuse,
 		DisableScratchReuse: b.DisableScratchReuse,
-		Int8:                o.Int8,
 	})
 }
 
@@ -164,29 +144,18 @@ func Names() []string {
 	return out
 }
 
-// Figure2Backends returns the backends in the order the paper's Figure 2
-// groups them: Orpheus, TVM, PyTorch (DarkNet and TF-Lite are handled as
-// exclusions in the harness).
-func Figure2Backends() []*Backend {
-	out := make([]*Backend, 0, 3)
-	for _, n := range []string{"orpheus", "tvm-sim", "torch-sim"} {
-		out = append(out, registry[n])
-	}
-	return out
-}
-
 func init() {
 	Register(&Backend{
 		Name:        "orpheus",
 		Paper:       "Orpheus",
 		Description: "native: GEMM (im2col+packed) convolution, dedicated depthwise kernel, fused graph, arena memory",
-		NewPolicy: func() runtime.Policy {
+		NewPolicy: func(int8 bool) runtime.Policy {
 			// The NHWC kernels only support nodes the layout pass marked,
 			// so listing them first is a no-op for NCHW plans.
 			return &PreferencePolicy{PolicyName: "orpheus", Prefs: map[string][]string{
 				"Conv":  {"conv.depthwise_nhwc", "conv.im2col_nhwc", "conv.depthwise", "conv.im2col"},
 				"Dense": {"dense.gemm"},
-			}}
+			}, int8: int8}
 		},
 		Optimize:      true,
 		SimDispatchNs: 2000,
@@ -195,7 +164,7 @@ func init() {
 		Name:          "orpheus-heuristic",
 		Paper:         "Orpheus (heuristic)",
 		Description:   "native with size-based conv algorithm choice (spatial pack below the GEMM crossover)",
-		NewPolicy:     func() runtime.Policy { return &HeuristicPolicy{} },
+		NewPolicy:     func(int8 bool) runtime.Policy { return &HeuristicPolicy{int8: int8} },
 		Optimize:      true,
 		SimDispatchNs: 2000,
 	})
@@ -203,7 +172,7 @@ func init() {
 		Name:          "orpheus-tuned",
 		Paper:         "Orpheus (tuned)",
 		Description:   "native with per-layer empirical auto-tuning over all registered kernels",
-		NewPolicy:     func() runtime.Policy { return NewAutoTunePolicy() },
+		NewPolicy:     func(int8 bool) runtime.Policy { return NewAutoTunePolicy(int8) },
 		Optimize:      true,
 		SimDispatchNs: 2000,
 	})
@@ -211,11 +180,11 @@ func init() {
 		Name:        "tvm-sim",
 		Paper:       "TVM",
 		Description: "TVM emulation: spatial-pack convolution schedule, optimised graph",
-		NewPolicy: func() runtime.Policy {
+		NewPolicy: func(int8 bool) runtime.Policy {
 			return &PreferencePolicy{PolicyName: "tvm-sim", Prefs: map[string][]string{
 				"Conv":  {"conv.depthwise", "conv.spatialpack", "conv.im2col"},
 				"Dense": {"dense.gemm"},
-			}}
+			}, int8: int8}
 		},
 		Optimize:      true,
 		SimDispatchNs: 1500,
@@ -224,11 +193,11 @@ func init() {
 		Name:        "torch-sim",
 		Paper:       "PyTorch",
 		Description: "PyTorch-eager emulation: GEMM convolution, per-group im2col depthwise, per-call allocation, no graph fusion",
-		NewPolicy: func() runtime.Policy {
+		NewPolicy: func(int8 bool) runtime.Policy {
 			return &PreferencePolicy{PolicyName: "torch-sim", Prefs: map[string][]string{
 				"Conv":  {"conv.group_im2col", "conv.im2col"},
 				"Dense": {"dense.gemm"},
-			}}
+			}, int8: int8}
 		},
 		Optimize:            false,
 		NoBufferReuse:       true,
@@ -239,11 +208,11 @@ func init() {
 		Name:        "darknet-sim",
 		Paper:       "DarkNet",
 		Description: "DarkNet emulation: direct convolution, naive dense, no graph optimisation; ResNets only",
-		NewPolicy: func() runtime.Policy {
+		NewPolicy: func(int8 bool) runtime.Policy {
 			return &PreferencePolicy{PolicyName: "darknet-sim", Prefs: map[string][]string{
 				"Conv":  {"conv.direct"},
 				"Dense": {"dense.naive"},
-			}}
+			}, int8: int8}
 		},
 		Optimize:      false,
 		SimDispatchNs: 4000,
@@ -258,8 +227,8 @@ func init() {
 		Name:        "tflite-sim",
 		Paper:       "TF-Lite",
 		Description: "TF-Lite emulation: GEMM convolution but the API always selects the maximum thread count",
-		NewPolicy: func() runtime.Policy {
-			return &PreferencePolicy{PolicyName: "tflite-sim", Prefs: map[string][]string{"Conv": {"conv.depthwise", "conv.im2col"}, "Dense": {"dense.gemm"}}}
+		NewPolicy: func(int8 bool) runtime.Policy {
+			return &PreferencePolicy{PolicyName: "tflite-sim", Prefs: map[string][]string{"Conv": {"conv.depthwise", "conv.im2col"}, "Dense": {"dense.gemm"}}, int8: int8}
 		},
 		Optimize:      true,
 		ForceAllCores: true,

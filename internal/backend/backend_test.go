@@ -43,7 +43,7 @@ func convNet(t testing.TB) *graph.Graph {
 
 func runBackend(t testing.TB, b *Backend, g *graph.Graph, x *tensor.Tensor) *tensor.Tensor {
 	t.Helper()
-	plan, err := b.Prepare(g, 1)
+	plan, err := b.PrepareWith(g, PrepareOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,19 +106,15 @@ func TestBackendRegistry(t *testing.T) {
 	if _, err := ByName("mxnet"); err == nil {
 		t.Fatal("unknown backend accepted")
 	}
-	f2 := Figure2Backends()
-	if len(f2) != 3 || f2[0].Name != "orpheus" || f2[1].Name != "tvm-sim" || f2[2].Name != "torch-sim" {
-		t.Fatalf("Figure2Backends order wrong: %v", f2)
-	}
 }
 
 func TestTFLiteRefusesSingleThread(t *testing.T) {
 	b, _ := ByName("tflite-sim")
 	g := convNet(t)
-	if _, err := b.Prepare(g, 1); err == nil {
+	if _, err := b.PrepareWith(g, PrepareOpts{}); err == nil {
 		t.Fatal("tflite-sim accepted a single-thread request (paper says it cannot)")
 	}
-	if _, err := b.Prepare(g, 4); err != nil {
+	if _, err := b.PrepareWith(g, PrepareOpts{Workers: 4}); err != nil {
 		t.Fatalf("tflite-sim with 4 threads should work: %v", err)
 	}
 }
@@ -143,7 +139,7 @@ func TestModelAvailabilityGates(t *testing.T) {
 func TestTorchSimSkipsOptimisation(t *testing.T) {
 	g := convNet(t)
 	torch, _ := ByName("torch-sim")
-	plan, err := torch.Prepare(g, 1)
+	plan, err := torch.PrepareWith(g, PrepareOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +157,7 @@ func TestTorchSimSkipsOptimisation(t *testing.T) {
 	}
 
 	orp, _ := ByName("orpheus")
-	plan, err = orp.Prepare(g, 1)
+	plan, err = orp.PrepareWith(g, PrepareOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +175,7 @@ func TestPreparedoesNotMutateOriginal(t *testing.T) {
 	g := convNet(t)
 	nodesBefore := len(g.Nodes)
 	orp, _ := ByName("orpheus")
-	if _, err := orp.Prepare(g, 1); err != nil {
+	if _, err := orp.PrepareWith(g, PrepareOpts{}); err != nil {
 		t.Fatal(err)
 	}
 	if len(g.Nodes) != nodesBefore {
@@ -218,7 +214,7 @@ func TestHeuristicPolicyCrossover(t *testing.T) {
 
 func TestAutoTuneCachesDecisions(t *testing.T) {
 	g := convNet(t)
-	p := NewAutoTunePolicy()
+	p := NewAutoTunePolicy(false)
 	p.Repeats = 1
 	for _, n := range g.Nodes {
 		if n.Op != "Conv" {
@@ -236,16 +232,15 @@ func TestAutoTuneCachesDecisions(t *testing.T) {
 			t.Fatal("autotune not deterministic across cache hits")
 		}
 	}
-	if p.CacheSize() != 2 { // two distinct conv signatures
-		t.Fatalf("cache size = %d, want 2", p.CacheSize())
+	if len(p.cache) != 2 { // two distinct conv signatures
+		t.Fatalf("cache size = %d, want 2", len(p.cache))
 	}
 }
 
 // TestAutoTuneInt8Eligibility pins the candidate-pool rules of the int8
 // tier: quantized kernels are invisible to fp32 tuning (a plan that never
-// opted in must stay bit-accurate fp32) and join the pool only under
-// AllowInt8, which also flips the policy into an Int8Arbiter so Compile
-// leaves the per-layer fp32-vs-int8 decision to measurement.
+// opted in must stay bit-accurate fp32) and join the pool only when the
+// plan's int8 flag is handed to the tuner.
 func TestAutoTuneInt8Eligibility(t *testing.T) {
 	g := convNet(t)
 	var conv *graph.Node
@@ -270,60 +265,14 @@ func TestAutoTuneInt8Eligibility(t *testing.T) {
 		t.Error("fp32 candidate pool contains a quantized kernel")
 	}
 	if !hasQuantized(supportingKernels(conv, true)) {
-		t.Error("AllowInt8 candidate pool is missing the quantized kernel")
-	}
-	p := NewAutoTunePolicy()
-	if p.ArbitratesInt8() {
-		t.Error("policy arbitrates int8 without AllowInt8")
-	}
-	p.AllowInt8 = true
-	if !p.ArbitratesInt8() {
-		t.Error("AllowInt8 policy must arbitrate int8 itself")
-	}
-}
-
-// TestAutoTuneSelectBatchRetunes pins batch-aware tuning: SelectBatch at
-// a smaller batch produces its own cache entry (the batch-n shapes sign
-// differently), so a kernel that wins at MaxBatch is not blindly reused.
-func TestAutoTuneSelectBatchRetunes(t *testing.T) {
-	g := convNet(t)
-	var conv *graph.Node
-	for _, n := range g.Nodes {
-		if n.Op == "Conv" {
-			conv = n
-			break
-		}
-	}
-	p := NewAutoTunePolicy()
-	p.Repeats = 1
-	if _, err := p.Select(conv); err != nil {
-		t.Fatal(err)
-	}
-	size1 := p.CacheSize()
-	in := make([][]int, len(conv.Inputs))
-	for i, v := range conv.Inputs {
-		in[i] = append([]int(nil), v.Shape...)
-	}
-	out := [][]int{append([]int(nil), conv.Outputs[0].Shape...)}
-	in[0] = append([]int(nil), in[0]...)
-	in[0][0] = 3 // tune at batch 3 instead of the planned batch
-	out[0][0] = 3
-	k, err := p.SelectBatch(conv, 3, in, out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if k == nil {
-		t.Fatal("SelectBatch returned no kernel")
-	}
-	if p.CacheSize() != size1+1 {
-		t.Errorf("batch-3 tuning reused the planned-batch cache entry (size %d, want %d)", p.CacheSize(), size1+1)
+		t.Error("int8 candidate pool is missing the quantized kernel")
 	}
 }
 
 func TestKernelSummary(t *testing.T) {
 	g := convNet(t)
 	orp, _ := ByName("orpheus")
-	plan, err := orp.Prepare(g, 1)
+	plan, err := orp.PrepareWith(g, PrepareOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}

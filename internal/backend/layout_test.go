@@ -123,35 +123,6 @@ func TestNHWCZooPlans(t *testing.T) {
 	}
 }
 
-func TestAutoLayoutPicksAndRuns(t *testing.T) {
-	b, err := ByName("orpheus")
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := convNet(t)
-	stats := &passes.LayoutStats{}
-	plan, layout, err := b.AutoLayout(g, PrepareOpts{Workers: 1, MaxBatch: 1, LayoutStats: stats})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if layout != "nchw" && layout != "nhwc" {
-		t.Fatalf("AutoLayout chose %q", layout)
-	}
-	if stats.NHWCNodes == 0 {
-		t.Fatal("AutoLayout never attempted the NHWC conversion")
-	}
-	x := tensor.Rand(tensor.NewRNG(5), -1, 1, 1, 4, 16, 16)
-	sess := runtime.NewSession(plan)
-	if _, err := sess.Run(context.Background(), map[string]*tensor.Tensor{"input": x}); err != nil {
-		t.Fatalf("AutoLayout %s plan fails to run: %v", layout, err)
-	}
-	// PrepareWith(Layout: "auto") is the same arbitration behind the
-	// plain options API.
-	if _, err := b.PrepareWith(g, PrepareOpts{Workers: 1, MaxBatch: 1, Layout: "auto"}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestLayoutOptionValidation(t *testing.T) {
 	g := convNet(t)
 	torch, err := ByName("torch-sim")
@@ -165,8 +136,10 @@ func TestLayoutOptionValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := orpheus.PrepareWith(g, PrepareOpts{Layout: "bogus"}); err == nil {
-		t.Fatal("unknown layout accepted")
+	for _, l := range []string{"bogus", "auto"} {
+		if _, err := orpheus.PrepareWith(g, PrepareOpts{Layout: l}); err == nil {
+			t.Fatalf("unknown layout %q accepted", l)
+		}
 	}
 	for _, l := range []string{"", "nchw"} {
 		if _, err := orpheus.PrepareWith(g, PrepareOpts{Layout: l}); err != nil {

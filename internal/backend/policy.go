@@ -12,6 +12,13 @@
 // for PyTorch, direct convolution for DarkNet, mandatory multi-threading
 // for TF-Lite. No artificial delays are injected anywhere: every
 // performance difference comes from executing different real code.
+//
+// Kernel selection happens once, when runtime.Compile asks the backend's
+// policy for each node's kernel at the planned shapes. The int8 tier
+// enters it by one rule: the backend hands the plan's int8 flag to the
+// policy it constructs, the fixed policies then take the first of
+// quantizedKernels(n) when there is one, and the tuner times all of them
+// against the fp32 candidates.
 package backend
 
 import (
@@ -23,6 +30,22 @@ import (
 	"orpheus/internal/runtime"
 )
 
+// quantizedKernels lists the registered quantized kernels able to run n,
+// in registration order — none for ops without a quantized
+// implementation and for nodes one cannot handle (non-constant weights,
+// depthwise convolutions). They are numerically different
+// implementations, not interchangeable fp32 ones, so a policy consults
+// this only when the plan opted into int8.
+func quantizedKernels(n *graph.Node) []ops.Kernel {
+	var out []ops.Kernel
+	for _, k := range ops.ForOp(n.Op) {
+		if ops.IsQuantized(k) && k.Supports(n) {
+			out = append(out, k)
+		}
+	}
+	return out
+}
+
 // PreferencePolicy selects the first kernel in an ordered preference list
 // that supports the node, falling back to the op's reference kernel.
 type PreferencePolicy struct {
@@ -30,6 +53,8 @@ type PreferencePolicy struct {
 	PolicyName string
 	// Prefs maps op type to kernel names in preference order.
 	Prefs map[string][]string
+	// int8 puts the quantized kernels ahead of Prefs.
+	int8 bool
 }
 
 // Name implements runtime.Policy.
@@ -37,6 +62,11 @@ func (p *PreferencePolicy) Name() string { return p.PolicyName }
 
 // Select implements runtime.Policy.
 func (p *PreferencePolicy) Select(n *graph.Node) (ops.Kernel, error) {
+	if p.int8 {
+		if q := quantizedKernels(n); len(q) > 0 {
+			return q[0], nil
+		}
+	}
 	for _, name := range p.Prefs[n.Op] {
 		k := ops.ByName(name)
 		if k == nil {
@@ -54,14 +84,13 @@ func (p *PreferencePolicy) Select(n *graph.Node) (ops.Kernel, error) {
 // dedicated depthwise path; spatial-pack for small GEMM-equivalent
 // matrices where packing overhead dominates; packed-GEMM im2col otherwise.
 type HeuristicPolicy struct {
-	// SmallGemmThreshold is the M*N*K product below which spatial pack is
-	// preferred. The default (DefaultSmallGemmThreshold) was chosen from
-	// the conv-sweep ablation (experiment A1).
-	SmallGemmThreshold int64
+	// int8 puts the quantized kernels ahead of the geometry rules.
+	int8 bool
 }
 
-// DefaultSmallGemmThreshold is the crossover point measured by the A1
-// sweep on the development machine.
+// DefaultSmallGemmThreshold is the M*N*K product below which spatial pack
+// is preferred: the crossover point measured by the conv-sweep ablation
+// (experiment A1) on the development machine.
 const DefaultSmallGemmThreshold = 1 << 21 // ~2.1e6 MACs
 
 // Name implements runtime.Policy.
@@ -69,6 +98,11 @@ func (p *HeuristicPolicy) Name() string { return "heuristic" }
 
 // Select implements runtime.Policy.
 func (p *HeuristicPolicy) Select(n *graph.Node) (ops.Kernel, error) {
+	if p.int8 {
+		if q := quantizedKernels(n); len(q) > 0 {
+			return q[0], nil
+		}
+	}
 	if n.Op != "Conv" {
 		return (&PreferencePolicy{PolicyName: "heuristic", Prefs: nativePrefs}).Select(n)
 	}
@@ -83,12 +117,8 @@ func (p *HeuristicPolicy) Select(n *graph.Node) (ops.Kernel, error) {
 	if k := ops.ByName("conv.depthwise"); k.Supports(n) {
 		return k, nil
 	}
-	threshold := p.SmallGemmThreshold
-	if threshold <= 0 {
-		threshold = DefaultSmallGemmThreshold
-	}
 	// flops = 2*M*N*K of the equivalent GEMM.
-	if sp := ops.ByName("conv.spatialpack"); sp.Supports(n) && ops.NodeFlops(n) < 2*threshold {
+	if sp := ops.ByName("conv.spatialpack"); sp.Supports(n) && ops.NodeFlops(n) < 2*DefaultSmallGemmThreshold {
 		return sp, nil
 	}
 	if k := ops.ByName("conv.im2col"); k.Supports(n) {

@@ -85,7 +85,7 @@ func TestEstimatePlanAddsDispatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := b.Prepare(g, 1)
+	plan, err := b.PrepareWith(g, backend.PrepareOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}

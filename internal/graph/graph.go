@@ -315,6 +315,29 @@ func (g *Graph) RemoveNode(n *Node) error {
 	return fmt.Errorf("graph %q: node %q not found", g.Name, n.Name)
 }
 
+// RemoveValue deletes the constant v, which no node may read and which
+// must not be a graph output (rewrites that replace a weight leave the
+// old one behind; passes drop it with this once nothing refers to it).
+func (g *Graph) RemoveValue(v *Value) error {
+	if g.values[v.Name] != v || !v.IsConst() {
+		return fmt.Errorf("graph %q: cannot remove value %q: not a constant of this graph", g.Name, v.Name)
+	}
+	for _, o := range g.Outputs {
+		if o == v {
+			return fmt.Errorf("graph %q: cannot remove constant %q: it is a graph output", g.Name, v.Name)
+		}
+	}
+	for _, n := range g.Nodes {
+		for _, in := range n.Inputs {
+			if in == v {
+				return fmt.Errorf("graph %q: cannot remove constant %q: node %q reads it", g.Name, v.Name, n.Name)
+			}
+		}
+	}
+	delete(g.values, v.Name)
+	return nil
+}
+
 // ReplaceUses rewires every read of old to read new instead, including the
 // graph output list.
 func (g *Graph) ReplaceUses(old, new *Value) {

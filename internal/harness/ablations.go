@@ -159,7 +159,7 @@ func runMemoryAblation(cfg *Config) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		plan, err := b.Prepare(g, cfg.Workers)
+		plan, err := b.PrepareWith(g, backend.PrepareOpts{Workers: cfg.Workers})
 		if err != nil {
 			return nil, err
 		}
@@ -182,7 +182,7 @@ func runLayerwise(cfg *Config) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	plan, err := b.Prepare(g, cfg.Workers)
+	plan, err := b.PrepareWith(g, backend.PrepareOpts{Workers: cfg.Workers})
 	if err != nil {
 		return nil, err
 	}

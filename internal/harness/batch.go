@@ -69,7 +69,7 @@ func runBatchSweep(cfg *Config) (*Report, error) {
 // shapes) and timed — simulated on the device cost model or measured on
 // the host, per cfg.Mode.
 func batchThroughput(cfg *Config, be *backend.Backend, g *graph.Graph, n int) (float64, error) {
-	plan, err := be.PrepareBatched(g, cfg.Workers, n)
+	plan, err := be.PrepareWith(g, backend.PrepareOpts{Workers: cfg.Workers, MaxBatch: n})
 	if err != nil {
 		return 0, err
 	}

@@ -50,7 +50,7 @@ func runThreads(cfg *Config) (*Report, error) {
 			}
 			row := []any{modelName, b.Paper}
 			for _, workers := range []int{1, 2, 4} {
-				plan, err := b.Prepare(g, workers)
+				plan, err := b.PrepareWith(g, backend.PrepareOpts{Workers: workers})
 				if err != nil {
 					row = append(row, "n/a")
 					continue
@@ -115,7 +115,7 @@ func runOnce(g *graph.Graph, x *tensor.Tensor) (*tensor.Tensor, error) {
 	if err != nil {
 		return nil, err
 	}
-	plan, err := b.Prepare(g, 1)
+	plan, err := b.PrepareWith(g, backend.PrepareOpts{})
 	if err != nil {
 		return nil, err
 	}

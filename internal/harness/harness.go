@@ -135,7 +135,7 @@ func runModelBackend(cfg *Config, g *graph.Graph, modelName string, b *backend.B
 			return res
 		}
 	}
-	plan, err := b.Prepare(g, cfg.Workers)
+	plan, err := b.PrepareWith(g, backend.PrepareOpts{Workers: cfg.Workers})
 	if err != nil {
 		res.excluded = err.Error()
 		return res

@@ -14,7 +14,7 @@ import (
 // E4 "layout": NHWC layout planning against the NCHW baseline, per zoo
 // model — measured latency both ways, speedup, output relative error, the
 // ConvertLayout counters (how many transposes the pass inserted and then
-// removed, how many materialised), and what the auto arbiter picks.
+// removed, how many materialised).
 func init() {
 	register(&Experiment{ID: "layout", Title: "E4: NHWC layout planning vs NCHW (speed, equivalence, fold counters)", Run: runLayoutExec})
 }
@@ -22,7 +22,7 @@ func init() {
 func runLayoutExec(cfg *Config) (*Report, error) {
 	cfg.fill()
 	rep := &Report{ID: "layout", Title: "E4: NHWC layout planning vs NCHW per model"}
-	rep.Header = []string{"model", "nchw ms", "nhwc ms", "speedup", "rel err", "nhwc nodes", "folded", "left", "auto"}
+	rep.Header = []string{"model", "nchw ms", "nhwc ms", "speedup", "rel err", "nhwc nodes", "folded", "left"}
 	measured := cfg.Mode != ModeSim
 	if !measured {
 		rep.AddNote("timing columns require -mode measure; the A73 cost model is layout-blind")
@@ -62,7 +62,7 @@ func runLayoutExec(cfg *Config) (*Report, error) {
 		}
 		rel := relErr32(nhwcOut[outName].Data(), ref)
 
-		nchwMs, nhwcMs, speedup, auto := "-", "-", "-", "-"
+		nchwMs, nhwcMs, speedup := "-", "-", "-"
 		if measured {
 			nchwStats, err := runtime.Measure(cfg.Ctx, nchwSess, in, cfg.Warmup, cfg.Reps)
 			if err != nil {
@@ -76,19 +76,13 @@ func runLayoutExec(cfg *Config) (*Report, error) {
 			h := float64(nhwcStats.Median) / 1e6
 			nchwMs, nhwcMs = fmtMs(n), fmtMs(h)
 			speedup = fmt.Sprintf("%.2fx", n/h)
-			// What PrepareOpts{Layout: "auto"} would keep, read off the
-			// same medians the table shows.
-			auto = "nchw"
-			if h < n {
-				auto = "nhwc"
-			}
 		}
 
 		rep.AddRow(modelName, nchwMs, nhwcMs, speedup,
 			fmt.Sprintf("%.2e", rel),
 			fmt.Sprintf("%d", stats.NHWCNodes),
 			fmt.Sprintf("%d", stats.Cancelled+stats.Elided+stats.Folded),
-			fmt.Sprintf("%d", stats.Remaining), auto)
+			fmt.Sprintf("%d", stats.Remaining))
 	}
 	rep.AddNote("nhwc path: layout-assignment pass + channel-innermost conv/depthwise kernels; transposes only at unfoldable frontiers")
 	rep.AddNote("folded = frontier transposes removed (pair-cancelled + elided + folded into conv gathers); left = materialised Transpose nodes")

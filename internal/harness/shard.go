@@ -70,7 +70,7 @@ func runShard(cfg *Config) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	plan, err := be.Prepare(g, cfg.Workers)
+	plan, err := be.PrepareWith(g, backend.PrepareOpts{Workers: cfg.Workers})
 	if err != nil {
 		return nil, err
 	}

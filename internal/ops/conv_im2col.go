@@ -24,10 +24,10 @@ import (
 // kernel and keeps repeated runs correct without it.
 //
 // conv.im2col_explicit keeps the materialised unfold: it is the
-// differential reference for the implicit path, the subject of the
-// harness `conv` ablation, and the behaviour the per-call-allocation
-// framework simulation (DisableScratchReuse) is meant to model — so the
-// production kernel delegates to it under that flag.
+// differential reference for the implicit path and the behaviour the
+// per-call-allocation framework simulation (DisableScratchReuse) is
+// meant to model — so the production kernel delegates to it under that
+// flag.
 //
 // Groups are handled per group with the batch folded into one strided
 // call; a pure depthwise conv is better served by conv.depthwise (this

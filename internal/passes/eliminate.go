@@ -28,8 +28,11 @@ func EliminateIdentity() Pass {
 }
 
 // EliminateDead removes nodes none of whose outputs are consumed or marked
-// as graph outputs. It iterates so chains of dead nodes disappear in one
-// pass execution.
+// as graph outputs, then the constants nothing reads any more — the
+// weights of removed nodes and the pre-fold weights FoldBatchNorm
+// replaced, which would otherwise be counted by NumParams and held for
+// the life of the plan. It iterates so chains of dead nodes disappear in
+// one pass execution.
 func EliminateDead() Pass {
 	return newPass("eliminate-dead", func(g *graph.Graph) (bool, error) {
 		changed := false
@@ -50,6 +53,16 @@ func EliminateDead() Pass {
 				}
 			}
 			if victim == nil {
+				for _, name := range g.ValueNames() {
+					v := g.Value(name)
+					if !v.IsConst() || len(consumers[v]) > 0 || isGraphOutput(g, v) {
+						continue
+					}
+					if err := g.RemoveValue(v); err != nil {
+						return changed, err
+					}
+					changed = true
+				}
 				return changed, nil
 			}
 			if err := g.RemoveNode(victim); err != nil {

@@ -4,6 +4,7 @@ package passes
 // because the zoo sweep compiles through internal/backend, an importer of
 // this package.
 var (
-	RunLayout = runLayout
-	RelDiff   = relDiff
+	RunLayout     = runLayout
+	RelDiff       = relDiff
+	IsGraphOutput = isGraphOutput
 )

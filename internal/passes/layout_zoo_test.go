@@ -6,6 +6,7 @@ import (
 
 	"orpheus/internal/backend"
 	"orpheus/internal/graph"
+	"orpheus/internal/onnx"
 	"orpheus/internal/passes"
 	"orpheus/internal/runtime"
 	"orpheus/internal/tensor"
@@ -23,7 +24,7 @@ func evaluateOrpheus(t testing.TB, g *graph.Graph, x *tensor.Tensor) *tensor.Ten
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := runtime.Compile(g, runtime.Options{Policy: be.NewPolicy()})
+	plan, err := runtime.Compile(g, runtime.Options{Policy: be.NewPolicy(false)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,6 +68,62 @@ func TestConvertLayoutZoo(t *testing.T) {
 			got := evaluateOrpheus(t, opt, x)
 			if d := passes.RelDiff(got, want); d > 1e-5 {
 				t.Errorf("%s: NHWC output diverges: rel diff %g", m.Name, d)
+			}
+		})
+	}
+}
+
+// TestOptimizePrunesDeadConstants: after the default pipeline every
+// constant left in the graph is read by a node or is a graph output —
+// BatchNorm folding used to leave each pre-fold weight behind, doubling
+// NumParams — and dropping them changes nothing that executes: the output
+// is bit-identical to the same pipeline without eliminate-dead, and the
+// pruned graph still survives the ONNX export → import round trip.
+func TestOptimizePrunesDeadConstants(t *testing.T) {
+	for _, name := range []string{"resnet-18", "mobilenet-v1"} {
+		t.Run(name, func(t *testing.T) {
+			g, err := zoo.Build(name, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			before := g.NumParams()
+			unpruned := g.Clone()
+			keep := passes.Default()
+			keep.Passes = keep.Passes[:len(keep.Passes)-1]
+			if _, err := keep.Run(unpruned); err != nil {
+				t.Fatal(err)
+			}
+			if unpruned.NumParams() <= before {
+				t.Fatalf("fixture folds nothing: %d params before, %d after", before, unpruned.NumParams())
+			}
+			if _, err := passes.Default().Run(g); err != nil {
+				t.Fatal(err)
+			}
+			if after := g.NumParams(); after > before {
+				t.Errorf("NumParams grew under optimisation: %d → %d", before, after)
+			}
+			consumers := g.Consumers()
+			for _, vn := range g.ValueNames() {
+				v := g.Value(vn)
+				if v.IsConst() && len(consumers[v]) == 0 && !passes.IsGraphOutput(g, v) {
+					t.Errorf("constant %q survives optimisation with no reader", vn)
+				}
+			}
+			x := tensor.Rand(tensor.NewRNG(tensor.SeedFromString(name)), -1, 1, g.Inputs[0].Shape...)
+			want := evaluateOrpheus(t, unpruned, x)
+			if got := evaluateOrpheus(t, g, x); !tensor.AllClose(got, want, 0) {
+				t.Errorf("pruning changed the output: max diff %g", tensor.MaxAbsDiff(got, want))
+			}
+			m, err := onnx.Export(g)
+			if err != nil {
+				t.Fatal(err)
+			}
+			back, err := onnx.Import(m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := evaluateOrpheus(t, back, x); !tensor.AllClose(got, want, 1e-5) {
+				t.Errorf("optimised graph diverges after ONNX round trip: max diff %g", tensor.MaxAbsDiff(got, want))
 			}
 		})
 	}

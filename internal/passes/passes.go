@@ -12,7 +12,8 @@
 //   - FuseActivation: attaches Relu/Relu6/LeakyRelu to the producing Conv,
 //     Dense or Add node as a fused epilogue.
 //   - FoldConstants: evaluates nodes whose inputs are all constant.
-//   - EliminateDead: removes nodes whose results are never used.
+//   - EliminateDead: removes nodes whose results are never used and
+//     constants nothing reads.
 //
 // Pipeline runs a pass list to a fixed point. Default() returns the
 // standard Orpheus pipeline in dependency order.

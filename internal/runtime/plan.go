@@ -28,13 +28,6 @@ type Options struct {
 	// DisableScratchReuse additionally makes kernels reallocate their
 	// internal scratch (im2col buffers etc.) on every call.
 	DisableScratchReuse bool
-	// Int8 opts the plan into the quantized execution tier: kernels
-	// registered as quantized (int8 GEMM convolution and dense) become
-	// eligible, with constant weights quantized and prepacked once per
-	// plan. If the policy arbitrates int8 itself (Int8Arbiter) it decides
-	// per layer; otherwise it is wrapped in Int8Policy, which uses the
-	// quantized kernel wherever one supports the node.
-	Int8 bool
 	// Fault installs a fault-injection hook consulted at every plan-step
 	// boundary of every session compiled from the plan (see
 	// internal/faultinject). Nil — the default — disables injection at the
@@ -112,11 +105,6 @@ func Compile(g *graph.Graph, opts Options) (*Plan, error) {
 	if opts.MaxBatch > 1 {
 		if err := g.Rebatch(opts.MaxBatch); err != nil {
 			return nil, fmt.Errorf("runtime: rebatching to %d: %w", opts.MaxBatch, err)
-		}
-	}
-	if opts.Int8 {
-		if a, ok := opts.Policy.(Int8Arbiter); !ok || !a.ArbitratesInt8() {
-			opts.Policy = Int8Policy{Base: opts.Policy}
 		}
 	}
 	if err := g.TopoSort(); err != nil {
@@ -244,10 +232,6 @@ func (p *Plan) batchVolume(v *graph.Value, n int) int {
 
 // MaxBatch returns the largest runtime batch the plan's sessions accept.
 func (p *Plan) MaxBatch() int { return p.maxBatch }
-
-// Int8 reports whether the plan was compiled with the quantized
-// execution tier enabled.
-func (p *Plan) Int8() bool { return p.opts.Int8 }
 
 // ConstBytes returns the current footprint of the plan's derived-constant
 // cache: prepacked GEMM weight panels (fp32 or int8), Winograd transforms

@@ -1,6 +1,10 @@
-// Package runtime executes Orpheus graphs: it selects a kernel for every
-// node according to a Policy, plans buffer reuse from value liveness, and
-// runs inference with optional per-layer profiling.
+// Package runtime executes Orpheus graphs: Compile asks a Policy for one
+// kernel per node, plans buffer reuse from value liveness, and sessions
+// run the plan with optional per-layer profiling. Compile is the only
+// place a kernel is chosen: whatever the policy decides there — at the
+// planned (MaxBatch) shapes — is what every session executes at every
+// runtime batch size, so Plan.Steps is the executed kernel list and no
+// request ever pays for a selection or a measurement.
 package runtime
 
 import (
@@ -12,59 +16,14 @@ import (
 
 // Policy chooses which registered kernel executes a node. Backends
 // (internal/backend) supply policies that emulate different frameworks'
-// algorithm choices; the default policy picks each op's reference kernel.
+// algorithm choices, and decide there whether the quantized kernels are
+// eligible; the default policy picks each op's reference kernel.
 type Policy interface {
 	// Name identifies the policy in reports.
 	Name() string
-	// Select returns the kernel to run for n.
+	// Select returns the kernel to run for n. Compile calls it once per
+	// node, after rebatching, so n carries its planned shapes.
 	Select(n *graph.Node) (ops.Kernel, error)
-}
-
-// BatchPolicy is an optional Policy extension for batch-aware selection:
-// when a plan compiled at MaxBatch runs a smaller batch n, sessions ask
-// SelectBatch for the kernel to bind at that batch, with the node's input
-// and output shapes recomputed for n (constants keep their static
-// shapes). The kernel choice that wins at the planned batch is not
-// necessarily the winner at n — packing overheads amortise differently —
-// and for quantized tiers the fp32/int8 crossover itself moves with n.
-// Implementations must be safe for concurrent use (sessions bind lazily
-// from many goroutines) and should fall back to a plain Select-style
-// decision on unknown shapes. Errors are advisory: the session keeps the
-// plan's compile-time kernel.
-type BatchPolicy interface {
-	Policy
-	SelectBatch(n *graph.Node, batch int, inShapes, outShapes [][]int) (ops.Kernel, error)
-}
-
-// Int8Arbiter is implemented by policies that decide between fp32 and
-// quantized kernels themselves (the auto-tuner with int8 enabled). When
-// Options.Int8 is set and the policy arbitrates, Compile leaves it
-// unwrapped; otherwise the policy is wrapped in Int8Policy, which forces
-// quantized kernels wherever one supports the node.
-type Int8Arbiter interface {
-	ArbitratesInt8() bool
-}
-
-// Int8Policy prefers quantized kernels: Select returns the first
-// registered quantized kernel supporting the node, delegating to Base
-// for everything else (ops without a quantized implementation, nodes a
-// quantized kernel cannot handle — non-constant weights, depthwise
-// convolutions). Compile installs it automatically for Options.Int8.
-type Int8Policy struct {
-	Base Policy
-}
-
-// Name implements Policy.
-func (p Int8Policy) Name() string { return p.Base.Name() + "+int8" }
-
-// Select implements Policy.
-func (p Int8Policy) Select(n *graph.Node) (ops.Kernel, error) {
-	for _, k := range ops.ForOp(n.Op) {
-		if ops.IsQuantized(k) && k.Supports(n) {
-			return k, nil
-		}
-	}
-	return p.Base.Select(n)
 }
 
 // ReferencePolicy selects every op's reference kernel (the simplest

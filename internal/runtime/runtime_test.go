@@ -2,7 +2,9 @@ package runtime
 
 import (
 	"context"
+	goruntime "runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -195,6 +197,124 @@ func TestPolicySelectsRequestedKernel(t *testing.T) {
 	if !tensor.AllClose(ref, got, 1e-5) {
 		t.Fatal("im2col policy diverges from reference policy")
 	}
+}
+
+// countingPolicy counts selection calls. It also carries the SelectBatch
+// method sessions once looked for at bind time, to pin that nothing calls
+// it: Compile is the only selection point.
+type countingPolicy struct{ selects, batchSelects int }
+
+func (p *countingPolicy) Name() string { return "counting" }
+func (p *countingPolicy) Select(n *graph.Node) (ops.Kernel, error) {
+	p.selects++
+	return ReferencePolicy{}.Select(n)
+}
+func (p *countingPolicy) SelectBatch(n *graph.Node, batch int, inShapes, outShapes [][]int) (ops.Kernel, error) {
+	p.batchSelects++
+	return ReferencePolicy{}.Select(n)
+}
+
+// TestCompileIsTheOnlySelectionPoint: Compile asks the policy once per
+// node, and running a MaxBatch-4 session at every batch size asks it
+// nothing more — each batch executes exactly the kernels Steps() lists.
+func TestCompileIsTheOnlySelectionPoint(t *testing.T) {
+	g := smallCNN(t)
+	p := &countingPolicy{}
+	plan, err := Compile(g, Options{Policy: p, MaxBatch: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.selects != len(g.Nodes) {
+		t.Fatalf("Compile called Select %d times for %d nodes", p.selects, len(g.Nodes))
+	}
+	sess := NewSession(plan)
+	for n := 1; n <= 4; n++ {
+		x := tensor.Rand(tensor.NewRNG(uint64(n)), -1, 1, plan.InputShapeAt(0, n)...)
+		_, timings, err := sess.RunProfiled(context.Background(), map[string]*tensor.Tensor{"x": x})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, st := range plan.Steps() {
+			if timings[i].Kernel != st.Kernel {
+				t.Errorf("batch %d ran %s on %s, plan says %s", n, timings[i].Kernel, st.Node.Name, st.Kernel)
+			}
+		}
+	}
+	if p.selects != len(g.Nodes) || p.batchSelects != 0 {
+		t.Fatalf("running at batches 1..4 consulted the policy: Select %d (want %d), SelectBatch %d (want 0)",
+			p.selects, len(g.Nodes), p.batchSelects)
+	}
+}
+
+// TestSessionPoolFreeList pins the pool's reuse contract: a lone caller
+// keeps getting the one session it built (across GC cycles, which
+// emptied the sync.Pool this replaced), concurrent borrowers each get
+// their own, and no more than GOMAXPROCS sessions ever sit idle.
+func TestSessionPoolFreeList(t *testing.T) {
+	plan, err := Compile(smallCNN(t), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool := NewSessionPool(plan)
+	in := map[string]*tensor.Tensor{"x": tensor.Rand(tensor.NewRNG(7), -1, 1, 1, 3, 8, 8)}
+	idle := func() int {
+		pool.mu.Lock()
+		defer pool.mu.Unlock()
+		return len(pool.idle)
+	}
+
+	first := pool.Get()
+	pool.Put(first)
+	for i := 0; i < 20; i++ {
+		s := pool.Get()
+		if s != first {
+			t.Fatalf("iteration %d built a second session", i)
+		}
+		if _, err := s.Run(context.Background(), in); err != nil {
+			t.Fatal(err)
+		}
+		pool.Put(s)
+		goruntime.GC()
+	}
+
+	limit := goruntime.GOMAXPROCS(0)
+	borrowed := make([]*Session, limit+3)
+	seen := make(map[*Session]bool)
+	for i := range borrowed {
+		borrowed[i] = pool.Get()
+		if seen[borrowed[i]] {
+			t.Fatalf("borrower %d was handed a session already in use", i)
+		}
+		seen[borrowed[i]] = true
+	}
+	for _, s := range borrowed {
+		pool.Put(s)
+		if n := idle(); n > limit {
+			t.Fatalf("%d idle sessions, limit GOMAXPROCS = %d", n, limit)
+		}
+	}
+	if n := idle(); n != limit {
+		t.Fatalf("%d idle sessions after %d returns, want %d", n, len(borrowed), limit)
+	}
+
+	var wg sync.WaitGroup
+	for w := 0; w < 2*limit; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				if _, err := pool.Run(context.Background(), in); err != nil {
+					t.Error(err)
+					return
+				}
+				if n := idle(); n > limit {
+					t.Errorf("%d idle sessions, limit GOMAXPROCS = %d", n, limit)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func TestPolicyRejectsUnsupportedKernel(t *testing.T) {

@@ -116,9 +116,10 @@ func NewSession(plan *Plan) *Session {
 	return s
 }
 
-// bindFor precomputes the per-step tensor bindings for batch n. Arena
-// views are created once per value; values sharing a slot get distinct
-// views over the same storage, exactly as the liveness planner intends.
+// bindFor precomputes the per-step tensor bindings for batch n: pure
+// view construction over the plan's compile-time kernels. Arena views
+// are created once per value; values sharing a slot get distinct views
+// over the same storage, exactly as the liveness planner intends.
 // Batch-scaled values get views over the leading n/MaxBatch fraction of
 // their slot.
 func (s *Session) bindFor(n int) *batchBind {
@@ -132,22 +133,10 @@ func (s *Session) bindFor(n int) *batchBind {
 		views[v] = t
 		return t
 	}
-	// Batch-aware policies re-decide kernels at batch sizes other than the
-	// one the plan was tuned for; binding happens once per batch size, so
-	// the (possibly measured) decision is off the hot path.
-	bp, batchAware := s.plan.opts.Policy.(BatchPolicy)
-	batchAware = batchAware && n != s.plan.maxBatch
 	b := &batchBind{steps: make([]boundStep, len(s.plan.steps))}
 	for si, st := range s.plan.steps {
 		bs := &b.steps[si]
 		bs.node, bs.kernel = st.node, st.kernel
-		overwrites := st.overwrites
-		if batchAware {
-			if k := s.selectBatchKernel(bp, st.node, n); k != nil {
-				bs.kernel = k
-				overwrites = ops.KernelOverwrites(k, st.node)
-			}
-		}
 		bs.in = make([]*tensor.Tensor, len(st.node.Inputs))
 		for ai, v := range st.node.Inputs {
 			switch {
@@ -165,7 +154,7 @@ func (s *Session) bindFor(n int) *batchBind {
 		for oi, v := range st.node.Outputs {
 			t := view(v)
 			bs.out[oi] = t
-			if !overwrites {
+			if !st.overwrites {
 				bs.zero = append(bs.zero, t.Data())
 			}
 		}
@@ -187,26 +176,6 @@ func (s *Session) bindFor(n int) *batchBind {
 	}
 	b.results = make(map[string]*tensor.Tensor, len(b.outBinds))
 	return b
-}
-
-// selectBatchKernel asks a batch-aware policy which kernel to bind for
-// node at the given batch, with input/output shapes recomputed for it.
-// Any error, op mismatch or unsupported choice falls back to the plan's
-// compile-time kernel (a nil return).
-func (s *Session) selectBatchKernel(bp BatchPolicy, node *graph.Node, batch int) ops.Kernel {
-	in := make([][]int, len(node.Inputs))
-	for i, v := range node.Inputs {
-		in[i] = s.plan.batchShape(v, batch)
-	}
-	out := make([][]int, len(node.Outputs))
-	for i, v := range node.Outputs {
-		out[i] = s.plan.batchShape(v, batch)
-	}
-	k, err := bp.SelectBatch(node, batch, in, out)
-	if err != nil || k == nil || k.Op() != node.Op || !k.Supports(node) {
-		return nil
-	}
-	return k
 }
 
 // resolveBatch validates the caller's inputs, fills s.inTensors and
@@ -508,7 +477,3 @@ func tensorFor(bound map[*graph.Value]*tensor.Tensor, v *graph.Value) (*tensor.T
 
 // Plan returns the session's compiled plan.
 func (s *Session) Plan() *Plan { return s.plan }
-
-// CtxScratchBytes reports the kernel scratch footprint accumulated so far
-// (im2col buffers, Winograd transforms, cached weights).
-func (s *Session) CtxScratchBytes() int64 { return s.ctx.ScratchBytes }

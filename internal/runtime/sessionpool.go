@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"context"
+	goruntime "runtime"
 	"sync"
 	"sync/atomic"
 
@@ -10,14 +11,20 @@ import (
 
 // SessionPool serves concurrent inference over one compiled Plan. Sessions
 // are not safe for concurrent use — each owns a mutable arena and kernel
-// scratch — so the pool hands every in-flight request its own session via
-// sync.Pool: N concurrent callers get N sessions, idle sessions are
-// reclaimed by the GC under memory pressure, and all sessions share the
-// plan's constant cache, so weights are packed once per plan rather than
-// once per request or per session.
+// scratch — so the pool hands every in-flight request its own session:
+// N concurrent callers get N sessions, and all sessions share the plan's
+// constant cache, so weights are packed once per plan rather than once
+// per request or per session. Idle sessions wait on a LIFO free list (the
+// most recently used arena is the one still in cache) that keeps at most
+// GOMAXPROCS of them — no more can execute at once — and survives GC
+// cycles, so a caller looping Get/Run/Put builds exactly one session.
 type SessionPool struct {
 	plan *Plan
-	pool sync.Pool
+
+	// idle is the free list; its capacity, fixed at GOMAXPROCS when the
+	// pool is made, is the bound on how many sessions it keeps.
+	mu   sync.Mutex
+	idle []*Session
 
 	// quarantined counts sessions dropped by Put because a plan step
 	// panicked on them — a poisoned arena must never serve another
@@ -29,9 +36,7 @@ type SessionPool struct {
 // NewSessionPool returns a pool over the plan. Sessions are created
 // lazily, on first concurrent demand.
 func NewSessionPool(plan *Plan) *SessionPool {
-	sp := &SessionPool{plan: plan}
-	sp.pool.New = func() any { return NewSession(plan) }
-	return sp
+	return &SessionPool{plan: plan, idle: make([]*Session, 0, goruntime.GOMAXPROCS(0))}
 }
 
 // Plan returns the compiled plan the pool serves.
@@ -40,18 +45,34 @@ func (sp *SessionPool) Plan() *Plan { return sp.plan }
 // Get borrows a session. The caller must return it with Put, and must
 // finish reading any Run results (which alias the session's arena) before
 // doing so.
-func (sp *SessionPool) Get() *Session { return sp.pool.Get().(*Session) }
+func (sp *SessionPool) Get() *Session {
+	sp.mu.Lock()
+	if n := len(sp.idle); n > 0 {
+		s := sp.idle[n-1]
+		sp.idle[n-1] = nil
+		sp.idle = sp.idle[:n-1]
+		sp.mu.Unlock()
+		return s
+	}
+	sp.mu.Unlock()
+	return NewSession(sp.plan)
+}
 
 // Put returns a borrowed session to the pool. A session poisoned by a
 // plan-step panic is quarantined instead — dropped for the GC, never
 // recycled — so one corrupted arena cannot bleed into later requests; a
-// fresh session is built on the next Get that misses the pool.
+// fresh session is built on the next Get that finds the free list empty.
+// A session returned while GOMAXPROCS are already idle is dropped too.
 func (sp *SessionPool) Put(s *Session) {
 	if s.Poisoned() {
 		sp.quarantined.Add(1)
 		return
 	}
-	sp.pool.Put(s)
+	sp.mu.Lock()
+	if len(sp.idle) < cap(sp.idle) {
+		sp.idle = append(sp.idle, s)
+	}
+	sp.mu.Unlock()
 }
 
 // Quarantined reports how many poisoned sessions Put has dropped.

@@ -85,7 +85,7 @@ func refRun(t testing.TB, g *graph.Graph, input []float32) []float32 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := be.Prepare(g, 1)
+	plan, err := be.PrepareWith(g, backend.PrepareOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}

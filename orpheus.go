@@ -206,9 +206,9 @@ func WithMaxBatch(n int) CompileOption {
 // fp32 by the quantization error (typically well under 1% relative on
 // the zoo models — validate for your model; `go run ./bench -workload
 // dense-int8` checks resnet-18 against fp32 goldens on every op). With
-// the "orpheus-tuned" backend
-// the auto-tuner instead arbitrates fp32 vs int8 per layer and batch
-// size on measured time.
+// the "orpheus-tuned" backend the auto-tuner instead arbitrates fp32 vs
+// int8 per layer on measured time, once, at compile; the decision holds
+// at every runtime batch size.
 func WithInt8() CompileOption {
 	return func(c *compileConfig) { c.int8 = true }
 }
