@@ -10,8 +10,9 @@ import (
 // the paper notes "Orpheus uses GEMM convolution, which pays off for big
 // matrices". It is *implicit* GEMM: instead of materialising the unfolded
 // kdim×cols column matrix and packing panels out of it, a convPackSrc
-// (conv_implicit.go) packs each B panel straight from the NCHW input, so
-// the unfold scratch and its extra write+read sweep over memory are gone.
+// (conv_implicit.go) packs each B panel straight from the NCHW input — or
+// from its zero-bordered copy when the conv pads — so the unfold scratch
+// and its extra write+read sweep over memory are gone.
 // One strided batched call covers the whole batch per group, and the
 // bias add and fused activation ride the GEMM epilogue — applied at tile
 // store while the tile is cache-hot — instead of two more full-tensor
@@ -112,11 +113,12 @@ func runConvIm2col(ctx *Ctx, n *graph.Node, in, out []*tensor.Tensor) error {
 	perGroup := gemm.PackedASize(coutG, kdim)
 	packedW := packedConvWeights(ctx, n, w, p.groups, coutG, kdim)
 
+	ctx.convSrc.init(x, &p)
 	for g := 0; g < p.groups; g++ {
 		// One strided call folds the whole batch: the source resolves the
 		// image index to its NCHW slab, C images start cout*cols apart,
 		// and the group's rows sit coutG*cols into each image.
-		ctx.convSrc.init(x, &p, g)
+		ctx.convSrc.chan0 = g * cinG
 		wg := w[g*coutG*kdim : (g+1)*coutG*kdim]
 		var pa []float32
 		if packedW != nil {

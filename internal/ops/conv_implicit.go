@@ -2,108 +2,144 @@ package ops
 
 import "orpheus/internal/gemm"
 
-// Implicit-GEMM convolution support: a gemm.PackSrc that packs B panels
-// straight from the NCHW input image.
+// Implicit-GEMM convolution support: the geometry both conv pack sources
+// walk, and the fp32 one, a gemm.PackSrc that packs B panels straight
+// from the NCHW input.
 //
 // GEMM convolution multiplies the reshaped weight matrix [coutG × kdim]
-// by the unfolded input [kdim × oh*ow]. The explicit form (conv.im2col_
-// explicit) materialises that unfold into a kdim×cols scratch matrix that
-// the packed GEMM then re-reads and re-copies into panels — every input
-// element is written once and read twice before any arithmetic happens.
-// convPackSrc removes the intermediate: the packed tier asks it for each
-// kc×nc panel and it gathers the receptive-field values directly into
-// pack strips, handling padding, stride, dilation, groups and the batch
-// (the image index selects the NCHW slab). The kdim×cols scratch and its
-// per-session arena reservation disappear entirely.
+// by the unfolded input [kdim × oh*ow]. conv.im2col_explicit materialises
+// that unfold; the pack sources never do. Once per conv call they copy the
+// batch into planes carrying the convolution's padding as a border (x
+// itself when there is none), so every tap of every output pixel is an
+// in-bounds read. A panel's kc rows then decode to one plane offset each,
+// and one division-free walk carries its columns through output pixels
+// and strips together, moving each stretch that stays inside one output
+// row and one strip for all kc rows in one tight loop — no bounds test,
+// no padding branch, no per-row clear. convPackSrc8 (conv_int8.go) is the
+// same walk over quantized bytes, interleaved a k-quad at a time.
 
-// convPackSrc describes the virtual B matrix of one convolution group:
-// B[kd][col] = x[img][chan0 + kd/(kh*kw)][oy*sh - padT + ky*dh][ox*sw -
-// padL + kx*dw] with (ky, kx) from kd and (oy, ox) from col, zero outside
-// the input. It is read-only during a gemm call, so the pool may pack
-// panels from several workers at once.
-type convPackSrc struct {
-	x                                  []float32 // whole NCHW input batch
-	cin                                int       // channels per image (image stride is cin*h*w)
-	h, w                               int
-	chan0                              int // first input channel of this group
-	kh, kw, sh, sw, padT, padL, dh, dw int
-	oh, ow                             int
+// convGeo is the geometry of a padded NCHW batch: tap (ky, kx) of group
+// channel c for output pixel (oy, ox) of image img sits at
+// ((img*cin+chan0+c)*hp + oy*sh + ky*dh)*wp + ox*sw + kx*dw.
+type convGeo struct {
+	cin, chan0             int // channels per image; first channel of the group
+	hp, wp                 int // plane dims, padding included
+	kh, kw, sh, sw, dh, dw int
+	ow                     int
 }
 
-// init points the source at group g of the convolution described by p.
-func (s *convPackSrc) init(x []float32, p *convParams, g int) {
+// set takes p's geometry, group 0 selected.
+func (g *convGeo) set(p *convParams) {
+	g.cin, g.chan0 = p.cin, 0
+	g.hp, g.wp = p.h+p.padT+p.padB, p.w+p.padL+p.padR
+	g.kh, g.kw, g.sh, g.sw, g.dh, g.dw = p.kh, p.kw, p.sh, p.sw, p.dh, p.dw
+	g.ow = p.ow
+}
+
+// taps sets tap[i] to the offset, from the group's first plane, that k-row
+// pp+i reads for output pixel (0, 0). It divides once, at entry.
+func (g *convGeo) taps(tap []int, pp int) {
+	khw, plane := g.kh*g.kw, g.hp*g.wp
+	ic := pp / khw
+	ky := (pp - ic*khw) / g.kw
+	kx := pp - ic*khw - ky*g.kw
+	for i := range tap {
+		tap[i] = ic*plane + ky*g.dh*g.wp + kx*g.dw
+		if kx++; kx == g.kw {
+			kx = 0
+			if ky++; ky == g.kh {
+				ky, ic = 0, ic+1
+			}
+		}
+	}
+}
+
+// padPlanes copies planes h×w planes of src into dst as planes padded per
+// p with a border of v, writing each element of dst once. The border
+// between two rows is only padR+padL elements, so it is stored element by
+// element rather than with fill's copies.
+func padPlanes[T byte | float32](dst, src []T, planes int, p *convParams, v T) {
+	wp := p.w + p.padL + p.padR
+	plane := (p.h + p.padT + p.padB) * wp
+	at := 0
+	border := func(to int) {
+		b := dst[at:to]
+		for i := range b {
+			b[i] = v
+		}
+		at = to
+	}
+	for c := 0; c < planes; c++ {
+		for y := 0; y < p.h; y++ {
+			border(c*plane + (y+p.padT)*wp + p.padL)
+			at += copy(dst[at:at+p.w], src[(c*p.h+y)*p.w:])
+		}
+	}
+	border(planes * plane)
+}
+
+// convPackSrc is the virtual B matrix of one convolution group over a
+// padded fp32 batch. It is read-only during a gemm call, so the pool may
+// pack panels from several workers at once.
+type convPackSrc struct {
+	convGeo
+	x   []float32 // the batch's planes: the input itself, or pad
+	pad []float32 // zero-bordered copy of the input, reused across calls
+}
+
+// init points the source at the input batch of the convolution p
+// describes, copying it into zero-bordered planes when p pads; callers
+// select a group by setting chan0.
+func (s *convPackSrc) init(x []float32, p *convParams) {
+	s.set(p)
 	s.x = x
-	s.cin, s.h, s.w = p.cin, p.h, p.w
-	s.chan0 = g * (p.cin / p.groups)
-	s.kh, s.kw, s.sh, s.sw = p.kh, p.kw, p.sh, p.sw
-	s.padT, s.padL, s.dh, s.dw = p.padT, p.padL, p.dh, p.dw
-	s.oh, s.ow = p.oh, p.ow
+	if s.hp != p.h || s.wp != p.w {
+		s.pad = growF32(s.pad, p.n*p.cin*s.hp*s.wp)
+		padPlanes(s.pad, x, p.n*p.cin, p, 0)
+		s.x = s.pad
+	}
 }
 
 // PackPanel implements gemm.PackSrc: the kc×nc panel at (pp, jj) of image
-// img's unfold matrix, written as strips of nr columns (row-major within
-// each strip), edge strips zero-padded. Rows decode to (channel, ky, kx)
-// and a strip's first column to an output pixel once at entry, and are
-// carried from there; columns are walked in runs that stay within one
-// output row, so each run is one bounds-free copy — strided when sw > 1.
+// img's unfold matrix, written as strips of nr columns, row-major within
+// each strip. Each stretch is one copy per k-row at stride 1 and one
+// gemm.GatherRow otherwise; only the edge strip's tail is cleared.
 func (s *convPackSrc) PackPanel(dst []float32, img, pp, jj, kc, nc, nr int) {
-	khw := s.kh * s.kw
-	plane := s.h * s.w
-	imgBase := (img*s.cin + s.chan0) * plane
-	ic0 := pp / khw
-	ky0 := (pp - ic0*khw) / s.kw
-	kx0 := pp - ic0*khw - ky0*s.kw
-	for j := 0; j < nc; j += nr {
-		cols := min(nr, nc-j)
-		strip := dst[(j/nr)*kc*nr:]
-		oy0 := (jj + j) / s.ow
-		ox0 := jj + j - oy0*s.ow
-		ic, ky, kx := ic0, ky0, kx0
+	var tab [gemm.MaxPanelK]int
+	tap := tab[:kc]
+	s.taps(tap, pp)
+	x := s.x[(img*s.cin+s.chan0)*s.hp*s.wp:]
+	rowStep := s.sh * s.wp
+	oy := jj / s.ow
+	ox := jj - oy*s.ow
+	row := oy * rowStep // source offset of the current output row
+	d := dst            // the current strip
+	for j, jl := 0, 0; j < nc; {
+		n := min(s.ow-ox, nr-jl, nc-j)
+		at := row + ox*s.sw
+		if s.sw == 1 {
+			for p, t := range tap {
+				copy(d[p*nr+jl:][:n], x[t+at:])
+			}
+		} else {
+			for p, t := range tap {
+				gemm.GatherRow(d[p*nr+jl:][:n], x[t+at:], s.sw)
+			}
+		}
+		j += n
+		if ox += n; ox == s.ow {
+			ox = 0
+			row += rowStep
+		}
+		if jl += n; jl == nr && j < nc {
+			jl = 0
+			d = d[kc*nr:]
+		}
+	}
+	if jl := nc % nr; jl != 0 {
+		last := dst[(nc/nr)*kc*nr:]
 		for p := 0; p < kc; p++ {
-			xc := s.x[imgBase+ic*plane:][:plane]
-			dy := ky*s.dh - s.padT // iy = oy*sh + dy
-			dx := kx*s.dw - s.padL // ix = ox*sw + dx
-			row := strip[p*nr : p*nr+nr]
-			oy, ox := oy0, ox0
-			for cc := 0; cc < cols; {
-				run := min(s.ow-ox, cols-cc)
-				seg := row[cc : cc+run]
-				iy := oy*s.sh + dy
-				if iy < 0 || iy >= s.h {
-					clear(seg)
-				} else {
-					// The run's pixels [lo, hi) read a column inside the
-					// row — worked out once per run, so no pixel is
-					// bounds-tested: zero the fringes, gather the live
-					// middle in one strided copy. The source slice runs on
-					// to the end of the plane, which lets GatherRow's
-					// stride-2 body read its one float past the last
-					// column everywhere but on the plane's last row.
-					ix := ox*s.sw + dx
-					lo, hi := 0, run
-					if ix < 0 {
-						lo = min((-ix+s.sw-1)/s.sw, run)
-					}
-					if ix+(run-1)*s.sw >= s.w {
-						hi = max((s.w-ix+s.sw-1)/s.sw, lo)
-					}
-					clear(seg[:lo])
-					if hi > lo {
-						gemm.GatherRow(seg[lo:hi], xc[iy*s.w+ix+lo*s.sw:], s.sw)
-					}
-					clear(seg[hi:])
-				}
-				// A run ends at the end of its output row or of the strip.
-				cc += run
-				oy, ox = oy+1, 0
-			}
-			clear(row[cols:])
-			if kx++; kx == s.kw {
-				kx = 0
-				if ky++; ky == s.kh {
-					ky, ic = 0, ic+1
-				}
-			}
+			clear(last[p*nr+jl : (p+1)*nr])
 		}
 	}
 }

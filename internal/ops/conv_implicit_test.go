@@ -134,57 +134,127 @@ var stridedPackCases = []convCase{
 	{name: "s2-grouped", n: 2, cin: 6, h: 11, w: 37, cout: 6, kh: 3, kw: 3, sh: 1, sw: 2, padT: 1, padL: 0, padB: 1, padR: 2, dh: 1, dw: 1, groups: 3},
 }
 
+// walkPackCases are the shapes the padded-plane walk carries state across:
+// output rows shorter than a strip (one 32-wide strip spans five 7-wide
+// rows), single-column rows, stride-2 stretches of whole vector blocks
+// whose last tap is the last element of the last (padded or unpadded)
+// plane — the stride2Head over-read guard — and a grouped batch with
+// dilation and asymmetric padding.
+var walkPackCases = []convCase{
+	{name: "ow7-nr32", n: 1, cin: 4, h: 7, w: 7, cout: 2, kh: 3, kw: 3, sh: 1, sw: 1, padT: 1, padL: 1, padB: 1, padR: 1, dh: 1, dw: 1, groups: 1},
+	{name: "ow1", n: 2, cin: 3, h: 11, w: 3, cout: 2, kh: 3, kw: 3, sh: 1, sw: 1, padT: 1, padB: 1, dh: 1, dw: 1, groups: 1},
+	{name: "s2-last-row-padded", n: 2, cin: 2, h: 15, w: 15, cout: 2, kh: 3, kw: 3, sh: 2, sw: 2, padT: 1, padL: 1, padB: 1, padR: 1, dh: 1, dw: 1, groups: 1},
+	{name: "s2-last-row-1x1", n: 2, cin: 3, h: 15, w: 15, cout: 2, kh: 1, kw: 1, sh: 2, sw: 2, dh: 1, dw: 1, groups: 1},
+	{name: "b3-g2-dil2-asym", n: 3, cin: 4, h: 10, w: 12, cout: 4, kh: 3, kw: 3, sh: 1, sw: 2, padT: 2, padL: 1, padB: 0, padR: 3, dh: 2, dw: 2, groups: 2},
+}
+
+// im2colGroup is group g of image img unfolded by tensor.Im2ColInto: the
+// [kdim × oh*ow] matrix every panel must be a block of.
+func im2colGroup(x []float32, p *convParams, img, g int) []float32 {
+	cinG := p.cin / p.groups
+	want := make([]float32, cinG*p.kh*p.kw*p.oh*p.ow)
+	tensor.Im2ColInto(want, x[(img*p.cin+g*cinG)*p.h*p.w:], 1, cinG, p.h, p.w,
+		p.kh, p.kw, p.sh, p.sw, p.padT, p.padL, p.dh, p.dw, p.oh, p.ow)
+	return want
+}
+
+// checkPackPanel packs one panel of src's selected group into a poisoned
+// buffer and requires it to be want's block in strip layout, bit for bit,
+// with zeroed edge-strip padding.
+func checkPackPanel(t testing.TB, src *convPackSrc, want []float32, cols, img, pp, jj, kc, nc, nr int) {
+	t.Helper()
+	dst := make([]float32, kc*((nc+nr-1)/nr)*nr)
+	for i := range dst {
+		dst[i] = 1234.5
+	}
+	src.PackPanel(dst, img, pp, jj, kc, nc, nr)
+	for j := 0; j < (nc+nr-1)/nr*nr; j++ {
+		for k := 0; k < kc; k++ {
+			var w float32
+			if j < nc {
+				w = want[(pp+k)*cols+jj+j]
+			}
+			if got := dst[(j/nr)*kc*nr+k*nr+j%nr]; math.Float32bits(got) != math.Float32bits(w) {
+				t.Fatalf("img %d chan0 %d panel (%d,%d) %dx%d nr %d: [%d][%d] = %v, want %v",
+					img, src.chan0, pp, jj, kc, nc, nr, k, j, got, w)
+			}
+		}
+	}
+}
+
 // TestPackPanelMatchesIm2Col holds convPackSrc.PackPanel to
 // tensor.Im2ColInto bit for bit: every panel of every (image, group), cut
-// at several (kc, nc, nr), must be the unfold matrix's block in strip
-// layout with zeroed edge-strip padding — on every stride, padding,
-// dilation and group geometry of the battery.
+// at several (kc ≤ gemm.MaxPanelK, nc, nr), must be the unfold matrix's
+// block in strip layout with zeroed edge-strip padding — on every stride,
+// padding, dilation and group geometry of the battery.
 func TestPackPanelMatchesIm2Col(t *testing.T) {
-	for _, tc := range append(implicitBattery(), stridedPackCases...) {
-		inputs := tc.tensors(tensor.SeedFromString(tc.name))
-		p, err := resolveConvRT(buildNode(t, "Conv", tc.attrs(), inputs...), inputs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		x := inputs[0].Data()
-		cinG := p.cin / p.groups
-		kdim, cols := cinG*p.kh*p.kw, p.oh*p.ow
-		want := make([]float32, kdim*cols)
-		for img := 0; img < p.n; img++ {
-			for g := 0; g < p.groups; g++ {
-				tensor.Im2ColInto(want, x[(img*p.cin+g*cinG)*p.h*p.w:], 1, cinG, p.h, p.w,
-					p.kh, p.kw, p.sh, p.sw, p.padT, p.padL, p.dh, p.dw, p.oh, p.ow)
-				var src convPackSrc
-				src.init(x, &p, g)
-				for _, cut := range [][3]int{{kdim, cols, 8}, {7, 40, 16}, {5, 100, 32}} {
-					kcMax, ncMax, nr := cut[0], cut[1], cut[2]
-					dst := make([]float32, kcMax*((ncMax+nr-1)/nr)*nr)
-					for pp := 0; pp < kdim; pp += kcMax {
-						kc := min(kcMax, kdim-pp)
-						for jj := 0; jj < cols; jj += ncMax {
-							nc := min(ncMax, cols-jj)
-							for i := range dst {
-								dst[i] = 1234.5
-							}
-							src.PackPanel(dst, img, pp, jj, kc, nc, nr)
-							for j := 0; j < (nc+nr-1)/nr*nr; j++ {
-								for k := 0; k < kc; k++ {
-									var w float32
-									if j < nc {
-										w = want[(pp+k)*cols+jj+j]
-									}
-									if got := dst[(j/nr)*kc*nr+k*nr+j%nr]; math.Float32bits(got) != math.Float32bits(w) {
-										t.Fatalf("%s img %d group %d panel (%d,%d) %dx%d nr %d: [%d][%d] = %v, want %v",
-											tc.name, img, g, pp, jj, kc, nc, nr, k, j, got, w)
-									}
-								}
+	cases := append(append(implicitBattery(), stridedPackCases...), walkPackCases...)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			inputs := tc.tensors(tensor.SeedFromString(tc.name))
+			p, err := resolveConvRT(buildNode(t, "Conv", tc.attrs(), inputs...), inputs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			x := inputs[0].Data()
+			cinG := p.cin / p.groups
+			kdim, cols := cinG*p.kh*p.kw, p.oh*p.ow
+			var src convPackSrc
+			src.init(x, &p)
+			for img := 0; img < p.n; img++ {
+				for g := 0; g < p.groups; g++ {
+					want := im2colGroup(x, &p, img, g)
+					src.chan0 = g * cinG
+					for _, cut := range [][3]int{{gemm.MaxPanelK, cols, 8}, {7, 40, 16}, {5, 100, 32}, {gemm.MaxPanelK, cols, 32}} {
+						kcMax, ncMax, nr := cut[0], cut[1], cut[2]
+						for pp := 0; pp < kdim; pp += kcMax {
+							for jj := 0; jj < cols; jj += ncMax {
+								checkPackPanel(t, &src, want, cols, img, pp, jj, min(kcMax, kdim-pp), min(ncMax, cols-jj), nr)
 							}
 						}
 					}
 				}
 			}
-		}
+		})
 	}
+}
+
+// FuzzPackPanelVsIm2Col is the fp32 twin of FuzzPackPanel8VsScalar: it
+// draws a geometry and one panel from the fuzz input and holds the
+// padded-plane walk to tensor.Im2ColInto bit for bit.
+func FuzzPackPanelVsIm2Col(f *testing.F) {
+	f.Add(uint64(1), uint8(3), uint8(8), uint8(8), uint8(3), uint8(1), uint8(1), uint8(1), uint8(1), uint8(0), uint8(0), uint8(255), uint8(255), uint8(0))
+	f.Add(uint64(2), uint8(3), uint8(30), uint8(30), uint8(7), uint8(2), uint8(3), uint8(1), uint8(1), uint8(0), uint8(0), uint8(255), uint8(255), uint8(2))
+	f.Add(uint64(3), uint8(4), uint8(11), uint8(13), uint8(3), uint8(2), uint8(2), uint8(2), uint8(2), uint8(5), uint8(9), uint8(6), uint8(10), uint8(1))
+	f.Add(uint64(4), uint8(6), uint8(15), uint8(15), uint8(1), uint8(4), uint8(0), uint8(1), uint8(1), uint8(0), uint8(0), uint8(255), uint8(255), uint8(0))
+	f.Fuzz(func(t *testing.T, seed uint64, cin, h, w, k, stride, pad, dil, groups, ppb, jjb, kcb, ncb, nrb uint8) {
+		tc := convCase{name: "fuzz", n: 1 + int(seed%3), cin: int(cin%8) + 1, h: int(h%20) + 1, w: int(w%20) + 1,
+			kh: int(k%7) + 1, kw: int(k/7%7) + 1, sh: int(stride%3) + 1, sw: int(stride/3%3) + 1,
+			padT: int(pad % 4), padL: int(pad / 4 % 4), padB: int(pad / 16 % 4), padR: int(pad / 64),
+			dh: int(dil%3) + 1, dw: int(dil/3%3) + 1, groups: int(groups%3) + 1}
+		tc.cin *= tc.groups
+		tc.cout = tc.groups
+		if (tc.kh-1)*tc.dh >= tc.h+tc.padT+tc.padB || (tc.kw-1)*tc.dw >= tc.w+tc.padL+tc.padR {
+			t.Skip("kernel larger than padded input")
+		}
+		inputs := tc.tensors(seed)
+		p, err := resolveConv(buildNode(t, "Conv", tc.attrs(), inputs...))
+		if err != nil {
+			t.Fatal(err)
+		}
+		x := inputs[0].Data()
+		g := int(seed/3) % tc.groups
+		var src convPackSrc
+		src.init(x, &p)
+		src.chan0 = g * (p.cin / p.groups)
+		kdim := (p.cin / p.groups) * p.kh * p.kw
+		cols := p.oh * p.ow
+		pp, jj := int(ppb)%kdim, int(jjb)%cols
+		kc := min(int(kcb)+1, kdim-pp, gemm.MaxPanelK)
+		nc := min(int(ncb)+1, cols-jj)
+		nr := []int{8, 16, 32}[nrb%3]
+		checkPackPanel(t, &src, im2colGroup(x, &p, p.n-1, g), cols, p.n-1, pp, jj, kc, nc, nr)
+	})
 }
 
 // TestConvImplicitRuntimeBatchSlices mirrors how sessions bind batched

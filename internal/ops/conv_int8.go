@@ -169,14 +169,11 @@ func growU8(s []byte, n int) []byte {
 // branch. Read-only during a call, so pool workers may pack panels
 // concurrently.
 type convPackSrc8 struct {
-	cin, chan0             int // channels per image; first channel of the group
-	hp, wp                 int // padded plane dims
-	kh, kw, sh, sw, dh, dw int
-	ow                     int
+	convGeo
 
 	// q8 is the quantized batch input, NCHW over padded hp×wp planes;
-	// stage holds one unpadded image between the bulk quantize and the row
-	// copies into q8. scales/zeros are the per-image parameters the
+	// stage holds one unpadded image between the bulk quantize and its
+	// padded copy into q8. scales/zeros are the per-image parameters the
 	// requantize epilogue needs.
 	q8, stage []byte
 	scales    []float32
@@ -187,11 +184,7 @@ type convPackSrc8 struct {
 // parameters and converts it to uint8 in q8, padded per p. The buffers
 // are reused across calls, so the steady state allocates nothing.
 func (s *convPackSrc8) quantize(x []float32, p *convParams) {
-	s.cin = p.cin
-	s.hp, s.wp = p.h+p.padT+p.padB, p.w+p.padL+p.padR
-	s.kh, s.kw, s.sh, s.sw, s.dh, s.dw = p.kh, p.kw, p.sh, p.sw, p.dh, p.dw
-	s.ow = p.ow
-
+	s.set(p)
 	s.scales = growF32(s.scales, p.n)
 	s.zeros = growI32(s.zeros, p.n)
 	stride, pstride := p.cin*p.h*p.w, p.cin*s.hp*s.wp
@@ -212,12 +205,7 @@ func (s *convPackSrc8) quantize(x []float32, p *convParams) {
 			continue
 		}
 		gemm.QuantizeU8(s.stage, xi, 1/scale, float32(zero)+0.5)
-		fill(qi, byte(zero))
-		for c := 0; c < p.cin; c++ {
-			for y := 0; y < p.h; y++ {
-				copy(qi[(c*s.hp+y+p.padT)*s.wp+p.padL:], s.stage[(c*p.h+y)*p.w:][:p.w])
-			}
-		}
+		padPlanes(qi, s.stage, p.cin, p, byte(zero))
 	}
 }
 
@@ -232,50 +220,33 @@ func fill[T byte | float32](b []T, v T) {
 	}
 }
 
-// PackPanel8 implements gemm.PackSrc8 a k-quad at a time: the quad's four
-// rows decode to (channel, ky, kx) taps once per panel, and one flat walk
-// carries the panel's columns through output pixels and strips together,
-// moving each stretch that stays within one output row and one strip with
-// a single gemm.InterleaveQuads straight from the padded planes. Every
+// PackPanel8 implements gemm.PackSrc8 a k-quad at a time: the panel's rows
+// decode to padded-plane taps once, and for each quad one flat walk
+// carries the columns through output pixels and strips together, moving
+// each stretch that stays within one output row and one strip with a
+// single gemm.InterleaveQuads straight from the padded planes. Every
 // coordinate is carried incrementally; the walk divides only at panel
 // entry.
 func (s *convPackSrc8) PackPanel8(dst []byte, img, pp, jj, kc, nc, nr int) {
 	kcq := (kc + 3) >> 2
-	plane := s.hp * s.wp
-	q8 := s.q8[(img*s.cin+s.chan0)*plane:]
-	ic := pp / (s.kh * s.kw)
-	rem := pp - ic*s.kh*s.kw
-	ky := rem / s.kw
-	kx := rem - ky*s.kw
+	q8 := s.q8[(img*s.cin+s.chan0)*s.hp*s.wp:]
+	var tap [gemm.MaxPanelK + 3]int
+	s.taps(tap[:kc], pp)
+	for t := kc; t < 4*kcq; t++ {
+		tap[t] = tap[0] // any in-bounds tap: the rows past kc are zeroed below
+	}
 	oy0 := jj / s.ow
 	ox0 := jj - oy0*s.ow
 	rowStep := s.sh * s.wp
 	for q := 0; q < kcq; q++ {
-		// tap[t] is the padded-plane offset output pixel (0, 0) reads for
-		// the quad's row t. Rows past kc borrow row 0's and are zeroed
-		// below.
-		var tap [4]int
-		for t := range tap {
-			if 4*q+t >= kc {
-				tap[t] = tap[0]
-				continue
-			}
-			tap[t] = ic*plane + ky*s.dh*s.wp + kx*s.dw
-			if kx++; kx == s.kw {
-				kx = 0
-				if ky++; ky == s.kh {
-					ky = 0
-					ic++
-				}
-			}
-		}
+		t := tap[4*q : 4*q+4]
 		row := oy0 * rowStep // source offset of the current output row
 		ox, jl := ox0, 0
 		d := dst[q*nr*4:] // the quad's columns in the current strip
 		for j := 0; j < nc; {
 			n := min(s.ow-ox, nr-jl, nc-j)
 			at := row + ox*s.sw
-			gemm.InterleaveQuads(d[jl*4:], q8[tap[0]+at:], q8[tap[1]+at:], q8[tap[2]+at:], q8[tap[3]+at:], n, s.sw)
+			gemm.InterleaveQuads(d[jl*4:], q8[t[0]+at:], q8[t[1]+at:], q8[t[2]+at:], q8[t[3]+at:], n, s.sw)
 			j += n
 			if ox += n; ox == s.ow {
 				ox = 0

@@ -17,9 +17,11 @@ import (
 // scalarConvPack8 is the pre-quad convPackSrc8, walk unchanged: one byte
 // per iteration at stride 4 from an unpadded uint8 copy of the input,
 // padding decided per run. q8 uses the fp32 tensor's NCHW indexing; zeros
-// holds the per-image zero points.
+// holds the per-image zero points. Its geometry is the conv's own
+// parameters, not the padded convGeo the walk under test reads.
 type scalarConvPack8 struct {
-	geo   convPackSrc
+	geo   convParams
+	chan0 int
 	q8    []byte
 	zeros []int32
 }
@@ -28,7 +30,7 @@ func (s *scalarConvPack8) PackPanel8(dst []byte, img, pp, jj, kc, nc, nr int) {
 	g := &s.geo
 	khw := g.kh * g.kw
 	plane := g.h * g.w
-	imgBase := (img*g.cin + g.chan0) * plane
+	imgBase := (img*g.cin + s.chan0) * plane
 	zb := byte(s.zeros[img])
 	kcq4 := (kc + 3) &^ 3
 	var chOff, rowDy, rowDx [gemm.MaxPanelK]int32
@@ -144,8 +146,7 @@ func packPair(t testing.TB, tc convCase, seed uint64, g int) (*convPackSrc8, *sc
 	src.quantize(x, &p)
 	src.chan0 = g * (p.cin / p.groups)
 
-	ref := &scalarConvPack8{q8: make([]byte, len(x)), zeros: src.zeros}
-	ref.geo.init(x, &p, g)
+	ref := &scalarConvPack8{geo: p, chan0: src.chan0, q8: make([]byte, len(x)), zeros: src.zeros}
 	stride := p.cin * p.h * p.w
 	for img := 0; img < p.n; img++ {
 		gemm.QuantizeU8(ref.q8[img*stride:], x[img*stride:(img+1)*stride],

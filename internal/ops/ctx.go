@@ -138,7 +138,8 @@ type Ctx struct {
 	// Calls at. Kernels within a session run sequentially and GEMM blocks
 	// until the call completes, so one reusable value per session keeps
 	// the hot path free of allocations (an interface over a fresh struct
-	// would heap-allocate every run).
+	// would heap-allocate every run); its padded planes are pack scratch
+	// like convSrc8's quantized ones.
 	convSrc convPackSrc
 
 	// convSrcA is the NHWC-tier A-side pack source conv.im2col_nhwc points

@@ -2,8 +2,10 @@ package shard
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net"
+	"os"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -21,7 +23,8 @@ type PipelineConfig struct {
 	// at least the stage count; <=0 means 2×len(Addrs).
 	Depth int
 	// Timeout bounds one request end to end, on top of the caller's
-	// context (<=0: no driver-side deadline).
+	// context, and each driver-side read of the collect link (<=0: no
+	// driver-side deadline).
 	Timeout time.Duration
 	// DialTimeout bounds each dial attempt (<=0: 5s).
 	DialTimeout time.Duration
@@ -281,10 +284,9 @@ func (p *Pipeline) send(ctx context.Context, frame []byte) error {
 				_ = nfc.Close()
 				return fmt.Errorf("%w: stage inputs changed across reconnect", ErrHandshake)
 			}
-			p.reconnects.Add(1)
-			p.mu.Lock()
-			p.feed = nfc
-			p.mu.Unlock()
+			if !p.publish(&p.feed, nfc) {
+				return ErrDraining
+			}
 			continue
 		}
 		select {
@@ -304,7 +306,8 @@ func (p *Pipeline) send(ctx context.Context, frame []byte) error {
 // frames to their pending requests by sequence id, and re-dials with
 // backoff when the terminal stage drops the link. Requests in flight
 // across a drop fail with ErrPeerClosed — the frames that would have
-// resolved them may be gone with the connection.
+// resolved them may be gone with the connection. A frame that stalls for
+// Timeout counts as a drop.
 func (p *Pipeline) recvLoop() {
 	defer p.recv.Done()
 	for {
@@ -316,6 +319,17 @@ func (p *Pipeline) recvLoop() {
 				return
 			}
 			continue
+		}
+		if p.cfg.Timeout > 0 {
+			// An idle link is not a lost one: wait for the next frame under
+			// a deadline, so this loop re-reads the published link (which
+			// Close clears) at least once per Timeout, then give the frame
+			// itself a fresh Timeout.
+			_ = fc.c.SetReadDeadline(time.Now().Add(p.cfg.Timeout))
+			if _, err := fc.br.Peek(1); errors.Is(err, os.ErrDeadlineExceeded) {
+				continue
+			}
+			_ = fc.c.SetReadDeadline(time.Now().Add(p.cfg.Timeout))
 		}
 		ft, payload, err := fc.readFrame()
 		if err != nil {
@@ -378,11 +392,7 @@ func (p *Pipeline) redialCollect() bool {
 				p.failPending(fmt.Errorf("%w: stage outputs changed across reconnect", ErrHandshake))
 				return false
 			}
-			p.reconnects.Add(1)
-			p.mu.Lock()
-			p.collect = fc
-			p.mu.Unlock()
-			return true
+			return p.publish(&p.collect, fc)
 		}
 		select {
 		case <-p.quit:
@@ -393,6 +403,23 @@ func (p *Pipeline) redialCollect() bool {
 			backoff *= 2
 		}
 	}
+}
+
+// publish installs a re-dialled link in *slot and reports whether it did.
+// Close sets closed before it takes p.mu to close the published links, so
+// the check under p.mu decides the race: a link that loses it was dialled
+// after Close had looked, and is closed here rather than installed where
+// nobody would close it.
+func (p *Pipeline) publish(slot **frameConn, fc *frameConn) bool {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.closed.Load() {
+		_ = fc.Close()
+		return false
+	}
+	*slot = fc
+	p.reconnects.Add(1)
+	return true
 }
 
 // decodeResult parses a result frame into freshly allocated output

@@ -449,6 +449,107 @@ func TestPipelineDrain(t *testing.T) {
 	}
 }
 
+// TestPipelineCloseDuringRedial pins the shutdown race: a Close that runs
+// while recvLoop is re-dialling the collect link must return, which it
+// can only do if the link that dial produces is closed rather than
+// installed after Close has closed the links it could see. The stage is a
+// fake that drops the first collect link and holds the second one's
+// welcome until Close is waiting for recvLoop.
+func TestPipelineCloseDuringRedial(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	redialing, release := make(chan struct{}), make(chan struct{})
+	var mu sync.Mutex
+	var conns []net.Conn
+	t.Cleanup(func() {
+		_ = ln.Close()
+		mu.Lock()
+		for _, c := range conns {
+			_ = c.Close()
+		}
+		mu.Unlock()
+	})
+	go func() {
+		desc := []TensorDesc{{Name: "x", Shape: []int{1}}}
+		for collects := 0; ; {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			mu.Lock()
+			conns = append(conns, c)
+			mu.Unlock()
+			fc := newFrameConn(c, 0)
+			var h hello
+			if ft, payload, err := fc.readFrame(); err != nil || ft != ftHello || jsonUnmarshal(payload, &h) != nil {
+				return
+			}
+			if h.Role == "collect" {
+				if collects++; collects == 2 {
+					close(redialing)
+					<-release
+				}
+			}
+			_ = fc.writeJSON(ftWelcome, welcome{Version: ProtocolVersion, Model: h.Model, Count: 1, Inputs: desc, Outputs: desc})
+			if h.Role == "collect" && collects == 1 {
+				_ = c.Close()
+			}
+		}
+	}()
+	p, err := Dial(context.Background(), PipelineConfig{Model: "fake", Addrs: []string{ln.Addr().String()}, DialBackoff: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-redialing:
+	case <-time.After(10 * time.Second):
+		close(release)
+		t.Fatal("the driver never re-dialled the dropped collect link")
+	}
+	closed := make(chan struct{})
+	go func() {
+		_ = p.Close()
+		close(closed)
+	}()
+	<-p.quit // Close has closed every published link and waits for recvLoop
+	close(release)
+	select {
+	case <-closed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close hung: the link re-dialled during Close was installed after it")
+	}
+}
+
+// TestPipelineIdleDeadline pins the collect link's read deadline: a
+// pipeline left idle for several Timeouts keeps its link — an idle read
+// that expires is not a lost peer — and still serves and closes.
+func TestPipelineIdleDeadline(t *testing.T) {
+	g := stageModel(t, "tiny-idle")
+	vol := volume(g.Inputs[0].Shape)
+	_, addrs := startStages(t, g, 2, nil)
+	const timeout = 250 * time.Millisecond
+	p, err := Dial(context.Background(), PipelineConfig{Model: g.Name, Addrs: addrs, Timeout: timeout})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		if i > 0 {
+			time.Sleep(3 * timeout)
+		}
+		if _, err := p.Predict(context.Background(), sampleInput(vol, i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := p.Stats().Reconnects; n != 0 {
+		t.Fatalf("idle pipeline re-dialled %d times", n)
+	}
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestFrameValidation pins the frame layer's canonical-encoding rules.
 func TestFrameValidation(t *testing.T) {
 	client, server := net.Pipe()
