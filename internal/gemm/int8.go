@@ -15,10 +15,10 @@ import "math"
 //     products along k-quads of 4 (the VPMADDUBSW / VPDPBUSD reduction
 //     unit).
 //
-//   - B is always virtual: a PackSrc8 quantizes fp32 activations per
-//     kc×nc panel as it packs (convolution straight from the NCHW input,
-//     dense from the row-major activation matrix), so no materialised
-//     int8 activation tensor ever exists.
+//   - B is always virtual: a PackSrc8 quantizes the fp32 activations once
+//     per call into private scratch and packs each kc×nc panel from it
+//     (convolution from the NCHW input, dense from the row-major
+//     activation matrix), so no int8 activation tensor ever exists.
 //
 //   - A unit accumulates all its k-panels into a per-Context int32
 //     scratch (always full micro-tiles, so there is no edge staging), and
@@ -304,12 +304,9 @@ func activate(v float32, act Activation, alpha float32) float32 {
 // compensation, the combined weight×activation scale, the bias add and
 // the activation, and stores it to the call's C layout. This is the only
 // pass that touches C, and it writes each element once. The per-image
-// (convolution) form gives the two activations resnet-18 runs a loop of
-// their own: on a 128×784 tile ActNone stores at 0.6 ns per element and
-// ReLU at 1.1, against 1.3 and 1.45 through the one general loop, whose
-// per-element switch and bit round trip the others take. With only ActNone
-// split out, dense-int8 latency_mode_ms was 32.1 ms against 31.3 (10 runs
-// each, quartiles 0.2 ms apart).
+// (convolution) form sends the two activations resnet-18 runs through
+// requantRow, a vector row on AVX2 hosts; the others take the general
+// loop, with its per-element switch on the activation.
 func (c *CallInt8) storeTile(acc []int32, ldc, img, ii, jj, mc, nc int) {
 	if c.TransC {
 		for j := 0; j < nc; j++ {
@@ -346,14 +343,8 @@ func (c *CallInt8) storeTile(acc []int32, ldc, img, ii, jj, mc, nc int) {
 		s := sA * c.BScale[img]
 		comp := c.BZero[img] * rs
 		switch c.Act {
-		case ActNone:
-			for i, a := range arow {
-				row[i] = float32(a-comp)*s + bv
-			}
-		case ActReLU:
-			for i, a := range arow {
-				row[i] = activate(float32(a-comp)*s+bv, ActReLU, 0)
-			}
+		case ActNone, ActReLU:
+			requantRow(row, arow, comp, s, bv, c.Act == ActReLU)
 		default:
 			for i, a := range arow {
 				row[i] = activate(float32(a-comp)*s+bv, c.Act, alpha)

@@ -6,10 +6,10 @@ import "encoding/binary"
 //
 // The quantizing pack sources scan a layer input once for its range and
 // then convert it to uint8 in bulk, so the im2col pack walk degenerates
-// to byte copies: a 3x3 convolution visits every input pixel ~9 times,
-// and quantizing inside the walk was measured to cost several times the
-// int8 GEMM itself on small-K layers. InterleaveQuads is the byte move
-// those walks are made of. All three dispatch to AVX2 implementations on
+// to copies: a 3x3 convolution visits every input pixel ~9 times, and
+// quantizing inside the walk was measured to cost several times the int8
+// GEMM itself on small-K layers. InterleaveQuads builds the 32-bit k-quad
+// words those walks copy. All three dispatch to AVX2 implementations on
 // amd64 and fall back to portable Go elsewhere.
 
 // minMaxImpl / quantizeU8Impl / interleaveImpl are swapped by platform
@@ -42,25 +42,25 @@ func QuantizeU8(dst []byte, src []float32, inv, zf float32) {
 	quantizeU8Impl(dst, src, inv, zf)
 }
 
-// InterleaveQuads writes n columns of one k-quad of the int8 B layout:
+// InterleaveQuads writes n 32-bit words, each the four bytes of one column
+// of four rows:
 //
-//	dst[4i+t] = r_t[i*stride]   for t in 0..3, i in 0..n-1
+//	dst[4i+t] = r_t[i]   for t in 0..3, i in 0..n-1
 //
-// r0..r3 are the quad's four source rows (consecutive k), stride the
-// element distance between consecutive columns within a row (1 for a
-// stride-1 convolution's output-pixel run). dst must hold 4n bytes and
-// each row (n-1)*stride+1. Unit stride takes the vectorised path.
-func InterleaveQuads(dst, r0, r1, r2, r3 []byte, n, stride int) {
+// dst must hold 4n bytes and each row n. It turns four channel rows of a
+// quantized image into one row of channel-quad words, the unit the int8
+// convolution's pack walk moves.
+func InterleaveQuads(dst, r0, r1, r2, r3 []byte, n int) {
 	if n > 0 {
-		interleaveImpl(dst, r0, r1, r2, r3, n, stride)
+		interleaveImpl(dst, r0, r1, r2, r3, n)
 	}
 }
 
 // interleaveQuadsGo is the portable body: one uint32 store per column.
-func interleaveQuadsGo(dst, r0, r1, r2, r3 []byte, n, stride int) {
-	for i, o := 0, 0; i < n; i, o = i+1, o+stride {
+func interleaveQuadsGo(dst, r0, r1, r2, r3 []byte, n int) {
+	for i := 0; i < n; i++ {
 		binary.LittleEndian.PutUint32(dst[4*i:],
-			uint32(r0[o])|uint32(r1[o])<<8|uint32(r2[o])<<16|uint32(r3[o])<<24)
+			uint32(r0[i])|uint32(r1[i])<<8|uint32(r2[i])<<16|uint32(r3[i])<<24)
 	}
 }
 

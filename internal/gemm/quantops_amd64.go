@@ -5,8 +5,7 @@ package gemm
 // AVX2 dispatch for the activation-quantization helpers. All reuse the
 // fp32 kernel's CPUID/XGETBV probe; the min/max and quantize routines
 // handle the aligned body and the Go wrappers finish the tail
-// scalar-wise, the unit-stride interleave handles any length itself and the
-// stride-2 one takes whole blocks of 8 columns.
+// scalar-wise; the interleave handles any length itself.
 
 func init() {
 	if hasAVX2FMA() {
@@ -60,28 +59,7 @@ func quantizeU8AVX2Wrap(dst []byte, src []float32, inv, zf float32) {
 //go:noescape
 func interleaveQuadsAVX2(dst, r0, r1, r2, r3 *byte, n int64)
 
-// interleaveQuads2AVX2 writes dst[4i+t] = r_t[2i] for n columns, n a
-// positive multiple of 8, reading 2n bytes of each row. Implemented in
-// quantops_amd64.s.
-//
-//go:noescape
-func interleaveQuads2AVX2(dst, r0, r1, r2, r3 *byte, n int64)
-
-func interleaveQuadsAVX2Wrap(dst, r0, r1, r2, r3 []byte, n, stride int) {
-	switch stride {
-	case 1:
-		_, _, _, _, _ = dst[4*n-1], r0[n-1], r1[n-1], r2[n-1], r3[n-1]
-		interleaveQuadsAVX2(&dst[0], &r0[0], &r1[0], &r2[0], &r3[0], int64(n))
-	case 2:
-		// The portable loop takes the row's last columns, and with them
-		// the block that would read past the end of the shortest row.
-		q := stride2Head(n, 0, min(min(len(r0), len(r1)), min(len(r2), len(r3))))
-		if q > 0 {
-			_ = dst[4*q-1]
-			interleaveQuads2AVX2(&dst[0], &r0[0], &r1[0], &r2[0], &r3[0], int64(q))
-		}
-		interleaveQuadsGo(dst[4*q:], r0[2*q:], r1[2*q:], r2[2*q:], r3[2*q:], n-q, 2)
-	default:
-		interleaveQuadsGo(dst, r0, r1, r2, r3, n, stride)
-	}
+func interleaveQuadsAVX2Wrap(dst, r0, r1, r2, r3 []byte, n int) {
+	_, _, _, _, _ = dst[4*n-1], r0[n-1], r1[n-1], r2[n-1], r3[n-1]
+	interleaveQuadsAVX2(&dst[0], &r0[0], &r1[0], &r2[0], &r3[0], int64(n))
 }

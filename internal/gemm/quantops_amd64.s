@@ -207,46 +207,3 @@ iqbyte:
 
 iqdone:
 	RET
-
-// func interleaveQuads2AVX2(dst, r0, r1, r2, r3 *byte, n int64)
-//
-// dst[4i+t] = r_t[2i] for n columns, n a positive multiple of 8: the
-// stride-2 convolution's k-quad transpose. A 16-byte load of a row is
-// eight words whose low bytes are the eight columns wanted, so r0's words
-// masked to their low byte, OR r1's shifted into the high byte, are the
-// (r0, r1) words VPUNPCKLBW makes at unit stride; from there the same
-// word-to-dword unpack finishes the quads. Each row is read one byte past
-// its last column.
-TEXT ·interleaveQuads2AVX2(SB), NOSPLIT, $0-48
-	MOVQ dst+0(FP), DI
-	MOVQ r0+8(FP), R8
-	MOVQ r1+16(FP), R9
-	MOVQ r2+24(FP), R10
-	MOVQ r3+32(FP), R11
-	MOVQ n+40(FP), CX
-	VPCMPEQW X8, X8, X8
-	VPSRLW   $8, X8, X8      // 0x00FF in every word
-
-iq2loop:
-	VMOVDQU (R8), X0
-	VMOVDQU (R9), X1
-	VMOVDQU (R10), X2
-	VMOVDQU (R11), X3
-	VPAND   X8, X0, X0
-	VPSLLW  $8, X1, X1
-	VPOR    X1, X0, X4       // r0/r1 words, columns 0-7
-	VPAND   X8, X2, X2
-	VPSLLW  $8, X3, X3
-	VPOR    X3, X2, X6       // r2/r3 words
-	VPUNPCKLWD X6, X4, X0    // quads of columns 0-3
-	VPUNPCKHWD X6, X4, X1    // 4-7
-	VMOVDQU X0, (DI)
-	VMOVDQU X1, 16(DI)
-	ADDQ $16, R8
-	ADDQ $16, R9
-	ADDQ $16, R10
-	ADDQ $16, R11
-	ADDQ $32, DI
-	SUBQ $8, CX
-	JNZ  iq2loop
-	RET

@@ -56,40 +56,34 @@ func TestQuantizeU8MatchesScalar(t *testing.T) {
 	}
 }
 
-// TestInterleaveQuadsAsmMatchesGo pins the dispatched InterleaveQuads
-// (AVX2 at strides 1 and 2 where available) to dst[4i+t] = r_t[i*stride]
-// computed bytewise, for every length across the 16/8/4/1-column blocks of
-// the unit-stride body and the 8-column blocks of the stride-2 one, on
-// sources and destinations at every alignment, with rows that end at the
-// last byte read (where the stride-2 body must leave its last block to the
-// portable loop) and rows with a byte to spare (where it need not), and
-// requires the bytes on either side of the 4n written to stay untouched.
+// TestInterleaveQuadsAsmMatchesGo pins the dispatched InterleaveQuads to
+// dst[4i+t] = r_t[i] computed bytewise, for every length across the
+// 16/8/4/1-column blocks of the AVX2 body, on sources and destinations at
+// every alignment, with rows that end at the last byte read, and requires
+// the bytes on either side of the 4n written to stay untouched.
 func TestInterleaveQuadsAsmMatchesGo(t *testing.T) {
 	r := rand.New(rand.NewSource(13))
-	back := make([]byte, 4*(3*70+9))
+	back := make([]byte, 4*(70+9))
 	r.Read(back)
-	for _, stride := range []int{1, 2, 3} {
-		for n := 0; n <= 70; n++ {
-			for align := 0; align < 4; align++ {
-				span := (max(n, 1)-1)*stride + 1 + align%2
-				var rows [4][]byte
-				for t := range rows {
-					rows[t] = back[t*(3*70+8)+align+t:][:span]
+	for n := 0; n <= 70; n++ {
+		for align := 0; align < 4; align++ {
+			var rows [4][]byte
+			for t := range rows {
+				rows[t] = back[t*(70+8)+align+t:][:max(n, 1)]
+			}
+			const guard = 0xEE
+			buf := make([]byte, align+4*n+8)
+			for i := range buf {
+				buf[i] = guard
+			}
+			InterleaveQuads(buf[align:], rows[0], rows[1], rows[2], rows[3], n)
+			for i, b := range buf {
+				want := byte(guard)
+				if c := i - align; c >= 0 && c < 4*n {
+					want = rows[c%4][c/4]
 				}
-				const guard = 0xEE
-				buf := make([]byte, align+4*n+8)
-				for i := range buf {
-					buf[i] = guard
-				}
-				InterleaveQuads(buf[align:], rows[0], rows[1], rows[2], rows[3], n, stride)
-				for i, b := range buf {
-					want := byte(guard)
-					if c := i - align; c >= 0 && c < 4*n {
-						want = rows[c%4][c/4*stride]
-					}
-					if b != want {
-						t.Fatalf("stride %d n %d align %d: byte %d = %#x, want %#x", stride, n, align, i-align, b, want)
-					}
+				if b != want {
+					t.Fatalf("n %d align %d: byte %d = %#x, want %#x", n, align, i-align, b, want)
 				}
 			}
 		}

@@ -1,5 +1,7 @@
 package gemm
 
+import "math"
+
 // axpyRowGo is the portable AXPYRow: the same walk as the assembly, one
 // element at a time.
 func axpyRowGo(dst []float32, ldd int, x []float32, ldx, stride int, a float32, n, rows int) {
@@ -42,5 +44,32 @@ func gatherRowGo(dst, x []float32, stride int) {
 	}
 	for i := range dst {
 		dst[i] = x[i*stride]
+	}
+}
+
+// requantRow is the per-image requantize row of CallInt8.storeTile:
+//
+//	dst[i] = float32(acc[i]-comp)*s + bias   through ReLU when relu is set
+//
+// acc must be at least as long as dst. requantRowHead takes the leading
+// whole blocks of 8 where there is a vector body, and the loops here the
+// rest with the same two roundings: the product is rounded before the add,
+// never fused.
+func requantRow(dst []float32, acc []int32, comp int32, s, bias float32, relu bool) {
+	floor := float32(math.Inf(-1)) // max(−Inf, v) is v, −0 and NaN included
+	if relu {
+		floor = 0
+	}
+	n := requantRowHead(dst, acc, comp, s, bias, floor)
+	acc = acc[n:len(dst)]
+	dst = dst[n:]
+	if relu {
+		for i, a := range acc {
+			dst[i] = activate(float32(a-comp)*s+bias, ActReLU, 0)
+		}
+		return
+	}
+	for i, a := range acc {
+		dst[i] = float32(a-comp)*s + bias
 	}
 }

@@ -6,7 +6,9 @@ package gemm
 // convolution kernel, whose inner loop is a straight elementwise FMA over
 // the channel axis; AXPYRow backs the NCHW one, whose inner loop is one
 // broadcast weight times a run of input columns, and average pooling;
-// MaxRow backs max pooling; GatherRow backs the strided im2col gather.
+// MaxRow backs max pooling; GatherRow backs the strided im2col gather;
+// reluRowHead and requantRowHead are the vector heads of the fp32 and int8
+// GEMM epilogues.
 
 // vecAVX2 gates the assembly row helpers on the same probe as the AVX2
 // GEMM kernel.
@@ -168,3 +170,25 @@ func reluRowHead(dst, src []float32, bias float32) int {
 //
 //go:noescape
 func reluRowAVX2(dst, src *float32, bias float32, n int64)
+
+// requantRowHead stores max(floor, float32(acc[i]-comp)*s+bias) to dst[i]
+// for the leading whole blocks of 8 and returns how many that was; floor
+// is 0 for ReLU and −Inf for no activation, and requantRow finishes the
+// row. This is the int8 convolution's whole epilogue: the scalar loop cost
+// ~0.6 ns an element without an activation and ~1.1 with ReLU.
+func requantRowHead(dst []float32, acc []int32, comp int32, s, bias, floor float32) int {
+	n := len(dst) &^ 7
+	if !vecAVX2 || n == 0 {
+		return 0
+	}
+	_ = acc[n-1]
+	requantRowAVX2(&dst[0], &acc[0], comp, s, bias, floor, int64(n))
+	return n
+}
+
+// requantRowAVX2 computes dst[i] = max(floor, float32(acc[i]-comp)*s+bias)
+// for i in [0, n); n must be a positive multiple of 8. Implemented in
+// vec_amd64.s.
+//
+//go:noescape
+func requantRowAVX2(dst *float32, acc *int32, comp int32, s, bias, floor float32, n int64)

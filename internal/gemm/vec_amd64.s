@@ -355,3 +355,36 @@ reluloop:
 	JNZ     reluloop
 	VZEROUPPER
 	RET
+
+// func requantRowAVX2(dst *float32, acc *int32, comp int32, s, bias, floor float32, n int64)
+//
+// dst[i] = max(floor, float32(acc[i]-comp)*s + bias) over n elements, 8
+// per iteration; n is a positive multiple of 8. VPSUBD wraps like Go's
+// int32 subtraction and VCVTDQ2PS rounds to nearest like its conversion;
+// the multiply and the add round separately, as Go does (no FMA). VMAXPS
+// with floor first is reluRowAVX2's select: a −0 or NaN value passes
+// through, and a −Inf floor passes every value.
+TEXT ·requantRowAVX2(SB), NOSPLIT, $0-40
+	MOVQ         dst+0(FP), DI
+	MOVQ         acc+8(FP), SI
+	VBROADCASTSS comp+16(FP), Y0 // a 32-bit broadcast: int lanes as well
+	VBROADCASTSS s+20(FP), Y1
+	VBROADCASTSS bias+24(FP), Y2
+	VBROADCASTSS floor+28(FP), Y3
+	MOVQ         n+32(FP), CX
+	SHRQ         $3, CX
+
+requantloop:
+	VMOVDQU   (SI), Y4
+	VPSUBD    Y0, Y4, Y4
+	VCVTDQ2PS Y4, Y4
+	VMULPS    Y1, Y4, Y4
+	VADDPS    Y2, Y4, Y4
+	VMAXPS    Y4, Y3, Y4
+	VMOVUPS   Y4, (DI)
+	ADDQ      $32, SI
+	ADDQ      $32, DI
+	DECQ      CX
+	JNZ       requantloop
+	VZEROUPPER
+	RET

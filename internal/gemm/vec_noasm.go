@@ -54,3 +54,9 @@ func GatherRow(dst, x []float32, stride int) {
 // reluRowHead reports that no leading elements were taken: there is no
 // vector body here, and the caller's activate loop does the whole row.
 func reluRowHead(dst, src []float32, bias float32) int { return 0 }
+
+// requantRowHead reports that no leading elements were taken: requantRow's
+// loops do the whole row.
+func requantRowHead(dst []float32, acc []int32, comp int32, s, bias, floor float32) int {
+	return 0
+}

@@ -119,28 +119,98 @@ func TestMaxRowAsmMatchesGo(t *testing.T) {
 	}
 }
 
-// TestGatherRowAsmMatchesGo pins GatherRow to dst[i] = x[i*stride] for
-// every length across its vector head and scalar tail, x ending at the
-// last element read.
+// TestGatherRowAsmMatchesGo pins GatherRow to dst[i] = x[i*stride] bit for
+// bit for every length across its vector head and scalar tail, x ending at
+// the last element read. The int8 pack walks move k-quad words through
+// it, so x holds arbitrary bit patterns — signalling NaNs of both signs,
+// which an arithmetic path would quiet, included — and every one must
+// arrive unchanged.
 func TestGatherRowAsmMatchesGo(t *testing.T) {
 	r := rand.New(rand.NewSource(29))
+	special := []uint32{0x7F800001, 0xFF800001, 0x7FBFFFFF, 0x7FC00000, 0x80000000, 0xFFFFFFFF}
 	for _, stride := range []int{1, 2, 3} {
 		for n := 0; n <= 40; n++ {
 			for align := 0; align < 4; align++ {
 				x := make([]float32, align+max(n-1, 0)*stride+1)[align:]
 				for i := range x {
-					x[i] = r.Float32()*2 - 1
+					b := r.Uint32()
+					if r.Intn(3) == 0 {
+						b = special[r.Intn(len(special))]
+					}
+					x[i] = math.Float32frombits(b)
 				}
 				got := make([]float32, n+2)
 				got[n], got[n+1] = 1234.5, 1234.5
 				GatherRow(got[:n], x, stride)
 				for i := 0; i < n; i++ {
-					if got[i] != x[i*stride] {
-						t.Fatalf("stride %d n %d align %d: element %d = %v, want %v", stride, n, align, i, got[i], x[i*stride])
+					if g, w := math.Float32bits(got[i]), math.Float32bits(x[i*stride]); g != w {
+						t.Fatalf("stride %d n %d align %d: element %d = %#08x, want %#08x", stride, n, align, i, g, w)
 					}
 				}
 				if got[n] != 1234.5 || got[n+1] != 1234.5 {
 					t.Fatalf("stride %d n %d align %d: wrote past dst", stride, n, align)
+				}
+			}
+		}
+	}
+}
+
+// TestRequantRowAsmMatchesGo pins requantRow — the AVX2 head where there
+// is one — to its Go body bit for bit, with and without ReLU, at every
+// length 0–70 and every 4-byte alignment of dst and acc within a vector:
+// −0 results (acc equal to comp under a negative scale and a −0 bias), NaN
+// ones (an infinite scale times zero, a NaN bias), comp at both int32
+// extremes, where the subtraction wraps. The floats on either side of the
+// row must stay untouched.
+func TestRequantRowAsmMatchesGo(t *testing.T) {
+	r := rand.New(rand.NewSource(31))
+	inf, nan := float32(math.Inf(1)), float32(math.NaN())
+	cases := []struct {
+		comp    int32
+		s, bias float32
+	}{
+		{12345, 0.003, 0.5},
+		{0, -0.01, negZero},
+		{math.MinInt32, 1e-6, -1},
+		{math.MaxInt32, -1e-6, 2},
+		{7, inf, 0},
+		{-3, 0.25, nan},
+	}
+	const guard = 1234.5
+	for _, c := range cases {
+		for _, relu := range []bool{false, true} {
+			for n := 0; n <= 70; n++ {
+				for align := 0; align < 8; align++ {
+					acc := make([]int32, align+n)[align:]
+					for i := range acc {
+						switch r.Intn(4) {
+						case 0:
+							acc[i] = c.comp
+						case 1:
+							acc[i] = int32(r.Uint32())
+						default:
+							acc[i] = c.comp + int32(r.Intn(2001)-1000)
+						}
+					}
+					da := 7 - align
+					got := make([]float32, da+n+2)
+					for i := range got {
+						got[i] = guard
+					}
+					want := append([]float32(nil), got...)
+					for i, a := range acc {
+						v := float32(a-c.comp)*c.s + c.bias
+						if relu {
+							v = activate(v, ActReLU, 0)
+						}
+						want[da+i] = v
+					}
+					requantRow(got[da:da+n], acc, c.comp, c.s, c.bias, relu)
+					for i := range got {
+						if g, w := math.Float32bits(got[i]), math.Float32bits(want[i]); g != w {
+							t.Fatalf("%+v relu %v n %d align %d: element %d = %#08x, want %#08x", c, relu, n, align, i-da, g, w)
+						}
+					}
 				}
 			}
 		}

@@ -1,28 +1,37 @@
 package ops
 
-import "orpheus/internal/gemm"
+import (
+	"unsafe"
 
-// Implicit-GEMM convolution support: the geometry both conv pack sources
-// walk, and the fp32 one, a gemm.PackSrc that packs B panels straight
-// from the NCHW input.
+	"orpheus/internal/gemm"
+)
+
+// Implicit-GEMM convolution support: the geometry and the walk both conv
+// pack sources share, and the fp32 source, a gemm.PackSrc that packs B
+// panels straight from the NCHW input.
 //
 // GEMM convolution multiplies the reshaped weight matrix [coutG × kdim]
 // by the unfolded input [kdim × oh*ow]. conv.im2col_explicit materialises
 // that unfold; the pack sources never do. Once per conv call they copy the
 // batch into planes carrying the convolution's padding as a border (x
-// itself when there is none), so every tap of every output pixel is an
+// itself when fp32 has none), so every tap of every output pixel is an
 // in-bounds read. A panel's kc rows then decode to one plane offset each,
 // and one division-free walk carries its columns through output pixels
 // and strips together, moving each stretch that stays inside one output
 // row and one strip for all kc rows in one tight loop — no bounds test,
-// no padding branch, no per-row clear. convPackSrc8 (conv_int8.go) is the
-// same walk over quantized bytes, interleaved a k-quad at a time.
+// no padding branch, no per-row clear.
+//
+// The walk moves 32-bit elements, so it serves both dtypes: convPackSrc8
+// (conv_int8.go) builds planes of channel-quad words, four channels of one
+// pixel per word, and packs an int8 panel as the fp32 walk over a quarter
+// of its rows.
 
 // convGeo is the geometry of a padded NCHW batch: tap (ky, kx) of group
-// channel c for output pixel (oy, ox) of image img sits at
-// ((img*cin+chan0+c)*hp + oy*sh + ky*dh)*wp + ox*sw + kx*dw.
+// plane c for output pixel (oy, ox) of image img sits at
+// ((img*cin+chan0+c)*hp + oy*sh + ky*dh)*wp + ox*sw + kx*dw. A plane is
+// one channel in fp32 and one channel quad in the int8 word planes.
 type convGeo struct {
-	cin, chan0             int // channels per image; first channel of the group
+	cin, chan0             int // planes per image; first plane of the group
 	hp, wp                 int // plane dims, padding included
 	kh, kw, sh, sw, dh, dw int
 	ow                     int
@@ -54,11 +63,12 @@ func (g *convGeo) taps(tap []int, pp int) {
 	}
 }
 
-// padPlanes copies planes h×w planes of src into dst as planes padded per
-// p with a border of v, writing each element of dst once. The border
-// between two rows is only padR+padL elements, so it is stored element by
-// element rather than with fill's copies.
-func padPlanes[T byte | float32](dst, src []T, planes int, p *convParams, v T) {
+// padPlanes fills planes planes of p's padded geometry in dst, writing
+// each element once: row(d, c, y) fills d, the interior of row y of plane
+// c, and the border around the interiors is v. The border between two rows
+// is only padR+padL elements, so it is stored element by element rather
+// than with fill's copies.
+func padPlanes(dst []float32, planes int, p *convParams, v float32, row func(d []float32, c, y int)) {
 	wp := p.w + p.padL + p.padR
 	plane := (p.h + p.padT + p.padB) * wp
 	at := 0
@@ -72,10 +82,37 @@ func padPlanes[T byte | float32](dst, src []T, planes int, p *convParams, v T) {
 	for c := 0; c < planes; c++ {
 		for y := 0; y < p.h; y++ {
 			border(c*plane + (y+p.padT)*wp + p.padL)
-			at += copy(dst[at:at+p.w], src[(c*p.h+y)*p.w:])
+			row(dst[at:at+p.w], c, y)
+			at += p.w
 		}
 	}
 	border(planes * plane)
+}
+
+// words views b as len(b)/4 32-bit elements. The int8 pack sources move
+// k-quads, four bytes of one column, as float32s through the fp32 walk's
+// moves — copy, gemm.GatherRow, plain loads and stores — which carry every
+// bit pattern, signalling NaNs included, unchanged: no arithmetic ever
+// touches a word.
+func words(b []byte) []float32 {
+	return unsafe.Slice((*float32)(unsafe.Pointer(unsafe.SliceData(b))), len(b)/4)
+}
+
+// quadBytes views w as its bytes, the inverse of words.
+func quadBytes(w []float32) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(w))), 4*len(w))
+}
+
+// clearEdgeCols clears the columns beyond nc of a panel's last strip —
+// geometric padding whose products are discarded — in a panel of
+// nr-column strips of rows rows.
+func clearEdgeCols(dst []float32, rows, nr, nc int) {
+	if jl := nc % nr; jl != 0 {
+		last := dst[(nc/nr)*rows*nr:]
+		for p := 0; p < rows; p++ {
+			clear(last[p*nr+jl : (p+1)*nr])
+		}
+	}
 }
 
 // convPackSrc is the virtual B matrix of one convolution group over a
@@ -95,7 +132,9 @@ func (s *convPackSrc) init(x []float32, p *convParams) {
 	s.x = x
 	if s.hp != p.h || s.wp != p.w {
 		s.pad = growF32(s.pad, p.n*p.cin*s.hp*s.wp)
-		padPlanes(s.pad, x, p.n*p.cin, p, 0)
+		padPlanes(s.pad, p.n*p.cin, p, 0, func(d []float32, c, y int) {
+			copy(d, x[(c*p.h+y)*p.w:])
+		})
 		s.x = s.pad
 	}
 }
@@ -136,10 +175,5 @@ func (s *convPackSrc) PackPanel(dst []float32, img, pp, jj, kc, nc, nr int) {
 			d = d[kc*nr:]
 		}
 	}
-	if jl := nc % nr; jl != 0 {
-		last := dst[(nc/nr)*kc*nr:]
-		for p := 0; p < kc; p++ {
-			clear(last[p*nr+jl : (p+1)*nr])
-		}
-	}
+	clearEdgeCols(dst, kc, nr, nc)
 }

@@ -1,6 +1,8 @@
 package ops
 
 import (
+	"math"
+
 	"orpheus/internal/gemm"
 	"orpheus/internal/graph"
 	"orpheus/internal/quant"
@@ -10,16 +12,20 @@ import (
 // conv.im2col_int8 — quantized implicit-GEMM convolution.
 //
 // The structure mirrors conv.im2col exactly — per-group strided batched
-// GEMM over a virtual B packed straight from the NCHW input — but the
-// arithmetic runs on the int8 tier: weights are quantized per output
-// channel at first use (symmetric, |q| ≤ quant.QMaxGemm) and cached
-// prepacked in the plan's ConstCache; activations are quantized to uint8
-// per image into kernel-private scratch (never a graph tensor) and the
-// pack walk interleaves bytes from it a k-quad at a time — a kh·kw-fold
-// saving over quantizing inside the walk, where each input pixel is
-// revisited once per kernel tap; the int32→fp32 requantize, zero-point
-// compensation, bias and activation all ride the GEMM tile-store
-// epilogue.
+// GEMM over a virtual B packed straight from the NCHW input, by the same
+// walk — but the arithmetic runs on the int8 tier. Weights are quantized
+// per output channel at first use (symmetric, |q| ≤ quant.QMaxGemm) and
+// cached prepacked in the plan's ConstCache. Activations are quantized to
+// uint8 per image into kernel-private scratch (never a graph tensor) and
+// laid out as padded planes of channel-quad words: word (cq, y, x) of a
+// group holds its channels 4cq … 4cq+3 at pixel (y, x), the group's
+// channel count padded to a multiple of 4 with the zero-point byte. A
+// k-quad of the int8 B layout is then one word, so the weights' K is
+// ordered k' = ((cq·kh + ky)·kw + kx)·4 + t (channel 4cq+t, zero weights
+// for padded channels) and an int8 panel of kc rows is the fp32 walk's
+// panel of kc/4 word rows. Integer accumulation is exact, so the reorder
+// changes no output bit. The int32→fp32 requantize, zero-point
+// compensation, bias and activation all ride the GEMM tile-store epilogue.
 //
 // The kernel registers as quantized: policies only select it when the
 // plan opted into int8 execution, and the equivalence tests hold it to a
@@ -47,24 +53,43 @@ func supportsConvInt8(n *graph.Node) bool {
 	return p.layout == "" && !p.isDepthwise() && kdim <= maxInt8K
 }
 
+// quadK is the reduction depth of p's int8 GEMM: the group's channels
+// padded to whole quads, times the kernel taps. It is a multiple of 4, so
+// every panel of the call starts and ends on a k-quad.
+func quadK(p *convParams) int {
+	return ((p.cin/p.groups + 3) &^ 3) * p.kh * p.kw
+}
+
 // int8ConvWeights returns the node's cached quantized weight panels,
 // building them on first use: per-output-channel symmetric quantization
-// over all cout rows, then one prepacked A-panel buffer per group
-// (PackedAInt8Size(coutG, kdim) bytes each, back to back).
-func int8ConvWeights(ctx *Ctx, n *graph.Node, w []float32, groups, coutG, kdim int) *Int8Weights {
+// of each row into a kdim scratch row, scattered into the channel-quad K
+// order (scales and row sums do not depend on the order), then one
+// prepacked A-panel buffer per group (PackedAInt8Size(coutG, quadK) bytes
+// each, back to back).
+func int8ConvWeights(ctx *Ctx, n *graph.Node, w []float32, p *convParams) *Int8Weights {
 	if wq := ctx.CacheInt8("conv.im2col_int8/pw", n); wq != nil {
 		return wq
 	}
-	rows := groups * coutG
-	data := make([]int8, rows*kdim)
-	scales := make([]float32, rows)
-	quant.QuantizeRowsInto(data, scales, w, rows, kdim, quant.QMaxGemm)
-	sums := make([]int32, rows)
-	gemm.RowSumsInt8(sums, data, rows, kdim)
-	per := gemm.PackedAInt8Size(coutG, kdim)
-	packed := make([]int8, groups*per)
-	for g := 0; g < groups; g++ {
-		gemm.PrepackAInt8Into(packed[g*per:], data[g*coutG*kdim:(g+1)*coutG*kdim], coutG, kdim)
+	cg, khw, kq := p.cin/p.groups, p.kh*p.kw, quadK(p)
+	kdim, coutG := cg*khw, p.cout/p.groups
+	row := make([]int8, kdim)
+	data := make([]int8, p.cout*kq)
+	scales := make([]float32, p.cout)
+	for r := 0; r < p.cout; r++ {
+		quant.QuantizeRowsInto(row, scales[r:], w[r*kdim:], 1, kdim, quant.QMaxGemm)
+		dr := data[r*kq : (r+1)*kq]
+		for c := 0; c < cg; c++ {
+			for k, v := range row[c*khw : (c+1)*khw] {
+				dr[((c>>2)*khw+k)*4+c&3] = v
+			}
+		}
+	}
+	sums := make([]int32, p.cout)
+	gemm.RowSumsInt8(sums, data, p.cout, kq)
+	per := gemm.PackedAInt8Size(coutG, kq)
+	packed := make([]int8, p.groups*per)
+	for g := 0; g < p.groups; g++ {
+		gemm.PrepackAInt8Into(packed[g*per:], data[g*coutG*kq:(g+1)*coutG*kq], coutG, kq)
 	}
 	wq := &Int8Weights{Packed: packed, Scales: scales, RowSums: sums}
 	ctx.PutCacheInt8("conv.im2col_int8/pw", n, wq)
@@ -85,17 +110,17 @@ func runConvIm2colInt8(ctx *Ctx, n *graph.Node, in, out []*tensor.Tensor) error 
 	y := out[0].Data()
 
 	coutG := p.cout / p.groups
-	kdim := (p.cin / p.groups) * p.kh * p.kw
+	kq := quadK(&p)
 	cols := p.oh * p.ow
 	act := gemmActivation(p.activation)
 
-	wq := int8ConvWeights(ctx, n, w, p.groups, coutG, kdim)
-	perGroup := gemm.PackedAInt8Size(coutG, kdim)
+	wq := int8ConvWeights(ctx, n, w, &p)
+	perGroup := gemm.PackedAInt8Size(coutG, kq)
 
 	src := &ctx.convSrc8
 	src.quantize(x, &p)
 	for g := 0; g < p.groups; g++ {
-		src.chan0 = g * (p.cin / p.groups)
+		src.chan0 = g * src.cin / p.groups
 		var bg []float32
 		if bias != nil {
 			bg = bias[g*coutG : (g+1)*coutG]
@@ -103,7 +128,7 @@ func runConvIm2colInt8(ctx *Ctx, n *graph.Node, in, out []*tensor.Tensor) error 
 		ctx.GEMM8(gemm.CallInt8{
 			PackedA: wq.Packed[g*perGroup : (g+1)*perGroup],
 			B:       src, C: y[g*coutG*cols:],
-			M: coutG, N: cols, K: kdim,
+			M: coutG, N: cols, K: kq,
 			Batch: p.n, StrideC: p.cout * cols,
 			ScaleA: wq.Scales[g*coutG:], RowSum: wq.RowSums[g*coutG:],
 			BScale: src.scales, BZero: src.zeros,
@@ -158,54 +183,66 @@ func growU8(s []byte, n int) []byte {
 }
 
 // convPackSrc8 is the quantizing counterpart of convPackSrc: a
-// gemm.PackSrc8 that packs receptive-field bytes from a uint8 copy of
-// the NCHW input built once per conv call. Quantizing inside the pack
-// walk would redo the float math once per kernel tap (~9x for a 3x3),
-// which on small-K layers costs more than the int8 GEMM itself; a bulk
-// vectorised pre-pass makes the walk pure byte moves. The copy carries the
-// convolution's padding as a border of the image's zero-point byte —
-// which dequantizes to exactly zero after compensation — so every tap of
-// every output pixel is an in-bounds read and the walk has no padding
-// branch. Read-only during a call, so pool workers may pack panels
+// gemm.PackSrc8 that packs from channel-quad word planes of the batch,
+// built once per conv call. Quantizing inside the pack walk would redo the
+// float math once per kernel tap (~9x for a 3x3), which on small-K layers
+// costs more than the int8 GEMM itself; a bulk vectorised pre-pass makes
+// the walk pure moves. The planes carry the convolution's padding as a
+// border of the image's zero-point byte — which dequantizes to exactly
+// zero after compensation — so the fp32 walk's in-bounds contract holds
+// as is. Read-only during a call, so pool workers may pack panels
 // concurrently.
 type convPackSrc8 struct {
-	convGeo
+	// convPackSrc walks the word planes, held in pad: cin counts the
+	// batch's channel quads per image, chan0 selects a group's first.
+	convPackSrc
 
-	// q8 is the quantized batch input, NCHW over padded hp×wp planes;
-	// stage holds one unpadded image between the bulk quantize and its
-	// padded copy into q8. scales/zeros are the per-image parameters the
-	// requantize epilogue needs.
-	q8, stage []byte
-	scales    []float32
-	zeros     []int32
+	// stage holds one unpadded quantized image between the bulk quantize
+	// and its interleave into the planes, then one row of its zero point.
+	// scales/zeros are the per-image parameters the requantize epilogue
+	// needs.
+	stage  []byte
+	scales []float32
+	zeros  []int32
 }
 
 // quantize scans each image of the batch, derives its quantization
-// parameters and converts it to uint8 in q8, padded per p. The buffers
-// are reused across calls, so the steady state allocates nothing.
+// parameters, converts it to uint8 and interleaves it into padded
+// channel-quad word planes: each interior row is one gemm.InterleaveQuads
+// of four channel rows (the zero-point row past a group's last channel),
+// each border word the zero point in all four bytes. The buffers are
+// reused across calls, so the steady state allocates nothing.
 func (s *convPackSrc8) quantize(x []float32, p *convParams) {
 	s.set(p)
+	cg := p.cin / p.groups
+	cq := (cg + 3) / 4
+	s.cin = p.groups * cq
+	stride, pstride := p.cin*p.h*p.w, s.cin*s.hp*s.wp
+	s.pad = growF32(s.pad, p.n*pstride)
+	s.x = s.pad
+	s.stage = growU8(s.stage, stride+p.w)
+	zrow := s.stage[stride:]
 	s.scales = growF32(s.scales, p.n)
 	s.zeros = growI32(s.zeros, p.n)
-	stride, pstride := p.cin*p.h*p.w, p.cin*s.hp*s.wp
-	s.q8 = growU8(s.q8, p.n*pstride)
-	padded := pstride != stride
-	if padded {
-		s.stage = growU8(s.stage, stride)
-	}
 	for img := 0; img < p.n; img++ {
 		xi := x[img*stride : (img+1)*stride]
 		lo, hi := gemm.MinMaxF32(xi)
 		scale, zero := quantRange(lo, hi)
-		s.scales[img] = scale
-		s.zeros[img] = zero
-		qi := s.q8[img*pstride : (img+1)*pstride]
-		if !padded {
-			gemm.QuantizeU8(qi, xi, 1/scale, float32(zero)+0.5)
-			continue
-		}
+		s.scales[img], s.zeros[img] = scale, zero
 		gemm.QuantizeU8(s.stage, xi, 1/scale, float32(zero)+0.5)
-		padPlanes(qi, s.stage, p.cin, p, byte(zero))
+		fill(zrow, byte(zero))
+		border := math.Float32frombits(uint32(zero) * 0x01010101)
+		padPlanes(s.pad[img*pstride:], s.cin, p, border, func(d []float32, c, y int) {
+			var r [4][]byte
+			g, q := c/cq, c%cq
+			for t := range r {
+				r[t] = zrow
+				if ch := 4*q + t; ch < cg {
+					r[t] = s.stage[((g*cg+ch)*p.h+y)*p.w:]
+				}
+			}
+			gemm.InterleaveQuads(quadBytes(d), r[0], r[1], r[2], r[3], p.w)
+		})
 	}
 }
 
@@ -220,67 +257,9 @@ func fill[T byte | float32](b []T, v T) {
 	}
 }
 
-// PackPanel8 implements gemm.PackSrc8 a k-quad at a time: the panel's rows
-// decode to padded-plane taps once, and for each quad one flat walk
-// carries the columns through output pixels and strips together, moving
-// each stretch that stays within one output row and one strip with a
-// single gemm.InterleaveQuads straight from the padded planes. Every
-// coordinate is carried incrementally; the walk divides only at panel
-// entry.
+// PackPanel8 implements gemm.PackSrc8 as convPackSrc.PackPanel over the
+// word planes: k-quad q of the panel is word row q. pp and kc must be
+// multiples of 4, as every panel of a quadK-deep call is.
 func (s *convPackSrc8) PackPanel8(dst []byte, img, pp, jj, kc, nc, nr int) {
-	kcq := (kc + 3) >> 2
-	q8 := s.q8[(img*s.cin+s.chan0)*s.hp*s.wp:]
-	var tap [gemm.MaxPanelK + 3]int
-	s.taps(tap[:kc], pp)
-	for t := kc; t < 4*kcq; t++ {
-		tap[t] = tap[0] // any in-bounds tap: the rows past kc are zeroed below
-	}
-	oy0 := jj / s.ow
-	ox0 := jj - oy0*s.ow
-	rowStep := s.sh * s.wp
-	for q := 0; q < kcq; q++ {
-		t := tap[4*q : 4*q+4]
-		row := oy0 * rowStep // source offset of the current output row
-		ox, jl := ox0, 0
-		d := dst[q*nr*4:] // the quad's columns in the current strip
-		for j := 0; j < nc; {
-			n := min(s.ow-ox, nr-jl, nc-j)
-			at := row + ox*s.sw
-			gemm.InterleaveQuads(d[jl*4:], q8[t[0]+at:], q8[t[1]+at:], q8[t[2]+at:], q8[t[3]+at:], n, s.sw)
-			j += n
-			if ox += n; ox == s.ow {
-				ox = 0
-				row += rowStep
-			}
-			if jl += n; jl == nr && j < nc {
-				jl = 0
-				d = d[kcq*nr*4:]
-			}
-		}
-	}
-	if tail := kc & 3; tail != 0 {
-		// The last quad's rows beyond kc multiply A's zero k-padding; the
-		// contract still wants them zero.
-		for j := 0; j < nc; j += nr {
-			last := dst[((j/nr)*kcq+kcq-1)*nr*4:]
-			for jl := 0; jl < min(nr, nc-j); jl++ {
-				clear(last[jl*4+tail : jl*4+4])
-			}
-		}
-	}
-	zeroPadCols(dst, kcq, nr, nc)
-}
-
-// zeroPadCols clears the columns beyond nc of a panel's last strip —
-// geometric padding whose products are discarded — per the PackSrc8
-// contract.
-func zeroPadCols(dst []byte, kcq, nr, nc int) {
-	jl := nc % nr
-	if jl == 0 {
-		return
-	}
-	last := dst[(nc/nr)*kcq*nr*4:]
-	for q := 0; q < kcq; q++ {
-		clear(last[q*nr*4+jl*4 : (q+1)*nr*4])
-	}
+	s.PackPanel(words(dst), img, pp>>2, jj, kc>>2, nc, nr)
 }

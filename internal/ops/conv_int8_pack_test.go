@@ -10,18 +10,20 @@ import (
 )
 
 // Byte-exact tests for the int8 pack walks. The packed panel feeds exact
-// int32 arithmetic, so the quad-at-a-time walk is pinned to the scalar
-// byte-at-a-time walk it replaced — kept here as the oracle — on every
-// byte of the destination, padding included.
+// int32 arithmetic, so the word walk is pinned to a scalar byte-at-a-time
+// walk — kept here as the oracle — on every byte of the destination,
+// padding included.
 
-// scalarConvPack8 is the pre-quad convPackSrc8, walk unchanged: one byte
-// per iteration at stride 4 from an unpadded uint8 copy of the input,
-// padding decided per run. q8 uses the fp32 tensor's NCHW indexing; zeros
-// holds the per-image zero points. Its geometry is the conv's own
-// parameters, not the padded convGeo the walk under test reads.
+// scalarConvPack8 is the oracle for convPackSrc8: one byte per iteration at
+// stride 4, read from an unpadded uint8 copy of the input with padding
+// decided per run, in the channel-quad K order (k' = ((cq·kh + ky)·kw +
+// kx)·4 + t for channel 4cq+t), and the zero point for the channels that
+// pad a group to whole quads. q8 uses the fp32 tensor's NCHW indexing;
+// zeros holds the per-image zero points. Its geometry is the conv's own
+// parameters, not the word planes the walk under test reads.
 type scalarConvPack8 struct {
 	geo   convParams
-	chan0 int
+	group int
 	q8    []byte
 	zeros []int32
 }
@@ -29,111 +31,51 @@ type scalarConvPack8 struct {
 func (s *scalarConvPack8) PackPanel8(dst []byte, img, pp, jj, kc, nc, nr int) {
 	g := &s.geo
 	khw := g.kh * g.kw
-	plane := g.h * g.w
-	imgBase := (img*g.cin + s.chan0) * plane
+	cg := g.cin / g.groups
 	zb := byte(s.zeros[img])
 	kcq4 := (kc + 3) &^ 3
-	var chOff, rowDy, rowDx [gemm.MaxPanelK]int32
-	for p := 0; p < kc; p++ {
-		kd := pp + p
-		ic := kd / khw
-		rem := kd - ic*khw
-		ky := rem / g.kw
-		kx := rem - ky*g.kw
-		chOff[p] = int32(ic * plane)
-		rowDy[p] = int32(ky*g.dh - g.padT) // iy = oy*sh + dy
-		rowDx[p] = int32(kx*g.dw - g.padL) // ix = ox*sw + dx
-	}
-	for j := 0; j < nc; j += nr {
-		cols := min(nr, nc-j)
-		strip := dst[(j/nr)*nr*kcq4:]
-		col0 := jj + j
-		oy0 := col0 / g.ow
-		ox0 := col0 - oy0*g.ow
-		for p := 0; p < kc; p++ {
-			qc := s.q8[imgBase+int(chOff[p]) : imgBase+int(chOff[p])+plane]
-			dy := int(rowDy[p])
-			dx := int(rowDx[p])
-			row := strip[(p>>2)*nr*4+(p&3):]
-			oy, ox := oy0, ox0
-			cc := 0
-			for cc < cols {
-				run := min(g.ow-ox, cols-cc)
-				iy := oy*g.sh + dy
-				if iy < 0 || iy >= g.h {
-					for i := 0; i < run; i++ {
-						row[(cc+i)*4] = zb
-					}
-				} else {
-					qrow := qc[iy*g.w : (iy+1)*g.w]
-					ix := ox*g.sw + dx
-					if g.sw == 1 {
-						lo, hi := 0, run
-						if ix < 0 {
-							lo = min(-ix, run)
-						}
-						if ix+run > g.w {
-							hi = g.w - ix
-						}
-						if hi < lo {
-							hi = lo
-						}
-						for i := 0; i < lo; i++ {
-							row[(cc+i)*4] = zb
-						}
-						for i := lo; i < hi; i++ {
-							row[(cc+i)*4] = qrow[ix+i]
-						}
-						for i := hi; i < run; i++ {
-							row[(cc+i)*4] = zb
-						}
-					} else {
-						for i := 0; i < run; i++ {
-							if ix >= 0 && ix < g.w {
-								row[(cc+i)*4] = qrow[ix]
-							} else {
-								row[(cc+i)*4] = zb
-							}
-							ix += g.sw
-						}
-					}
-				}
-				cc += run
-				ox += run
-				if ox == g.ow {
-					ox = 0
-					oy++
-				}
+	for j := 0; j < nc; j++ {
+		oy, ox := (jj+j)/g.ow, (jj+j)%g.ow
+		for p := 0; p < kcq4; p++ {
+			at := (j/nr)*nr*kcq4 + (p/4)*nr*4 + (j%nr)*4 + p%4
+			if p >= kc {
+				dst[at] = 0 // the contract's rows beyond kc
+				continue
 			}
-			// Columns beyond nc are geometric padding (their products are
-			// discarded), zeroed per the PackSrc8 contract.
-			for i := cols; i < nr; i++ {
-				row[i*4] = 0
+			kq := (pp + p) / 4
+			c := kq/khw*4 + (pp+p)%4
+			ky, kx := kq%khw/g.kw, kq%khw%g.kw
+			iy, ix := oy*g.sh+ky*g.dh-g.padT, ox*g.sw+kx*g.dw-g.padL
+			dst[at] = zb
+			if c < cg && iy >= 0 && iy < g.h && ix >= 0 && ix < g.w {
+				dst[at] = s.q8[(((img*g.cin+s.group*cg+c)*g.h)+iy)*g.w+ix]
 			}
 		}
-		// Quad-tail rows beyond kc multiply A's zero k-padding; zero them.
-		for p := kc; p < kcq4; p++ {
-			row := strip[(p>>2)*nr*4+(p&3):]
-			for i := 0; i < nr; i++ {
-				row[i*4] = 0
-			}
+	}
+	// Columns beyond nc are geometric padding (their products are
+	// discarded), zeroed per the PackSrc8 contract.
+	for j := nc; j < (nc+nr-1)/nr*nr; j++ {
+		for p := 0; p < kcq4; p++ {
+			dst[(j/nr)*nr*kcq4+(p/4)*nr*4+(j%nr)*4+p%4] = 0
 		}
 	}
 }
 
 // resnetPackCases are the pack geometries resnet-18 runs that convMatrix
-// lacks: the 7×7 stride-2 stem (K = 147, a quad tail), the 1×1 stride-2
-// downsample, a 3×3 whose output row (7) is shorter than every nr, plus a
-// strided dilated grouped batch to cross the remaining features.
+// lacks: the 7×7 stride-2 stem (cin 3, padded to one quad), the 1×1
+// stride-2 downsample (cin 6: a quad and a half), a 3×3 whose output row
+// (7) is shorter than every nr (cin 5), plus a strided dilated grouped
+// batch to cross the remaining features and two groups of 3 channels.
 var resnetPackCases = []convCase{
 	{name: "stem-7x7-s2", n: 1, cin: 3, h: 30, w: 30, cout: 4, kh: 7, kw: 7, sh: 2, sw: 2, padT: 3, padL: 3, padB: 3, padR: 3, dh: 1, dw: 1, groups: 1},
 	{name: "down-1x1-s2", n: 1, cin: 6, h: 14, w: 14, cout: 4, kh: 1, kw: 1, sh: 2, sw: 2, dh: 1, dw: 1, groups: 1},
 	{name: "3x3-ow7", n: 1, cin: 5, h: 7, w: 7, cout: 4, kh: 3, kw: 3, sh: 1, sw: 1, padT: 1, padL: 1, padB: 1, padR: 1, dh: 1, dw: 1, groups: 1},
 	{name: "dil2-g2-b3-s2", n: 3, cin: 4, h: 11, w: 13, cout: 4, kh: 3, kw: 3, sh: 2, sw: 1, padT: 2, padL: 2, padB: 2, padR: 2, dh: 2, dw: 2, groups: 2},
+	{name: "g2-cg3-s2", n: 2, cin: 6, h: 9, w: 10, cout: 4, kh: 3, kw: 3, sh: 2, sw: 2, padT: 1, padL: 1, padB: 1, padR: 1, dh: 1, dw: 1, groups: 2},
 }
 
-// packPair builds the quad source and the scalar oracle over the same
-// quantized input for group g of tc.
+// packPair builds the word-plane source and the scalar oracle over the
+// same quantized input for group g of tc.
 func packPair(t testing.TB, tc convCase, seed uint64, g int) (*convPackSrc8, *scalarConvPack8, convParams) {
 	t.Helper()
 	inputs := tc.tensors(seed)
@@ -144,9 +86,9 @@ func packPair(t testing.TB, tc convCase, seed uint64, g int) (*convPackSrc8, *sc
 	x := inputs[0].Data()
 	src := &convPackSrc8{}
 	src.quantize(x, &p)
-	src.chan0 = g * (p.cin / p.groups)
+	src.chan0 = g * src.cin / p.groups
 
-	ref := &scalarConvPack8{geo: p, chan0: src.chan0, q8: make([]byte, len(x)), zeros: src.zeros}
+	ref := &scalarConvPack8{geo: p, group: g, q8: make([]byte, len(x)), zeros: src.zeros}
 	stride := p.cin * p.h * p.w
 	for img := 0; img < p.n; img++ {
 		gemm.QuantizeU8(ref.q8[img*stride:], x[img*stride:(img+1)*stride],
@@ -181,22 +123,23 @@ func firstDiff(a, b []byte) int {
 
 // TestPackPanel8MatchesScalar sweeps every geometry, group, image and
 // registered int8 strip width over whole-matrix panels and over interior
-// panels whose offsets and extents are multiples of nothing.
+// panels whose column offsets and extents are multiples of nothing (k
+// offsets and extents are whole quads, as in every quadK-deep call).
 func TestPackPanel8MatchesScalar(t *testing.T) {
 	cases := append(append([]convCase{}, convMatrix...), resnetPackCases...)
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			for g := 0; g < tc.groups; g++ {
 				src, ref, p := packPair(t, tc, tensor.SeedFromString(tc.name), g)
-				kdim := (p.cin / p.groups) * p.kh * p.kw
+				kq := quadK(&p)
 				cols := p.oh * p.ow
 				for _, nr := range []int{8, 16} {
 					for img := 0; img < p.n; img++ {
-						comparePanel(t, src, ref, img, 0, 0, min(kdim, gemm.MaxPanelK), cols, nr)
-						for _, off := range [][2]int{{1, 1}, {3, 5}, {4, 7}, {6, 17}, {kdim / 2, cols / 2}} {
-							pp, jj := min(off[0], kdim-1), min(off[1], cols-1)
-							for _, ext := range [][2]int{{1, 1}, {5, 9}, {kdim, cols}} {
-								kc := min(ext[0], kdim-pp, gemm.MaxPanelK)
+						comparePanel(t, src, ref, img, 0, 0, min(kq, gemm.MaxPanelK), cols, nr)
+						for _, off := range [][2]int{{1, 1}, {3, 5}, {4, 7}, {6, 17}, {kq / 2, cols / 2}} {
+							pp, jj := min(off[0], kq-1)&^3, min(off[1], cols-1)
+							for _, ext := range [][2]int{{1, 1}, {5, 9}, {kq, cols}} {
+								kc := min((ext[0]+3)&^3, kq-pp, gemm.MaxPanelK)
 								nc := min(ext[1], cols-jj)
 								comparePanel(t, src, ref, img, pp, jj, kc, nc, nr)
 							}
@@ -209,12 +152,16 @@ func TestPackPanel8MatchesScalar(t *testing.T) {
 }
 
 // FuzzPackPanel8VsScalar draws a geometry and a panel from the fuzz input
-// and holds the quad walk to the scalar one.
+// and holds the word walk to the scalar one. The seeds cross group channel
+// counts of 1 to 6 — quads padded by 3, 2, 1 and 0 channels.
 func FuzzPackPanel8VsScalar(f *testing.F) {
 	f.Add(uint64(1), uint8(3), uint8(8), uint8(8), uint8(3), uint8(1), uint8(1), uint8(1), uint8(1), uint8(0), uint8(0), uint8(255), uint8(255), false)
 	f.Add(uint64(2), uint8(3), uint8(30), uint8(30), uint8(7), uint8(2), uint8(3), uint8(1), uint8(1), uint8(0), uint8(0), uint8(255), uint8(255), true)
 	f.Add(uint64(3), uint8(4), uint8(11), uint8(13), uint8(3), uint8(2), uint8(2), uint8(2), uint8(2), uint8(5), uint8(9), uint8(6), uint8(10), false)
 	f.Add(uint64(4), uint8(6), uint8(14), uint8(14), uint8(1), uint8(2), uint8(0), uint8(1), uint8(1), uint8(2), uint8(3), uint8(4), uint8(40), true)
+	f.Add(uint64(5), uint8(2), uint8(12), uint8(9), uint8(3), uint8(1), uint8(1), uint8(1), uint8(2), uint8(8), uint8(3), uint8(20), uint8(30), false)
+	f.Add(uint64(6), uint8(4), uint8(7), uint8(7), uint8(3), uint8(0), uint8(1), uint8(0), uint8(0), uint8(12), uint8(1), uint8(8), uint8(48), true)
+	f.Add(uint64(7), uint8(5), uint8(10), uint8(11), uint8(9), uint8(4), uint8(5), uint8(0), uint8(1), uint8(4), uint8(2), uint8(12), uint8(9), false)
 	f.Fuzz(func(t *testing.T, seed uint64, cin, h, w, k, stride, pad, dil, groups, ppb, jjb, kcb, ncb uint8, wide bool) {
 		tc := convCase{name: "fuzz", n: 1 + int(seed%2), cin: int(cin%8) + 1, h: int(h%20) + 1, w: int(w%20) + 1,
 			kh: int(k%7) + 1, kw: int(k/7%7) + 1, sh: int(stride%3) + 1, sw: int(stride/3%3) + 1,
@@ -231,10 +178,10 @@ func FuzzPackPanel8VsScalar(f *testing.F) {
 		}
 		g := int(seed/2) % tc.groups
 		src, ref, p := packPair(t, tc, seed, g)
-		kdim := (p.cin / p.groups) * p.kh * p.kw
+		kq := quadK(&p)
 		cols := p.oh * p.ow
-		pp, jj := int(ppb)%kdim, int(jjb)%cols
-		kc := min(int(kcb)+1, kdim-pp, gemm.MaxPanelK)
+		pp, jj := int(ppb)%kq&^3, int(jjb)%cols
+		kc := min(int(kcb)&^3+4, kq-pp, gemm.MaxPanelK)
 		nc := min(int(ncb)+1, cols-jj)
 		comparePanel(t, src, ref, p.n-1, pp, jj, kc, nc, nr)
 	})

@@ -63,49 +63,52 @@ func runDenseGemmInt8(ctx *Ctx, n *graph.Node, in, out []*tensor.Tensor) error {
 // densePackSrc8 presents the activation matrix X[N,K] as the virtual
 // uint8 B of the transposed dense GEMM: B[p][j] = Q_j(X[j][p]), each
 // sample column j quantized with its own parameters. init converts X to
-// uint8 in one vectorised pass per sample, so the pack walk is pure byte
-// moves: a k-quad's four rows are four consecutive bytes of each sample,
-// one sample row apart from column to column.
+// uint8 in one vectorised pass per sample, so the pack walk is pure moves:
+// a k-quad's four rows are four consecutive bytes of one sample — one
+// word — and a quad row of a strip is one word gather down the samples.
 type densePackSrc8 struct {
-	// ld is q8's row stride: K rounded up to whole quads, the tail bytes
-	// zero, so the last quad reads its k padding from the row itself.
+	// ld is q8's row stride in words: K rounded up to whole quads, the
+	// tail bytes zero, so the last quad reads its k padding from the row.
 	ld int
 
-	// q8 is the quantized activation matrix; scales/zeros are the
-	// per-sample parameters for the epilogue. Buffers reused across calls.
-	q8     []byte
+	// q8 is the quantized activation matrix as k-quad words (see words);
+	// scales/zeros are the per-sample parameters for the epilogue. Buffers
+	// reused across calls.
+	q8     []float32
 	scales []float32
 	zeros  []int32
 }
 
 // init derives each sample's parameters and quantizes X into q8.
 func (s *densePackSrc8) init(x []float32, samples, k int) {
-	s.ld = (k + 3) &^ 3
+	s.ld = (k + 3) >> 2
 	s.scales = growF32(s.scales, samples)
 	s.zeros = growI32(s.zeros, samples)
-	s.q8 = growU8(s.q8, samples*s.ld)
+	s.q8 = growF32(s.q8, samples*s.ld)
 	for j := 0; j < samples; j++ {
 		xj := x[j*k : (j+1)*k]
 		lo, hi := gemm.MinMaxF32(xj)
 		scale, zero := quantRange(lo, hi)
 		s.scales[j] = scale
 		s.zeros[j] = zero
-		qj := s.q8[j*s.ld : (j+1)*s.ld]
+		qj := quadBytes(s.q8[j*s.ld : (j+1)*s.ld])
 		gemm.QuantizeU8(qj, xj, 1/scale, float32(zero)+0.5)
 		clear(qj[k:])
 	}
 }
 
 // PackPanel8 implements gemm.PackSrc8; img is always 0 (TransC calls are
-// unbatched). pp is a multiple of 4, so every quad is four in-row bytes.
+// unbatched). pp is a multiple of 4, so quad q of column j is word
+// pp/4+q of sample jj+j.
 func (s *densePackSrc8) PackPanel8(dst []byte, img, pp, jj, kc, nc, nr int) {
 	kcq := (kc + 3) >> 2
+	d := words(dst)
 	for j := 0; j < nc; j += nr {
-		d := dst[(j/nr)*kcq*nr*4:]
+		strip := d[(j/nr)*kcq*nr:]
+		x := s.q8[(jj+j)*s.ld+(pp>>2):]
 		for q := 0; q < kcq; q++ {
-			r := s.q8[(jj+j)*s.ld+pp+4*q:]
-			gemm.InterleaveQuads(d[q*nr*4:], r, r[1:], r[2:], r[3:], min(nr, nc-j), s.ld)
+			gemm.GatherRow(strip[q*nr:][:min(nr, nc-j)], x[q:], s.ld)
 		}
 	}
-	zeroPadCols(dst, kcq, nr, nc)
+	clearEdgeCols(d, kcq, nr, nc)
 }

@@ -1,5 +1,7 @@
 package quant
 
+import "math"
+
 // Quantization helpers for the executable int8 GEMM tier (internal/gemm's
 // CallInt8), as opposed to the fake-quant measurement path in quant.go.
 
@@ -15,20 +17,22 @@ const QMaxGemm = 63
 
 // QuantizeRowsInto quantizes the rows×per float matrix w per-row symmetric
 // into data (len ≥ rows*per) with one scale per row (scales len ≥ rows):
-// data[r][i] = clamp(round(w[r][i]/scales[r]), ±qmax), scales[r] =
-// max|w[r]|/qmax. All-zero rows get scale 1 so they round-trip to zero.
-// Use QMaxGemm for weights destined for the int8 GEMM tier.
+// data[r][i] = clamp(round(w[r][i]/scales[r]), ±qmax), rounding half away
+// from zero, scales[r] = max|w[r]|/qmax. All-zero rows get scale 1 so they
+// round-trip to zero. w must be NaN-free. Use QMaxGemm for weights
+// destined for the int8 GEMM tier.
+//
+// Nothing branches on a weight's sign, a coin flip that a branch
+// mispredicts half the time: |v| clears the sign bit, the rounding adds
+// copysign(0.5, f) before truncating (for f < 0 that is −int32(0.5−f) bit
+// for bit, since negation is exact), and the clamp is min/max.
 func QuantizeRowsInto(data []int8, scales []float32, w []float32, rows, per int, qmax int32) {
 	fq := float32(qmax)
 	for r := 0; r < rows; r++ {
 		row := w[r*per : (r+1)*per]
 		var maxAbs float32
 		for _, v := range row {
-			a := v
-			if a < 0 {
-				a = -a
-			}
-			if a > maxAbs {
+			if a := math.Float32frombits(math.Float32bits(v) &^ signBit); a > maxAbs {
 				maxAbs = a
 			}
 		}
@@ -41,18 +45,10 @@ func QuantizeRowsInto(data []int8, scales []float32, w []float32, rows, per int,
 		out := data[r*per : (r+1)*per]
 		for i, v := range row {
 			f := v * inv
-			var q int32
-			if f >= 0 {
-				q = int32(f + 0.5)
-			} else {
-				q = -int32(0.5 - f)
-			}
-			if q > qmax {
-				q = qmax
-			} else if q < -qmax {
-				q = -qmax
-			}
-			out[i] = int8(q)
+			half := math.Float32frombits(math.Float32bits(f)&signBit | math.Float32bits(0.5))
+			out[i] = int8(min(max(int32(f+half), -qmax), qmax))
 		}
 	}
 }
+
+const signBit = 1 << 31
