@@ -72,14 +72,16 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
+	// Weights a kernel packs at compile are held only as their panels.
 	weights, arena := sess.MemoryFootprint()
-	fmt.Printf("backend %s: weights %.2f MB, activation arena %.2f MB\n",
-		*backendN, float64(weights)/(1<<20), float64(arena)/(1<<20))
+	fmt.Printf("backend %s: weights %.2f MB + packed %.2f MB, activation arena %.2f MB\n",
+		*backendN, float64(weights)/(1<<20), float64(sess.ConstBytes())/(1<<20), float64(arena)/(1<<20))
 
 	x := orpheus.RandomTensor(*seed, model.InputShape()...)
 	if *profile || *tracePath != "" {
-		// The first run of a session prepacks every layer's weights; warm
-		// up first so the table ranks the layers by their steady state.
+		// Compile prepacked the weights, but a session's first run still
+		// grows its scratch; warm up first so the table ranks the layers
+		// by their steady state.
 		for i := 0; i < *warmup; i++ {
 			if _, err := sess.Predict(ctx, x); err != nil {
 				fatal(err)

@@ -23,15 +23,16 @@ func main() {
 	fmt.Println(model.Summary())
 
 	// 2. Compile: graph simplification (BN folding, activation fusion),
-	//    kernel selection and arena planning happen here.
+	//    kernel selection, weight packing and arena planning happen here.
 	sess, err := model.Compile(orpheus.WithBackend("orpheus"), orpheus.WithWorkers(1))
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer sess.Close() // graceful drain: waits for in-flight requests
+	// The weights the GEMM kernels read are held once, as packed panels.
 	weights, arena := sess.MemoryFootprint()
-	fmt.Printf("compiled: %.2f MB weights, %.2f MB activation arena\n",
-		float64(weights)/(1<<20), float64(arena)/(1<<20))
+	fmt.Printf("compiled: %.2f MB weights + %.2f MB packed, %.2f MB activation arena\n",
+		float64(weights)/(1<<20), float64(sess.ConstBytes())/(1<<20), float64(arena)/(1<<20))
 
 	// 3. Run inference on a deterministic synthetic image. Every predict
 	//    path takes a context: cancellation aborts the run at the next

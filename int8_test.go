@@ -122,14 +122,7 @@ func TestInt8WeightFootprint(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer q.Close()
-	x := RandomTensor(1, m.InputShape()...)
-	// Derived constants (packed panels) materialise lazily on first run.
-	if _, err := fp.Predict(context.Background(), x); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := q.Predict(context.Background(), x); err != nil {
-		t.Fatal(err)
-	}
+	// Compile packs every panel, so the footprints are final already.
 	fpBytes, qBytes := fp.ConstBytes(), q.ConstBytes()
 	if fpBytes == 0 || qBytes == 0 {
 		t.Fatalf("const footprints not populated: fp32 %d, int8 %d", fpBytes, qBytes)

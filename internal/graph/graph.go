@@ -364,7 +364,8 @@ func (g *Graph) Finalize() error {
 	return g.InferShapes()
 }
 
-// NumParams returns the total number of elements across constant values.
+// NumParams returns the total number of elements the constant values hold
+// (a constant a compiled plan released after packing holds none).
 func (g *Graph) NumParams() int64 {
 	var n int64
 	for _, v := range g.values {

@@ -149,7 +149,7 @@ func runPassesAblation(cfg *Config) (*Report, error) {
 func runMemoryAblation(cfg *Config) (*Report, error) {
 	cfg.fill()
 	rep := &Report{ID: "memory", Title: "A3: activation memory, arena planner vs per-value buffers"}
-	rep.Header = []string{"model", "weights MB", "arena MB", "no-reuse MB", "saving"}
+	rep.Header = []string{"model", "weights MB", "packed MB", "arena MB", "no-reuse MB", "saving"}
 	b, err := backend.ByName("orpheus")
 	if err != nil {
 		return nil, err
@@ -164,9 +164,10 @@ func runMemoryAblation(cfg *Config) (*Report, error) {
 			return nil, err
 		}
 		mb := func(x int64) string { return fmt.Sprintf("%.2f", float64(x)/(1<<20)) }
-		rep.AddRow(modelName, mb(plan.WeightBytes()), mb(plan.ArenaBytes()), mb(plan.NoReuseBytes()),
+		rep.AddRow(modelName, mb(plan.WeightBytes()), mb(plan.ConstBytes()), mb(plan.ArenaBytes()), mb(plan.NoReuseBytes()),
 			fmt.Sprintf("%.1fx", float64(plan.NoReuseBytes())/float64(plan.ArenaBytes())))
 	}
+	rep.AddNote("weights = constants the plan holds as is; packed = GEMM panels built at compile, which replace the weights they derive from")
 	rep.AddNote("arena = liveness-planned intermediate buffers; saving = no-reuse / arena")
 	return rep, nil
 }

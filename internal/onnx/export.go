@@ -5,6 +5,7 @@ import (
 	"os"
 
 	"orpheus/internal/graph"
+	"orpheus/internal/tensor"
 )
 
 // Export converts an Orpheus graph into an ONNX model. Fused-activation
@@ -24,6 +25,9 @@ func Export(g *graph.Graph) (*Model, error) {
 		v := g.Value(name)
 		if !v.IsConst() {
 			continue
+		}
+		if v.Const.Size() != tensor.Volume(v.Const.Shape()) {
+			return nil, fmt.Errorf("onnx: constant %q holds no data (a compiled plan released it; export the graph before Compile)", name)
 		}
 		dims := make([]int64, len(v.Const.Shape()))
 		for i, d := range v.Const.Shape() {

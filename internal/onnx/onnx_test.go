@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"orpheus/internal/graph"
+	"orpheus/internal/ops"
 	"orpheus/internal/runtime"
 	"orpheus/internal/tensor"
 	"orpheus/internal/zoo"
@@ -309,5 +310,32 @@ func TestExportFusedActivationExpands(t *testing.T) {
 	xs := tensor.Rand(tensor.NewRNG(42), -1, 1, 1, 2, 4, 4)
 	if !tensor.AllClose(evalGraph(t, g2, xs), evalGraph(t, g, xs), 1e-5) {
 		t.Fatal("fused-activation export/import diverges")
+	}
+}
+
+// im2colPolicy runs every Conv on conv.im2col, a packing kernel.
+type im2colPolicy struct{}
+
+func (im2colPolicy) Name() string { return "test-im2col" }
+func (im2colPolicy) Select(n *graph.Node) (ops.Kernel, error) {
+	if n.Op == "Conv" {
+		return ops.ByName("conv.im2col"), nil
+	}
+	return runtime.ReferencePolicy{}.Select(n)
+}
+
+// TestExportRefusesReleasedConstants: Compile releases the data of the
+// weights its packing kernels read, so exporting the compiled graph fails
+// and names the constant instead of writing an empty initializer.
+func TestExportRefusesReleasedConstants(t *testing.T) {
+	g := buildMixedGraph(t)
+	if _, err := Export(g); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := runtime.Compile(g, runtime.Options{Policy: im2colPolicy{}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Export(g); err == nil || !strings.Contains(err.Error(), `"w1" holds no data`) {
+		t.Fatalf("exporting a compiled graph: err = %v, want w1 reported as released", err)
 	}
 }

@@ -19,10 +19,12 @@ import (
 // sweeps.
 //
 // The weight matrix is a graph constant, so its packed A-panels are built
-// once (first use, cached in the plan-shared ConstCache) and every later
-// run skips the packing pass entirely. The GEMM runs in overwrite (beta=0)
-// mode, which both lets the runtime skip the arena zero-fill for this
-// kernel and keeps repeated runs correct without it.
+// once, when runtime.Compile calls the kernel's Prepack (or on the first
+// run outside a plan), cached in the plan-shared ConstCache; every run
+// reads only those panels, so the plan releases the row-major original.
+// The GEMM runs in overwrite (beta=0) mode, which both lets the runtime
+// skip the arena zero-fill for this kernel and keeps repeated runs
+// correct without it.
 //
 // conv.im2col_explicit keeps the materialised unfold: it is the
 // differential reference for the implicit path and the behaviour the
@@ -34,7 +36,7 @@ import (
 // call; a pure depthwise conv is better served by conv.depthwise (this
 // kernel still computes it correctly, just slowly).
 func init() {
-	Register(NewOverwritingKernel("conv.im2col", "Conv", supportsConvNCHW, runConvIm2col))
+	Register(newPrepackingKernel("conv.im2col", "Conv", supportsConvNCHW, prepackConvIm2col, runConvIm2col))
 	Register(NewOverwritingKernel("conv.im2col_explicit", "Conv", supportsConvNCHW, runConvIm2colExplicit))
 }
 
@@ -49,23 +51,34 @@ func supportsConvNCHW(n *graph.Node) bool {
 }
 
 // packedConvWeights returns the cached prepacked per-group weight panels
-// for the node, packing them on first use: groups consecutive buffers of
-// PackedASize(coutG, kdim) values each. Returns nil (pack per call, the
-// seed behaviour) when scratch reuse is disabled.
-func packedConvWeights(ctx *Ctx, n *graph.Node, w []float32, groups, coutG, kdim int) []float32 {
+// for the node, packing them from w on a miss: p.groups consecutive
+// buffers of PackedASize(coutG, kdim) values each. Returns nil (pack per
+// call, the seed behaviour) when scratch reuse is disabled.
+func packedConvWeights(ctx *Ctx, n *graph.Node, w []float32, p *convParams) []float32 {
 	if ctx.DisableScratchReuse {
 		return nil
 	}
 	if buf := ctx.Cache("conv.im2col/pw", n); buf != nil {
 		return buf
 	}
+	coutG, kdim := p.cout/p.groups, (p.cin/p.groups)*p.kh*p.kw
 	per := gemm.PackedASize(coutG, kdim)
-	buf := make([]float32, groups*per)
-	for g := 0; g < groups; g++ {
+	buf := make([]float32, p.groups*per)
+	for g := 0; g < p.groups; g++ {
 		gemm.PrepackAInto(buf[g*per:], w[g*coutG*kdim:(g+1)*coutG*kdim], coutG, kdim)
 	}
 	ctx.PutCache("conv.im2col/pw", n, buf)
 	return buf
+}
+
+// prepackConvIm2col is conv.im2col's Prepacker hook.
+func prepackConvIm2col(ctx *Ctx, n *graph.Node, w []float32) error {
+	p, err := resolveConv(n)
+	if err != nil {
+		return err
+	}
+	packedConvWeights(ctx, n, w, &p)
+	return nil
 }
 
 // runConvIm2col implements conv.im2col; parallelism follows ctx.Workers
@@ -84,7 +97,6 @@ func runConvIm2col(ctx *Ctx, n *graph.Node, in, out []*tensor.Tensor) error {
 		return err
 	}
 	x := in[0].Data()
-	w := in[1].Data()
 	var bias []float32
 	if p.hasBias {
 		bias = in[2].Data()
@@ -96,14 +108,17 @@ func runConvIm2col(ctx *Ctx, n *graph.Node, in, out []*tensor.Tensor) error {
 	kdim := cinG * p.kh * p.kw
 	cols := p.oh * p.ow
 	act := gemmActivation(p.activation)
+	// Scratch reuse is on (the flag took the explicit path above), so the
+	// panels are cached: a plan built them at Compile and released the
+	// weight's data; outside a plan the first run packs them here.
+	packedW := packedConvWeights(ctx, n, in[1].Data(), &p)
 
 	// Pointwise fast path: a 1x1 stride-1 unpadded convolution is exactly
 	// C[cout×HW] = W[cout×cin] · X[cin×HW]; even the implicit unfold would
 	// be an identity gather, so B is the input itself.
 	if p.kh == 1 && p.kw == 1 && p.sh == 1 && p.sw == 1 && p.dh == 1 && p.dw == 1 &&
 		p.padT == 0 && p.padL == 0 && p.padB == 0 && p.padR == 0 && p.groups == 1 {
-		pw := packedConvWeights(ctx, n, w, 1, p.cout, p.cin)
-		ctx.GEMM(gemm.Call{A: w, PackedA: pw, B: x, C: y,
+		ctx.GEMM(gemm.Call{PackedA: packedW, B: x, C: y,
 			M: p.cout, N: cols, K: p.cin, Store: true,
 			Batch: p.n, StrideB: p.cin * cols, StrideC: p.cout * cols,
 			BiasRow: bias, Act: act, Alpha: p.alpha})
@@ -111,24 +126,17 @@ func runConvIm2col(ctx *Ctx, n *graph.Node, in, out []*tensor.Tensor) error {
 	}
 
 	perGroup := gemm.PackedASize(coutG, kdim)
-	packedW := packedConvWeights(ctx, n, w, p.groups, coutG, kdim)
-
 	ctx.convSrc.init(x, &p)
 	for g := 0; g < p.groups; g++ {
 		// One strided call folds the whole batch: the source resolves the
 		// image index to its NCHW slab, C images start cout*cols apart,
 		// and the group's rows sit coutG*cols into each image.
 		ctx.convSrc.chan0 = g * cinG
-		wg := w[g*coutG*kdim : (g+1)*coutG*kdim]
-		var pa []float32
-		if packedW != nil {
-			pa = packedW[g*perGroup : (g+1)*perGroup]
-		}
 		var bg []float32
 		if bias != nil {
 			bg = bias[g*coutG : (g+1)*coutG]
 		}
-		ctx.GEMM(gemm.Call{A: wg, PackedA: pa, BPack: &ctx.convSrc, C: y[g*coutG*cols:],
+		ctx.GEMM(gemm.Call{PackedA: packedW[g*perGroup : (g+1)*perGroup], BPack: &ctx.convSrc, C: y[g*coutG*cols:],
 			M: coutG, N: cols, K: kdim, Store: true,
 			Batch: p.n, StrideC: p.cout * cols,
 			BiasRow: bg, Act: act, Alpha: p.alpha})
@@ -164,7 +172,7 @@ func runConvIm2colExplicit(ctx *Ctx, n *graph.Node, in, out []*tensor.Tensor) er
 	// general unfold).
 	if p.kh == 1 && p.kw == 1 && p.sh == 1 && p.sw == 1 && p.dh == 1 && p.dw == 1 &&
 		p.padT == 0 && p.padL == 0 && p.padB == 0 && p.padR == 0 && p.groups == 1 {
-		pw := packedConvWeights(ctx, n, w, 1, p.cout, p.cin)
+		pw := packedConvWeights(ctx, n, w, &p)
 		ctx.GEMM(gemm.Call{A: w, PackedA: pw, B: x, C: y,
 			M: p.cout, N: cols, K: p.cin, Store: true,
 			Batch: p.n, StrideB: p.cin * cols, StrideC: p.cout * cols})
@@ -177,7 +185,7 @@ func runConvIm2colExplicit(ctx *Ctx, n *graph.Node, in, out []*tensor.Tensor) er
 	colBuf := ctx.ScratchUninit("conv.im2col/col", n, kdim*cols)
 
 	perGroup := gemm.PackedASize(coutG, kdim)
-	packedW := packedConvWeights(ctx, n, w, p.groups, coutG, kdim)
+	packedW := packedConvWeights(ctx, n, w, &p)
 
 	for b := 0; b < p.n; b++ {
 		for g := 0; g < p.groups; g++ {

@@ -14,24 +14,26 @@ import (
 // The structure mirrors conv.im2col exactly — per-group strided batched
 // GEMM over a virtual B packed straight from the NCHW input, by the same
 // walk — but the arithmetic runs on the int8 tier. Weights are quantized
-// per output channel at first use (symmetric, |q| ≤ quant.QMaxGemm) and
-// cached prepacked in the plan's ConstCache. Activations are quantized to
-// uint8 per image into kernel-private scratch (never a graph tensor) and
-// laid out as padded planes of channel-quad words: word (cq, y, x) of a
-// group holds its channels 4cq … 4cq+3 at pixel (y, x), the group's
-// channel count padded to a multiple of 4 with the zero-point byte. A
-// k-quad of the int8 B layout is then one word, so the weights' K is
-// ordered k' = ((cq·kh + ky)·kw + kx)·4 + t (channel 4cq+t, zero weights
-// for padded channels) and an int8 panel of kc rows is the fp32 walk's
-// panel of kc/4 word rows. Integer accumulation is exact, so the reorder
-// changes no output bit. The int32→fp32 requantize, zero-point
+// per output channel (symmetric, |q| ≤ quant.QMaxGemm) and cached
+// prepacked in the plan's ConstCache when runtime.Compile calls the
+// kernel's Prepack (on the first run outside a plan); the plan then
+// releases the fp32 original, which no run reads. Activations are
+// quantized to uint8 per image into kernel-private scratch (never a graph
+// tensor) and laid out as padded planes of channel-quad words: word (cq,
+// y, x) of a group holds its channels 4cq … 4cq+3 at pixel (y, x), the
+// group's channel count padded to a multiple of 4 with the zero-point
+// byte. A k-quad of the int8 B layout is then one word, so the weights' K
+// is ordered k' = ((cq·kh + ky)·kw + kx)·4 + t (channel 4cq+t, zero
+// weights for padded channels) and an int8 panel of kc rows is the fp32
+// walk's panel of kc/4 word rows. Integer accumulation is exact, so the
+// reorder changes no output bit. The int32→fp32 requantize, zero-point
 // compensation, bias and activation all ride the GEMM tile-store epilogue.
 //
 // The kernel registers as quantized: policies only select it when the
 // plan opted into int8 execution, and the equivalence tests hold it to a
 // quantization tolerance instead of fp32 bit-closeness.
 func init() {
-	RegisterQuantized(NewOverwritingKernel("conv.im2col_int8", "Conv", supportsConvInt8, runConvIm2colInt8))
+	RegisterQuantized(newPrepackingKernel("conv.im2col_int8", "Conv", supportsConvInt8, prepackConvInt8, runConvIm2colInt8))
 }
 
 // maxInt8K bounds the reduction depth of an int8 GEMM so the int32
@@ -61,7 +63,7 @@ func quadK(p *convParams) int {
 }
 
 // int8ConvWeights returns the node's cached quantized weight panels,
-// building them on first use: per-output-channel symmetric quantization
+// building them from w on a miss: per-output-channel symmetric quantization
 // of each row into a kdim scratch row, scattered into the channel-quad K
 // order (scales and row sums do not depend on the order), then one
 // prepacked A-panel buffer per group (PackedAInt8Size(coutG, quadK) bytes
@@ -96,13 +98,22 @@ func int8ConvWeights(ctx *Ctx, n *graph.Node, w []float32, p *convParams) *Int8W
 	return wq
 }
 
+// prepackConvInt8 is conv.im2col_int8's Prepacker hook.
+func prepackConvInt8(ctx *Ctx, n *graph.Node, w []float32) error {
+	p, err := resolveConv(n)
+	if err != nil {
+		return err
+	}
+	int8ConvWeights(ctx, n, w, &p)
+	return nil
+}
+
 func runConvIm2colInt8(ctx *Ctx, n *graph.Node, in, out []*tensor.Tensor) error {
 	p, err := resolveConvRT(n, in)
 	if err != nil {
 		return err
 	}
 	x := in[0].Data()
-	w := in[1].Data()
 	var bias []float32
 	if p.hasBias {
 		bias = in[2].Data()
@@ -114,7 +125,7 @@ func runConvIm2colInt8(ctx *Ctx, n *graph.Node, in, out []*tensor.Tensor) error 
 	cols := p.oh * p.ow
 	act := gemmActivation(p.activation)
 
-	wq := int8ConvWeights(ctx, n, w, &p)
+	wq := int8ConvWeights(ctx, n, in[1].Data(), &p)
 	perGroup := gemm.PackedAInt8Size(coutG, kq)
 
 	src := &ctx.convSrc8

@@ -19,14 +19,17 @@ type ctxKey struct {
 // ConstCache holds run-invariant derived constants — prepacked GEMM weight
 // panels, Winograd weight transforms, transposed dense weights — keyed by
 // (kind, node). It is safe for concurrent use. Every Session compiled from
-// one Plan shares a single ConstCache, so N pooled serving sessions pack
-// each weight exactly once instead of once per session. Two sessions
-// racing on a miss both compute the (identical, deterministic) value and
-// one store wins; that is benign.
+// one Plan shares a single ConstCache, and runtime.Compile fills the
+// entries of every Prepacker kernel before any session exists, so pooled
+// serving sessions only read those. Entries still built at first use —
+// kernels run outside a plan, the Winograd and NHWC tiers — may see two
+// sessions racing on a miss: both compute the identical, deterministic
+// value and one store wins, which is benign.
 type ConstCache struct {
-	mu sync.RWMutex
-	m  map[ctxKey][]float32
-	q  map[ctxKey]*Int8Weights
+	mu     sync.RWMutex
+	m      map[ctxKey][]float32
+	q      map[ctxKey]*Int8Weights
+	stores int64
 }
 
 // Int8Weights is a ConstCache entry for the quantized execution tier: a
@@ -63,6 +66,7 @@ func (cc *ConstCache) put(k ctxKey, buf []float32) bool {
 	cc.mu.Lock()
 	_, existed := cc.m[k]
 	cc.m[k] = buf
+	cc.stores++
 	cc.mu.Unlock()
 	return !existed
 }
@@ -82,8 +86,18 @@ func (cc *ConstCache) putInt8(k ctxKey, w *Int8Weights) bool {
 	}
 	_, existed := cc.q[k]
 	cc.q[k] = w
+	cc.stores++
 	cc.mu.Unlock()
 	return !existed
+}
+
+// Stores counts every store into the cache, a racing session's redundant
+// one included, so it exceeds the number of entries exactly when some
+// entry was computed more than once.
+func (cc *ConstCache) Stores() int64 {
+	cc.mu.RLock()
+	defer cc.mu.RUnlock()
+	return cc.stores
 }
 
 // Bytes returns the total footprint of the cached constants, fp32 and

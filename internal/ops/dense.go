@@ -12,12 +12,13 @@ import (
 //	output: Y [N, M] = X · Wᵀ + B
 //
 // dense.naive is the correctness reference; dense.gemm uses the packed
-// GEMM on the transposed weight, with the transpose and its packed
-// B-panels cached across runs (weights are graph constants). Both write
-// every output element, so neither needs a zero-filled output.
+// GEMM on the transposed weight, with the packed B-panels of the
+// transpose built once by its Prepacker hook (weights are graph
+// constants) and cached across runs. Both write every output element, so
+// neither needs a zero-filled output.
 func init() {
 	Register(NewOverwritingKernel("dense.naive", "Dense", nil, runDenseNaive))
-	Register(NewOverwritingKernel("dense.gemm", "Dense", nil, runDenseGemm))
+	Register(newPrepackingKernel("dense.gemm", "Dense", nil, prepackDenseGemm, runDenseGemm))
 }
 
 func runDenseNaive(ctx *Ctx, n *graph.Node, in, out []*tensor.Tensor) error {
@@ -58,13 +59,31 @@ func transposeDense(wd []float32, m, k int) []float32 {
 	return wt
 }
 
+// packedDenseWeights returns the node's cached prepacked B-panels of
+// Wᵀ[K,M], building them from the m×k weight w on a miss (the raw
+// transpose is a local stepping stone).
+func packedDenseWeights(ctx *Ctx, n *graph.Node, w []float32, m, k int) []float32 {
+	if pb := ctx.Cache("dense.gemm/pwt", n); pb != nil {
+		return pb
+	}
+	pb := gemm.PrepackB(transposeDense(w, m, k), k, m)
+	ctx.PutCache("dense.gemm/pwt", n, pb)
+	return pb
+}
+
+// prepackDenseGemm is dense.gemm's Prepacker hook.
+func prepackDenseGemm(ctx *Ctx, n *graph.Node, w []float32) error {
+	ws := n.Inputs[1].Shape // [M, K], checked by shape inference
+	packedDenseWeights(ctx, n, w, ws[0], ws[1])
+	return nil
+}
+
 func runDenseGemm(ctx *Ctx, n *graph.Node, in, out []*tensor.Tensor) error {
 	x, w := in[0], in[1]
 	batch, k := x.Shape()[0], x.Shape()[1]
 	m := w.Shape()[0]
 	// Y[N,M] = X[N,K] · Wᵀ[K,M]. W is run-invariant, so the production
-	// path caches only the prepacked B-panels of the transpose (the raw
-	// transpose is a local stepping stone); the per-call-allocation
+	// path reads only the cached prepacked panels; the per-call-allocation
 	// simulation caches the raw transpose and repacks per run, as the
 	// seed did.
 	var wt, pb []float32
@@ -75,11 +94,7 @@ func runDenseGemm(ctx *Ctx, n *graph.Node, in, out []*tensor.Tensor) error {
 			ctx.PutCache("dense.gemm/wt", n, wt)
 		}
 	} else {
-		pb = ctx.Cache("dense.gemm/pwt", n)
-		if pb == nil {
-			pb = gemm.PrepackB(transposeDense(w.Data(), m, k), k, m)
-			ctx.PutCache("dense.gemm/pwt", n, pb)
-		}
+		pb = packedDenseWeights(ctx, n, w.Data(), m, k)
 	}
 	// Bias is per output feature — a GEMM column — and the activation
 	// follows it, so both ride the epilogue at tile store instead of two

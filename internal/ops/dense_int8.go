@@ -17,7 +17,7 @@ import (
 // exactly the per-feature scales the epilogue wants), and each sample
 // becomes a B column quantized with its own parameters (ColQuant).
 func init() {
-	RegisterQuantized(NewOverwritingKernel("dense.gemm_int8", "Dense", supportsDenseInt8, runDenseGemmInt8))
+	RegisterQuantized(newPrepackingKernel("dense.gemm_int8", "Dense", supportsDenseInt8, prepackDenseInt8, runDenseGemmInt8))
 }
 
 func supportsDenseInt8(n *graph.Node) bool {
@@ -28,20 +28,34 @@ func supportsDenseInt8(n *graph.Node) bool {
 	return len(ws) == 2 && ws[1] <= maxInt8K
 }
 
+// int8DenseWeights returns the node's cached quantized weight panels,
+// building them from the m×k weight w on a miss.
+func int8DenseWeights(ctx *Ctx, n *graph.Node, w []float32, m, k int) *Int8Weights {
+	if wq := ctx.CacheInt8("dense.gemm_int8/pw", n); wq != nil {
+		return wq
+	}
+	data := make([]int8, m*k)
+	scales := make([]float32, m)
+	quant.QuantizeRowsInto(data, scales, w, m, k, quant.QMaxGemm)
+	sums := make([]int32, m)
+	gemm.RowSumsInt8(sums, data, m, k)
+	wq := &Int8Weights{Packed: gemm.PrepackAInt8(data, m, k), Scales: scales, RowSums: sums}
+	ctx.PutCacheInt8("dense.gemm_int8/pw", n, wq)
+	return wq
+}
+
+// prepackDenseInt8 is dense.gemm_int8's Prepacker hook.
+func prepackDenseInt8(ctx *Ctx, n *graph.Node, w []float32) error {
+	ws := n.Inputs[1].Shape
+	int8DenseWeights(ctx, n, w, ws[0], ws[1])
+	return nil
+}
+
 func runDenseGemmInt8(ctx *Ctx, n *graph.Node, in, out []*tensor.Tensor) error {
 	x, w := in[0], in[1]
 	batch, k := x.Shape()[0], x.Shape()[1]
 	m := w.Shape()[0]
-	wq := ctx.CacheInt8("dense.gemm_int8/pw", n)
-	if wq == nil {
-		data := make([]int8, m*k)
-		scales := make([]float32, m)
-		quant.QuantizeRowsInto(data, scales, w.Data(), m, k, quant.QMaxGemm)
-		sums := make([]int32, m)
-		gemm.RowSumsInt8(sums, data, m, k)
-		wq = &Int8Weights{Packed: gemm.PrepackAInt8(data, m, k), Scales: scales, RowSums: sums}
-		ctx.PutCacheInt8("dense.gemm_int8/pw", n, wq)
-	}
+	wq := int8DenseWeights(ctx, n, w.Data(), m, k)
 	var bias []float32
 	if len(in) == 3 {
 		bias = in[2].Data()

@@ -56,6 +56,17 @@ func KernelOverwrites(k Kernel, n *graph.Node) bool {
 	return false
 }
 
+// Prepacker is implemented by kernels that read a node's constant weight
+// (input 1) only through panels derived from it and kept in the Ctx's
+// ConstCache. Prepack builds those panels from the weight's data; Run's
+// cache-miss branch calls the same function, so a Run after Prepack never
+// reads the weight's data and a compiled plan may release it. Under
+// DisableScratchReuse the kernels pack per call instead, so the runtime
+// neither prepacks nor releases there.
+type Prepacker interface {
+	Prepack(ctx *Ctx, n *graph.Node) error
+}
+
 // kernelFunc adapts plain functions to the Kernel interface.
 type kernelFunc struct {
 	name, op   string
@@ -92,6 +103,26 @@ func NewOverwritingKernel(name, op string,
 	supports func(n *graph.Node) bool,
 	run func(ctx *Ctx, n *graph.Node, in, out []*tensor.Tensor) error) Kernel {
 	return &kernelFunc{name: name, op: op, supports: supports, overwrites: true, run: run}
+}
+
+// prepackingKernel is an overwriting kernelFunc that implements Prepacker
+// by handing prepack the node's weight data.
+type prepackingKernel struct {
+	kernelFunc
+	prepack func(ctx *Ctx, n *graph.Node, w []float32) error
+}
+
+// Prepack implements Prepacker.
+func (k *prepackingKernel) Prepack(ctx *Ctx, n *graph.Node) error {
+	return k.prepack(ctx, n, n.Inputs[1].Const.Data())
+}
+
+// newPrepackingKernel is NewOverwritingKernel plus the Prepacker hook.
+func newPrepackingKernel(name, op string,
+	supports func(n *graph.Node) bool,
+	prepack func(ctx *Ctx, n *graph.Node, w []float32) error,
+	run func(ctx *Ctx, n *graph.Node, in, out []*tensor.Tensor) error) Kernel {
+	return &prepackingKernel{kernelFunc{name: name, op: op, supports: supports, overwrites: true, run: run}, prepack}
 }
 
 var (

@@ -17,14 +17,15 @@ import (
 // backend's default kernel policy. Those kernels are pinned to the
 // reference kernels by the ops and backend batteries; running full zoo
 // models on conv.direct here cost two minutes of tier-1 for no extra
-// coverage of the pass under test.
+// coverage of the pass under test. It compiles a clone: the plan releases
+// the weights it packs, and callers go on to export or rerun g.
 func evaluateOrpheus(t testing.TB, g *graph.Graph, x *tensor.Tensor) *tensor.Tensor {
 	t.Helper()
 	be, err := backend.ByName("orpheus")
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := runtime.Compile(g, runtime.Options{Policy: be.NewPolicy(false)})
+	plan, err := runtime.Compile(g.Clone(), runtime.Options{Policy: be.NewPolicy(false)})
 	if err != nil {
 		t.Fatal(err)
 	}

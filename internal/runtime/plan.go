@@ -45,10 +45,12 @@ type step struct {
 }
 
 // Plan is a compiled execution plan: topologically ordered steps with
-// kernels chosen and buffer slots assigned. A Plan is immutable after
-// Compile and may back any number of concurrent Sessions; they share its
-// constant cache, so derived weights (packed GEMM panels, Winograd
-// transforms) are computed once per plan, not once per session.
+// kernels chosen, buffer slots assigned and the packed GEMM kernels'
+// weight panels built. A Plan is immutable after Compile and may back any
+// number of concurrent Sessions; they share its constant cache, so derived
+// weights are computed once per plan, not once per session. The plan holds
+// each weight once: a constant that only packing kernels read is kept as
+// its panels alone (see Compile).
 type Plan struct {
 	g     *graph.Graph
 	opts  Options
@@ -86,12 +88,19 @@ type batchMeta struct {
 // shapeStatic reports whether the value does not scale with batch.
 func (m batchMeta) static() bool { return m.dim < 0 }
 
-// Compile plans execution of g: validates it, selects kernels and lays out
-// the buffer arena. The graph must have been Finalize()d.
+// Compile plans execution of g: validates it, selects kernels, lays out
+// the buffer arena and builds the derived weights of every kernel that
+// implements ops.Prepacker. The graph must have been Finalize()d.
 //
-// With Options.MaxBatch > 1 the graph is rebatched to MaxBatch before
-// planning (so the arena holds the largest batch) and per-value batch
-// scaling is recorded so sessions can slice bindings to any smaller batch.
+// Compile takes ownership of g: the plan mutates it. With Options.MaxBatch
+// > 1 the graph is rebatched to MaxBatch before planning (so the arena
+// holds the largest batch) and per-value batch scaling is recorded so
+// sessions can slice bindings to any smaller batch. And every constant that
+// only Prepacker kernels read, as the weight they pack, is released: its
+// value keeps its shape but holds a tensor.ShapeOnly in place of the data,
+// which no run reads again. Plans compiled with DisableScratchReuse pack
+// per call and release nothing. A caller that reuses g after Compile must
+// pass g.Clone() instead (backend.PrepareWith always does).
 func Compile(g *graph.Graph, opts Options) (*Plan, error) {
 	if opts.Policy == nil {
 		opts.Policy = ReferencePolicy{}
@@ -135,7 +144,46 @@ func Compile(g *graph.Graph, opts Options) (*Plan, error) {
 	if err := p.validateBindings(); err != nil {
 		return nil, err
 	}
+	if !opts.DisableScratchReuse {
+		if err := p.prepack(); err != nil {
+			return nil, err
+		}
+	}
 	return p, nil
+}
+
+// prepack fills the constant cache for every step whose kernel is an
+// ops.Prepacker, then releases each constant that such steps alone read,
+// and only as their weight (input 1): the value's tensor becomes
+// shape-only, so the plan no longer references the data.
+func (p *Plan) prepack() error {
+	ctx := ops.NewCtx(1)
+	ctx.Consts = p.consts
+	packedOnly := make(map[*graph.Value]bool)
+	for _, st := range p.steps {
+		pk, ok := st.kernel.(ops.Prepacker)
+		ok = ok && st.node.Inputs[1].IsConst()
+		if ok {
+			if err := pk.Prepack(ctx, st.node); err != nil {
+				return fmt.Errorf("runtime: prepacking %q (%s): %w", st.node.Name, st.kernel.Name(), err)
+			}
+		}
+		for i, v := range st.node.Inputs {
+			if v.IsConst() {
+				prev, seen := packedOnly[v]
+				packedOnly[v] = ok && i == 1 && (prev || !seen)
+			}
+		}
+	}
+	for _, o := range p.g.Outputs {
+		delete(packedOnly, o)
+	}
+	for v, only := range packedOnly {
+		if only {
+			v.Const = tensor.ShapeOnly(v.Const.Shape()...)
+		}
+	}
+	return nil
 }
 
 // inferBatchMeta derives how every non-const value's shape scales with the
@@ -235,9 +283,15 @@ func (p *Plan) MaxBatch() int { return p.maxBatch }
 
 // ConstBytes returns the current footprint of the plan's derived-constant
 // cache: prepacked GEMM weight panels (fp32 or int8), Winograd transforms
-// and the like. It grows on first use of each cached entry, so measure
-// after a warm-up run.
+// and the like. Compile builds every packed GEMM panel, so for plans on
+// the packed kernels the figure is final when Compile returns; only the
+// Winograd and NHWC tiers still add entries on their first run.
 func (p *Plan) ConstBytes() int64 { return p.consts.Bytes() }
+
+// ConstStores returns how many entries have been stored in the plan's
+// constant cache. Compile stores each packed panel once; a figure that
+// grows while sessions run means a kernel packed at run time.
+func (p *Plan) ConstStores() int64 { return p.consts.Stores() }
 
 // SetFault installs (or clears) the plan's fault-injection hook after
 // compilation — the escape hatch for harnesses that compile through a
@@ -351,7 +405,10 @@ func (p *Plan) ArenaBytes() int64 { return p.arenaBytes }
 // intermediate value had a private buffer.
 func (p *Plan) NoReuseBytes() int64 { return p.noReuseBytes }
 
-// WeightBytes returns the total constant (weight) footprint.
+// WeightBytes returns the footprint of the constant data the plan still
+// holds: every constant a kernel reads raw (biases, depthwise and
+// reference-kernel weights). Weights released after packing count in
+// ConstBytes instead, as their panels.
 func (p *Plan) WeightBytes() int64 { return p.g.NumParams() * 4 }
 
 // Steps returns the planned (node, kernel-name) sequence for reporting.

@@ -41,9 +41,11 @@ func smallCNN(t testing.TB) *graph.Graph {
 	return g
 }
 
+// runGraph compiles a clone of g — Compile owns its graph, and callers
+// run one graph under several options — and runs it once on x.
 func runGraph(t testing.TB, g *graph.Graph, opts Options, x *tensor.Tensor) *tensor.Tensor {
 	t.Helper()
-	plan, err := Compile(g, opts)
+	plan, err := Compile(g.Clone(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,8 +124,57 @@ func TestArenaSmallerThanNoReuse(t *testing.T) {
 		t.Fatalf("arena %d >= no-reuse %d: planner found no reuse in a chain graph",
 			plan.ArenaBytes(), plan.NoReuseBytes())
 	}
-	if plan.WeightBytes() != g.NumParams()*4 {
-		t.Fatal("WeightBytes inconsistent with graph params")
+}
+
+// packingPolicy selects the packed GEMM kernels for Conv and Dense.
+type packingPolicy struct{}
+
+func (packingPolicy) Name() string { return "test-packing" }
+func (packingPolicy) Select(n *graph.Node) (ops.Kernel, error) {
+	switch n.Op {
+	case "Conv":
+		return ops.ByName("conv.im2col"), nil
+	case "Dense":
+		return ops.ByName("dense.gemm"), nil
+	}
+	return ReferencePolicy{}.Select(n)
+}
+
+// TestWeightBytesCountsHeldData: WeightBytes is the constant data a plan
+// still holds. The reference kernels read every weight raw, so it is all
+// of NumParams; on the packed kernels the plan keeps the conv and dense
+// weights only as panels (ConstBytes) and holds the biases alone, and the
+// released values keep their shapes. Under DisableScratchReuse the
+// kernels pack per call, so nothing is released.
+func TestWeightBytesCountsHeldData(t *testing.T) {
+	g := smallCNN(t)
+	params := g.NumParams() * 4
+	ref, err := Compile(g.Clone(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ref.WeightBytes() != params || ref.ConstBytes() != 0 {
+		t.Fatalf("reference plan: weights %d B (want %d), packed %d B (want 0)", ref.WeightBytes(), params, ref.ConstBytes())
+	}
+	perCall, err := Compile(g.Clone(), Options{Policy: packingPolicy{}, NoBufferReuse: true, DisableScratchReuse: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if perCall.WeightBytes() != params || perCall.ConstBytes() != 0 {
+		t.Fatalf("per-call plan: weights %d B (want %d), packed %d B (want 0)", perCall.WeightBytes(), params, perCall.ConstBytes())
+	}
+	packed, err := Compile(g.Clone(), Options{Policy: packingPolicy{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	biases := int64(g.Value("b1").Const.Size()+g.Value("bd").Const.Size()) * 4
+	if packed.WeightBytes() != biases || packed.ConstBytes() == 0 {
+		t.Fatalf("packed plan: weights %d B (want the %d B of biases), packed %d B (want > 0)", packed.WeightBytes(), biases, packed.ConstBytes())
+	}
+	for _, name := range []string{"w1", "wd"} {
+		if v := packed.g.Value(name); v.Const.Size() != 0 || !tensor.ShapeEq(v.Const.Shape(), g.Value(name).Shape) {
+			t.Errorf("%s: holds %d values with shape %v, want none with shape %v", name, v.Const.Size(), v.Const.Shape(), g.Value(name).Shape)
+		}
 	}
 }
 
@@ -177,7 +228,7 @@ func (p namedPolicy) Select(n *graph.Node) (ops.Kernel, error) {
 
 func TestPolicySelectsRequestedKernel(t *testing.T) {
 	g := smallCNN(t)
-	plan, err := Compile(g, Options{Policy: namedPolicy{op: "Conv", kernel: "conv.im2col"}})
+	plan, err := Compile(g.Clone(), Options{Policy: namedPolicy{op: "Conv", kernel: "conv.im2col"}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -195,7 +195,7 @@ func (reg *Registry) Add(name string, g *graph.Graph, backendName string, worker
 	e := &Entry{
 		Name:     name,
 		Backend:  backendName,
-		graph:    g,
+		nodes:    len(g.Nodes),
 		sessions: runtime.NewSessionPool(plan),
 		inName:   ins[0].Name,
 		outName:  outs[0].Name,

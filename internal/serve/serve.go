@@ -92,8 +92,10 @@ type Entry struct {
 	// Name is the model's registry key and URL path segment.
 	Name string
 	// Backend names the backend the model was compiled under.
-	Backend  string
-	graph    *graph.Graph
+	Backend string
+	// nodes is the hosted graph's node count; the entry keeps no
+	// reference to the graph itself, so it does not pin its weights.
+	nodes    int
 	sessions *runtime.SessionPool
 
 	inName   string
@@ -258,7 +260,9 @@ func (s *Server) Handler() http.Handler {
 // batching servers and snapshots the model's runtime.BatcherStats — the
 // counters an operator watches to tune MaxBatch and the flush deadline.
 // AdmitLimit is the in-flight level at which the model starts shedding
-// (0 = no cap).
+// (0 = no cap). ParamBytes is the weight memory the compiled plan holds:
+// the constants it keeps as is plus the packed panels derived from the
+// rest.
 type modelInfo struct {
 	Name       string            `json:"name"`
 	Backend    string            `json:"backend"`
@@ -380,6 +384,7 @@ func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {
 	entries := s.reg.snapshot()
 	infos := make([]modelInfo, 0, len(entries))
 	for _, e := range entries {
+		plan := e.sessions.Plan()
 		limit := e.admitLimit.Load()
 		if limit == math.MaxInt64 {
 			limit = 0
@@ -388,12 +393,12 @@ func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {
 			Name:       e.Name,
 			Backend:    e.Backend,
 			InputShape: e.inShape1,
-			MaxBatch:   e.sessions.Plan().MaxBatch(),
+			MaxBatch:   plan.MaxBatch(),
 			Priority:   e.priority,
 			AdmitLimit: limit,
-			Nodes:      len(e.graph.Nodes),
-			ParamBytes: e.sessions.Plan().WeightBytes(),
-			ArenaBytes: e.sessions.Plan().ArenaBytes(),
+			Nodes:      e.nodes,
+			ParamBytes: plan.WeightBytes() + plan.ConstBytes(),
+			ArenaBytes: plan.ArenaBytes(),
 			Batcher:    batcherStats(e.batcher),
 		})
 	}

@@ -81,7 +81,7 @@ func TestHealthz(t *testing.T) {
 }
 
 func TestModelsListing(t *testing.T) {
-	_, ts := newTestServer(t)
+	s, ts := newTestServer(t)
 	resp, err := http.Get(ts.URL + "/models")
 	if err != nil {
 		t.Fatal(err)
@@ -94,8 +94,16 @@ func TestModelsListing(t *testing.T) {
 	if len(infos) != 1 || infos[0]["name"] != "tiny" || infos[0]["backend"] != "orpheus" {
 		t.Fatalf("models = %v", infos)
 	}
-	if infos[0]["param_bytes"].(float64) <= 0 {
-		t.Fatal("param_bytes missing")
+	// param_bytes is the weight memory the plan holds. The orpheus backend
+	// packs both of tiny's weights (neither layer has a bias), so the plan
+	// keeps no raw constant and all of it is packed panels.
+	e, _ := s.reg.lookup("tiny")
+	plan := e.sessions.Plan()
+	if plan.WeightBytes() != 0 || plan.ConstBytes() == 0 {
+		t.Fatalf("plan holds %d B of raw weights and %d B of panels, want 0 and > 0", plan.WeightBytes(), plan.ConstBytes())
+	}
+	if got := int64(infos[0]["param_bytes"].(float64)); got != plan.ConstBytes() {
+		t.Fatalf("param_bytes = %d, want the %d B of packed panels the plan holds", got, plan.ConstBytes())
 	}
 }
 

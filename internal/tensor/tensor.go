@@ -43,6 +43,14 @@ func FromSlice(data []float32, shape ...int) *Tensor {
 	return &Tensor{shape: cloneInts(shape), data: data}
 }
 
+// ShapeOnly returns a tensor that carries a shape but no data: Size is 0
+// and Data is nil. A compiled plan binds one in place of a constant whose
+// data it released after deriving packed panels from it.
+func ShapeOnly(shape ...int) *Tensor {
+	checkShape(shape)
+	return &Tensor{shape: cloneInts(shape)}
+}
+
 // Full returns a tensor with every element set to v.
 func Full(v float32, shape ...int) *Tensor {
 	t := New(shape...)
@@ -94,7 +102,8 @@ func (t *Tensor) Dim(i int) int {
 	return t.shape[i]
 }
 
-// Size returns the total number of elements.
+// Size returns the total number of elements held (0 for a ShapeOnly
+// tensor).
 func (t *Tensor) Size() int { return len(t.data) }
 
 // Data returns the backing slice in row-major order. Mutating it mutates

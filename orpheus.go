@@ -197,18 +197,18 @@ func WithMaxBatch(n int) CompileOption {
 }
 
 // WithInt8 enables the quantized execution tier: convolution and dense
-// layers with constant weights run as u8×s8 GEMMs with int32
-// accumulation (AVX2 VPMADDUBSW / AVX-512 VNNI where available). Weights
-// are quantized per output channel and prepacked once at first use
-// (~4× smaller than the fp32 packed panels); activations are quantized
-// on the fly at the GEMM pack boundary, and the int32→fp32 requantize,
-// bias and activation fuse into the GEMM epilogue. Outputs differ from
-// fp32 by the quantization error (typically well under 1% relative on
-// the zoo models — validate for your model; `go run ./bench -workload
-// dense-int8` checks resnet-18 against fp32 goldens on every op). With
-// the "orpheus-tuned" backend the auto-tuner instead arbitrates fp32 vs
-// int8 per layer on measured time, once, at compile; the decision holds
-// at every runtime batch size.
+// layers with constant weights run as u8×s8 GEMMs with int32 accumulation
+// (AVX2 VPMADDUBSW / AVX-512 VNNI where available). Weights are quantized
+// per output channel and prepacked once, at Compile (~4× smaller than the
+// fp32 packed panels, and the session keeps no fp32 copy of them);
+// activations are quantized on the fly at the GEMM pack boundary, and the
+// int32→fp32 requantize, bias and activation fuse into the GEMM epilogue.
+// Outputs differ from fp32 by the quantization error (typically well under
+// 1% relative on the zoo models — validate for your model; `go run ./bench
+// -workload dense-int8` checks resnet-18 against fp32 goldens on every
+// op). With the "orpheus-tuned" backend the auto-tuner instead arbitrates
+// fp32 vs int8 per layer on measured time, once, at compile; the decision
+// holds at every runtime batch size.
 func WithInt8() CompileOption {
 	return func(c *compileConfig) { c.int8 = true }
 }
@@ -226,8 +226,12 @@ func Backends() []string { return backend.Names() }
 // Close drains the session: it waits for in-flight requests, shuts down
 // any batchers created with NewBatcher, and makes subsequent requests
 // fail with ErrClosed.
+//
+// A Session does not retain the Model it was compiled from: it runs on
+// its own optimised copy of the graph, holding each weight once (as
+// packed panels where a kernel packs it), so dropping the Model frees
+// every tensor the session does not use.
 type Session struct {
-	model    *Model
 	sessions *runtime.SessionPool
 	maxBatch int
 	singleIO bool
@@ -278,7 +282,6 @@ func (m *Model) Compile(opts ...CompileOption) (*Session, error) {
 		return nil, err
 	}
 	s := &Session{
-		model:     m,
 		sessions:  runtime.NewSessionPool(plan),
 		maxBatch:  plan.MaxBatch(),
 		singleIO:  len(m.g.Inputs) == 1 && len(plan.OutputDescs()) == 1,
@@ -563,7 +566,12 @@ func (s *Session) PlanSummary() []string {
 	return out
 }
 
-// MemoryFootprint reports the planned memory use in bytes.
+// MemoryFootprint reports the planned memory use in bytes: the constant
+// data the plan holds as is (biases, depthwise weights, and every weight
+// under a backend whose kernels read them raw) and the activation arena
+// of one pooled session. Weights held as packed panels are not in
+// weights; ConstBytes reports them, so weights + ConstBytes is the whole
+// weight footprint.
 func (s *Session) MemoryFootprint() (weights, arena int64) {
 	return s.sessions.Plan().WeightBytes(), s.sessions.Plan().ArenaBytes()
 }
@@ -571,8 +579,9 @@ func (s *Session) MemoryFootprint() (weights, arena int64) {
 // ConstBytes reports the footprint of the plan's derived constants —
 // the packed weight panels kernels cache per layer (under WithInt8, the
 // int8 panels plus their per-channel scale and row-sum metadata, about a
-// quarter of the fp32 panels they replace). Panels pack lazily on first
-// use, so measure after a warm-up Predict.
+// quarter of the fp32 panels they replace). Compile builds the panels, so
+// the figure is final when Compile returns (the Winograd and NHWC kernels
+// of the tuned and layout experiments still add theirs on the first run).
 func (s *Session) ConstBytes() int64 { return s.sessions.Plan().ConstBytes() }
 
 // Batcher coalesces concurrent single-sample Predict calls into batched
