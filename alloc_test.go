@@ -92,9 +92,6 @@ func TestBatchedSessionRunAllocFree(t *testing.T) {
 // zero steady-state heap allocations (the seed facade paid 4 allocs/op
 // copying in and out of the pooled session).
 func TestPredictIntoAllocFree(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool drops items under the race detector; pool-backed alloc counts are not meaningful")
-	}
 	m, err := BuildZooModel("wrn-40-2")
 	if err != nil {
 		t.Fatal(err)

@@ -137,9 +137,6 @@ func TestInt8WeightFootprint(t *testing.T) {
 // invariant to quantized plans: activation quantization, panel packing
 // and the requantize epilogue must all run out of reused buffers.
 func TestInt8SessionRunAllocFree(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool drops items under the race detector; pool-backed alloc counts are not meaningful")
-	}
 	m, err := BuildZooModel("wrn-40-2")
 	if err != nil {
 		t.Fatal(err)

@@ -3,7 +3,6 @@ package ops
 import (
 	"sync"
 
-	"orpheus/internal/faultinject"
 	"orpheus/internal/gemm"
 	"orpheus/internal/graph"
 )
@@ -141,12 +140,6 @@ type Ctx struct {
 	// Consts is the constant cache shared by every session of a plan.
 	// When nil a private cache is created on first use.
 	Consts *ConstCache
-
-	// Fault is the optional fault-injection hook the runtime consults at
-	// every plan-step boundary (inject panics, errors and latency by
-	// step/model/probability). Nil — the production default — costs one
-	// pointer comparison per step; no build tag gates the hook.
-	Fault *faultinject.Injector
 
 	// convSrc is the implicit-GEMM pack source conv.im2col points its
 	// Calls at. Kernels within a session run sequentially and GEMM blocks

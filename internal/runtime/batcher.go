@@ -17,11 +17,11 @@ import (
 // A collector goroutine gathers requests until the batch is full (the
 // plan's MaxBatch) or the earliest pending request's deadline expires,
 // then hands the batch to a fresh goroutine that borrows a pooled
-// session, stages the samples into one [n, ...] tensor, runs once, and
-// fans the output rows back out. Collection continues while batches
-// execute, and every executing batch holds its own pooled session, so
-// batching stacks on top of — not instead of — the session pool's
-// request concurrency.
+// session, stages the samples into the session's [n, ...] Staging view,
+// runs once, and fans the output rows back out. Collection continues
+// while batches execute, and every executing batch holds its own pooled
+// session, so batching stacks on top of — not instead of — the session
+// pool's request concurrency.
 //
 // The request lifecycle is context-first:
 //
@@ -35,14 +35,10 @@ import (
 //     run to completion; later Submits fail with ErrClosed.
 type Batcher struct {
 	pool     *SessionPool
-	inName   string
-	outName  string
-	inShape1 []int
 	perVol   int
 	max      int
 	defWait  time.Duration
 	immed    bool
-	adaptive bool
 	maxDepth int           // admission cap on queued requests (0 = unbounded)
 	runLimit time.Duration // deadline on each batched Session.Run (0 = none)
 
@@ -66,7 +62,6 @@ type Batcher struct {
 	waitNs         atomic.Int64 // cumulative submit→launch wait of claimed requests
 	rejected       atomic.Int64 // requests shed at admission (queue full or closed)
 	cancelledReqs  atomic.Int64 // requests abandoned by their context while queued
-	adaptiveCuts   atomic.Int64 // requests whose flush deadline load-shrunk
 	waitHist       [WaitBuckets]atomic.Int64
 }
 
@@ -136,9 +131,6 @@ type BatcherStats struct {
 	// Cancelled counts requests abandoned by their own context while
 	// queued — before any batch claimed them.
 	Cancelled int64
-	// AdaptiveCuts counts requests whose flush deadline was shortened by
-	// Adaptive mode because peers were already queued at admission.
-	AdaptiveCuts int64
 	// WaitHistogram buckets every claimed request's submit→launch wait
 	// into the fixed latency bands of WaitBucketBounds (the final bucket
 	// is the unbounded overflow). Same population as QueuedWait, so the
@@ -168,7 +160,6 @@ func (b *Batcher) Stats() BatcherStats {
 		QueuedWait:     time.Duration(b.waitNs.Load()),
 		Rejected:       b.rejected.Load(),
 		Cancelled:      b.cancelledReqs.Load(),
-		AdaptiveCuts:   b.adaptiveCuts.Load(),
 	}
 }
 
@@ -219,16 +210,6 @@ type BatcherOptions struct {
 	// deadline passes, failing the batch's requests with
 	// context.DeadlineExceeded. 0 (the default) leaves runs unbounded.
 	RunTimeout time.Duration
-
-	// Adaptive scales each request's flush deadline down with the
-	// instantaneous queue depth: a request admitted with d peers already
-	// queued waits at most wait/(1+d) for further batch mates. A lone
-	// request on an idle batcher keeps the full deadline (nothing else
-	// may be coming, so the wait buys batching headroom); under a
-	// backlog the wait shrinks toward zero — peers are already queued,
-	// so lingering only adds latency. The deadline restores itself as
-	// the queue empties because the scale is recomputed per request.
-	Adaptive bool
 }
 
 // DefaultFlushDeadline is the default per-request wait for batch peers.
@@ -281,21 +262,17 @@ type BatchResult struct {
 func NewBatcher(pool *SessionPool, opts BatcherOptions) (*Batcher, error) {
 	ins, outs := pool.Plan().InputDescs(), pool.Plan().OutputDescs()
 	if len(ins) != 1 || len(outs) != 1 {
-		return nil, fmt.Errorf("runtime: batcher needs a single-input single-output plan, got %d inputs and %d outputs", len(ins), len(outs))
+		return nil, fmt.Errorf("runtime: batcher on %d inputs and %d outputs: %w", len(ins), len(outs), ErrMultiIO)
 	}
 	if opts.FlushDeadline <= 0 {
 		opts.FlushDeadline = DefaultFlushDeadline
 	}
 	b := &Batcher{
 		pool:      pool,
-		inName:    ins[0].Name,
-		outName:   outs[0].Name,
-		inShape1:  ins[0].Shape,
 		perVol:    tensor.Volume(ins[0].Shape),
 		max:       pool.Plan().MaxBatch(),
 		defWait:   opts.FlushDeadline,
 		immed:     opts.Immediate,
-		adaptive:  opts.Adaptive,
 		maxDepth:  opts.QueueDepth,
 		runLimit:  opts.RunTimeout,
 		reqs:      make(chan *batchReq),
@@ -307,14 +284,6 @@ func NewBatcher(pool *SessionPool, opts BatcherOptions) (*Batcher, error) {
 	return b, nil
 }
 
-// MaxBatch returns the largest batch one run coalesces (the plan's
-// MaxBatch).
-func (b *Batcher) MaxBatch() int { return b.max }
-
-// Runs reports how many batched Session.Run executions the batcher has
-// launched — observability for tests and load diagnostics.
-func (b *Batcher) Runs() int64 { return b.runs.Load() }
-
 // Submit enqueues one flat row-major sample (exactly the plan's
 // single-sample input volume) and blocks until its outcome. wait caps how
 // long the request lingers waiting for batch peers (≤ 0 means the
@@ -323,8 +292,8 @@ func (b *Batcher) Runs() int64 { return b.runs.Load() }
 // its completed result regardless.
 func (b *Batcher) Submit(ctx context.Context, sample []float32, wait time.Duration) (BatchResult, error) {
 	if len(sample) != b.perVol {
-		return BatchResult{}, fmt.Errorf("runtime: batcher sample has %d values, plan input %q wants %d: %w",
-			len(sample), b.inName, b.perVol, ErrShapeMismatch)
+		return BatchResult{}, fmt.Errorf("runtime: batcher sample has %d values, plan input wants %d: %w",
+			len(sample), b.perVol, ErrShapeMismatch)
 	}
 	return b.submit(ctx, sample, nil, wait)
 }
@@ -376,15 +345,6 @@ func (b *Batcher) submit(ctx context.Context, sample []float32, stage func(dst [
 		b.depth.Add(-1)
 		b.rejected.Add(1)
 		return BatchResult{}, fmt.Errorf("runtime: batcher queue full (%d queued, cap %d): %w", d-1, b.maxDepth, ErrOverloaded)
-	}
-	// Load-adaptive flush: with peers already queued, batch mates are
-	// here, not hypothetical — shrink this request's deadline in
-	// proportion so a backlog flushes promptly, and let the full deadline
-	// restore itself as the queue empties (the scale is per request, so
-	// there is no sticky state to decay).
-	if b.adaptive && d > 1 {
-		r.flushBy = now.Add(wait / time.Duration(d))
-		b.adaptiveCuts.Add(1)
 	}
 	select {
 	case b.reqs <- r:
@@ -520,11 +480,10 @@ func (b *Batcher) launch(batch []*batchReq) {
 	}()
 }
 
-// runBatch claims the batch's live requests, executes them as one
-// Session.Run and fans results out. Staging and per-request row copies
-// are allocated per batch: the rows must outlive the session borrow, so
-// pooling here would complicate ownership for noise-level savings — the
-// allocation-free batched path is PredictBatchInto at the facade.
+// runBatch claims the batch's live requests, stages them into a pooled
+// session's Staging(n) view, executes them as one RunOne and fans results
+// out. Only the per-request output rows (and their shared shape) are
+// allocated per batch: they outlive the session borrow.
 func (b *Batcher) runBatch(batch []*batchReq) {
 	// Claim phase: requests cancelled while queued are dropped before
 	// staging, so their plans never run. A successful claim owns the
@@ -546,7 +505,9 @@ func (b *Batcher) runBatch(batch []*batchReq) {
 	}
 	b.runs.Add(1)
 	b.served.Add(int64(n))
-	staging := make([]float32, n*b.perVol)
+	sess := b.pool.Get()
+	in := sess.Staging(n)
+	staging := in.Data()
 	for i, r := range claimed {
 		row := staging[i*b.perVol : (i+1)*b.perVol]
 		if r.stage != nil {
@@ -555,9 +516,6 @@ func (b *Batcher) runBatch(batch []*batchReq) {
 			copy(row, r.input)
 		}
 	}
-	shape := append([]int(nil), b.inShape1...)
-	shape[0] *= n
-	in := tensor.FromSlice(staging, shape...)
 
 	// The batch runs detached from any single caller's context: it serves
 	// every claimed request, and one caller's deadline must not discard
@@ -569,14 +527,7 @@ func (b *Batcher) runBatch(batch []*batchReq) {
 		runCtx, cancel = context.WithTimeout(runCtx, b.runLimit)
 		defer cancel()
 	}
-	sess := b.pool.Get()
-	outs, err := sess.Run(runCtx, map[string]*tensor.Tensor{b.inName: in})
-	var out *tensor.Tensor
-	if err == nil {
-		if out = outs[b.outName]; out == nil {
-			err = fmt.Errorf("runtime: batcher output %q missing: %w", b.outName, ErrNoOutput)
-		}
-	}
+	out, err := sess.RunOne(runCtx, in)
 	if err == nil && (out.Rank() == 0 || out.Dim(0)%n != 0) {
 		err = fmt.Errorf("runtime: batcher output %v does not split across batch %d: %w", out.Shape(), n, ErrShapeMismatch)
 	}
@@ -596,7 +547,7 @@ func (b *Batcher) runBatch(batch []*batchReq) {
 		copy(row, od[i*rowVol:(i+1)*rowVol])
 		r.done <- batchOutcome{res: BatchResult{Output: row, Shape: rowShape, BatchSize: n}}
 	}
-	// Results are copied out above, so the session (whose arena the output
-	// aliases) can go back to the pool only now.
+	// The rows are copied out above, so the session (whose arena the
+	// output aliases) can go back to the pool only now.
 	b.pool.Put(sess)
 }

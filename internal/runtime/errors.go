@@ -52,6 +52,11 @@ var (
 	// the process stays up. The concrete error is a *PlanPanicError
 	// carrying the step name.
 	ErrPlanPanic = errors.New("plan step panicked")
+
+	// ErrMultiIO marks a single-tensor call (Session.RunOne, a Batcher) on
+	// a plan with more than one input or output; such plans run through
+	// the named-tensor Run.
+	ErrMultiIO = errors.New("model has multiple inputs/outputs; use Run with named tensors")
 )
 
 // PlanPanicError is the error Run returns when a plan step panics: the

@@ -16,10 +16,11 @@ import (
 // a session pool around it.
 func faultedPool(t *testing.T, maxBatch int, fi *faultinject.Injector) *SessionPool {
 	t.Helper()
-	plan, err := Compile(smallCNN(t), Options{MaxBatch: maxBatch, Fault: fi})
+	plan, err := Compile(smallCNN(t), Options{MaxBatch: maxBatch})
 	if err != nil {
 		t.Fatal(err)
 	}
+	plan.SetFault(fi)
 	return NewSessionPool(plan)
 }
 
@@ -312,10 +313,11 @@ func TestOverloadBattery(t *testing.T) {
 // hook on every step — still performs zero heap allocations.
 func TestFaultHookKeepsRunAllocFree(t *testing.T) {
 	fi := faultinject.New(1, &faultinject.Rule{Model: "some-other-model", Action: faultinject.ActPanic})
-	plan, err := Compile(smallCNN(t), Options{Fault: fi})
+	plan, err := Compile(smallCNN(t), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	plan.SetFault(fi)
 	sess := NewSession(plan)
 	in := tensor.FromSlice(sampleFor(2), 1, 3, 8, 8)
 	inputs := map[string]*tensor.Tensor{"x": in}

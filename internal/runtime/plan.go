@@ -28,11 +28,6 @@ type Options struct {
 	// DisableScratchReuse additionally makes kernels reallocate their
 	// internal scratch (im2col buffers etc.) on every call.
 	DisableScratchReuse bool
-	// Fault installs a fault-injection hook consulted at every plan-step
-	// boundary of every session compiled from the plan (see
-	// internal/faultinject). Nil — the default — disables injection at the
-	// cost of one pointer comparison per step.
-	Fault *faultinject.Injector
 }
 
 // step is one planned node execution. overwrites records, at compile time,
@@ -75,6 +70,10 @@ type Plan struct {
 	// same graph needs without reuse (for the memory experiments).
 	arenaBytes   int64
 	noReuseBytes int64
+
+	// fault is the fault-injection hook (see SetFault) every session built
+	// afterwards consults at each plan-step boundary; nil disables it.
+	fault *faultinject.Injector
 }
 
 // batchMeta describes how one value's shape scales with the runtime batch
@@ -293,12 +292,12 @@ func (p *Plan) ConstBytes() int64 { return p.consts.Bytes() }
 // grows while sessions run means a kernel packed at run time.
 func (p *Plan) ConstStores() int64 { return p.consts.Stores() }
 
-// SetFault installs (or clears) the plan's fault-injection hook after
-// compilation — the escape hatch for harnesses that compile through a
-// backend and cannot thread Options.Fault. Call it before the plan's
-// sessions start running; sessions created earlier keep the hook they
-// were built with.
-func (p *Plan) SetFault(fi *faultinject.Injector) { p.opts.Fault = fi }
+// SetFault installs (or clears) the plan's fault-injection hook (see
+// internal/faultinject), consulted at every plan-step boundary; nil — the
+// default — costs one pointer comparison per step. Call it before the
+// plan's sessions start running: sessions created earlier keep the hook
+// they were built with.
+func (p *Plan) SetFault(fi *faultinject.Injector) { p.fault = fi }
 
 // InputShapeAt returns the shape of graph input i at batch n (for
 // MaxBatch-1 plans this is simply the input's planned shape).

@@ -368,6 +368,55 @@ func TestSessionPoolFreeList(t *testing.T) {
 	wg.Wait()
 }
 
+// TestStagingRunOne pins the single-input path every front-end stages
+// through: rows written into Staging(n) and run by RunOne match each
+// sample's batch-1 Run, every batch size views one session-owned buffer,
+// and after warm-up Staging + RunOne allocates nothing at n = 1 and at
+// n = MaxBatch.
+func TestStagingRunOne(t *testing.T) {
+	const maxBatch = 4
+	plan, err := Compile(smallCNN(t), Options{MaxBatch: maxBatch})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool := NewSessionPool(plan)
+	sess := NewSession(plan)
+	ctx := context.Background()
+	for _, n := range []int{1, maxBatch} {
+		in := sess.Staging(n)
+		if got := in.Shape(); got[0] != n || in.Size() != n*3*8*8 {
+			t.Fatalf("Staging(%d) shape %v", n, got)
+		}
+		if &in.Data()[0] != &sess.Staging(1).Data()[0] || sess.Staging(n) != in {
+			t.Fatalf("Staging(%d) is not the session's one reused view", n)
+		}
+		for i := 0; i < n; i++ {
+			copy(in.Data()[i*3*8*8:], sampleFor(i))
+		}
+		out, err := sess.RunOne(ctx, in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rowVol := out.Size() / n
+		for i := 0; i < n; i++ {
+			want := referenceRow(t, pool, sampleFor(i))
+			for j, v := range out.Data()[i*rowVol : (i+1)*rowVol] {
+				if v != want[j] {
+					t.Fatalf("n=%d row %d [%d] = %v, batch-1 Run gives %v", n, i, j, v, want[j])
+				}
+			}
+		}
+		avg := testing.AllocsPerRun(20, func() {
+			if _, err := sess.RunOne(ctx, sess.Staging(n)); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if avg != 0 {
+			t.Errorf("steady-state Staging(%d) + RunOne allocates %.1f times per run, want 0", n, avg)
+		}
+	}
+}
+
 func TestPolicyRejectsUnsupportedKernel(t *testing.T) {
 	g := smallCNN(t) // conv1 is not depthwise
 	_, err := Compile(g, Options{Policy: namedPolicy{op: "Conv", kernel: "conv.depthwise"}})

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"time"
 
+	"orpheus/internal/faultinject"
 	"orpheus/internal/graph"
 	"orpheus/internal/ops"
 	"orpheus/internal/tensor"
@@ -25,8 +26,9 @@ import (
 // A Session is not safe for concurrent use; create one per goroutine or
 // use a SessionPool.
 type Session struct {
-	plan *Plan
-	ctx  *ops.Ctx
+	plan  *Plan
+	ctx   *ops.Ctx
+	fault *faultinject.Injector // the plan's hook when the session was built
 
 	// slots are the arena buffers, sized for MaxBatch (nil when
 	// NoBufferReuse, which selects the allocating dynamic path).
@@ -42,6 +44,13 @@ type Session struct {
 	// binds[n] holds the prebound steps for batch n (1 ≤ n ≤ MaxBatch),
 	// built lazily on the first run at that batch size.
 	binds []*batchBind
+
+	// stage backs the Staging views (stageViews[n] is the batch-n one):
+	// one buffer of MaxBatch samples, allocated on first use outside the
+	// planned arena. one is RunOne's single-entry binding map.
+	stage      []float32
+	stageViews []*tensor.Tensor
+	one        map[string]*tensor.Tensor
 
 	// poisoned is set when a plan step panics on this session: the arena,
 	// scratch and GEMM packing state may be mid-write garbage, so the
@@ -85,10 +94,9 @@ type outputBind struct {
 // arena (sized for the plan's MaxBatch) and resolving the full-batch step
 // bindings up front.
 func NewSession(plan *Plan) *Session {
-	s := &Session{plan: plan, ctx: ops.NewCtx(plan.opts.Workers)}
+	s := &Session{plan: plan, ctx: ops.NewCtx(plan.opts.Workers), fault: plan.fault}
 	s.ctx.DisableScratchReuse = plan.opts.DisableScratchReuse
 	s.ctx.Consts = plan.consts
-	s.ctx.Fault = plan.opts.Fault
 	s.inTensors = make([]*tensor.Tensor, len(plan.g.Inputs))
 	if plan.opts.NoBufferReuse {
 		return s
@@ -275,6 +283,49 @@ func (s *Session) Run(ctx context.Context, inputs map[string]*tensor.Tensor) (ma
 	return outs, err
 }
 
+// Staging returns the session's [n, …] view of the plan's single input
+// (1 ≤ n ≤ MaxBatch), for a caller that fills it sample by sample and
+// hands it to RunOne. The view and its storage belong to the session and
+// are reused by every later Staging(n) call: one buffer of MaxBatch
+// samples, allocated on first use and kept outside the planned arena, so
+// ArenaBytes does not count it.
+func (s *Session) Staging(n int) *tensor.Tensor {
+	if s.stageViews == nil {
+		s.stageViews = make([]*tensor.Tensor, s.plan.maxBatch+1)
+	}
+	if t := s.stageViews[n]; t != nil {
+		return t
+	}
+	in := s.plan.g.Inputs[0]
+	if s.stage == nil {
+		s.stage = make([]float32, s.plan.batchVolume(in, s.plan.maxBatch))
+	}
+	t := tensor.FromSlice(s.stage[:s.plan.batchVolume(in, n)], s.plan.batchShape(in, n)...)
+	s.stageViews[n] = t
+	return t
+}
+
+// RunOne runs a single-input single-output plan on in — a Staging view or
+// any tensor of the input's batch-n shape — and returns the output, which
+// aliases session storage exactly like Run's results. A plan with more
+// inputs or outputs fails with ErrMultiIO. Steady-state RunOne at a batch
+// size already run is allocation-free.
+func (s *Session) RunOne(ctx context.Context, in *tensor.Tensor) (*tensor.Tensor, error) {
+	g := s.plan.g
+	if len(g.Inputs) != 1 || len(g.Outputs) != 1 {
+		return nil, fmt.Errorf("runtime: RunOne on %d inputs and %d outputs: %w", len(g.Inputs), len(g.Outputs), ErrMultiIO)
+	}
+	if s.one == nil {
+		s.one = make(map[string]*tensor.Tensor, 1)
+	}
+	s.one[g.Inputs[0].Name] = in
+	outs, _, err := s.run(ctx, s.one, false)
+	if err != nil {
+		return nil, err
+	}
+	return outs[g.Outputs[0].Name], nil
+}
+
 // RunProfiled is Run plus per-layer wall-clock timings.
 func (s *Session) RunProfiled(ctx context.Context, inputs map[string]*tensor.Tensor) (map[string]*tensor.Tensor, []LayerTiming, error) {
 	return s.run(ctx, inputs, true)
@@ -322,7 +373,7 @@ func (s *Session) runStep(node *graph.Node, kernel ops.Kernel, in, out []*tensor
 			err = &PlanPanicError{Model: s.plan.g.Name, Node: node.Name, Op: node.Op, Value: r}
 		}
 	}()
-	if err := s.ctx.Fault.Step(s.plan.g.Name, node.Name, node.Op); err != nil {
+	if err := s.fault.Step(s.plan.g.Name, node.Name, node.Op); err != nil {
 		return fmt.Errorf("runtime: node %q (%s): %w", node.Name, node.Op, err)
 	}
 	if err := kernel.Run(s.ctx, node, in, out); err != nil {

@@ -197,9 +197,7 @@ func (reg *Registry) Add(name string, g *graph.Graph, backendName string, worker
 		Backend:  backendName,
 		nodes:    len(g.Nodes),
 		sessions: runtime.NewSessionPool(plan),
-		inName:   ins[0].Name,
-		outName:  outs[0].Name,
-		inShape1: plan.InputShapeAt(0, 1),
+		inShape1: ins[0].Shape,
 		priority: ms.priority,
 		queueCap: ms.queueDepth,
 		timeout:  ms.timeout,

@@ -49,7 +49,8 @@
 // Session.Run by a runtime.Batcher (flushing when the batch is full or
 // after a small deadline, default 2ms), so under load every packed weight
 // panel is read once per batch instead of once per request. Binary bodies
-// are staged straight into the batch tensor (Batcher.SubmitStaged) —
+// are decoded straight into the executing session's staging row
+// (Batcher.SubmitStaged, or runtime.Session.Staging when unbatched) —
 // they are never copied through an intermediate slice. Requests can cap
 // their own wait with wait_ms; each request's queue slot is tied to its
 // http.Request context, so a disconnected client is dropped before its
@@ -98,8 +99,6 @@ type Entry struct {
 	nodes    int
 	sessions *runtime.SessionPool
 
-	inName   string
-	outName  string
 	inShape1 []int // input shape of a single sample
 	perVol   int   // values per sample
 	batcher  *runtime.Batcher
@@ -120,9 +119,6 @@ type Entry struct {
 	// possibly grown by a large response) so the binary path reads,
 	// decodes and encodes without per-request allocations.
 	bufs sync.Pool
-	// inputs pools sample-shaped input tensors for the unbatched binary
-	// path (the batched path stages into the batch tensor directly).
-	inputs sync.Pool
 }
 
 // Priority reports the model's shedding priority class.
@@ -139,17 +135,6 @@ func (e *Entry) getBuf() *[]byte {
 
 // putBuf returns a borrowed wire buffer to the pool.
 func (e *Entry) putBuf(p *[]byte) { e.bufs.Put(p) }
-
-// getInput borrows a sample-shaped input tensor.
-func (e *Entry) getInput() *tensor.Tensor {
-	if t, ok := e.inputs.Get().(*tensor.Tensor); ok {
-		return t
-	}
-	return tensor.New(e.inShape1...)
-}
-
-// putInput returns a borrowed input tensor to the pool.
-func (e *Entry) putInput(t *tensor.Tensor) { e.inputs.Put(t) }
 
 // Server hosts compiled models behind an http.Handler.
 type Server struct {
@@ -569,21 +554,24 @@ func requestCtx(r *http.Request, e *Entry) (context.Context, context.CancelFunc)
 	return context.WithTimeout(r.Context(), e.timeout)
 }
 
-// runSolo executes one unbatched inference for e, copying the output out
-// of the session arena before the session goes back to the pool.
-func runSolo(ctx context.Context, e *Entry, in *tensor.Tensor) (data []float32, shape []int, err error) {
+// predict runs one sample for e: fill writes it into the staging row of
+// the session that executes it — a batch row when e batches, the
+// session's Staging(1) otherwise — and the output comes back as a copy
+// private to the request.
+func (e *Entry) predict(ctx context.Context, fill func(dst []float32), wait time.Duration) (data []float32, shape []int, batch int, err error) {
+	if e.batcher != nil {
+		res, err := e.batcher.SubmitStaged(ctx, fill, wait)
+		return res.Output, res.Shape, res.BatchSize, err
+	}
 	sess := e.sessions.Get()
-	outs, err := sess.Run(ctx, map[string]*tensor.Tensor{e.inName: in})
+	in := sess.Staging(1)
+	fill(in.Data())
+	out, err := sess.RunOne(ctx, in)
 	if err == nil {
-		if out := outs[e.outName]; out != nil {
-			data = append([]float32(nil), out.Data()...)
-			shape = out.Shape()
-		} else {
-			err = fmt.Errorf("model %q produced no output: %w", e.Name, runtime.ErrNoOutput)
-		}
+		data, shape = append([]float32(nil), out.Data()...), out.Shape()
 	}
 	e.sessions.Put(sess)
-	return data, shape, err
+	return data, shape, 1, err
 }
 
 func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
@@ -609,11 +597,9 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 	start := time.Now()
 	var (
-		data  []float32
-		shape []int
-		batch = 1
-		topk  int
-		wait  time.Duration
+		topk int
+		wait time.Duration
+		fill func(dst []float32)
 	)
 	if binReq {
 		topk, wait, err = binaryParams(r)
@@ -628,28 +614,10 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 			s.writeFailure(w, e, err)
 			return
 		}
-		if e.batcher != nil {
-			// Zero-copy staging: the wire payload is decoded straight into
-			// the batch tensor's row at claim time. The pooled buffer stays
-			// alive until SubmitStaged returns, which is after delivery.
-			res, err := e.batcher.SubmitStaged(ctx, func(dst []float32) {
-				_ = wire.Float32Into(dst, payload)
-			}, wait)
-			if err != nil {
-				s.writeFailure(w, e, err)
-				return
-			}
-			data, shape, batch = res.Output, res.Shape, res.BatchSize
-		} else {
-			in := e.getInput()
-			_ = wire.Float32Into(in.Data(), payload)
-			data, shape, err = runSolo(ctx, e, in)
-			e.putInput(in)
-			if err != nil {
-				s.writeFailure(w, e, err)
-				return
-			}
-		}
+		// Zero-copy staging: the wire payload is decoded straight into the
+		// executing session's staging row. The pooled buffer stays alive
+		// until predict returns, which is after delivery.
+		fill = func(dst []float32) { _ = wire.Float32Into(dst, payload) }
 	} else {
 		req, ok := s.decodeJSONRequest(w, r, e)
 		if !ok {
@@ -657,20 +625,12 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		}
 		topk = req.TopK
 		wait = time.Duration(req.WaitMs * float64(time.Millisecond))
-		if e.batcher != nil {
-			res, err := e.batcher.Submit(ctx, req.Input, wait)
-			if err != nil {
-				s.writeFailure(w, e, err)
-				return
-			}
-			data, shape, batch = res.Output, res.Shape, res.BatchSize
-		} else {
-			data, shape, err = runSolo(ctx, e, tensor.FromSlice(req.Input, e.inShape1...))
-			if err != nil {
-				s.writeFailure(w, e, err)
-				return
-			}
-		}
+		fill = func(dst []float32) { copy(dst, req.Input) }
+	}
+	data, shape, batch, err := e.predict(ctx, fill, wait)
+	if err != nil {
+		s.writeFailure(w, e, err)
+		return
 	}
 	var topkIdx []int
 	if topk > 0 {
@@ -715,7 +675,8 @@ func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := requestCtx(r, e)
 	defer cancel()
 	sess := e.sessions.Get()
-	_, timings, err := sess.RunProfiled(ctx, map[string]*tensor.Tensor{e.inName: tensor.FromSlice(req.Input, e.inShape1...)})
+	in := map[string]*tensor.Tensor{e.sessions.Plan().InputDescs()[0].Name: tensor.FromSlice(req.Input, e.inShape1...)}
+	_, timings, err := sess.RunProfiled(ctx, in)
 	e.sessions.Put(sess)
 	if err != nil {
 		s.writeFailure(w, e, err)

@@ -259,8 +259,9 @@ func TestPriorityShedOrdering(t *testing.T) {
 
 // TestBinaryPredictAllocFree pins the decode-to-staging path the binary
 // handler composes — header validation against the model and payload
-// decode into a staging row — at zero allocations per request, the
-// property that makes the binary format worth its bytes.
+// decode into the staging row of the session that will run it — at zero
+// allocations per request, the property that makes the binary format
+// worth its bytes.
 func TestBinaryPredictAllocFree(t *testing.T) {
 	s := New()
 	if err := s.AddModel("tiny", tinyModel(t), "orpheus", 1); err != nil {
@@ -274,7 +275,9 @@ func TestBinaryPredictAllocFree(t *testing.T) {
 		input[i] = float32(i%5) * 0.3
 	}
 	msg := wire.AppendTensor(nil, input, []int{1, 3, 8, 8})
-	dst := make([]float32, e.perVol)
+	sess := e.sessions.Get()
+	defer e.sessions.Put(sess)
+	dst := sess.Staging(1).Data()
 	allocs := testing.AllocsPerRun(500, func() {
 		payload, err := validateWireBody(e, msg)
 		if err != nil {

@@ -28,7 +28,6 @@ package orpheus
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"io"
 	"sync"
@@ -86,7 +85,7 @@ var (
 	// ErrMultiIO marks a single-tensor convenience call (Predict,
 	// PredictBatch, Benchmark, ...) on a model with more than one input or
 	// output; use Run with named tensors instead.
-	ErrMultiIO = errors.New("model has multiple inputs/outputs; use Run with named tensors")
+	ErrMultiIO = runtime.ErrMultiIO
 )
 
 // NewTensor returns a zero tensor of the given shape.
@@ -219,9 +218,9 @@ func Backends() []string { return backend.Names() }
 // Session is a compiled, executable model. It is safe for concurrent use:
 // any number of goroutines may call Predict/PredictBatch/Run at once. Each
 // in-flight call borrows a runtime session (private arena, scratch and
-// staging buffers) from an internal sync.Pool, so concurrent requests
-// share the compiled plan and its packed weights but never share mutable
-// state.
+// input staging) from the plan's session pool, a free list of idle
+// sessions, so concurrent requests share the compiled plan and its packed
+// weights but never share mutable state.
 //
 // Close drains the session: it waits for in-flight requests, shuts down
 // any batchers created with NewBatcher, and makes subsequent requests
@@ -235,11 +234,6 @@ type Session struct {
 	sessions *runtime.SessionPool
 	maxBatch int
 	singleIO bool
-	inName   string
-	outName  string // single output name when singleIO
-	inShape1 []int  // model input shape at batch 1
-	perVol   int    // elements per sample
-	states   sync.Pool
 
 	// mu gates the request lifecycle: every request holds it shared for
 	// its duration, Close takes it exclusively — so Close both drains
@@ -252,18 +246,6 @@ type Session struct {
 	batchers  []*Batcher
 	closeOnce sync.Once
 	closeDone chan struct{}
-}
-
-// predictState is the reusable staging of the Predict paths: the
-// input-binding map, the batch staging buffer and its per-batch-size
-// views. Runtime sessions come from the session pool shared with Run;
-// pooling the staging alongside keeps steady-state PredictInto /
-// PredictBatchInto at zero heap allocations without a second set of
-// arenas.
-type predictState struct {
-	in    map[string]*Tensor
-	stage []float32
-	views []*Tensor // views[n] = [n, ...] tensor over stage
 }
 
 // Compile plans and allocates an executable session for the model.
@@ -281,22 +263,12 @@ func (m *Model) Compile(opts ...CompileOption) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Session{
+	return &Session{
 		sessions:  runtime.NewSessionPool(plan),
 		maxBatch:  plan.MaxBatch(),
-		singleIO:  len(m.g.Inputs) == 1 && len(plan.OutputDescs()) == 1,
-		inName:    m.InputName(),
-		inShape1:  plan.InputShapeAt(0, 1),
+		singleIO:  len(plan.InputDescs()) == 1 && len(plan.OutputDescs()) == 1,
 		closeDone: make(chan struct{}),
-	}
-	if outs := plan.OutputDescs(); len(outs) == 1 {
-		s.outName = outs[0].Name
-	}
-	s.perVol = tensor.Volume(s.inShape1)
-	s.states.New = func() any {
-		return &predictState{in: make(map[string]*Tensor, 1)}
-	}
-	return s, nil
+	}, nil
 }
 
 // MaxBatch returns the largest batch a single Predict/Run call accepts
@@ -353,21 +325,6 @@ func (s *Session) Close() error {
 	return nil
 }
 
-// stageView returns the state's staging view for batch n, growing the
-// staging buffer on first use.
-func (st *predictState) stageView(s *Session, n int) *Tensor {
-	if st.stage == nil {
-		st.stage = make([]float32, s.maxBatch*s.perVol)
-		st.views = make([]*Tensor, s.maxBatch+1)
-	}
-	if st.views[n] == nil {
-		shape := append([]int(nil), s.inShape1...)
-		shape[0] *= n
-		st.views[n] = tensor.FromSlice(st.stage[:n*s.perVol], shape...)
-	}
-	return st.views[n]
-}
-
 // Predict runs inference on a single input tensor and returns a copy of
 // the model's (single) output. The copy is freshly allocated; latency-
 // critical callers should reuse an output tensor via PredictInto. A
@@ -378,36 +335,20 @@ func (s *Session) Predict(ctx context.Context, input *Tensor) (*Tensor, error) {
 
 // PredictInto is Predict with a caller-owned destination: the output is
 // copied into dst (which must hold exactly the model's output volume) and
-// dst is returned. A nil dst allocates a fresh output tensor. With a
-// reused dst the whole facade path — staging, session run, output copy —
-// performs zero steady-state heap allocations.
+// dst is returned. A nil dst allocates a fresh output tensor. The input
+// is bound as is, never copied; with a reused dst the whole facade path —
+// session run and output copy — performs zero steady-state heap
+// allocations.
 func (s *Session) PredictInto(ctx context.Context, dst, input *Tensor) (*Tensor, error) {
 	if err := s.acquire(); err != nil {
 		return nil, err
 	}
 	defer s.release()
-	if !s.singleIO {
-		return nil, fmt.Errorf("orpheus: Predict: %w", ErrMultiIO)
-	}
-	st := s.states.Get().(*predictState)
-	st.in[s.inName] = input
-	dst, err := s.runState(ctx, st, dst)
-	s.states.Put(st)
-	return dst, err
-}
-
-// runState executes the state's bound inputs on a pooled runtime session
-// and copies the single output into dst (allocating when dst is nil).
-func (s *Session) runState(ctx context.Context, st *predictState, dst *Tensor) (*Tensor, error) {
 	rs := s.sessions.Get()
 	defer s.sessions.Put(rs)
-	outs, err := rs.Run(ctx, st.in)
+	out, err := rs.RunOne(ctx, input)
 	if err != nil {
 		return nil, err
-	}
-	out := outs[s.outName]
-	if out == nil {
-		return nil, fmt.Errorf("orpheus: %w", ErrNoOutput)
 	}
 	if dst == nil {
 		return out.Clone(), nil
@@ -450,26 +391,20 @@ func (s *Session) PredictBatchInto(ctx context.Context, dsts, inputs []*Tensor) 
 	if len(dsts) != n {
 		return nil, fmt.Errorf("orpheus: %d destinations for %d inputs: %w", len(dsts), n, ErrShapeMismatch)
 	}
-	st := s.states.Get().(*predictState)
-	defer s.states.Put(st)
-	view := st.stageView(s, n)
-	buf := view.Data()
-	for i, in := range inputs {
-		if in.Size() != s.perVol {
-			return nil, fmt.Errorf("orpheus: input %d has %d values, model wants %d (%s): %w", i, in.Size(), s.perVol, tensor.ShapeString(s.inShape1), ErrShapeMismatch)
-		}
-		copy(buf[i*s.perVol:(i+1)*s.perVol], in.Data())
-	}
-	st.in[s.inName] = view
 	rs := s.sessions.Get()
 	defer s.sessions.Put(rs)
-	outs, err := rs.Run(ctx, st.in)
+	view := rs.Staging(n)
+	buf := view.Data()
+	perVol := len(buf) / n
+	for i, in := range inputs {
+		if in.Size() != perVol {
+			return nil, fmt.Errorf("orpheus: input %d has %d values, model wants %d (%s): %w", i, in.Size(), perVol, tensor.ShapeString(s.Inputs()[0].Shape), ErrShapeMismatch)
+		}
+		copy(buf[i*perVol:(i+1)*perVol], in.Data())
+	}
+	out, err := rs.RunOne(ctx, view)
 	if err != nil {
 		return nil, err
-	}
-	out := outs[s.outName]
-	if out == nil {
-		return nil, fmt.Errorf("orpheus: %w", ErrNoOutput)
 	}
 	if out.Size()%n != 0 || out.Rank() == 0 || out.Dim(0)%n != 0 {
 		return nil, fmt.Errorf("orpheus: output %s does not split across batch %d: %w", tensor.ShapeString(out.Shape()), n, ErrShapeMismatch)
@@ -518,15 +453,11 @@ func (s *Session) PredictProfiled(ctx context.Context, input *Tensor) (*Tensor, 
 	}
 	rs := s.sessions.Get()
 	defer s.sessions.Put(rs)
-	outs, timings, err := rs.RunProfiled(ctx, map[string]*Tensor{s.inName: input})
+	outs, timings, err := rs.RunProfiled(ctx, s.bindOne(input))
 	if err != nil {
 		return nil, nil, err
 	}
-	out := outs[s.outName]
-	if out == nil {
-		return nil, nil, fmt.Errorf("orpheus: %w", ErrNoOutput)
-	}
-	return out.Clone(), timings, nil
+	return outs[s.Outputs()[0].Name].Clone(), timings, nil
 }
 
 // BenchStats mirrors runtime.Stats at the public boundary.
@@ -551,7 +482,13 @@ func (s *Session) Benchmark(ctx context.Context, input *Tensor, warmup, reps int
 	}
 	rs := s.sessions.Get()
 	defer s.sessions.Put(rs)
-	return runtime.Measure(ctx, rs, map[string]*Tensor{s.inName: input}, warmup, reps)
+	return runtime.Measure(ctx, rs, s.bindOne(input), warmup, reps)
+}
+
+// bindOne names input as the model's single input, the form the
+// named-tensor runtime calls take.
+func (s *Session) bindOne(input *Tensor) map[string]*Tensor {
+	return map[string]*Tensor{s.Inputs()[0].Name: input}
 }
 
 // PlanSummary describes the compiled plan: one line per layer with the
@@ -616,15 +553,6 @@ func WithImmediateFlush() BatcherOption {
 // — work is shed at the door, not after it has waited.
 func WithQueueDepth(n int) BatcherOption {
 	return func(o *runtime.BatcherOptions) { o.QueueDepth = n }
-}
-
-// WithAdaptiveFlush makes the flush deadline load-adaptive: a request
-// admitted with d peers already queued waits at most FlushDeadline/(1+d)
-// for further batch mates. Idle batchers keep the full deadline (the
-// wait buys batching headroom); backlogged ones flush promptly, and the
-// deadline restores itself as the queue empties.
-func WithAdaptiveFlush() BatcherOption {
-	return func(o *runtime.BatcherOptions) { o.Adaptive = true }
 }
 
 // WithRunTimeout bounds each batched run's execution time (queue wait is
