@@ -5,89 +5,67 @@ import (
 	"testing"
 )
 
-// The ORPHEUS_GEMM_KERNEL guard: a requested kernel that exists on this
-// CPU is honoured silently; a known family that is not selectable here
-// warns and falls through to the default; an unknown name is ignored with
-// a GODEBUG-style warning. Both the fp32 and int8 registries follow the
-// same contract.
-
+// The ORPHEUS_GEMM_KERNEL guard, over both registries: a requested kernel
+// that exists on this CPU is honoured silently; a family of the tier that
+// is not selectable here warns and falls through to the default. Other
+// names are typos to the fp32 tier, which ignores them with a
+// GODEBUG-style warning, while the int8 tier stays quiet — for it the
+// fp32-only spellings are not typos, and the fp32 tier already warned.
 func TestResolveKernelEnvGuard(t *testing.T) {
-	def, warn := resolveKernel("")
-	if warn != "" {
-		t.Fatalf("empty env produced warning %q", warn)
-	}
-	for _, n := range KernelNames() {
-		k, warn := resolveKernel(n)
-		if k.name != n {
-			t.Fatalf("resolveKernel(%q) selected %q", n, k.name)
-		}
-		if warn != "" {
-			t.Fatalf("resolveKernel(%q) warned for a selectable kernel: %q", n, warn)
-		}
-	}
-	// A recognised family that this CPU cannot run: simulate by clearing
-	// the SIMD registry so every non-go family is unavailable, which keeps
-	// the test meaningful on hosts with full SIMD support.
-	saved := simdKernels
-	simdKernels = nil
-	defer func() { simdKernels = saved }()
-	for _, fam := range []string{"avx2", "avx2-6x16", "avx512", "neon"} {
-		k, warn := resolveKernel(fam)
-		if k.name != goKernel.name {
-			t.Fatalf("resolveKernel(%q) with empty registry selected %q, want fallback %q",
-				fam, k.name, goKernel.name)
-		}
-		if !strings.Contains(warn, "not available") {
-			t.Fatalf("resolveKernel(%q) warning %q, want unavailable-family message", fam, warn)
-		}
-	}
-	simdKernels = saved
-	// Unknown names are typos: ignored with a warning naming the knob.
-	k, warn := resolveKernel("no-such-kernel")
-	if k.name != def.name {
-		t.Fatalf("unknown name changed selection to %q", k.name)
-	}
-	if !strings.Contains(warn, "ignoring") || !strings.Contains(warn, KernelEnv) {
-		t.Fatalf("unknown-name warning %q, want ignoring+%s", warn, KernelEnv)
+	for _, tc := range []struct {
+		tier string
+		run  func(t *testing.T)
+	}{
+		// vnni is an int8-only family; fp32 treats it as a typo.
+		{"fp32", func(t *testing.T) { checkEnvGuard(t, fp32Kernels, []string{"vnni", "no-such-kernel"}, true) }},
+		// avx512 and neon are fp32-only families.
+		{"int8", func(t *testing.T) { checkEnvGuard(t, int8Kernels, []string{"avx512", "neon", "no-such-kernel"}, false) }},
+	} {
+		t.Run(tc.tier, tc.run)
 	}
 }
 
-func TestResolveKernel8EnvGuard(t *testing.T) {
-	if _, warn := resolveKernel8(""); warn != "" {
+// checkEnvGuard holds one registry to the guard. unknown are names outside
+// its families; warns says whether they draw the typo warning.
+func checkEnvGuard[A, B, C any](t *testing.T, r *registry[A, B, C], unknown []string, warns bool) {
+	def, warn := r.resolve("")
+	if warn != "" {
 		t.Fatalf("empty env produced warning %q", warn)
 	}
-	avail := map[string]bool{go8Kernel.name: true}
-	for _, k := range simd8Kernels {
-		avail[k.name] = true
-	}
-	for n := range avail {
-		k, warn := resolveKernel8(n)
-		if k.name != n || warn != "" {
-			t.Fatalf("resolveKernel8(%q) = %q, warn %q", n, k.name, warn)
+	for _, n := range r.names() {
+		if k, warn := r.resolve(n); k.name != n || warn != "" {
+			t.Fatalf("resolve(%q) = %q, warn %q, want it silently", n, k.name, warn)
 		}
 	}
-	// Known int8 family, unavailable on this CPU (simulated).
-	saved := simd8Kernels
-	simd8Kernels = nil
-	defer func() { simd8Kernels = saved }()
-	for _, fam := range []string{"avx2", "vnni"} {
-		k, warn := resolveKernel8(fam)
-		if k.name != go8Kernel.name {
-			t.Fatalf("resolveKernel8(%q) with empty registry selected %q", fam, k.name)
+	// A family this CPU cannot run: simulate by truncating the registry to
+	// the go kernel, so every other family is unavailable — which keeps the
+	// test meaningful on hosts with full SIMD support.
+	saved := r.kernels
+	r.kernels = saved[:1]
+	defer func() { r.kernels = saved }()
+	for fam := range r.families {
+		if fam == "go" {
+			continue
+		}
+		k, warn := r.resolve(fam)
+		if k.name != "go" {
+			t.Fatalf("resolve(%q) with empty registry selected %q, want fallback \"go\"", fam, k.name)
 		}
 		if !strings.Contains(warn, "not available") {
-			t.Fatalf("resolveKernel8(%q) warning %q, want unavailable-family message", fam, warn)
+			t.Fatalf("resolve(%q) warning %q, want unavailable-family message", fam, warn)
 		}
 	}
-	simd8Kernels = saved
-	best, _ := resolveKernel8("")
-	// A name from the fp32-only families (e.g. avx512) is not an int8
-	// typo: the int8 tier stays quiet and uses its default — the fp32
-	// dispatch owns the warning for such names.
-	if k, warn := resolveKernel8("avx512"); k.name != best.name || warn != "" {
-		t.Fatalf("fp32-family name through int8 tier: %q warn %q, want silent default", k.name, warn)
-	}
-	if k, warn := resolveKernel8("no-such-kernel"); k.name != best.name || warn != "" {
-		t.Fatalf("unknown name through int8 tier: %q warn %q, want silent default", k.name, warn)
+	r.kernels = saved
+	for _, n := range unknown {
+		k, warn := r.resolve(n)
+		if k.name != def.name {
+			t.Fatalf("unknown name %q changed selection to %q", n, k.name)
+		}
+		if !warns && warn != "" {
+			t.Fatalf("unknown name %q warned %q, want silence", n, warn)
+		}
+		if warns && (!strings.Contains(warn, "ignoring") || !strings.Contains(warn, KernelEnv)) {
+			t.Fatalf("unknown name %q warned %q, want ignoring+%s", n, warn, KernelEnv)
+		}
 	}
 }

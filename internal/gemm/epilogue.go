@@ -12,12 +12,12 @@ import "math"
 // sweep over it.
 //
 // The epilogue fields of Call (BiasRow, BiasCol, Act, Alpha) fuse the
-// bias-add and elementwise activation into the tile store: they are
-// applied to each macro-tile right after its final k-panel is written to
-// C, while the tile is still cache-resident, instead of as separate
-// full-tensor sweeps after the GEMM returns. (Micro-tile granularity was
-// measured slower: a call per 8×8 tile costs more in call/branch overhead
-// than the cache win returns; one pass per mc×nc macro-tile amortises it.)
+// bias-add and elementwise activation into the store of a unit: each row
+// of the unit accumulator goes to C through them in one pass, while the
+// unit is still cache-resident, instead of as separate full-tensor sweeps
+// after the GEMM returns. (Micro-tile granularity was measured slower: a
+// call per 8×8 tile costs more in call/branch overhead than the cache win
+// returns; one pass per unit row amortises it.)
 
 // PackSrc supplies a virtual B operand panel by panel. Implementations
 // must be safe for concurrent PackPanel calls: the worker pool packs
@@ -60,39 +60,40 @@ const (
 	ActLeakyReLU
 )
 
-// hasEpilogue reports whether the call carries any fused epilogue work.
-func (c *Call) hasEpilogue() bool {
-	return c.BiasRow != nil || c.BiasCol != nil || c.Act != ActNone
-}
-
-// applyEpilogueTile applies the call's bias and activation to the
-// rows×cols region of dst whose top-left element is C[r0][c0] (absolute
-// matrix coordinates, so the bias vectors index correctly). ldc is the row
-// stride of dst. Called once per macro-tile, immediately after the tile's
-// final k-panel is stored, so the operands are still cache-resident. A
-// row-bias row is finished in a single fused pass — bias add and
-// activation together.
-func (c *Call) applyEpilogueTile(dst []float32, r0, c0, rows, cols, ldc int) {
+// store implements operands: rows×nc of the unit accumulator acc (row
+// stride ldc) go to image img's C at (i0, jj) — added to C first when the
+// call accumulates — with the bias add and the activation fused into the
+// same pass. Bias vectors index by absolute row and column.
+func (c *Call) store(acc []float32, ldc, img, i0, jj, rows, nc int) {
+	cc, ldC := c.C[img*c.StrideC:], c.ldc()
 	var bcol []float32
 	if c.BiasCol != nil {
-		bcol = c.BiasCol[c0 : c0+cols]
+		bcol = c.BiasCol[jj : jj+nc]
 	}
 	for r := 0; r < rows; r++ {
-		row := dst[(r0+r)*ldc+c0 : (r0+r)*ldc+c0+cols]
+		dst, src := cc[(i0+r)*ldC+jj:][:nc], acc[r*ldc:][:nc]
+		if !c.Store {
+			for i, v := range src {
+				dst[i] += v
+			}
+			src = dst
+		}
 		var bv float32
 		if c.BiasRow != nil {
-			bv = c.BiasRow[r0+r]
+			bv = c.BiasRow[i0+r]
 		}
 		switch {
 		case bcol != nil:
-			for i := range row {
-				row[i] += bv + bcol[i]
+			for i, v := range src {
+				dst[i] = v + (bv + bcol[i])
 			}
 			if c.Act != ActNone {
-				ActivateRow(row, row, c.Act, c.Alpha)
+				ActivateRow(dst, dst, c.Act, c.Alpha)
 			}
 		case c.Act != ActNone || bv != 0:
-			biasActivateRow(row, row, bv, c.Act, c.Alpha)
+			biasActivateRow(dst, src, bv, c.Act, c.Alpha)
+		default:
+			copy(dst, src)
 		}
 	}
 }

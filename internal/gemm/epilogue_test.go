@@ -220,7 +220,7 @@ func TestPoolSweep(t *testing.T) {
 
 // applyActivationRow is the activation in its original form — a branch on
 // the sign of each value — kept as the oracle for ActivateRow's selects
-// and for storeTileTwoPass.
+// and for storeTwoPass.
 func applyActivationRow(row []float32, act Activation, alpha float32) {
 	switch act {
 	case ActNone:

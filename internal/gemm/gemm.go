@@ -1,30 +1,37 @@
-// Package gemm implements single-precision general matrix multiply, the
-// computational core of GEMM-based convolution and dense layers in
-// Orpheus.
+// Package gemm implements the general matrix multiply at the core of
+// GEMM-based convolution and dense layers in Orpheus, in fp32 and in
+// quantized u8×s8 form.
 //
 // Two implementations are provided:
 //
-//   - Naive: textbook triple loop; the correctness reference.
-//   - Packed (Context.Run, Pool.Run): panel packing plus a register-blocked
-//     micro-kernel; the production path used by the Orpheus backend. It
-//     supports overwrite (beta=0) semantics, prepacked constant operands
-//     and virtual operands packed straight from a tensor, and has a
-//     quantized u8×s8 twin (Context.RunInt8, Pool.RunInt8; int8.go).
+//   - Naive: textbook fp32 triple loop; the correctness reference.
+//   - Packed: panel packing plus a register-blocked micro-kernel; the
+//     production path used by the Orpheus backend. A Call (Context.Run,
+//     Pool.Run) multiplies fp32 operands — raw, prepacked, or virtual
+//     ones packed straight from a tensor — with overwrite (beta=0)
+//     semantics; a CallInt8 (Context.RunInt8, Pool.RunInt8; int8.go)
+//     multiplies int8 weights by uint8 activations quantized at the pack
+//     boundary and requantizes the int32 result to fp32.
 //
-// Every packed call, of either dtype, is cut into independent units — one
-// (image, column block, row group) each — and executed by one walk over
-// them, on the calling goroutine alone or shared with a persistent worker
-// Pool (pool.go); the result is the same bit for bit either way.
+// Both dtypes run one walk (packed.go): a call is cut into independent
+// units — one (image, column block, row group) each — and a unit
+// accumulates its k-panels in a per-Context scratch of full micro-tiles,
+// then stores to C once with the call's bias and activation fused. The
+// walk runs the units on the calling goroutine alone or shares them with a
+// persistent worker Pool (pool.go); the result is the same bit for bit
+// either way. What differs by dtype is the call's own operand methods and
+// the micro-kernel table it draws from.
 //
-// The packed tier's micro-kernel is chosen at runtime by CPU-feature
-// dispatch (see kernel.go): AVX2/FMA 8x8 assembly on amd64, NEON 8x8 on
-// arm64, and a portable pure-Go 4x8 kernel as the fallback — also
-// selectable via the noasm build tag or ORPHEUS_GEMM_KERNEL=go.
-// KernelName, KernelNames and SetKernel expose the selection.
+// Each dtype's micro-kernel is chosen at runtime by CPU-feature dispatch
+// (see kernel.go): AVX2/FMA and AVX-512 assembly on amd64, NEON on arm64,
+// and a portable pure-Go 4x8 kernel as the fallback — also selectable via
+// the noasm build tag or ORPHEUS_GEMM_KERNEL=go. KernelName, KernelNames
+// and SetKernel expose the fp32 selection; Kernel8Name, Kernel8Names and
+// SetKernel8 the int8 one.
 //
-// All operate on row-major dense matrices described by flat []float32
-// slices. Dimensions are validated by the exported entry points; the inner
-// kernels assume valid arguments.
+// Matrices are row-major and described by flat slices. Dimensions are
+// validated by the exported entry points; the inner kernels assume valid
+// arguments.
 package gemm
 
 import "fmt"

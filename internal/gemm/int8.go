@@ -4,27 +4,24 @@ import "math"
 
 // Quantized (u8×s8 → int32) packed GEMM tier.
 //
-// The int8 tier is the packed tier over again — panel packing, micro-kernel
-// dispatch, and the walk of pool.go: units of (image, column block, row
-// group), each packing its activation panel once per k-panel and sweeping
-// it with the group's M-tiles, run in order or claimed by the pool — with
-// three differences:
+// A CallInt8 runs on the walk and pool every fp32 Call runs on — the same
+// units, the same panel loop, the same unit accumulator stored to C once —
+// and draws its micro-kernel from its own instance of the same registry
+// type (int8Kernels, kernel.go). What is its own is the operands it hands
+// the walk (its operands methods below):
 //
 //   - Operands are quantized: A (weights) is signed int8, B (activations)
 //     is unsigned uint8, and the micro-kernels accumulate exact int32 dot
 //     products along k-quads of 4 (the VPMADDUBSW / VPDPBUSD reduction
-//     unit).
+//     unit), so the accumulator is int32.
 //
 //   - B is always virtual: a PackSrc8 quantizes the fp32 activations once
 //     per call into private scratch and packs each kc×nc panel from it
 //     (convolution from the NCHW input, dense from the row-major
 //     activation matrix), so no int8 activation tensor ever exists.
 //
-//   - A unit accumulates all its k-panels into a per-Context int32
-//     scratch (always full micro-tiles, so there is no edge staging), and
-//     the fp32 output is produced only once, by the requantize + bias +
-//     activation epilogue storing the unit in one pass. The scratch is
-//     what caps a unit's rows × columns (accCap8).
+//   - The store is the requantize + bias + activation epilogue, and the
+//     only pass that produces fp32 output.
 //
 // # Value contract
 //
@@ -173,102 +170,48 @@ func (c *CallInt8) validate() {
 	}
 }
 
-// accCap8 bounds the int32 accumulator a Context holds, in elements, and
-// with it the rows × columns of an int8 unit (see blocking): twice the
-// mcBlock×ncBlock tile the tier used when it packed per M-tile. Taller row
-// groups narrow their column block to stay within it, so a group is at
-// most accCap8/ncMin rows.
-const accCap8 = 2 * mcBlock * ncBlock
-
 // RunInt8 executes the quantized call single-threaded. Hot paths should
 // hold a long-lived Context so the int8 packing and accumulator scratch is
 // reused across calls.
 func (ctx *Context) RunInt8(c CallInt8) {
-	w := gemm8Work{call: c}
-	for i, n := 0, w.plan(1); i < n; i++ {
-		w.runUnit(ctx, i)
-	}
+	var serial *Pool // a one-worker call runs on the caller alone
+	serial.RunInt8(ctx, c, 1)
 }
 
 // RunInt8 executes the quantized call using up to workers goroutines, the
 // caller included, exactly as Run does an fp32 one. ctx supplies the
 // caller's packing and accumulator scratch.
 func (p *Pool) RunInt8(ctx *Context, c CallInt8, workers int) {
-	if workers <= 1 {
-		ctx.RunInt8(c)
-		return
-	}
-	j := jobs.Get().(*job)
-	j.gemm8.call = c
-	p.submit(ctx, j, &j.gemm8, workers)
+	ctx.call8 = c
+	ctx.gemm8 = work[int8, byte, int32]{call: &ctx.call8, reg: int8Kernels}
+	p.run(ctx, &ctx.gemm8, workers)
+	ctx.call8 = CallInt8{}
 }
 
-// gemm8Work is one quantized call cut into units, the int8 twin of
-// gemmWork.
-type gemm8Work struct {
-	call CallInt8
-	kern *kernel8
-	grid unitGrid
-}
-
-// plan implements unitWork.
-func (w *gemm8Work) plan(workers int) int {
-	c := &w.call
+// dims implements operands.
+func (c *CallInt8) dims() (m, n, k, images int) {
 	c.validate()
-	if c.M == 0 || c.N == 0 {
-		return 0
-	}
-	w.kern = activeKernel8()
-	w.grid = blocking(c.M, c.N, c.images(), workers, mcBlock, accCap8)
-	return w.grid.units()
+	return c.M, c.N, c.K, c.images()
 }
 
-// runUnit implements unitWork: rows [i0, i1) × columns [jj, jj+nc) of one
-// image's C. For every k-panel the activation panel is packed once and
-// swept by each M-tile of the group, accumulating into the Context's int32
-// scratch (full micro-tiles, padded geometry); then the requantize
-// epilogue stores the fp32 block in a single pass. K == 0 requantizes a
-// zero accumulator (bias + activation only).
-func (w *gemm8Work) runUnit(ctx *Context, unit int) {
-	c, kern := &w.call, w.kern
-	img, i0, i1, jj, nc := w.grid.unit(unit)
-	rows := roundUp(i1-i0, kern.mr)
-	ldc := roundUp(nc, kern.nr)
-	ctx.growAcc()
-	acc := ctx.acc32
-	if c.K == 0 {
-		clear(acc[:rows*ldc])
+func (c *CallInt8) scratch(ctx *Context) *scratch[int8, byte, int32] { return &ctx.i8 }
+
+// panelA implements operands. A prepacked panel starts where
+// PrepackAInt8Into put it.
+func (c *CallInt8) panelA(s *scratch[int8, byte, int32], kern *kernel[int8, byte, int32], _, ii, pp, mc, kc int) []int8 {
+	if c.PackedA != nil {
+		return c.PackedA[roundUp(c.M, kern.mr)*pp+ii*roundUp(kc, kQuad):]
 	}
-	pm := roundUp(c.M, kern.mr)
-	for pp := 0; pp < c.K; pp += kcBlock {
-		kc := min(kcBlock, c.K-pp)
-		kcq := ceilDiv(kc, kQuad)
-		ctx.growB8()
-		pb := ctx.packB8
-		c.B.PackPanel8(pb, img, pp, jj, kc, nc, kern.nr)
-		store := pp == 0
-		stripA := kcq * kQuad * kern.mr
-		stripB := kcq * kQuad * kern.nr
-		for ii := i0; ii < i1; ii += mcBlock {
-			mc := min(mcBlock, i1-ii)
-			var pa []int8
-			if c.PackedA != nil {
-				pa = c.PackedA[pm*pp+ii*kcq*kQuad:]
-			} else {
-				ctx.growA8()
-				packAInt8(ctx.packA8, c.A, ii, pp, mc, kc, c.K, kern.mr)
-				pa = ctx.packA8
-			}
-			tile := acc[(ii-i0)*ldc:]
-			for i := 0; i < mc; i += kern.mr {
-				aStrip := pa[(i/kern.mr)*stripA:]
-				for j := 0; j < ldc; j += kern.nr {
-					kern.micro(aStrip, pb[(j/kern.nr)*stripB:], tile[i*ldc+j:], kcq, ldc, store)
-				}
-			}
-		}
-	}
-	c.storeTile(acc, ldc, img, i0, jj, i1-i0, nc)
+	s.a = grow(s.a, aScratch)
+	packAInt8(s.a, c.A, ii, pp, mc, kc, c.K, kern.mr)
+	return s.a
+}
+
+// panelB implements operands: the pack source quantizes and packs.
+func (c *CallInt8) panelB(s *scratch[int8, byte, int32], kern *kernel[int8, byte, int32], img, pp, jj, kc, nc int) []byte {
+	s.b = grow(s.b, bScratch)
+	c.B.PackPanel8(s.b, img, pp, jj, kc, nc, kern.nr)
+	return s.b
 }
 
 // activate applies the epilogue activation to one value. The selects are
@@ -299,15 +242,15 @@ func activate(v float32, act Activation, alpha float32) float32 {
 	return math.Float32frombits(b)
 }
 
-// storeTile is the requantize epilogue: it converts the live mc×nc region
-// of the int32 accumulator (row stride ldc) into fp32, applying zero-point
-// compensation, the combined weight×activation scale, the bias add and
-// the activation, and stores it to the call's C layout. This is the only
-// pass that touches C, and it writes each element once. The per-image
-// (convolution) form sends the two activations resnet-18 runs through
-// requantRow, a vector row on AVX2 hosts; the others take the general
-// loop, with its per-element switch on the activation.
-func (c *CallInt8) storeTile(acc []int32, ldc, img, ii, jj, mc, nc int) {
+// store implements operands with the requantize epilogue: it converts the
+// live mc×nc region of the int32 accumulator (row stride ldc) into fp32,
+// applying zero-point compensation, the combined weight×activation scale,
+// the bias add and the activation, and stores it to the call's C layout.
+// This is the only pass that touches C, and it writes each element once.
+// The per-image (convolution) form sends the two activations resnet-18
+// runs through requantRow, a vector row on AVX2 hosts; the others take the
+// general loop, with its per-element switch on the activation.
+func (c *CallInt8) store(acc []int32, ldc, img, ii, jj, mc, nc int) {
 	if c.TransC {
 		for j := 0; j < nc; j++ {
 			col := c.C[(jj+j)*c.M+ii : (jj+j)*c.M+ii+mc]
@@ -389,25 +332,15 @@ func packAInt8(dst, a []int8, ii, pp, mc, kc, lda, mr int) {
 // an m×k int8 matrix under the active int8 kernel: rows padded to mr, k
 // padded to whole quads.
 func PackedAInt8Size(m, k int) int {
-	return roundUp(m, activeKernel8().mr) * roundUp(k, kQuad)
+	return roundUp(m, int8Kernels.get().mr) * roundUp(k, kQuad)
 }
 
 // PrepackAInt8Into packs the whole m×k int8 matrix a into dst, which must
-// hold PackedAInt8Size(m, k) bytes. Panel (pp, ii) starts at
-// roundUp(m,mr)*pp + ii*roundUp(kc,4), mirroring the fp32 layout (kcBlock
-// is a multiple of 4, so only the final k-panel pads k).
-func PrepackAInt8Into(dst, a []int8, m, k int) {
-	mr := activeKernel8().mr
-	pm := roundUp(m, mr)
-	for pp := 0; pp < k; pp += kcBlock {
-		kc := min(kcBlock, k-pp)
-		kcq4 := roundUp(kc, kQuad)
-		for ii := 0; ii < m; ii += mcBlock {
-			mc := min(mcBlock, m-ii)
-			packAInt8(dst[pm*pp+ii*kcq4:], a, ii, pp, mc, kc, k, mr)
-		}
-	}
-}
+// hold PackedAInt8Size(m, k) bytes, in the fp32 layout with k padded to
+// whole quads per k-panel: panel (pp, ii) starts at roundUp(m,mr)*pp +
+// ii*roundUp(kc,4) (kcBlock is a multiple of 4, so only the final k-panel
+// pads k).
+func PrepackAInt8Into(dst, a []int8, m, k int) { prepackA(int8Kernels, packAInt8, dst, a, m, k) }
 
 // PrepackAInt8 allocates and fills the packed-panel form of the m×k int8
 // matrix a.
@@ -475,30 +408,4 @@ func microKernel8Go(pa []int8, pb []byte, acc []int32, kq, ldc int, store bool) 
 		r2[j] += c2[j]
 		r3[j] += c3[j]
 	}
-}
-
-func (ctx *Context) growA8() {
-	const an = (mcBlock + maxMR8) * kcBlock
-	if cap(ctx.packA8) < an {
-		ctx.packA8 = make([]int8, an)
-	}
-	ctx.packA8 = ctx.packA8[:cap(ctx.packA8)]
-}
-
-func (ctx *Context) growB8() {
-	const bn = (ncBlock + maxNR8) * kcBlock
-	if cap(ctx.packB8) < bn {
-		ctx.packB8 = make([]byte, bn)
-	}
-	ctx.packB8 = ctx.packB8[:cap(ctx.packB8)]
-}
-
-func (ctx *Context) growAcc() {
-	// blocking keeps group rows × column block within accCap8, and both
-	// are multiples of every registered kernel geometry, so the padded
-	// rows and row stride never exceed them.
-	if cap(ctx.acc32) < accCap8 {
-		ctx.acc32 = make([]int32, accCap8)
-	}
-	ctx.acc32 = ctx.acc32[:cap(ctx.acc32)]
 }

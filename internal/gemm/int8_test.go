@@ -36,7 +36,7 @@ func withKernel8(t testing.TB, name string, fn func()) {
 func simd8KernelNames(t testing.TB) []string {
 	var names []string
 	for _, n := range Kernel8Names() {
-		if n != go8Kernel.name {
+		if n != "go" {
 			names = append(names, n)
 		}
 	}
@@ -261,11 +261,11 @@ func buildCall(ic int8Case, a []int8, scaleA []float32, rowSum []int32, src *tes
 	return c
 }
 
-// storeTileTwoPass is the requantize epilogue in its original two-pass
+// storeTwoPass is the requantize epilogue in its original two-pass
 // form — requantize a row (or TransC column), then sweep it again with
-// applyActivationRow — kept as the oracle for storeTile's fused
+// applyActivationRow — kept as the oracle for store's fused
 // single-pass loops.
-func (c *CallInt8) storeTileTwoPass(acc []int32, ldc, img, ii, jj, mc, nc int) {
+func (c *CallInt8) storeTwoPass(acc []int32, ldc, img, ii, jj, mc, nc int) {
 	if c.TransC {
 		for j := 0; j < nc; j++ {
 			col := c.C[(jj+j)*c.M+ii : (jj+j)*c.M+ii+mc]
@@ -326,7 +326,7 @@ func refInt8(c *CallInt8, ic int8Case, a []int8, src *testSrc8) []float32 {
 				acc[r*ic.n+j] = s
 			}
 		}
-		ref.storeTileTwoPass(acc, ic.n, img, 0, 0, ic.m, ic.n)
+		ref.storeTwoPass(acc, ic.n, img, 0, 0, ic.m, ic.n)
 	}
 	return want
 }
@@ -419,7 +419,7 @@ func TestInt8PacksEachPanelOnce(t *testing.T) {
 			call := buildCall(ic, a, scaleA, rowSum, src.PackSrc8.(*testSrc8), bias)
 			call.B = src
 			grid := func(workers int) unitGrid {
-				return blocking(ic.m, ic.n, images, workers, mcBlock, accCap8)
+				return blocking(ic.m, ic.n, images, workers, int8Kernels.get().mc)
 			}
 			var ctx Context
 			ctx.RunInt8(call)

@@ -2,29 +2,34 @@ package gemm
 
 // Micro-kernel dispatch.
 //
-// The packed tier is parameterised by a micro-kernel: the register-blocked
-// inner loop that computes one mr×nr block of C per invocation, plus the
-// mr/nr geometry that the packing routines (packA/packB), the prepacked
-// panel layout (PackedASize/PackedBSize) and the macro-kernel edge handling
-// are all derived from. The portable pure-Go 4x8 kernel always exists;
-// architecture files register wider SIMD kernels (AVX2/FMA 8x8 on amd64,
-// NEON 8x8 on arm64) at init when the CPU supports them, and the best
-// registered kernel becomes the process default.
+// Both packed tiers are parameterised by a micro-kernel: the
+// register-blocked inner loop that computes one mr×nr accumulator block
+// per invocation, plus the mr/nr geometry that the packing routines, the
+// prepacked panel layout (PackedASize, PackedBSize, PackedAInt8Size) and
+// the unit accumulator are all derived from. Each tier keeps one registry
+// of them (fp32Kernels, int8Kernels): the portable pure-Go 4x8 kernel,
+// always present and the correctness reference for the others, then the
+// SIMD kernels architecture files register at init when the CPU supports
+// them — fp32 AVX2/FMA 8x8 and 6x16 and AVX-512 14x32 on amd64, NEON 8x8
+// on arm64; int8 AVX2 VPMADDUBSW 8x8 and AVX-512 VNNI 8x16 on amd64. The
+// last registered kernel is the tier's default.
 //
-// Selection order:
+// Selection order, per tier:
 //
-//  1. The ORPHEUS_GEMM_KERNEL environment variable, when set to a known
-//     kernel name ("go", "avx2", "avx2-6x16", "avx512", "neon"), pins the
-//     choice — the A/B knob for same-host kernel comparisons. A recognised
-//     kernel family that is not available on this CPU warns and falls
-//     through to the default; unknown names are ignored with a warning,
-//     GODEBUG-style.
+//  1. The ORPHEUS_GEMM_KERNEL environment variable, when it names a kernel
+//     of the tier ("go", "avx2", "avx2-6x16", "avx512", "neon"; int8:
+//     "go", "avx2", "vnni"), pins the choice — the A/B knob for same-host
+//     kernel comparisons. A kernel family of the tier that this CPU cannot
+//     run warns and falls through to the default. Other names are typos:
+//     the fp32 tier ignores them with a GODEBUG-style warning, and the
+//     int8 tier, for which the fp32-only spellings are not typos, stays
+//     quiet so one bad value warns once.
 //  2. Otherwise the widest registered SIMD kernel for this CPU.
 //  3. Otherwise (non-amd64/arm64, the noasm build tag, or a CPU without
 //     the required features) the pure-Go kernel.
 //
-// Prepacked panels bake in the active kernel's geometry, so SetKernel
-// invalidates buffers produced by earlier PrepackA/PrepackB calls; switch
+// Prepacked panels bake in the active kernel's geometry, so SetKernel and
+// SetKernel8 invalidate buffers produced by earlier prepack calls; switch
 // kernels only between plans, never while GEMMs are in flight.
 
 import (
@@ -33,133 +38,116 @@ import (
 	"sync/atomic"
 )
 
-// microKernelFunc computes a full mr×nr block of C from packed panels:
-// C[r][cc] (+)= sum_p pa[p*mr+r] * pb[p*nr+cc]. ldc is the row stride of c
-// in elements; store overwrites C instead of accumulating.
-type microKernelFunc func(pa, pb, c []float32, kc, ldc int, store bool)
+// microKernel computes a full mr×nr block of an accumulator c from packed
+// panels A (elements A) and B (elements B): c[r][j] (+)= the dot product of
+// row r's and column j's kd k-groups. ldc is the row stride of c in
+// elements; store overwrites c instead of accumulating; kd ≥ 1.
+type microKernel[A, B, C any] func(pa []A, pb []B, c []C, kd, ldc int, store bool)
 
 // kernel bundles a micro-kernel with the packing geometry it consumes. mc
-// is the M-tile height: mcBlock rounded down to a multiple of mr so every
-// interior panel is a whole number of strips (tiles taller than 8, like the
-// 14x32 AVX-512 kernel, do not divide 128 evenly). Column blocks are cut
-// from ncBlock in multiples of ncMin, which every nr divides.
-type kernel struct {
+// is the M-tile height: mcBlock rounded down to a multiple of mr, so every
+// interior panel is a whole number of strips (tiles taller than 8, like
+// the 14x32 AVX-512 kernel, do not divide 128 evenly) and the prepacked
+// panel offsets pm*pp + ii*kc stay exact. Column blocks are cut from
+// ncBlock in multiples of ncMin, which every nr divides.
+type kernel[A, B, C any] struct {
 	name   string
 	mr, nr int // micro-tile rows and columns
 	mc     int // M-tile rows (a multiple of mr)
-	micro  microKernelFunc
+	micro  microKernel[A, B, C]
 }
 
-// newKernel derives the M-tile height for a micro-tile. It keeps the
-// PackedASize panel formula exact: with mc ≡ 0 (mod mr), roundUp(M, mr)
-// splits as full panels of mc plus the rounded remainder, so panel offsets
-// pm*pp + ii*kc stay valid.
-func newKernel(name string, mr, nr int, micro microKernelFunc) *kernel {
-	return &kernel{name: name, mr: mr, nr: nr, mc: mcBlock - mcBlock%mr, micro: micro}
+func newKernel[A, B, C any](name string, mr, nr int, micro microKernel[A, B, C]) *kernel[A, B, C] {
+	return &kernel[A, B, C]{name: name, mr: mr, nr: nr, mc: mcBlock - mcBlock%mr, micro: micro}
 }
 
-// Micro-tile geometry bounds. Shared scratch (the macro-kernel edge-tile
-// buffer, the packing contexts) is sized for the largest registered kernel.
+// Micro-tile geometry bounds; the panel scratch of a Context is sized for
+// the largest registered kernel so it never depends on dispatch.
 const (
 	maxMR = 16
 	maxNR = 32
 )
 
-// goKernel is the portable pure-Go micro-kernel; always selectable as "go".
-var goKernel = newKernel("go", 4, 8, microKernelGo)
-
-// simdKernels holds the architecture kernels usable on this CPU, appended
-// by arch-specific init functions in ascending preference order.
-var simdKernels []*kernel
-
-// kernelFamilies names every fp32 kernel the dispatch layer knows about on
-// any architecture. A recognised name that is not selectable on this CPU
-// (avx512 on a non-avx512 host, neon on amd64) falls through to the default
-// with a warning instead of being treated as a typo.
-var kernelFamilies = map[string]bool{
-	"go":        true,
-	"avx2":      true,
-	"avx2-6x16": true,
-	"avx512":    true,
-	"neon":      true,
+// registry is one tier's kernel table: the pure-Go kernel first, then the
+// SIMD kernels usable on this CPU in ascending preference order.
+type registry[A, B, C any] struct {
+	tier     string          // "" or "int8 ", for messages
+	kgroup   int             // k values per packed group: 1, or kQuad for int8
+	families map[string]bool // every kernel name of the tier, on any arch
+	quiet    bool            // names outside families are another tier's to warn about
+	kernels  []*kernel[A, B, C]
+	active   atomic.Pointer[kernel[A, B, C]]
 }
 
-// registerKernel adds a SIMD kernel to the dispatch table. Called only
-// from package init, before any GEMM runs.
-func registerKernel(k *kernel) {
-	if k.mr > maxMR || k.nr > maxNR {
-		panicf("gemm: kernel %s tile %dx%d exceeds max %dx%d", k.name, k.mr, k.nr, maxMR, maxNR)
+var (
+	fp32Kernels = &registry[float32, float32, float32]{
+		kgroup:   1,
+		families: map[string]bool{"go": true, "avx2": true, "avx2-6x16": true, "avx512": true, "neon": true},
+		kernels:  []*kernel[float32, float32, float32]{newKernel("go", 4, 8, microKernelGo)},
 	}
-	if k.mc <= 0 || k.mc > mcBlock || k.mc%k.mr != 0 || ncMin%k.nr != 0 {
-		panicf("gemm: kernel %s tile %dx%d does not divide its %d-row M-tile (at most %d) and %d-column blocks",
-			k.name, k.mr, k.nr, k.mc, mcBlock, ncMin)
+	int8Kernels = &registry[int8, byte, int32]{
+		tier:     "int8 ",
+		kgroup:   kQuad,
+		families: map[string]bool{"go": true, "avx2": true, "vnni": true},
+		quiet:    true,
+		kernels:  []*kernel[int8, byte, int32]{newKernel("go", 4, 8, microKernel8Go)},
 	}
-	if !kernelFamilies[k.name] {
-		panicf("gemm: kernel %s missing from kernelFamilies", k.name)
-	}
-	simdKernels = append(simdKernels, k)
-}
+)
 
-// active is the kernel all packing, prepacking and macro-kernel calls use.
-// It is resolved lazily on first use (after all init registration) and
-// replaced only by SetKernel.
-var active atomic.Pointer[kernel]
+// register adds a SIMD kernel to the table. Called only from package init,
+// before any GEMM runs.
+func (r *registry[A, B, C]) register(k *kernel[A, B, C]) {
+	if k.mr > maxMR || k.nr > maxNR || ncMin%k.nr != 0 {
+		panicf("gemm: %skernel %s tile %dx%d exceeds %dx%d or does not divide %d-column blocks",
+			r.tier, k.name, k.mr, k.nr, maxMR, maxNR, ncMin)
+	}
+	if !r.families[k.name] {
+		panicf("gemm: %skernel %s missing from its families", r.tier, k.name)
+	}
+	r.kernels = append(r.kernels, k)
+}
 
 // KernelEnv is the environment variable that pins the micro-kernel choice
 // at process start, e.g. ORPHEUS_GEMM_KERNEL=go to force the portable
 // fallback when A/B-testing the SIMD kernels on the same host.
 const KernelEnv = "ORPHEUS_GEMM_KERNEL"
 
-// activeKernel returns the kernel in effect, resolving the default on
-// first use.
-func activeKernel() *kernel {
-	if k := active.Load(); k != nil {
+// get returns the kernel in effect, resolving the default on first use
+// (after all init registration).
+func (r *registry[A, B, C]) get() *kernel[A, B, C] {
+	if k := r.active.Load(); k != nil {
 		return k
 	}
-	active.CompareAndSwap(nil, defaultKernel())
-	return active.Load()
-}
-
-// defaultKernel applies the selection order documented at the top of this
-// file.
-func defaultKernel() *kernel {
-	k, warn := resolveKernel(os.Getenv(KernelEnv))
+	k, warn := r.resolve(os.Getenv(KernelEnv))
 	if warn != "" {
 		fmt.Fprintln(os.Stderr, warn)
 	}
-	return k
+	r.active.CompareAndSwap(nil, k)
+	return r.active.Load()
 }
 
-// resolveKernel maps an ORPHEUS_GEMM_KERNEL value to the kernel to use plus
-// a warning to emit (empty when the request was honoured or absent). A name
-// from a known kernel family that this CPU cannot run — e.g. avx512 on a
-// non-avx512 host, or any SIMD name under the noasm tag — falls through to
-// the best available kernel with a warning rather than erroring, so one
-// deployment config can span heterogeneous hosts. Unknown names are
-// ignored with the GODEBUG-style typo warning.
-func resolveKernel(name string) (k *kernel, warn string) {
-	best := goKernel
-	if n := len(simdKernels); n > 0 {
-		best = simdKernels[n-1]
-	}
-	if name == "" {
-		return best, ""
-	}
-	if k := lookupKernel(name); k != nil {
+// resolve maps an ORPHEUS_GEMM_KERNEL value to the kernel to use plus a
+// warning to emit (empty when the request was honoured or absent), by the
+// selection order at the top of this file. An unavailable family falls
+// through rather than erroring, so one deployment config can span
+// heterogeneous hosts.
+func (r *registry[A, B, C]) resolve(name string) (k *kernel[A, B, C], warn string) {
+	if k := r.lookup(name); k != nil {
 		return k, ""
 	}
-	if kernelFamilies[name] {
-		return best, fmt.Sprintf("gemm: %s=%q not available on this CPU; falling back to %q", KernelEnv, name, best.name)
+	best := r.kernels[len(r.kernels)-1]
+	switch {
+	case r.families[name]:
+		warn = fmt.Sprintf("gemm: %s=%q not available on this CPU; falling back to %skernel %q", KernelEnv, name, r.tier, best.name)
+	case name != "" && !r.quiet:
+		warn = fmt.Sprintf("gemm: ignoring %s=%q (known kernels: %v)", KernelEnv, name, r.names())
 	}
-	return best, fmt.Sprintf("gemm: ignoring %s=%q (known kernels: %v)", KernelEnv, name, KernelNames())
+	return best, warn
 }
 
-// lookupKernel returns the named kernel, or nil.
-func lookupKernel(name string) *kernel {
-	if name == goKernel.name {
-		return goKernel
-	}
-	for _, k := range simdKernels {
+// lookup returns the named kernel, or nil.
+func (r *registry[A, B, C]) lookup(name string) *kernel[A, B, C] {
+	for _, k := range r.kernels {
 		if k.name == name {
 			return k
 		}
@@ -167,65 +155,64 @@ func lookupKernel(name string) *kernel {
 	return nil
 }
 
-// KernelName reports the name of the micro-kernel the packed tier
-// currently dispatches to ("go", "avx2", "neon", ...).
-func KernelName() string { return activeKernel().name }
-
-// KernelNames lists the micro-kernels selectable on this CPU, the portable
-// "go" kernel first, then registered SIMD kernels in ascending preference
-// order. The last entry is the default absent an override.
-func KernelNames() []string {
-	names := []string{goKernel.name}
-	for _, k := range simdKernels {
-		names = append(names, k.name)
+// names lists the selectable kernels, "go" first; the last is the default.
+func (r *registry[A, B, C]) names() []string {
+	names := make([]string, len(r.kernels))
+	for i, k := range r.kernels {
+		names[i] = k.name
 	}
 	return names
 }
 
-// asmKernelFunc is the common signature of the architecture assembly
-// micro-kernels: pointers into the packed panels and C, with kc ≥ 1.
-type asmKernelFunc func(pa, pb, c *float32, kc, ldc int64, store bool)
-
-// adaptAsmKernel wraps an assembly kernel (whose k-loop requires at least
-// one iteration) into a microKernelFunc, handling the kc == 0 store case
-// — a BLAS beta=0 product with an empty shared dimension — in Go. The
-// macro-kernel only calls micro-kernels on full mr×nr tiles, so the
-// slices are non-empty whenever kc > 0.
-func adaptAsmKernel(asm asmKernelFunc, mr, nr int) microKernelFunc {
-	return func(pa, pb, c []float32, kc, ldc int, store bool) {
-		if kc == 0 {
-			if store {
-				zeroTile(c, mr, nr, ldc)
-			}
-			return
-		}
-		asm(&pa[0], &pb[0], &c[0], int64(kc), int64(ldc), store)
+// set selects the named kernel for all subsequent calls of the tier.
+func (r *registry[A, B, C]) set(name string) error {
+	k := r.lookup(name)
+	if k == nil {
+		return fmt.Errorf("gemm: unknown %skernel %q (known: %v)", r.tier, name, r.names())
 	}
+	r.active.Store(k)
+	return nil
 }
 
-// zeroTile clears an mr×nr tile of c.
-func zeroTile(c []float32, mr, nr, ldc int) {
-	for r := 0; r < mr; r++ {
-		row := c[r*ldc : r*ldc+nr]
-		for i := range row {
-			row[i] = 0
-		}
-	}
-}
+// KernelName reports the name of the micro-kernel the fp32 packed tier
+// currently dispatches to ("go", "avx2", "neon", ...).
+func KernelName() string { return fp32Kernels.get().name }
 
-// SetKernel selects the named micro-kernel for all subsequent packed-tier
-// calls and returns an error for names not selectable on this CPU.
+// KernelNames lists the fp32 micro-kernels selectable on this CPU, the
+// portable "go" kernel first, then registered SIMD kernels in ascending
+// preference order. The last entry is the default absent an override.
+func KernelNames() []string { return fp32Kernels.names() }
+
+// SetKernel selects the named fp32 micro-kernel for all subsequent
+// packed-tier calls and returns an error for names not selectable on this
+// CPU.
 //
 // Switching kernels changes the packed-panel geometry: buffers produced by
 // PrepackA/PrepackB under the previous kernel are invalid afterwards and
 // must be re-packed (plan-level caches rebuild them on the next plan).
 // SetKernel must not race in-flight GEMMs; it exists for harness ablations
 // and tests that compare kernels within one process.
-func SetKernel(name string) error {
-	k := lookupKernel(name)
-	if k == nil {
-		return fmt.Errorf("gemm: unknown kernel %q (known: %v)", name, KernelNames())
+func SetKernel(name string) error { return fp32Kernels.set(name) }
+
+// Kernel8Name reports the name of the int8 micro-kernel the quantized tier
+// currently dispatches to ("go", "avx2", "vnni").
+func Kernel8Name() string { return int8Kernels.get().name }
+
+// Kernel8Names lists the int8 micro-kernels selectable on this CPU, in the
+// order KernelNames uses.
+func Kernel8Names() []string { return int8Kernels.names() }
+
+// SetKernel8 selects the named int8 micro-kernel for all subsequent
+// quantized-tier calls. Like SetKernel, switching invalidates buffers
+// produced by earlier PrepackAInt8 calls and must not race in-flight GEMMs.
+func SetKernel8(name string) error { return int8Kernels.set(name) }
+
+// adaptAsm wraps an assembly micro-kernel, which takes pointers into the
+// packed panels and the accumulator, into a microKernel. The walk calls
+// micro-kernels on full tiles with kd ≥ 1 only, so the slices are never
+// empty.
+func adaptAsm[A, B, C any](asm func(pa *A, pb *B, c *C, kd, ldc int64, store bool)) microKernel[A, B, C] {
+	return func(pa []A, pb []B, c []C, kd, ldc int, store bool) {
+		asm(&pa[0], &pb[0], &c[0], int64(kd), int64(ldc), store)
 	}
-	active.Store(k)
-	return nil
 }

@@ -22,12 +22,10 @@ package gemm
 
 func init() {
 	if hasAVX2FMA() {
-		registerKernel8(&kernel8{name: "avx2", mr: 8, nr: 8,
-			micro: adaptAsmKernel8(microKernel8x8I8AVX2, 8, 8)})
+		int8Kernels.register(newKernel("avx2", 8, 8, adaptAsm(microKernel8x8I8AVX2)))
 	}
 	if hasAVX512VNNI() {
-		registerKernel8(&kernel8{name: "vnni", mr: 8, nr: 16,
-			micro: adaptAsmKernel8(microKernel8x16VNNI, 8, 16)})
+		int8Kernels.register(newKernel("vnni", 8, 16, adaptAsm(microKernel8x16VNNI)))
 	}
 }
 

@@ -18,14 +18,11 @@ package gemm
 
 func init() {
 	if hasAVX2FMA() {
-		registerKernel(newKernel("avx2", 8, 8,
-			adaptAsmKernel(microKernel8x8AVX2, 8, 8)))
-		registerKernel(newKernel("avx2-6x16", 6, 16,
-			adaptAsmKernel(microKernel6x16AVX2, 6, 16)))
+		fp32Kernels.register(newKernel("avx2", 8, 8, adaptAsm(microKernel8x8AVX2)))
+		fp32Kernels.register(newKernel("avx2-6x16", 6, 16, adaptAsm(microKernel6x16AVX2)))
 	}
 	if hasAVX512() {
-		registerKernel(newKernel("avx512", 14, 32,
-			adaptAsmKernel(microKernel14x32AVX512, 14, 32)))
+		fp32Kernels.register(newKernel("avx512", 14, 32, adaptAsm(microKernel14x32AVX512)))
 	}
 }
 

@@ -10,8 +10,7 @@ package gemm
 // multiplies against one 8-wide B strip load.
 
 func init() {
-	registerKernel(newKernel("neon", 8, 8,
-		adaptAsmKernel(microKernel8x8NEON, 8, 8)))
+	fp32Kernels.register(newKernel("neon", 8, 8, adaptAsm(microKernel8x8NEON)))
 }
 
 // microKernel8x8NEON computes one 8x8 block: C[r][cc] (+)= sum_p

@@ -11,8 +11,9 @@ import (
 // must match the portable pure-Go kernel at ≤ 1e-5 relative tolerance on
 // the same Call, across odd shapes, edge tails, strided batched calls,
 // store-vs-accumulate modes, prepacked operands and the pool path. The
-// pure-Go kernel is itself checked against Naive elsewhere
-// (TestPackedMatchesNaive), so agreement here pins the whole chain.
+// pure-Go kernel is itself checked against Naive (TestPackedMatchesNaive,
+// and FuzzKernelDifferential on every fuzzed input), so agreement here
+// pins the whole chain.
 
 // withKernel runs fn with the named kernel active, restoring the previous
 // selection afterwards.
@@ -36,7 +37,7 @@ func withKernel(t testing.TB, name string, fn func()) {
 func simdKernelNames(t testing.TB) []string {
 	var names []string
 	for _, n := range KernelNames() {
-		if n != goKernel.name {
+		if n != "go" {
 			names = append(names, n)
 		}
 	}
@@ -192,7 +193,7 @@ func TestKernelDifferential(t *testing.T) {
 					t.Run(name, func(t *testing.T) {
 						a, b, cInit := diffBuffers(dc, uint64(dc.m*1000+dc.n*10+dc.k))
 						var want, got []float32
-						withKernel(t, goKernel.name, func() {
+						withKernel(t, "go", func() {
 							want = runDiffCall(dc, v, a, b, cInit, store)
 						})
 						withKernel(t, simd, func() {
@@ -239,9 +240,24 @@ func TestKernelSelection(t *testing.T) {
 	}
 }
 
-// FuzzKernelDifferential fuzzes shapes, seeds and modes through every SIMD
-// kernel against the pure-Go reference. The seed corpus covers tile
-// boundaries; the fuzzer explores tails and batch striding from there.
+// naiveDiffCall is what runDiffCall computes, by Naive, image by image.
+func naiveDiffCall(dc diffCase, a, b, cInit []float32, store bool) []float32 {
+	c := append([]float32(nil), cInit...)
+	for img := 0; img < max(dc.batch, 1); img++ {
+		cc := c[img*(dc.m*dc.n+dc.padC):][:dc.m*dc.n]
+		if store {
+			clear(cc)
+		}
+		Naive(a, b[img*(dc.k*dc.n+dc.padB):], cc, dc.m, dc.n, dc.k)
+	}
+	return c
+}
+
+// FuzzKernelDifferential fuzzes shapes, seeds and modes through the
+// pure-Go kernel against Naive, an independent reference that shares no
+// code with the packed walk, and through every SIMD kernel against the
+// pure-Go one. The seed corpus covers tile boundaries; the fuzzer explores
+// tails and batch striding from there.
 func FuzzKernelDifferential(f *testing.F) {
 	f.Add(uint8(1), uint8(1), uint8(1), uint64(7), false, uint8(0), uint8(0))
 	f.Add(uint8(8), uint8(8), uint8(8), uint64(1), true, uint8(0), uint8(0))
@@ -249,23 +265,32 @@ func FuzzKernelDifferential(f *testing.F) {
 	f.Add(uint8(130), uint8(66), uint8(40), uint64(9), true, uint8(3), uint8(1))
 	f.Add(uint8(4), uint8(16), uint8(0), uint64(2), true, uint8(0), uint8(0))
 	f.Fuzz(func(t *testing.T, m, n, k uint8, seed uint64, store bool, batch, pad uint8) {
+		const tol = 1e-5
 		dc := diffCase{
 			m: int(m%150) + 1, n: int(n%150) + 1, k: int(k % 200),
 			batch: int(batch % 4), padB: int(pad % 8), padC: int(pad % 5),
 		}
 		a, b, cInit := diffBuffers(dc, seed)
+		ref := naiveDiffCall(dc, a, b, cInit, store)
+		wants := make([][]float32, len(diffVariants))
+		for vi, v := range diffVariants {
+			withKernel(t, "go", func() {
+				wants[vi] = runDiffCall(dc, v, a, b, cInit, store)
+			})
+			if i := relDiffOK(wants[vi], ref, tol); i >= 0 {
+				t.Fatalf("kernel go variant %s %v store=%v diverges from Naive at C[%d]: got %v want %v",
+					v.name, dc, store, i, wants[vi][i], ref[i])
+			}
+		}
 		for _, simd := range simdKernelNames(t) {
-			for _, v := range diffVariants {
-				var want, got []float32
-				withKernel(t, goKernel.name, func() {
-					want = runDiffCall(dc, v, a, b, cInit, store)
-				})
+			for vi, v := range diffVariants {
+				var got []float32
 				withKernel(t, simd, func() {
 					got = runDiffCall(dc, v, a, b, cInit, store)
 				})
-				if i := relDiffOK(got, want, 1e-5); i >= 0 {
+				if i := relDiffOK(got, wants[vi], tol); i >= 0 {
 					t.Fatalf("kernel %s variant %s %v store=%v diverges at C[%d]: got %v want %v",
-						simd, v.name, dc, store, i, got[i], want[i])
+						simd, v.name, dc, store, i, got[i], wants[vi][i])
 				}
 			}
 		}

@@ -1,20 +1,18 @@
 package gemm
 
-import "math"
-
-// Packing + micro-kernel GEMM. This is the "production" tier: panels of A
-// and B are repacked into contiguous strips sized for the register-blocked
-// micro-kernel, which computes one mr×nr block of C per inner iteration.
+// Packing + micro-kernel GEMM, and the walk both dtypes run on. Panels of
+// A and B are repacked into contiguous strips sized for the
+// register-blocked micro-kernel, which computes one mr×nr block of a unit
+// accumulator per inner iteration; a finished unit is stored to C once.
 // The micro-kernel (and with it the mr×nr geometry) is selected at runtime
 // by CPU-feature dispatch — see kernel.go; the pure-Go 4x8 kernel below is
 // the portable fallback and the correctness reference for the SIMD ones.
 //
-// The general entry point is Call executed through Context.Run or, with a
-// worker budget, Pool.Run — the same walk over the same units (pool.go). It
-// supports both accumulating (C += A·B) and overwriting (C = A·B)
-// semantics, and either operand may be supplied prepacked (see prepack.go)
-// so run-invariant weights are packed once per model instead of once per
-// inference.
+// The fp32 entry point is Call executed through Context.Run or, with a
+// worker budget, Pool.Run — the same walk over the same units (pool.go);
+// CallInt8 (int8.go) supplies the walk its own operands. Either fp32
+// operand may be supplied prepacked (see prepack.go) so run-invariant
+// weights are packed once per model instead of once per inference.
 
 const (
 	mcBlock = 128 // rows of A per packed panel
@@ -29,6 +27,8 @@ const (
 
 // Call describes one GEMM invocation: C = A·B when Store is set,
 // C += A·B otherwise. A is M×K, B is K×N, C is M×N, all row-major dense.
+// Every production call stores; the accumulating form, kept for tests,
+// sums a unit's k-panels apart and adds the sum to C once.
 //
 // PackedA/PackedB, when non-nil, are panel buffers produced by
 // PrepackA/PrepackB and replace the corresponding raw operand, which may
@@ -63,9 +63,9 @@ const (
 // group's output-channel slice in place this way. Zero means dense (Ldc=N).
 //
 // BiasRow, BiasCol, Act and Alpha describe a fused epilogue applied once
-// per output element as its micro-tile's final k-panel is stored (see
-// epilogue.go): BiasRow[i] is added to every element of row i (convolution
-// output channels), BiasCol[j] to every element of column j (dense output
+// per output element as its unit is stored to C (see epilogue.go):
+// BiasRow[i] is added to every element of row i (convolution output
+// channels), BiasCol[j] to every element of column j (dense output
 // features), then Act runs, replacing the separate post-GEMM bias and
 // activation sweeps.
 type Call struct {
@@ -183,121 +183,176 @@ func (c *Call) validate() {
 	}
 }
 
-// Context holds the packing scratch buffers for packed GEMM so repeated
-// calls (the common case during inference) do not reallocate. The zero
-// value is ready to use. A Context is not safe for concurrent use.
+// Context holds the scratch of packed GEMM — per dtype, the packed panels
+// and the unit accumulator, each grown on first use — so repeated calls
+// (the common case during inference) do not reallocate. The zero value is
+// ready to use. A Context is not safe for concurrent use.
 type Context struct {
-	packA []float32
-	packB []float32
-	// tail is the edge-tile staging buffer. It lives here rather than on
-	// the macro-kernel's stack because the micro-kernel is dispatched
-	// through a function pointer, which would force a per-call heap
-	// escape of a stack buffer — and the steady-state Run path must not
-	// allocate.
-	tail [maxMR * maxNR]float32
+	f32 scratch[float32, float32, float32]
+	i8  scratch[int8, byte, int32]
 
-	// Int8-tier scratch (int8.go): quantized panel buffers and the int32
-	// accumulator tile. Grown lazily so fp32-only processes never pay for
-	// them.
-	packA8 []int8
-	packB8 []byte
-	acc32  []int32
+	// The call a Run or RunInt8 walks, and its cut. The walk reaches a
+	// call's operands through an interface, which would move a call
+	// parameter to the heap on every run; a Context is there already, and
+	// pool helpers read the caller's.
+	call  Call
+	call8 CallInt8
+	gemm  work[float32, float32, float32]
+	gemm8 work[int8, byte, int32]
 }
+
+// scratch is one dtype's packed-panel buffers and unit accumulator.
+type scratch[A, B, C any] struct {
+	a   []A
+	b   []B
+	acc []C
+}
+
+// grow returns buf resliced to its capacity, reallocated first when that
+// is below n.
+func grow[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:cap(buf)]
+}
+
+// Panel scratch is padded up to full micro-tiles and sized for the largest
+// registered kernel, so it never depends on dispatch.
+const (
+	aScratch = (mcBlock + maxMR) * kcBlock
+	bScratch = (ncBlock + maxNR) * kcBlock
+)
 
 // Run executes the call single-threaded. Hot inference paths should hold a
 // long-lived Context so the packing buffers are reused across calls.
 func (ctx *Context) Run(c Call) {
-	w := gemmWork{call: c}
-	for i, n := 0, w.plan(1); i < n; i++ {
-		w.runUnit(ctx, i)
-	}
+	var serial *Pool // a one-worker call runs on the caller alone
+	serial.Run(ctx, c, 1)
 }
 
-// gemmWork is one fp32 call cut into units (see blocking). kern is the
-// micro-kernel resolved by plan, so every unit of one call — caller- and
-// helper-executed — packs and computes with the same geometry.
-type gemmWork struct {
-	call Call
-	kern *kernel
+// operands is what a call type supplies to the walk, which is otherwise
+// the same for both dtypes.
+type operands[A, B, C any] interface {
+	// dims validates the call and returns its shape; m is 0 when the call
+	// has no units.
+	dims() (m, n, k, images int)
+	// scratch returns the dtype's scratch of ctx.
+	scratch(ctx *Context) *scratch[A, B, C]
+	// panelA and panelB return the packed mc×kc panel of image img's A at
+	// (ii, pp) and its kc×nc panel of B at (pp, jj), in kern's geometry,
+	// packing into s when the operand is not prepacked.
+	panelA(s *scratch[A, B, C], kern *kernel[A, B, C], img, ii, pp, mc, kc int) []A
+	panelB(s *scratch[A, B, C], kern *kernel[A, B, C], img, pp, jj, kc, nc int) []B
+	// store writes a finished unit — rows×nc of acc, row stride ldc — to
+	// image img's C at (i0, jj), through the call's epilogue.
+	store(acc []C, ldc, img, i0, jj, rows, nc int)
+}
+
+// work is one call of either dtype cut into units (see blocking). kern is
+// the micro-kernel resolved by plan, so every unit of one call — caller-
+// and helper-executed — packs and computes with the same geometry.
+type work[A, B, C any] struct {
+	call operands[A, B, C]
+	reg  *registry[A, B, C]
+	kern *kernel[A, B, C]
+	k    int
 	grid unitGrid
 }
 
-// plan implements unitWork. An empty C, or an accumulating product over an
-// empty shared dimension, has no units.
-func (w *gemmWork) plan(workers int) int {
-	c := &w.call
-	c.validate()
-	if c.M == 0 || c.N == 0 || (c.K == 0 && !c.Store) {
+// plan implements unitWork.
+func (w *work[A, B, C]) plan(workers int) int {
+	m, n, k, images := w.call.dims()
+	if m == 0 || n == 0 {
 		return 0
 	}
-	w.kern = activeKernel()
-	w.grid = blocking(c.M, c.N, c.images(), workers, w.kern.mc, math.MaxInt)
+	w.kern, w.k = w.reg.get(), k
+	w.grid = blocking(m, n, images, workers, w.kern.mc)
 	return w.grid.units()
 }
 
 // runUnit implements unitWork: rows [i0, i1) × columns [jj, jj+nc) of one
 // image's C across the full K extent. For every k-panel the B panel is
-// packed (or located) once and swept by each M-tile of the row group, so a
-// virtual B is gathered once per unit however tall the group is. Every C
-// element accumulates its k-panels in ascending order whatever the cut, so
-// the result does not depend on it; the epilogue fires exactly once per
-// element, with the final k-panel's tile store while the tile is
-// cache-hot. A pack source is handed the image index; raw B is strided by
-// image except under APack, whose batches share B.
-func (w *gemmWork) runUnit(ctx *Context, unit int) {
-	c, kern := &w.call, w.kern
+// packed (or located) once and swept by each M-tile of the row group,
+// accumulating into the Context's unit accumulator — full micro-tiles in
+// the padded geometry, so there is no edge staging. Then the call stores
+// the unit to C in a single pass, with its epilogue fused, while it is
+// cache-hot. Every C element sums its k-panels in ascending order whatever
+// the cut, so the result does not depend on it. K == 0 stores a zero
+// accumulator (the epilogue only).
+func (w *work[A, B, C]) runUnit(ctx *Context, unit int) {
+	kern, kg := w.kern, w.reg.kgroup
 	img, i0, i1, jj, nc := w.grid.unit(unit)
-	cc := c.C[img*c.StrideC:]
-	ldc := c.ldc()
-	if c.K == 0 { // Store with an empty product: C = 0, then the epilogue
-		zeroCWindow(cc[i0*ldc+jj:], i1-i0, nc, ldc)
-		if c.hasEpilogue() {
-			c.applyEpilogueTile(cc, i0, jj, i1-i0, nc, ldc)
-		}
-		return
+	s := w.call.scratch(ctx)
+	ldc := roundUp(nc, kern.nr)
+	size := roundUp(i1-i0, kern.mr) * ldc
+	s.acc = grow(s.acc, size)
+	if w.k == 0 {
+		clear(s.acc[:size])
 	}
-	pm := roundUp(c.M, kern.mr)
-	pn := roundUp(c.N, kern.nr)
-	for pp := 0; pp < c.K; pp += kcBlock {
-		kc := min(kcBlock, c.K-pp)
-		var pb []float32
-		switch {
-		case c.BPack != nil:
-			ctx.growB()
-			c.BPack.PackPanel(ctx.packB, img, pp, jj, kc, nc, kern.nr)
-			pb = ctx.packB
-		case c.PackedB != nil:
-			pb = c.PackedB[pn*pp+jj*kc:]
-		default:
-			b := c.B
-			if c.APack == nil {
-				b = b[img*c.StrideB:]
-			}
-			ctx.growB()
-			packB(ctx.packB, b, pp, jj, kc, nc, c.N, kern.nr)
-			pb = ctx.packB
-		}
+	for pp := 0; pp < w.k; pp += kcBlock {
+		kc := min(kcBlock, w.k-pp)
+		kd := ceilDiv(kc, kg)
+		pb := w.call.panelB(s, kern, img, pp, jj, kc, nc)
 		for ii := i0; ii < i1; ii += kern.mc {
 			mc := min(kern.mc, i1-ii)
-			var pa []float32
-			switch {
-			case c.APack != nil:
-				ctx.growA()
-				c.APack.PackPanelA(ctx.packA, img, ii, pp, mc, kc, kern.mr)
-				pa = ctx.packA
-			case c.PackedA != nil:
-				pa = c.PackedA[pm*pp+ii*kc:]
-			default:
-				ctx.growA()
-				packA(ctx.packA, c.A, ii, pp, mc, kc, c.K, kern.mr)
-				pa = ctx.packA
-			}
-			ctx.macroKernel(kern, pa, pb, cc, ii, jj, mc, nc, kc, ldc, c.Store && pp == 0)
-			if pp+kc == c.K && c.hasEpilogue() {
-				c.applyEpilogueTile(cc, ii, jj, mc, nc, ldc)
+			pa := w.call.panelA(s, kern, img, ii, pp, mc, kc)
+			tile := s.acc[(ii-i0)*ldc:]
+			for i := 0; i < mc; i += kern.mr {
+				aStrip := pa[i*kd*kg:]
+				for j := 0; j < ldc; j += kern.nr {
+					kern.micro(aStrip, pb[j*kd*kg:], tile[i*ldc+j:], kd, ldc, pp == 0)
+				}
 			}
 		}
 	}
+	w.call.store(s.acc, ldc, img, i0, jj, i1-i0, nc)
+}
+
+// dims implements operands. An empty C, or an accumulating product over an
+// empty shared dimension, has no units.
+func (c *Call) dims() (m, n, k, images int) {
+	c.validate()
+	if c.K == 0 && !c.Store {
+		return 0, 0, 0, 0
+	}
+	return c.M, c.N, c.K, c.images()
+}
+
+func (c *Call) scratch(ctx *Context) *scratch[float32, float32, float32] { return &ctx.f32 }
+
+// panelA implements operands. A prepacked panel starts where PrepackAInto
+// put it.
+func (c *Call) panelA(s *scratch[float32, float32, float32], kern *kernel[float32, float32, float32], img, ii, pp, mc, kc int) []float32 {
+	if c.PackedA != nil {
+		return c.PackedA[roundUp(c.M, kern.mr)*pp+ii*kc:]
+	}
+	s.a = grow(s.a, aScratch)
+	if c.APack != nil {
+		c.APack.PackPanelA(s.a, img, ii, pp, mc, kc, kern.mr)
+	} else {
+		packA(s.a, c.A, ii, pp, mc, kc, c.K, kern.mr)
+	}
+	return s.a
+}
+
+// panelB implements operands. A pack source is handed the image index;
+// raw B is strided by image except under APack, whose batches share B.
+func (c *Call) panelB(s *scratch[float32, float32, float32], kern *kernel[float32, float32, float32], img, pp, jj, kc, nc int) []float32 {
+	if c.PackedB != nil {
+		return c.PackedB[roundUp(c.N, kern.nr)*pp+jj*kc:]
+	}
+	s.b = grow(s.b, bScratch)
+	b := c.B
+	switch {
+	case c.BPack != nil:
+		c.BPack.PackPanel(s.b, img, pp, jj, kc, nc, kern.nr)
+		return s.b
+	case c.APack == nil:
+		b = b[img*c.StrideB:]
+	}
+	packB(s.b, b, pp, jj, kc, nc, c.N, kern.nr)
+	return s.b
 }
 
 // Packed computes C += A·B using panel packing and the active micro-kernel.
@@ -309,41 +364,6 @@ func (ctx *Context) Packed(a, b, c []float32, m, n, k int) {
 // their output this way spare the runtime an arena zero-fill.
 func (ctx *Context) PackedStore(a, b, c []float32, m, n, k int) {
 	ctx.Run(Call{A: a, B: b, C: c, M: m, N: n, K: k, Store: true})
-}
-
-// zeroCWindow clears an m×n window with row stride ldc.
-func zeroCWindow(c []float32, m, n, ldc int) {
-	if ldc == n {
-		c = c[:m*n]
-		for i := range c {
-			c[i] = 0
-		}
-		return
-	}
-	for r := 0; r < m; r++ {
-		row := c[r*ldc : r*ldc+n]
-		for i := range row {
-			row[i] = 0
-		}
-	}
-}
-
-func (ctx *Context) growA() {
-	// Packed panels are padded up to full micro-tiles; scratch is sized for
-	// the widest registered kernel so it never depends on dispatch.
-	const an = (mcBlock + maxMR) * kcBlock
-	if cap(ctx.packA) < an {
-		ctx.packA = make([]float32, an)
-	}
-	ctx.packA = ctx.packA[:cap(ctx.packA)]
-}
-
-func (ctx *Context) growB() {
-	const bn = (ncBlock + maxNR) * kcBlock
-	if cap(ctx.packB) < bn {
-		ctx.packB = make([]float32, bn)
-	}
-	ctx.packB = ctx.packB[:cap(ctx.packB)]
 }
 
 // packA copies an mc×kc panel of A (row ii, col pp) into strips of mr rows,
@@ -381,45 +401,6 @@ func packB(dst, b []float32, pp, jj, kc, nc, ldb, nr int) {
 			}
 			di += nr
 			base += ldb
-		}
-	}
-}
-
-// macroKernel multiplies the packed panels into C with kern's micro-kernel.
-// store selects overwrite (C = panel product) over accumulate for this
-// panel's contribution. The receiver supplies the edge-tile staging buffer.
-// Any fused epilogue is applied by the caller after the macro-tile's final
-// k-panel (see runUnit), so it runs exactly once per output element.
-func (ctx *Context) macroKernel(kern *kernel, pa, pb, c []float32, ii, jj, mc, nc, kc, ldc int, store bool) {
-	mr, nr := kern.mr, kern.nr
-	for i := 0; i < mc; i += mr {
-		rows := min(mr, mc-i)
-		aStrip := pa[(i/mr)*kc*mr:]
-		for j := 0; j < nc; j += nr {
-			cols := min(nr, nc-j)
-			bStrip := pb[(j/nr)*kc*nr:]
-			if rows == mr && cols == nr {
-				kern.micro(aStrip, bStrip, c[(ii+i)*ldc+jj+j:], kc, ldc, store)
-				continue
-			}
-			// Edge tile: accumulate into a temporary then merge the live part.
-			t := ctx.tail[:mr*nr]
-			for x := range t {
-				t[x] = 0
-			}
-			kern.micro(aStrip, bStrip, t, kc, nr, true)
-			for r := 0; r < rows; r++ {
-				cRow := c[(ii+i+r)*ldc+jj+j:]
-				if store {
-					for cc := 0; cc < cols; cc++ {
-						cRow[cc] = t[r*nr+cc]
-					}
-				} else {
-					for cc := 0; cc < cols; cc++ {
-						cRow[cc] += t[r*nr+cc]
-					}
-				}
-			}
 		}
 	}
 }

@@ -38,14 +38,19 @@ type unitGrid struct {
 // ncMin is the narrowest column block, a multiple of every kernel's nr.
 const ncMin = 64
 
+// accCap bounds the rows × columns of one unit, and with it the unit
+// accumulator a Context grows to: twice an mcBlock×ncBlock tile. Taller
+// row groups narrow their column block to stay within it, so a group is
+// at most accCap/ncMin rows.
+const accCap = 2 * mcBlock * ncBlock
+
 // blocking cuts an m×n call over images into units for up to workers
-// goroutines. mc is the M-tile height; accCap bounds rows × columns of one
-// unit for the tiers that hold a unit-sized accumulator (math.MaxInt for
-// none). M is cut into the fewest groups accCap allows at the narrowest
-// column block — one worker packs every panel exactly once — and into more
-// only while the units leave workers without one, down to single M-tiles.
-// The column block is the widest that fits accCap at the chosen height.
-func blocking(m, n, images, workers, mc, accCap int) unitGrid {
+// goroutines; mc is the M-tile height. M is cut into the fewest groups
+// accCap allows at the narrowest column block — one worker packs every
+// panel exactly once — and into more only while the units leave workers
+// without one, down to single M-tiles. The column block is the widest that
+// fits accCap at the chosen height.
+func blocking(m, n, images, workers, mc int) unitGrid {
 	tm := ceilDiv(m, mc)
 	for groups := ceilDiv(tm, accCap/(mc*ncMin)); ; groups++ {
 		gt := ceilDiv(tm, groups)
@@ -88,9 +93,10 @@ type Pool struct {
 
 // job is one pooled call in flight: the work, its unit counter, the
 // helpers that were handed it and the first panic any of them recovered.
-// The payloads live in the job so that submitting allocates nothing.
+// The work lives in the caller's Context (a GEMM) or in the job (a sweep),
+// so that submitting allocates nothing.
 type job struct {
-	work  unitWork // one of the payloads below
+	work  unitWork
 	units int64
 	next  atomic.Int64
 	wg    sync.WaitGroup
@@ -98,8 +104,6 @@ type job struct {
 	mu       sync.Mutex
 	panicked any
 
-	gemm  gemmWork
-	gemm8 gemm8Work
 	sweep sweepWork
 }
 
@@ -149,8 +153,7 @@ func (p *Pool) submit(ctx *Context, j *job, w unitWork, workers int) {
 	j.drain(ctx)
 	j.wg.Wait() // orders every helper's writes, j.panicked included, before here
 	r := j.panicked
-	j.work, j.panicked = nil, nil
-	j.gemm, j.gemm8, j.sweep = gemmWork{}, gemm8Work{}, sweepWork{}
+	j.work, j.panicked, j.sweep = nil, nil, sweepWork{}
 	jobs.Put(j)
 	if r != nil {
 		// The runtime's step barrier converts it to a typed error and
@@ -207,13 +210,22 @@ func Shared() *Pool {
 // counter, so small per-image GEMMs still fan out across cores when the
 // batch is deep. A panic in any unit is re-raised here.
 func (p *Pool) Run(ctx *Context, c Call, workers int) {
+	ctx.call = c
+	ctx.gemm = work[float32, float32, float32]{call: &ctx.call, reg: fp32Kernels}
+	p.run(ctx, &ctx.gemm, workers)
+	ctx.call = Call{}
+}
+
+// run executes w, a payload held by ctx: in order on the caller alone when
+// workers ≤ 1, else through submit.
+func (p *Pool) run(ctx *Context, w unitWork, workers int) {
 	if workers <= 1 {
-		ctx.Run(c)
+		for i, n := 0, w.plan(1); i < n; i++ {
+			w.runUnit(ctx, i)
+		}
 		return
 	}
-	j := jobs.Get().(*job)
-	j.gemm.call = c
-	p.submit(ctx, j, &j.gemm, workers)
+	p.submit(ctx, jobs.Get().(*job), w, workers)
 }
 
 // sweepWork is one row sweep: rows×rowLen elements of data get

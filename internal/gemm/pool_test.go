@@ -302,7 +302,7 @@ func TestPacksEachPanelOnce(t *testing.T) {
 				M: tc.m, N: tc.n, K: tc.k, Store: true, Batch: tc.batch, StrideC: tc.m * tc.n,
 				BiasRow: randMat(r, tc.m, 1), Act: ActReLU}
 			grid := func(workers int) unitGrid {
-				return blocking(tc.m, tc.n, tc.batch, workers, activeKernel().mc, math.MaxInt)
+				return blocking(tc.m, tc.n, tc.batch, workers, fp32Kernels.get().mc)
 			}
 			var ctx Context
 			ctx.Run(call)
@@ -396,20 +396,19 @@ func TestPoolBitIdenticalToSerial(t *testing.T) {
 }
 
 // TestBlocking checks the invariants runUnit and the pool rely on for any
-// shape and worker count, under the int8 accumulator cap and under none
-// (fp32, at both M-tile heights the kernels have): blocks fit the cap and
-// every kernel geometry, the units tile every image's C, one worker gets
-// whole-M groups (up to the cap's height), and a many-worker call is cut
-// into at least as many units as there are workers or M-tiles × 512-column
-// blocks to hand out.
+// shape and worker count, at both M-tile heights the kernels have (128,
+// and 126 for the 14-row AVX-512 fp32 tile): blocks fit the accumulator
+// cap and every kernel geometry, the units tile every image's C, one
+// worker gets whole-M groups (up to the cap's height), and a many-worker
+// call is cut into at least as many units as there are workers or M-tiles
+// × 512-column blocks to hand out.
 func TestBlocking(t *testing.T) {
-	for _, dt := range []struct{ mc, accCap int }{{mcBlock, accCap8}, {mcBlock, math.MaxInt}, {126, math.MaxInt}} {
-		mc, accCap := dt.mc, dt.accCap
+	for _, mc := range []int{mcBlock, 126} {
 		for _, m := range []int{1, 64, 128, 129, 512, 1000, 2048, 5000} {
 			for _, n := range []int{1, 49, 196, 512, 513, 12544} {
 				for _, images := range []int{1, 3} {
 					for _, workers := range []int{1, 2, 4, 7, 64} {
-						g := blocking(m, n, images, workers, mc, accCap)
+						g := blocking(m, n, images, workers, mc)
 						nc, gm := g.nc, g.gm
 						if nc%ncMin != 0 || nc < ncMin || nc > ncBlock || gm%mc != 0 || gm < mc || gm*nc > accCap {
 							t.Fatalf("mc%d m%d n%d img%d w%d: nc %d gm %d break the blocking bounds", mc, m, n, images, workers, nc, gm)
@@ -438,6 +437,45 @@ func TestBlocking(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// TestRunAllocFree holds the four GEMM entry points — Context.Run and
+// RunInt8, Pool.Run and RunInt8 at one and two workers — to zero heap
+// allocations per run once the scratch has grown. The walk reaches a
+// call's operands through an interface, so a call that strays onto the
+// heap shows up here. AllocsPerRun counts whole allocations per run: a
+// pool helper growing its scratch the first time it is handed a unit, or
+// a job the race detector's sync.Pool dropped, is not one.
+func TestRunAllocFree(t *testing.T) {
+	pool := NewPool(1)
+	defer pool.Close()
+	r := tensor.NewRNG(8)
+	const m, n, k = 300, 200, 260
+	call := Call{PackedA: PrepackA(randMat(r, m, k), m, k), B: randMat(r, k, n), C: make([]float32, m*n),
+		M: m, N: n, K: k, Store: true, BiasRow: randMat(r, m, 1), Act: ActReLU}
+	ic := int8Case{m: 300, n: 200, k: 270, bias: true, act: ActReLU}
+	a8, scaleA, rowSum, b8, bias8 := int8Buffers(ic, 8)
+	call8 := buildCall(ic, a8, scaleA, rowSum, newTestSrc8(b8, ic.k, ic.n, 1, ic.k*ic.n, false), bias8)
+	call8.PackedA, call8.A = PrepackAInt8(a8, ic.m, ic.k), nil
+	var ctx Context
+	for _, tc := range []struct {
+		name string
+		run  func()
+	}{
+		{"Context.Run", func() { ctx.Run(call) }},
+		{"Context.RunInt8", func() { ctx.RunInt8(call8) }},
+		{"Pool.Run/workers=1", func() { pool.Run(&ctx, call, 1) }},
+		{"Pool.Run/workers=2", func() { pool.Run(&ctx, call, 2) }},
+		{"Pool.RunInt8/workers=1", func() { pool.RunInt8(&ctx, call8, 1) }},
+		{"Pool.RunInt8/workers=2", func() { pool.RunInt8(&ctx, call8, 2) }},
+	} {
+		for i := 0; i < 3; i++ { // grow the scratch
+			tc.run()
+		}
+		if avg := testing.AllocsPerRun(20, tc.run); avg != 0 {
+			t.Errorf("%s allocates %v times per run, want 0", tc.name, avg)
 		}
 	}
 }

@@ -4,7 +4,7 @@ package gemm
 //
 // Convolution and dense-layer weights are graph constants, yet the seed
 // implementation repacked their panels on every inference. PrepackA and
-// PrepackB produce, once, the exact panel layout the macro-kernel consumes;
+// PrepackB produce, once, the exact panel layout the walk consumes;
 // Call.PackedA / Call.PackedB then skip that side's per-call packing
 // entirely. The layout is k-panels (kcBlock columns) outermost, then the
 // mr-row (or nr-column) strips of the whole matrix within each, so the panel
@@ -25,23 +25,27 @@ func roundUp(x, q int) int { return ceilDiv(x, q) * q }
 // PackedASize returns the buffer length PrepackAInto requires for an m×k
 // matrix under the active kernel: every row panel is padded up to a
 // multiple of mr rows.
-func PackedASize(m, k int) int { return roundUp(m, activeKernel().mr) * k }
+func PackedASize(m, k int) int { return roundUp(m, fp32Kernels.get().mr) * k }
 
 // PackedBSize returns the buffer length PrepackBInto requires for a k×n
 // matrix under the active kernel: every column panel is padded up to a
 // multiple of nr columns.
-func PackedBSize(k, n int) int { return roundUp(n, activeKernel().nr) * k }
+func PackedBSize(k, n int) int { return roundUp(n, fp32Kernels.get().nr) * k }
 
 // PrepackAInto packs the whole m×k matrix a into dst, which must hold
 // PackedASize(m, k) values.
-func PrepackAInto(dst, a []float32, m, k int) {
-	kern := activeKernel()
+func PrepackAInto(dst, a []float32, m, k int) { prepackA(fp32Kernels, packA, dst, a, m, k) }
+
+// prepackA packs the whole m×k matrix a with pack, a tier's panel packer,
+// in its active kernel's geometry: panel (pp, ii) starts at
+// roundUp(m,mr)*pp + ii*roundUp(kc,kgroup), where the walk reads it.
+func prepackA[A, B, C any](r *registry[A, B, C], pack func(dst, a []A, ii, pp, mc, kc, lda, mr int), dst, a []A, m, k int) {
+	kern := r.get()
 	pm := roundUp(m, kern.mr)
 	for pp := 0; pp < k; pp += kcBlock {
 		kc := min(kcBlock, k-pp)
 		for ii := 0; ii < m; ii += kern.mc {
-			mc := min(kern.mc, m-ii)
-			packA(dst[pm*pp+ii*kc:], a, ii, pp, mc, kc, k, kern.mr)
+			pack(dst[pm*pp+ii*roundUp(kc, r.kgroup):], a, ii, pp, min(kern.mc, m-ii), kc, k, kern.mr)
 		}
 	}
 }
@@ -56,7 +60,7 @@ func PrepackA(a []float32, m, k int) []float32 {
 // PrepackBInto packs the whole k×n matrix b into dst, which must hold
 // PackedBSize(k, n) values.
 func PrepackBInto(dst, b []float32, k, n int) {
-	kern := activeKernel()
+	kern := fp32Kernels.get()
 	pn := roundUp(n, kern.nr)
 	for pp := 0; pp < k; pp += kcBlock {
 		kc := min(kcBlock, k-pp)

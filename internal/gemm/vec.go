@@ -47,7 +47,7 @@ func gatherRowGo(dst, x []float32, stride int) {
 	}
 }
 
-// requantRow is the per-image requantize row of CallInt8.storeTile:
+// requantRow is the per-image requantize row of CallInt8.store:
 //
 //	dst[i] = float32(acc[i]-comp)*s + bias   through ReLU when relu is set
 //

@@ -304,7 +304,8 @@ func (b *Batcher) Submit(ctx context.Context, sample []float32, wait time.Durati
 // into its staging tensor), the caller hands a stage callback; if the
 // request is claimed by a batch, stage is called exactly once, on the
 // executing batch's goroutine, with the request's staging row as dst
-// (exactly SampleVolume values), and must fill all of it. A request
+// (exactly one sample's values: the volume of the plan's input
+// shape), and must fill all of it. A request
 // cancelled while queued never has stage called. Any buffers stage reads
 // from must stay valid until SubmitStaged returns.
 func (b *Batcher) SubmitStaged(ctx context.Context, stage func(dst []float32), wait time.Duration) (BatchResult, error) {
@@ -313,10 +314,6 @@ func (b *Batcher) SubmitStaged(ctx context.Context, stage func(dst []float32), w
 	}
 	return b.submit(ctx, nil, stage, wait)
 }
-
-// SampleVolume returns the flat value count of one sample — the length of
-// the dst slice a SubmitStaged callback receives.
-func (b *Batcher) SampleVolume() int { return b.perVol }
 
 // submit is the shared enqueue path behind Submit and SubmitStaged.
 func (b *Batcher) submit(ctx context.Context, sample []float32, stage func(dst []float32), wait time.Duration) (BatchResult, error) {

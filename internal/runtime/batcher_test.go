@@ -435,13 +435,11 @@ func TestBatcherStatsImmediate(t *testing.T) {
 // TestSubmitStagedMatchesSubmit pins the zero-copy staging hook: staged
 // and copied submissions of the same samples produce identical results,
 // the stage callback runs exactly once per claimed request and receives a
-// dst of exactly SampleVolume values, and a nil callback is rejected with
-// a typed error.
+// dst of exactly the plan's input volume, and a nil callback is rejected
+// with a typed error.
 func TestSubmitStagedMatchesSubmit(t *testing.T) {
 	b, pool := newTestBatcher(t, 4, BatcherOptions{FlushDeadline: 5 * time.Millisecond}, nil)
-	if b.SampleVolume() != 3*8*8 {
-		t.Fatalf("SampleVolume = %d, want %d", b.SampleVolume(), 3*8*8)
-	}
+	perVol := tensor.Volume(pool.Plan().InputDescs()[0].Shape)
 	if _, err := b.SubmitStaged(context.Background(), nil, 0); !errors.Is(err, ErrShapeMismatch) {
 		t.Fatalf("nil stage callback error = %v, want ErrShapeMismatch", err)
 	}
@@ -463,8 +461,8 @@ func TestSubmitStagedMatchesSubmit(t *testing.T) {
 			} else {
 				res, err = b.SubmitStaged(context.Background(), func(dst []float32) {
 					stageCalls.Add(1)
-					if len(dst) != len(sample) {
-						errs[i] = fmt.Errorf("stage dst has %d values, want %d", len(dst), len(sample))
+					if len(dst) != perVol {
+						errs[i] = fmt.Errorf("stage dst has %d values, want the input volume %d", len(dst), perVol)
 						return
 					}
 					copy(dst, sample)

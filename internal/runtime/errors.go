@@ -36,10 +36,6 @@ var (
 	// batcher or server has drained and no longer accepts work.
 	ErrClosed = errors.New("closed")
 
-	// ErrNoOutput marks a graph that produced no output tensor (a model
-	// hosting error, not a request error).
-	ErrNoOutput = errors.New("model has no outputs")
-
 	// ErrOverloaded marks a request shed by admission control: the
 	// batcher's queue or the server's in-flight limit is at capacity and
 	// the request was rejected immediately instead of queueing unboundedly.

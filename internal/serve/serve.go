@@ -475,8 +475,8 @@ func statusFor(err error) int {
 	case errors.Is(err, ErrNotHosted):
 		return http.StatusNotFound
 	default:
-		// runtime.ErrPlanPanic, runtime.ErrNoOutput, context.Canceled (the
-		// client is gone and never reads the status) and kernel failures.
+		// runtime.ErrPlanPanic, context.Canceled (the client is gone and
+		// never reads the status) and kernel failures.
 		return http.StatusInternalServerError
 	}
 }

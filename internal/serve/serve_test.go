@@ -468,7 +468,6 @@ func TestStatusForTypedErrors(t *testing.T) {
 		{wrap(runtime.ErrUnknownOutput), http.StatusBadRequest},
 		{wrap(runtime.ErrOverloaded), http.StatusTooManyRequests},
 		{wrap(runtime.ErrClosed), http.StatusServiceUnavailable},
-		{wrap(runtime.ErrNoOutput), http.StatusInternalServerError},
 		{wrap(runtime.ErrPlanPanic), http.StatusInternalServerError},
 		{&runtime.PlanPanicError{Model: "m", Node: "n", Op: "Conv", Value: "boom"}, http.StatusInternalServerError},
 		{context.Canceled, http.StatusInternalServerError},

@@ -69,8 +69,6 @@ var (
 	ErrBatchTooLarge = runtime.ErrBatchTooLarge
 	// ErrClosed marks a request submitted after Close.
 	ErrClosed = runtime.ErrClosed
-	// ErrNoOutput marks a graph that produced no output tensor.
-	ErrNoOutput = runtime.ErrNoOutput
 	// ErrOverloaded marks a request rejected at admission because a bounded
 	// batcher queue (WithQueueDepth) was full. Overload rejections are
 	// immediate — the request never waits — so callers can retry after a
