@@ -1,6 +1,10 @@
 package gemm
 
-import "math"
+import (
+	"fmt"
+	"math"
+	"math/bits"
+)
 
 // axpyRowGo is the portable AXPYRow: the same walk as the assembly, one
 // element at a time.
@@ -36,14 +40,60 @@ func maxRowGo(dst []float32, ldd int, x []float32, ldx, stride, n, rows int) {
 	}
 }
 
-// gatherRowGo is the portable GatherRow.
-func gatherRowGo(dst, x []float32, stride int) {
-	if stride == 1 {
-		copy(dst, x)
+// The GatherTaps bodies, in the order a host may run them: each host runs
+// gatherBody, and every body below it is also present for the tests.
+const (
+	bodyGo = iota
+	bodyAVX2
+	bodyAVX512
+)
+
+// GatherTaps is the row primitive of the implicit-GEMM convolution gather:
+// for every k-row i of a panel it stores n elements of x, stride apart
+// from tap[i], to row i of dst:
+//
+//	dst[i*ldd+j] = x[tap[i] + j*stride]   i in [0, len(tap)), j in [0, n)
+//
+// tap must be non-decreasing, as a panel's tap table is by construction;
+// GatherTaps then proves every read and write in bounds from the first and
+// last tap alone, once per call, and panics when one is not. Elements are
+// moved, never computed on, so every bit pattern — signalling NaNs
+// included — arrives unchanged.
+func GatherTaps(dst []float32, ldd int, x []float32, tap []int, n, stride int) {
+	if n <= 0 || len(tap) == 0 {
 		return
 	}
-	for i := range dst {
-		dst[i] = x[i*stride]
+	first, last := tap[0], tap[len(tap)-1]
+	reach, readOK := span(n-1, stride)
+	rowEnd, writeOK := span(len(tap)-1, ldd)
+	if stride < 1 || first < 0 || last < first || !readOK || reach >= len(x)-last {
+		panic(fmt.Sprintf("gemm: GatherTaps reads taps [%d, %d] + %d×%d of %d elements", first, last, n-1, stride, len(x)))
+	}
+	if !writeOK || rowEnd > len(dst)-n {
+		panic(fmt.Sprintf("gemm: GatherTaps writes %d rows of %d at %d apart into %d elements", len(tap), n, ldd, len(dst)))
+	}
+	gatherTaps(gatherBody, dst, ldd, x, tap, n, stride)
+}
+
+// span returns count*step, and whether both are non-negative and the
+// product fits in an int.
+func span(count, step int) (int, bool) {
+	hi, lo := bits.Mul64(uint64(count), uint64(step))
+	return int(lo), count >= 0 && step >= 0 && hi == 0 && lo <= math.MaxInt
+}
+
+// gatherTapsGo is the portable GatherTaps body and the oracle of the
+// assembly ones: one copy, or one strided loop, per k-row.
+func gatherTapsGo(dst []float32, ldd int, x []float32, tap []int, n, stride int) {
+	for i, t := range tap {
+		d := dst[i*ldd:][:n]
+		if stride == 1 {
+			copy(d, x[t:])
+			continue
+		}
+		for j := range d {
+			d[j] = x[t+j*stride]
+		}
 	}
 }
 

@@ -6,9 +6,10 @@ package gemm
 // convolution kernel, whose inner loop is a straight elementwise FMA over
 // the channel axis; AXPYRow backs the NCHW one, whose inner loop is one
 // broadcast weight times a run of input columns, and average pooling;
-// MaxRow backs max pooling; GatherRow backs the strided im2col gather;
-// reluRowHead and requantRowHead are the vector heads of the fp32 and int8
-// GEMM epilogues.
+// MaxRow backs max pooling; GatherTaps backs the implicit-GEMM conv
+// gather, moving one stretch of a B panel for all its k-rows in one call
+// with masked AVX-512 or AVX2 moves; reluRowHead and requantRowHead are
+// the vector heads of the fp32 and int8 GEMM epilogues.
 
 // vecAVX2 gates the assembly row helpers on the same probe as the AVX2
 // GEMM kernel.
@@ -127,27 +128,56 @@ func maxRowsAVX2(dst *float32, ldd int64, x *float32, ldx int64, n, rows int64)
 //go:noescape
 func maxRows2AVX2(dst *float32, ldd int64, x *float32, ldx int64, q, tail, rows int64)
 
-// GatherRow copies every stride-th element of x: dst[i] = x[i*stride] for
-// i in [0, len(dst)) — the row primitive of a strided convolution's
-// im2col gather. x must reach the last element that reads. Stride 2
-// de-interleaves whole blocks of 8 in AVX2 registers, under the stride-2
-// over-read guard; the rest of the row and other strides take the
-// portable loop.
-func GatherRow(dst, x []float32, stride int) {
-	q := 0
-	if vecAVX2 && stride == 2 {
-		if q = stride2Head(len(dst), 0, len(x)); q > 0 {
-			gatherRow2AVX2(&dst[0], &x[0], int64(q))
-		}
+// gatherBody is the GatherTaps body this host runs: AVX-512 where the
+// micro-kernel registry would take its AVX-512 tile, else AVX2.
+var gatherBody = func() int {
+	switch {
+	case hasAVX512():
+		return bodyAVX512
+	case vecAVX2:
+		return bodyAVX2
 	}
-	gatherRowGo(dst[q:], x[q*stride:], stride)
+	return bodyGo
+}()
+
+// gatherTaps runs GatherTaps on body, whose bounds the caller has proved.
+// Strides 1 and 2 go to the vector bodies, which cut each row into whole
+// blocks of w outputs (16 on AVX-512, 8 on AVX2) and one last block of
+// m ∈ [1, w] under masks: smask keeps its m stores, lmask the
+// stride·(m−1)+1 elements its loads need. A masked-off lane is neither read
+// nor written and cannot fault, so the last block of the last row may end
+// on the last element of x. Other strides take the portable body.
+func gatherTaps(body int, dst []float32, ldd int, x []float32, tap []int, n, stride int) {
+	if body == bodyGo || stride > 2 {
+		gatherTapsGo(dst, ldd, x, tap, n, stride)
+		return
+	}
+	w := 8
+	if body == bodyAVX512 {
+		w = 16
+	}
+	full := (n - 1) / w
+	m := n - full*w
+	smask, lmask := uint32(1)<<m-1, uint32(1)<<(stride*(m-1)+1)-1
+	if body == bodyAVX512 {
+		gatherTapsAVX512(&dst[0], &x[0], &tap[0], int64(ldd), int64(len(tap)), int64(stride), int64(full), smask, lmask)
+	} else {
+		gatherTapsAVX2(&dst[0], &x[0], &tap[0], int64(ldd), int64(len(tap)), int64(stride), int64(full), smask, lmask)
+	}
 }
 
-// gatherRow2AVX2 stores x[2i] to dst[i] for i in [0, n); n must be a
-// positive multiple of 8. Implemented in vec_amd64.s.
+// gatherTapsAVX512 stores x[tap[i]+j*stride] to dst[i*ldd+j] for i in
+// [0, rows) and j in [0, 16*full+m), stride 1 or 2, with smask and lmask
+// as gatherTaps sets them. Implemented in vec_amd64.s.
 //
 //go:noescape
-func gatherRow2AVX2(dst, x *float32, n int64)
+func gatherTapsAVX512(dst, x *float32, tap *int, ldd, rows, stride, full int64, smask, lmask uint32)
+
+// gatherTapsAVX2 is gatherTapsAVX512 in blocks of 8. Implemented in
+// vec_amd64.s.
+//
+//go:noescape
+func gatherTapsAVX2(dst, x *float32, tap *int, ldd, rows, stride, full int64, smask, lmask uint32)
 
 // reluRowHead stores relu(src[i]+bias) to dst[i] for the leading elements
 // the AVX2 body takes — whole blocks of 8 — and returns how many that was;

@@ -308,26 +308,211 @@ max2next:
 	VZEROUPPER
 	RET
 
-// func gatherRow2AVX2(dst, x *float32, n int64)
-//
-// dst[i] = x[2i] over n outputs, 8 per iteration; n is a positive multiple
-// of 8. The same de-interleave, stored as is.
-TEXT ·gatherRow2AVX2(SB), NOSPLIT, $0-24
-	MOVQ dst+0(FP), DI
-	MOVQ x+8(FP), SI
-	MOVQ n+16(FP), CX
-	SHRQ $3, CX
+// evenIdx<> is the VPERMT2PS index vector that picks the even elements
+// of a 32-float pair of registers: 0, 2, …, 30.
+DATA evenIdx<>+0(SB)/4, $0
+DATA evenIdx<>+4(SB)/4, $2
+DATA evenIdx<>+8(SB)/4, $4
+DATA evenIdx<>+12(SB)/4, $6
+DATA evenIdx<>+16(SB)/4, $8
+DATA evenIdx<>+20(SB)/4, $10
+DATA evenIdx<>+24(SB)/4, $12
+DATA evenIdx<>+28(SB)/4, $14
+DATA evenIdx<>+32(SB)/4, $16
+DATA evenIdx<>+36(SB)/4, $18
+DATA evenIdx<>+40(SB)/4, $20
+DATA evenIdx<>+44(SB)/4, $22
+DATA evenIdx<>+48(SB)/4, $24
+DATA evenIdx<>+52(SB)/4, $26
+DATA evenIdx<>+56(SB)/4, $28
+DATA evenIdx<>+60(SB)/4, $30
+GLOBL evenIdx<>(SB), RODATA|NOPTR, $64
 
-gather2loop:
-	VMOVUPS (SI), Y1
-	VMOVUPS 32(SI), Y2
-	VSHUFPS $0x88, Y2, Y1, Y1
-	VPERMPD $0xD8, Y1, Y1
-	VMOVUPS Y1, (DI)
-	ADDQ    $64, SI
-	ADDQ    $32, DI
+// laneBit<> holds bit i in lane i: AND a broadcast bit mask with it and
+// compare equal, and each lane is all ones where its bit is set — the
+// lane mask VMASKMOVPS takes.
+DATA laneBit<>+0(SB)/4, $1
+DATA laneBit<>+4(SB)/4, $2
+DATA laneBit<>+8(SB)/4, $4
+DATA laneBit<>+12(SB)/4, $8
+DATA laneBit<>+16(SB)/4, $16
+DATA laneBit<>+20(SB)/4, $32
+DATA laneBit<>+24(SB)/4, $64
+DATA laneBit<>+28(SB)/4, $128
+GLOBL laneBit<>(SB), RODATA|NOPTR, $32
+
+// func gatherTapsAVX512(dst, x *float32, tap *int, ldd, rows, stride, full int64, smask, lmask uint32)
+//
+// dst[i*ldd+j] = x[tap[i]+j*stride] for i in [0, rows), j in [0, 16*full+m).
+// Each row moves full whole blocks of 16 outputs, then one block under K1
+// (smask: its m stores) and K2:K3 (lmask: the elements its loads need).
+// At stride 2 a block loads 32 elements in two registers and VPERMT2PS
+// keeps the even ones; a whole block reads one element past what it needs,
+// which lies before the next block's first, so only the masked block must
+// stop short.
+TEXT ·gatherTapsAVX512(SB), NOSPLIT, $0-64
+	MOVQ  dst+0(FP), DI
+	MOVQ  x+8(FP), SI
+	MOVQ  tap+16(FP), R8
+	MOVQ  ldd+24(FP), R9
+	MOVQ  rows+32(FP), R10
+	MOVQ  stride+40(FP), R11
+	MOVQ  full+48(FP), R12
+	MOVL  smask+56(FP), AX
+	MOVL  lmask+60(FP), BX
+	SHLQ  $2, R9
+	KMOVW AX, K1
+	KMOVW BX, K2
+	SHRL  $16, BX
+	KMOVW BX, K3
+	CMPQ  R11, $1
+	JNE   g512s2
+
+g512s1row:
+	MOVQ  (R8), AX
+	LEAQ  (SI)(AX*4), AX
+	MOVQ  DI, DX
+	MOVQ  R12, CX
+	TESTQ CX, CX
+	JZ    g512s1last
+
+g512s1loop:
+	VMOVUPS (AX), Z0
+	VMOVUPS Z0, (DX)
+	ADDQ    $64, AX
+	ADDQ    $64, DX
 	DECQ    CX
-	JNZ     gather2loop
+	JNZ     g512s1loop
+
+g512s1last:
+	VMOVUPS.Z (AX), K1, Z0
+	VMOVUPS   Z0, K1, (DX)
+	ADDQ      R9, DI
+	ADDQ      $8, R8
+	DECQ      R10
+	JNZ       g512s1row
+	VZEROUPPER
+	RET
+
+g512s2:
+	VMOVUPS evenIdx<>(SB), Z7
+
+g512s2row:
+	MOVQ  (R8), AX
+	LEAQ  (SI)(AX*4), AX
+	MOVQ  DI, DX
+	MOVQ  R12, CX
+	TESTQ CX, CX
+	JZ    g512s2last
+
+g512s2loop:
+	VMOVUPS   (AX), Z0
+	VMOVUPS   64(AX), Z1
+	VPERMT2PS Z1, Z7, Z0
+	VMOVUPS   Z0, (DX)
+	ADDQ      $128, AX
+	ADDQ      $64, DX
+	DECQ      CX
+	JNZ       g512s2loop
+
+g512s2last:
+	VMOVUPS.Z (AX), K2, Z0
+	VMOVUPS.Z 64(AX), K3, Z1
+	VPERMT2PS Z1, Z7, Z0
+	VMOVUPS   Z0, K1, (DX)
+	ADDQ      R9, DI
+	ADDQ      $8, R8
+	DECQ      R10
+	JNZ       g512s2row
+	VZEROUPPER
+	RET
+
+// func gatherTapsAVX2(dst, x *float32, tap *int, ldd, rows, stride, full int64, smask, lmask uint32)
+//
+// gatherTapsAVX512 in blocks of 8: the masks become VMASKMOVPS lane masks
+// (Y13 the stores', Y14:Y12 the loads'), and stride 2 de-interleaves with
+// axpyRows2AVX2's VSHUFPS and VPERMPD.
+TEXT ·gatherTapsAVX2(SB), NOSPLIT, $0-64
+	MOVQ         dst+0(FP), DI
+	MOVQ         x+8(FP), SI
+	MOVQ         tap+16(FP), R8
+	MOVQ         ldd+24(FP), R9
+	MOVQ         rows+32(FP), R10
+	MOVQ         stride+40(FP), R11
+	MOVQ         full+48(FP), R12
+	VMOVDQU      laneBit<>(SB), Y15
+	MOVL         smask+56(FP), AX
+	MOVL         lmask+60(FP), BX
+	VMOVD        AX, X13
+	VMOVD        BX, X14
+	VPBROADCASTD X13, Y13
+	VPBROADCASTD X14, Y14
+	VPSRLD       $8, Y14, Y12
+	VPAND        Y15, Y13, Y13
+	VPCMPEQD     Y15, Y13, Y13
+	VPAND        Y15, Y14, Y14
+	VPCMPEQD     Y15, Y14, Y14
+	VPAND        Y15, Y12, Y12
+	VPCMPEQD     Y15, Y12, Y12
+	SHLQ         $2, R9
+	CMPQ         R11, $1
+	JNE          g256s2row
+
+g256s1row:
+	MOVQ  (R8), AX
+	LEAQ  (SI)(AX*4), AX
+	MOVQ  DI, DX
+	MOVQ  R12, CX
+	TESTQ CX, CX
+	JZ    g256s1last
+
+g256s1loop:
+	VMOVUPS (AX), Y0
+	VMOVUPS Y0, (DX)
+	ADDQ    $32, AX
+	ADDQ    $32, DX
+	DECQ    CX
+	JNZ     g256s1loop
+
+g256s1last:
+	VMASKMOVPS (AX), Y13, Y0
+	VMASKMOVPS Y0, Y13, (DX)
+	ADDQ       R9, DI
+	ADDQ       $8, R8
+	DECQ       R10
+	JNZ        g256s1row
+	VZEROUPPER
+	RET
+
+g256s2row:
+	MOVQ  (R8), AX
+	LEAQ  (SI)(AX*4), AX
+	MOVQ  DI, DX
+	MOVQ  R12, CX
+	TESTQ CX, CX
+	JZ    g256s2last
+
+g256s2loop:
+	VMOVUPS (AX), Y0
+	VMOVUPS 32(AX), Y1
+	VSHUFPS $0x88, Y1, Y0, Y0
+	VPERMPD $0xD8, Y0, Y0
+	VMOVUPS Y0, (DX)
+	ADDQ    $64, AX
+	ADDQ    $32, DX
+	DECQ    CX
+	JNZ     g256s2loop
+
+g256s2last:
+	VMASKMOVPS (AX), Y14, Y0
+	VMASKMOVPS 32(AX), Y12, Y1
+	VSHUFPS    $0x88, Y1, Y0, Y0
+	VPERMPD    $0xD8, Y0, Y0
+	VMASKMOVPS Y0, Y13, (DX)
+	ADDQ       R9, DI
+	ADDQ       $8, R8
+	DECQ       R10
+	JNZ        g256s2row
 	VZEROUPPER
 	RET
 

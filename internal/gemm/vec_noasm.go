@@ -43,12 +43,13 @@ func MaxRow(dst []float32, ldd int, x []float32, ldx, stride, n, rows int) {
 	}
 }
 
-// GatherRow copies every stride-th element of x: dst[i] = x[i*stride] for
-// i in [0, len(dst)) — the row primitive of a strided convolution's
-// im2col gather. x must reach the last element that reads. Portable form;
-// amd64 de-interleaves stride 2 in AVX2 registers when the CPU supports it.
-func GatherRow(dst, x []float32, stride int) {
-	gatherRowGo(dst, x, stride)
+// gatherBody is the GatherTaps body this build runs: the portable one.
+const gatherBody = bodyGo
+
+// gatherTaps runs the portable GatherTaps body, the only one here; amd64
+// runs AVX-512 or AVX2 bodies at strides 1 and 2.
+func gatherTaps(body int, dst []float32, ldd int, x []float32, tap []int, n, stride int) {
+	gatherTapsGo(dst, ldd, x, tap, n, stride)
 }
 
 // reluRowHead reports that no leading elements were taken: there is no

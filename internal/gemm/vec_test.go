@@ -1,8 +1,10 @@
 package gemm
 
 import (
+	"encoding/binary"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -119,40 +121,123 @@ func TestMaxRowAsmMatchesGo(t *testing.T) {
 	}
 }
 
-// TestGatherRowAsmMatchesGo pins GatherRow to dst[i] = x[i*stride] bit for
-// bit for every length across its vector head and scalar tail, x ending at
-// the last element read. The int8 pack walks move k-quad words through
-// it, so x holds arbitrary bit patterns — signalling NaNs of both signs,
-// which an arithmetic path would quiet, included — and every one must
-// arrive unchanged.
-func TestGatherRowAsmMatchesGo(t *testing.T) {
+// gatherPayload are the words TestGatherTapsAsmMatchesGo mixes into x:
+// the int8 pack walks move k-quad words through GatherTaps, so x holds
+// arbitrary bit patterns — signalling NaNs of both signs, which an
+// arithmetic path would quiet, included — and every one must arrive
+// unchanged.
+var gatherPayload = []uint32{0x7F800001, 0xFF800001, 0x7FBFFFFF, 0x7FC00000, 0x80000000, 0xFFFFFFFF}
+
+// checkGatherTaps runs body — or, for body −1, the exported GatherTaps with
+// its bounds checks — and the portable body on the same operands, and
+// fails unless dst matches bit for bit, floats around and between its
+// rows included: a body may write nothing but its rows' n elements.
+func checkGatherTaps(t *testing.T, body int, x []float32, tap []int, n, stride, ldd int) {
+	t.Helper()
+	const guard = 1234.5
+	got := make([]float32, (len(tap)-1)*ldd+n+17)
+	for i := range got {
+		got[i] = guard
+	}
+	want := append([]float32(nil), got...)
+	gatherTapsGo(want, ldd, x, tap, n, stride)
+	if body < 0 {
+		GatherTaps(got, ldd, x, tap, n, stride)
+	} else {
+		gatherTaps(body, got, ldd, x, tap, n, stride)
+	}
+	for i := range got {
+		if g, w := math.Float32bits(got[i]), math.Float32bits(want[i]); g != w {
+			t.Fatalf("body %d stride %d n %d ldd %d taps %v: element %d = %#08x, want %#08x", body, stride, n, ldd, tap, i, g, w)
+		}
+	}
+}
+
+// TestGatherTapsAsmMatchesGo pins every GatherTaps body this host has —
+// AVX-512 and AVX2 called directly, so an AVX-512 host still runs the AVX2
+// one — to the portable body bit for bit: n 1–40 (the masked block alone
+// and after one or more whole blocks), strides 1 to 3, ldd at, past and
+// well past n, random non-decreasing taps with repeats, x starting 0–3
+// floats into its allocation and ending at the last element the last row
+// reads. Then the wrapper must panic, never fault, on every out-of-range
+// call.
+func TestGatherTapsAsmMatchesGo(t *testing.T) {
 	r := rand.New(rand.NewSource(29))
-	special := []uint32{0x7F800001, 0xFF800001, 0x7FBFFFFF, 0x7FC00000, 0x80000000, 0xFFFFFFFF}
-	for _, stride := range []int{1, 2, 3} {
-		for n := 0; n <= 40; n++ {
-			for align := 0; align < 4; align++ {
-				x := make([]float32, align+max(n-1, 0)*stride+1)[align:]
-				for i := range x {
-					b := r.Uint32()
-					if r.Intn(3) == 0 {
-						b = special[r.Intn(len(special))]
+	for body := bodyGo; body <= gatherBody; body++ {
+		for _, stride := range []int{1, 2, 3} {
+			for n := 1; n <= 40; n++ {
+				for _, ldd := range []int{n, n + 1, max(n, 32), 2*n + 5} {
+					align := r.Intn(4)
+					tap := make([]int, 1+r.Intn(5))
+					tap[0] = r.Intn(4)
+					for i := 1; i < len(tap); i++ {
+						tap[i] = tap[i-1] + r.Intn(n*stride+2)
 					}
-					x[i] = math.Float32frombits(b)
-				}
-				got := make([]float32, n+2)
-				got[n], got[n+1] = 1234.5, 1234.5
-				GatherRow(got[:n], x, stride)
-				for i := 0; i < n; i++ {
-					if g, w := math.Float32bits(got[i]), math.Float32bits(x[i*stride]); g != w {
-						t.Fatalf("stride %d n %d align %d: element %d = %#08x, want %#08x", stride, n, align, i, g, w)
+					x := make([]float32, align+tap[len(tap)-1]+(n-1)*stride+1)[align:]
+					for i := range x {
+						b := r.Uint32()
+						if r.Intn(3) == 0 {
+							b = gatherPayload[r.Intn(len(gatherPayload))]
+						}
+						x[i] = math.Float32frombits(b)
 					}
-				}
-				if got[n] != 1234.5 || got[n+1] != 1234.5 {
-					t.Fatalf("stride %d n %d align %d: wrote past dst", stride, n, align)
+					checkGatherTaps(t, body, x, tap, n, stride, ldd)
 				}
 			}
 		}
 	}
+
+	x, dst := make([]float32, 20), make([]float32, 20)
+	for _, c := range []struct {
+		name           string
+		dst            []float32
+		tap            []int
+		n, stride, ldd int
+	}{
+		{"negative tap", dst, []int{-1, 0}, 4, 1, 4},
+		{"last read one past x", dst, []int{0, 17}, 4, 1, 4},
+		{"stride-2 last read one past x", dst, []int{0, 14}, 4, 2, 4},
+		{"last tap below first", dst, []int{3, 2}, 4, 1, 4},
+		{"zero stride", dst, []int{0}, 4, 0, 4},
+		{"stride overflows", dst, []int{0}, 3, math.MaxInt/2 + 1, 4},
+		{"dst one short", dst[:11], []int{0, 1, 2}, 4, 1, 4},
+		{"negative ldd", dst, []int{0, 1}, 4, 1, -4},
+		{"ldd overflows", dst, []int{0, 1, 2}, 4, 1, math.MaxInt/2 + 1},
+	} {
+		func() {
+			defer func() {
+				if msg, _ := recover().(string); !strings.HasPrefix(msg, "gemm: GatherTaps") {
+					t.Errorf("%s: recovered %q, want a gemm: GatherTaps panic", c.name, msg)
+				}
+			}()
+			GatherTaps(c.dst, c.ldd, x, c.tap, c.n, c.stride)
+		}()
+	}
+}
+
+// FuzzGatherTaps holds the dispatched GatherTaps, bounds checks included,
+// to the portable body over fuzzed n, stride, ldd, tap steps and payload
+// words; x always ends at the last element read.
+func FuzzGatherTaps(f *testing.F) {
+	f.Add(uint8(17), uint8(0), uint8(15), []byte{2, 9, 0, 30}, []byte{0x01, 0x00, 0x80, 0x7F})
+	f.Add(uint8(32), uint8(1), uint8(0), []byte{0, 64, 64}, []byte{0xFF, 0xFF, 0xBF, 0x7F, 0, 0, 0xC0, 0xFF})
+	f.Fuzz(func(t *testing.T, n, stride, ldd uint8, steps, payload []byte) {
+		nn, s := 1+int(n)%48, 1+int(stride)%3
+		tap := make([]int, 1+min(len(steps), 64))
+		for i := 1; i < len(tap); i++ {
+			tap[i] = tap[i-1] + int(steps[i-1])%(nn*s+2)
+		}
+		x := make([]float32, tap[len(tap)-1]+(nn-1)*s+1)
+		for i := range x {
+			var b uint32
+			if len(payload) >= 4 {
+				at := (4 * i) % (len(payload) - 3)
+				b = binary.LittleEndian.Uint32(payload[at:]) + uint32(i/(len(payload)-3))
+			}
+			x[i] = math.Float32frombits(b)
+		}
+		checkGatherTaps(t, -1, x, tap, nn, s, nn+int(ldd)%40)
+	})
 }
 
 // TestRequantRowAsmMatchesGo pins requantRow — the AVX2 head where there

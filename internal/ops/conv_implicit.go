@@ -18,8 +18,8 @@ import (
 // in-bounds read. A panel's kc rows then decode to one plane offset each,
 // and one division-free walk carries its columns through output pixels
 // and strips together, moving each stretch that stays inside one output
-// row and one strip for all kc rows in one tight loop — no bounds test,
-// no padding branch, no per-row clear.
+// row and one strip for all kc rows in one gemm.GatherTaps call — one
+// bounds check per call, no padding branch, no per-row clear.
 //
 // The walk moves 32-bit elements, so it serves both dtypes: convPackSrc8
 // (conv_int8.go) builds planes of channel-quad words, four channels of one
@@ -91,8 +91,8 @@ func padPlanes(dst []float32, planes int, p *convParams, v float32, row func(d [
 
 // words views b as len(b)/4 32-bit elements. The int8 pack sources move
 // k-quads, four bytes of one column, as float32s through the fp32 walk's
-// moves — copy, gemm.GatherRow, plain loads and stores — which carry every
-// bit pattern, signalling NaNs included, unchanged: no arithmetic ever
+// moves — gemm.GatherTaps, plain loads and stores — which carry every bit
+// pattern, signalling NaNs included, unchanged: no arithmetic ever
 // touches a word.
 func words(b []byte) []float32 {
 	return unsafe.Slice((*float32)(unsafe.Pointer(unsafe.SliceData(b))), len(b)/4)
@@ -141,8 +141,9 @@ func (s *convPackSrc) init(x []float32, p *convParams) {
 
 // PackPanel implements gemm.PackSrc: the kc×nc panel at (pp, jj) of image
 // img's unfold matrix, written as strips of nr columns, row-major within
-// each strip. Each stretch is one copy per k-row at stride 1 and one
-// gemm.GatherRow otherwise; only the edge strip's tail is cleared.
+// each strip. Each stretch — the columns that stay inside one output row
+// and one strip — is one gemm.GatherTaps call over the panel's tap table,
+// increasing by construction; only the edge strip's tail is cleared.
 func (s *convPackSrc) PackPanel(dst []float32, img, pp, jj, kc, nc, nr int) {
 	var tab [gemm.MaxPanelK]int
 	tap := tab[:kc]
@@ -155,16 +156,7 @@ func (s *convPackSrc) PackPanel(dst []float32, img, pp, jj, kc, nc, nr int) {
 	d := dst            // the current strip
 	for j, jl := 0, 0; j < nc; {
 		n := min(s.ow-ox, nr-jl, nc-j)
-		at := row + ox*s.sw
-		if s.sw == 1 {
-			for p, t := range tap {
-				copy(d[p*nr+jl:][:n], x[t+at:])
-			}
-		} else {
-			for p, t := range tap {
-				gemm.GatherRow(d[p*nr+jl:][:n], x[t+at:], s.sw)
-			}
-		}
+		gemm.GatherTaps(d[jl:], nr, x[row+ox*s.sw:], tap, n, s.sw)
 		j += n
 		if ox += n; ox == s.ow {
 			ox = 0

@@ -123,8 +123,8 @@ func TestConvImplicitMatchesExplicit(t *testing.T) {
 }
 
 // stridedPackCases are geometries whose strided gather runs are long
-// enough to reach GatherRow's vector body and wide enough to end on the
-// last column of a row, on top of the battery's small ones.
+// enough to reach GatherTaps' whole vector blocks and wide enough to end
+// on the last column of a row, on top of the battery's small ones.
 var stridedPackCases = []convCase{
 	{name: "stem-like", n: 2, cin: 3, h: 30, w: 45, cout: 4, kh: 7, kw: 7, sh: 2, sw: 2, padT: 3, padL: 3, padB: 3, padR: 3, dh: 1, dw: 1, groups: 1},
 	{name: "s2-even-width", n: 1, cin: 2, h: 12, w: 64, cout: 2, kh: 3, kw: 3, sh: 2, sw: 2, padT: 1, padL: 1, padB: 1, padR: 1, dh: 1, dw: 1, groups: 1},

@@ -115,14 +115,14 @@ func (s *densePackSrc8) init(x []float32, samples, k int) {
 // unbatched). pp is a multiple of 4, so quad q of column j is word
 // pp/4+q of sample jj+j.
 func (s *densePackSrc8) PackPanel8(dst []byte, img, pp, jj, kc, nc, nr int) {
-	kcq := (kc + 3) >> 2
+	var tab [gemm.MaxPanelK / 4]int
+	tap := tab[:(kc+3)>>2]
+	for q := range tap {
+		tap[q] = q
+	}
 	d := words(dst)
 	for j := 0; j < nc; j += nr {
-		strip := d[(j/nr)*kcq*nr:]
-		x := s.q8[(jj+j)*s.ld+(pp>>2):]
-		for q := 0; q < kcq; q++ {
-			gemm.GatherRow(strip[q*nr:][:min(nr, nc-j)], x[q:], s.ld)
-		}
+		gemm.GatherTaps(d[(j/nr)*len(tap)*nr:], nr, s.q8[(jj+j)*s.ld+(pp>>2):], tap, min(nr, nc-j), s.ld)
 	}
-	clearEdgeCols(d, kcq, nr, nc)
+	clearEdgeCols(d, len(tap), nr, nc)
 }
