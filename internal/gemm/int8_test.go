@@ -171,7 +171,8 @@ var int8Cases = []int8Case{
 	{m: 1, n: 1, k: 1},
 	{m: 3, n: 5, k: 7, bias: true},
 	{m: 4, n: 8, k: 4, act: ActReLU},
-	{m: 8, n: 16, k: 8}, // one vnni tile
+	{m: 8, n: 16, k: 8},
+	{m: 16, n: 16, k: 12}, // one vnni tile
 	{m: 7, n: 9, k: 5, act: ActReLU6, bias: true},
 	{m: 9, n: 17, k: 3},   // one past tile boundaries
 	{m: 16, n: 24, k: 32}, // full tiles, no tails
@@ -190,6 +191,15 @@ var int8Cases = []int8Case{
 	{m: 12, n: 7, k: 8, transC: true, colQuant: true, act: ActLeakyReLU},
 	{m: 300, n: 20, k: 260, act: ActLeakyReLU},       // three M-tiles in one group
 	{m: 520, n: 530, k: 9, bias: true, act: ActReLU}, // group narrows the column block
+	// 16-row/16-column tile edges; odd k padding to an odd quad count.
+	{m: 15, n: 15, k: 9},
+	{m: 16, n: 16, k: 11, bias: true},
+	{m: 17, n: 17, k: 19, act: ActReLU},
+	{m: 31, n: 49, k: 27, bias: true, act: ActReLU6},
+	{m: 33, n: 16, k: 41},
+	{m: 16, n: 49, k: 11, batch: 2, padC: 3},
+	{m: 31, n: 15, k: 17, colQuant: true, act: ActReLU},
+	{m: 33, n: 17, k: 49, transC: true, colQuant: true, bias: true},
 }
 
 func (ic int8Case) String() string {

@@ -10,8 +10,8 @@ package gemm
 // of them (fp32Kernels, int8Kernels): the portable pure-Go 4x8 kernel,
 // always present and the correctness reference for the others, then the
 // SIMD kernels architecture files register at init when the CPU supports
-// them — fp32 AVX2/FMA 8x8 and 6x16 and AVX-512 14x32 on amd64, NEON 8x8
-// on arm64; int8 AVX2 VPMADDUBSW 8x8 and AVX-512 VNNI 8x16 on amd64. The
+// them — fp32 AVX2/FMA 8x8 and 6x16 and AVX-512 16x16 on amd64, NEON 8x8
+// on arm64; int8 AVX2 VPMADDUBSW 8x8 and AVX-512 VNNI 16x16 on amd64. The
 // last registered kernel is the tier's default.
 //
 // Selection order, per tier:
@@ -46,10 +46,10 @@ type microKernel[A, B, C any] func(pa []A, pb []B, c []C, kd, ldc int, store boo
 
 // kernel bundles a micro-kernel with the packing geometry it consumes. mc
 // is the M-tile height: mcBlock rounded down to a multiple of mr, so every
-// interior panel is a whole number of strips (tiles taller than 8, like
-// the 14x32 AVX-512 kernel, do not divide 128 evenly) and the prepacked
-// panel offsets pm*pp + ii*kc stay exact. Column blocks are cut from
-// ncBlock in multiples of ncMin, which every nr divides.
+// interior panel is a whole number of strips (a tile height that is not a
+// power of two, like the avx2-6x16 kernel's, does not divide 128 evenly)
+// and the prepacked panel offsets pm*pp + ii*kc stay exact. Column blocks
+// are cut from ncBlock in multiples of ncMin, which every nr divides.
 type kernel[A, B, C any] struct {
 	name   string
 	mr, nr int // micro-tile rows and columns
@@ -61,11 +61,12 @@ func newKernel[A, B, C any](name string, mr, nr int, micro microKernel[A, B, C])
 	return &kernel[A, B, C]{name: name, mr: mr, nr: nr, mc: mcBlock - mcBlock%mr, micro: micro}
 }
 
-// Micro-tile geometry bounds; the panel scratch of a Context is sized for
-// the largest registered kernel so it never depends on dispatch.
+// Micro-tile geometry bounds, which register enforces: no kernel is taller
+// than 16 rows or wider than 16 columns. The panel scratch of a Context is
+// sized for these bounds so it never depends on dispatch.
 const (
 	maxMR = 16
-	maxNR = 32
+	maxNR = 16
 )
 
 // registry is one tier's kernel table: the pure-Go kernel first, then the

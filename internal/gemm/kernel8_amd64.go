@@ -12,10 +12,12 @@ package gemm
 //     (|weight| ≤ 63) keeps every VPMADDUBSW intermediate below int16
 //     saturation, so the result is exact.
 //
-//   - "vnni" (8x16): AVX-512 VNNI collapses the whole reduction into one
+//   - "vnni" (16x16): AVX-512 VNNI collapses the whole reduction into one
 //     VPDPBUSD per row per k-quad, with the signed weight quad embedded
 //     as a 32-bit broadcast memory operand — 64 multiply-adds per
-//     instruction into ZMM int32 accumulators.
+//     instruction into ZMM int32 accumulators. Sixteen rows give sixteen
+//     independent accumulator chains, enough to cover VPDPBUSD's latency
+//     at its full issue rate, and every B load feeds sixteen of them.
 //
 // Both share the fp32 tier's CPUID/XGETBV probing; VNNI additionally
 // requires the OS to save opmask and ZMM state.
@@ -25,7 +27,7 @@ func init() {
 		int8Kernels.register(newKernel("avx2", 8, 8, adaptAsm(microKernel8x8I8AVX2)))
 	}
 	if hasAVX512VNNI() {
-		int8Kernels.register(newKernel("vnni", 8, 16, adaptAsm(microKernel8x16VNNI)))
+		int8Kernels.register(newKernel("vnni", 16, 16, adaptAsm(microKernel16x16VNNI)))
 	}
 }
 
@@ -36,12 +38,12 @@ func init() {
 //go:noescape
 func microKernel8x8I8AVX2(pa *int8, pb *byte, acc *int32, kq, ldc int64, store bool)
 
-// microKernel8x16VNNI computes one 8x16 int32 accumulator block with
+// microKernel16x16VNNI computes one 16x16 int32 accumulator block with
 // AVX-512 VNNI VPDPBUSD, kq ≥ 1 k-quads deep. Implemented in
 // kernel8_amd64.s.
 //
 //go:noescape
-func microKernel8x16VNNI(pa *int8, pb *byte, acc *int32, kq, ldc int64, store bool)
+func microKernel16x16VNNI(pa *int8, pb *byte, acc *int32, kq, ldc int64, store bool)
 
 // hasAVX512VNNI reports whether this CPU and OS support the VNNI kernel:
 // CPUID must advertise OSXSAVE+AVX, AVX-512F and AVX-512 VNNI, and XCR0

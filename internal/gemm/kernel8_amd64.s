@@ -131,14 +131,16 @@ i8accum:
 	VZEROUPPER
 	RET
 
-// func microKernel8x16VNNI(pa *int8, pb *byte, acc *int32, kq, ldc int64, store bool)
+// func microKernel16x16VNNI(pa *int8, pb *byte, acc *int32, kq, ldc int64, store bool)
 //
-// 8x16 int32 accumulator block with AVX-512 VNNI. Per quad: Z8 holds the
-// 16 columns' u8 quads (64 bytes) and each row issues a single
-// VPDPBUSD.BCST — the row's s8 quad broadcast straight from the packed A
-// panel as the signed operand — accumulating 64 multiply-adds per
-// instruction.
-TEXT ·microKernel8x16VNNI(SB), NOSPLIT, $0-41
+// 16x16 int32 accumulator block with AVX-512 VNNI, one ZMM accumulator
+// per row (Z0..Z15). Per quad: Z16 holds the 16 columns' u8 quads (64
+// bytes) and each row issues a single VPDPBUSD.BCST — the row's s8 quad
+// broadcast straight from the packed A panel as the signed operand —
+// accumulating 64 multiply-adds per instruction. Sixteen independent
+// accumulator chains cover VPDPBUSD's latency at full issue rate, and
+// each B load feeds sixteen of them. pa and pb advance 64 bytes per quad.
+TEXT ·microKernel16x16VNNI(SB), NOSPLIT, $0-41
 	MOVQ pa+0(FP), SI
 	MOVQ pb+8(FP), DX
 	MOVQ acc+16(FP), DI
@@ -154,22 +156,38 @@ TEXT ·microKernel8x16VNNI(SB), NOSPLIT, $0-41
 	VPXORQ Z5, Z5, Z5
 	VPXORQ Z6, Z6, Z6
 	VPXORQ Z7, Z7, Z7
+	VPXORQ Z8, Z8, Z8
+	VPXORQ Z9, Z9, Z9
+	VPXORQ Z10, Z10, Z10
+	VPXORQ Z11, Z11, Z11
+	VPXORQ Z12, Z12, Z12
+	VPXORQ Z13, Z13, Z13
+	VPXORQ Z14, Z14, Z14
+	VPXORQ Z15, Z15, Z15
 
 vnniloop:
-	VMOVDQU64 (DX), Z8      // 16 columns x 4 k bytes
-	PREFETCHT0 512(DX)
-	PREFETCHT0 512(SI)
+	VMOVDQU64 (DX), Z16     // 16 columns x 4 k bytes
+	PREFETCHT0 1024(DX)
+	PREFETCHT0 1024(SI)
 
-	VPDPBUSD.BCST 0(SI), Z8, Z0
-	VPDPBUSD.BCST 4(SI), Z8, Z1
-	VPDPBUSD.BCST 8(SI), Z8, Z2
-	VPDPBUSD.BCST 12(SI), Z8, Z3
-	VPDPBUSD.BCST 16(SI), Z8, Z4
-	VPDPBUSD.BCST 20(SI), Z8, Z5
-	VPDPBUSD.BCST 24(SI), Z8, Z6
-	VPDPBUSD.BCST 28(SI), Z8, Z7
+	VPDPBUSD.BCST 0(SI), Z16, Z0
+	VPDPBUSD.BCST 4(SI), Z16, Z1
+	VPDPBUSD.BCST 8(SI), Z16, Z2
+	VPDPBUSD.BCST 12(SI), Z16, Z3
+	VPDPBUSD.BCST 16(SI), Z16, Z4
+	VPDPBUSD.BCST 20(SI), Z16, Z5
+	VPDPBUSD.BCST 24(SI), Z16, Z6
+	VPDPBUSD.BCST 28(SI), Z16, Z7
+	VPDPBUSD.BCST 32(SI), Z16, Z8
+	VPDPBUSD.BCST 36(SI), Z16, Z9
+	VPDPBUSD.BCST 40(SI), Z16, Z10
+	VPDPBUSD.BCST 44(SI), Z16, Z11
+	VPDPBUSD.BCST 48(SI), Z16, Z12
+	VPDPBUSD.BCST 52(SI), Z16, Z13
+	VPDPBUSD.BCST 56(SI), Z16, Z14
+	VPDPBUSD.BCST 60(SI), Z16, Z15
 
-	ADDQ $32, SI
+	ADDQ $64, SI
 	ADDQ $64, DX
 	DECQ CX
 	JNZ  vnniloop
@@ -193,6 +211,22 @@ vnniloop:
 	VMOVDQU32 Z6, (DI)
 	ADDQ      R8, DI
 	VMOVDQU32 Z7, (DI)
+	ADDQ      R8, DI
+	VMOVDQU32 Z8, (DI)
+	ADDQ      R8, DI
+	VMOVDQU32 Z9, (DI)
+	ADDQ      R8, DI
+	VMOVDQU32 Z10, (DI)
+	ADDQ      R8, DI
+	VMOVDQU32 Z11, (DI)
+	ADDQ      R8, DI
+	VMOVDQU32 Z12, (DI)
+	ADDQ      R8, DI
+	VMOVDQU32 Z13, (DI)
+	ADDQ      R8, DI
+	VMOVDQU32 Z14, (DI)
+	ADDQ      R8, DI
+	VMOVDQU32 Z15, (DI)
 	VZEROUPPER
 	RET
 
@@ -220,5 +254,29 @@ vnniaccum:
 	ADDQ      R8, DI
 	VPADDD    (DI), Z7, Z7
 	VMOVDQU32 Z7, (DI)
+	ADDQ      R8, DI
+	VPADDD    (DI), Z8, Z8
+	VMOVDQU32 Z8, (DI)
+	ADDQ      R8, DI
+	VPADDD    (DI), Z9, Z9
+	VMOVDQU32 Z9, (DI)
+	ADDQ      R8, DI
+	VPADDD    (DI), Z10, Z10
+	VMOVDQU32 Z10, (DI)
+	ADDQ      R8, DI
+	VPADDD    (DI), Z11, Z11
+	VMOVDQU32 Z11, (DI)
+	ADDQ      R8, DI
+	VPADDD    (DI), Z12, Z12
+	VMOVDQU32 Z12, (DI)
+	ADDQ      R8, DI
+	VPADDD    (DI), Z13, Z13
+	VMOVDQU32 Z13, (DI)
+	ADDQ      R8, DI
+	VPADDD    (DI), Z14, Z14
+	VMOVDQU32 Z14, (DI)
+	ADDQ      R8, DI
+	VPADDD    (DI), Z15, Z15
+	VMOVDQU32 Z15, (DI)
 	VZEROUPPER
 	RET

@@ -9,9 +9,12 @@ package gemm
 //     Each A broadcast feeds two FMAs and each k step loads two B strips
 //     for six broadcasts, so the FLOP-per-load ratio beats 8x8; preferred
 //     on AVX2-only hosts.
-//   - avx512: a 14x32 tile in twenty-eight ZMM accumulators (two 16-wide
-//     registers per row), registered only when the CPU and OS support the
-//     AVX-512F state; preferred where available.
+//   - avx512: a 16x16 tile in sixteen ZMM accumulators, one 16-wide
+//     register per row, each FMA taking its row's A value as an embedded
+//     broadcast operand. Sixteen rows make every channel count that is a
+//     multiple of 16 (64, 128, 256, 512) whole strips, and 16 columns pad
+//     a narrow plane by under one vector. Registered only when the CPU and
+//     OS support the AVX-512F state; preferred where available.
 //
 // Feature detection is a hand-rolled CPUID/XGETBV probe (no external
 // dependency), so the portable kernel remains the default everywhere else.
@@ -22,7 +25,7 @@ func init() {
 		fp32Kernels.register(newKernel("avx2-6x16", 6, 16, adaptAsm(microKernel6x16AVX2)))
 	}
 	if hasAVX512() {
-		fp32Kernels.register(newKernel("avx512", 14, 32, adaptAsm(microKernel14x32AVX512)))
+		fp32Kernels.register(newKernel("avx512", 16, 16, adaptAsm(microKernel16x16AVX512)))
 	}
 }
 
@@ -40,12 +43,12 @@ func microKernel8x8AVX2(pa, pb, c *float32, kc, ldc int64, store bool)
 //go:noescape
 func microKernel6x16AVX2(pa, pb, c *float32, kc, ldc int64, store bool)
 
-// microKernel14x32AVX512 computes one 14x32 block: C[r][cc] (+)= sum_p
-// pa[p*14+r]*pb[p*32+cc], with ldc the row stride of c in elements and kc
+// microKernel16x16AVX512 computes one 16x16 block: C[r][cc] (+)= sum_p
+// pa[p*16+r]*pb[p*16+cc], with ldc the row stride of c in elements and kc
 // ≥ 1. Implemented in kernel_amd64.s.
 //
 //go:noescape
-func microKernel14x32AVX512(pa, pb, c *float32, kc, ldc int64, store bool)
+func microKernel16x16AVX512(pa, pb, c *float32, kc, ldc int64, store bool)
 
 // cpuid executes the CPUID instruction for (eaxIn, ecxIn).
 func cpuid(eaxIn, ecxIn uint32) (eax, ebx, ecx, edx uint32)

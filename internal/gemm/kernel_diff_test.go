@@ -2,6 +2,7 @@ package gemm
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"orpheus/internal/tensor"
@@ -71,6 +72,13 @@ var diffCases = []diffCase{
 	{m: 5, n: 6, k: 9, batch: 3},
 	{m: 8, n: 8, k: 16, batch: 4, padB: 3, padC: 5},
 	{m: 130, n: 36, k: 40, batch: 2, padC: 1},
+	// 16-row/16-column tile edges with odd k.
+	{m: 15, n: 15, k: 9},
+	{m: 16, n: 16, k: 11},
+	{m: 17, n: 17, k: 19},
+	{m: 31, n: 49, k: 27},
+	{m: 33, n: 16, k: 41},
+	{m: 16, n: 49, k: 11, batch: 2, padB: 1, padC: 3},
 }
 
 func (dc diffCase) String() string {
@@ -237,6 +245,46 @@ func TestKernelSelection(t *testing.T) {
 	}
 	if got := KernelName(); got != names[len(names)-1] {
 		t.Fatalf("failed SetKernel changed selection to %q", got)
+	}
+}
+
+// TestPackedWeightsUnpaddedAtChannelMultiples pins the row geometry of the
+// AVX-512 kernels: with 16-row tiles, weight matrices whose output-channel
+// count is a multiple of 16 — every CNN channel count from 16 up — pack
+// with no padded rows, in either tier.
+func TestPackedWeightsUnpaddedAtChannelMultiples(t *testing.T) {
+	t.Run("fp32", func(t *testing.T) {
+		if !slices.Contains(KernelNames(), "avx512") {
+			t.Skip("avx512 kernel not selectable on this CPU/build")
+		}
+		withKernel(t, "avx512", func() {
+			forChannelMultiples(func(m, k int) {
+				if got := PackedASize(m, k); got != m*k {
+					t.Errorf("PackedASize(%d, %d) = %d, want %d", m, k, got, m*k)
+				}
+			})
+		})
+	})
+	t.Run("int8", func(t *testing.T) {
+		if !slices.Contains(Kernel8Names(), "vnni") {
+			t.Skip("vnni kernel not selectable on this CPU/build")
+		}
+		withKernel8(t, "vnni", func() {
+			forChannelMultiples(func(m, k int) {
+				if got, want := PackedAInt8Size(m, k), m*roundUp(k, kQuad); got != want {
+					t.Errorf("PackedAInt8Size(%d, %d) = %d, want %d", m, k, got, want)
+				}
+			})
+		})
+	})
+}
+
+// forChannelMultiples calls fn for every output-channel count m in
+// {16, 32, …, 512}, with a stem-like and a 3x3-conv-like k.
+func forChannelMultiples(fn func(m, k int)) {
+	for m := 16; m <= 512; m += 16 {
+		fn(m, 27)
+		fn(m, 9*m)
 	}
 }
 

@@ -217,8 +217,10 @@ func grow[T any](buf []T, n int) []T {
 	return buf[:cap(buf)]
 }
 
-// Panel scratch is padded up to full micro-tiles and sized for the largest
-// registered kernel, so it never depends on dispatch.
+// Panel scratch is padded up to full micro-tiles of the largest tile any
+// kernel may register (maxMR×maxNR), so it never depends on dispatch: an
+// mc×kc A panel needs at most maxMR extra rows, and a kc×nc B panel at most
+// maxNR extra columns.
 const (
 	aScratch = (mcBlock + maxMR) * kcBlock
 	bScratch = (ncBlock + maxNR) * kcBlock
