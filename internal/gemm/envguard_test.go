@@ -69,3 +69,42 @@ func checkEnvGuard[A, B, C any](t *testing.T, r *registry[A, B, C], unknown []st
 		}
 	}
 }
+
+// TestPinnedAVX2IsTheAVX2Default holds each tier to one kernel per
+// instruction set: no name maps to two kernels, and on a host with AVX2
+// the kernel ORPHEUS_GEMM_KERNEL=avx2 pins is the one an AVX2-only host
+// selects by default — this host's registry with the AVX-512 kernel left
+// out. A CI lane that pins "avx2" then runs production's AVX2 kernels.
+func TestPinnedAVX2IsTheAVX2Default(t *testing.T) {
+	t.Run("fp32", func(t *testing.T) { checkAVX2Default(t, fp32Kernels, "avx512") })
+	t.Run("int8", func(t *testing.T) { checkAVX2Default(t, int8Kernels, "vnni") })
+}
+
+// checkAVX2Default holds one registry to TestPinnedAVX2IsTheAVX2Default;
+// avx512 names the tier's AVX-512 kernel.
+func checkAVX2Default[A, B, C any](t *testing.T, r *registry[A, B, C], avx512 string) {
+	seen := map[string]bool{}
+	for _, k := range r.kernels {
+		if seen[k.name] {
+			t.Fatalf("%skernel name %q maps to two kernels", r.tier, k.name)
+		}
+		seen[k.name] = true
+	}
+	pinned := r.lookup("avx2")
+	if pinned == nil {
+		t.Skip("no AVX2 kernel on this host")
+	}
+	saved := r.kernels
+	defer func() { r.kernels = saved }()
+	var avx2Host []*kernel[A, B, C]
+	for _, k := range saved {
+		if k.name != avx512 {
+			avx2Host = append(avx2Host, k)
+		}
+	}
+	r.kernels = avx2Host
+	if def, _ := r.resolve(""); def != pinned {
+		t.Fatalf("%skernel avx2 pins a %dx%d tile, but an AVX2-only host selects %s, a %dx%d tile",
+			r.tier, pinned.mr, pinned.nr, def.name, def.mr, def.nr)
+	}
+}

@@ -10,17 +10,19 @@ package gemm
 // of them (fp32Kernels, int8Kernels): the portable pure-Go 4x8 kernel,
 // always present and the correctness reference for the others, then the
 // SIMD kernels architecture files register at init when the CPU supports
-// them — fp32 AVX2/FMA 8x8 and 6x16 and AVX-512 16x16 on amd64, NEON 8x8
-// on arm64; int8 AVX2 VPMADDUBSW 8x8 and AVX-512 VNNI 16x16 on amd64. The
-// last registered kernel is the tier's default.
+// them — fp32 AVX2/FMA 6x16 and AVX-512 16x16 on amd64, NEON 8x8 on
+// arm64; int8 AVX2 VPMADDUBSW 8x8 and AVX-512 VNNI 16x16 on amd64. Each
+// tier has one kernel per instruction set, named after it, and the last
+// registered kernel is the tier's default: a pinned name runs the kernel
+// that production selects on a host whose widest instruction set it is.
 //
 // Selection order, per tier:
 //
 //  1. The ORPHEUS_GEMM_KERNEL environment variable, when it names a kernel
-//     of the tier ("go", "avx2", "avx2-6x16", "avx512", "neon"; int8:
-//     "go", "avx2", "vnni"), pins the choice — the A/B knob for same-host
-//     kernel comparisons. A kernel family of the tier that this CPU cannot
-//     run warns and falls through to the default. Other names are typos:
+//     of the tier ("go", "avx2", "avx512", "neon"; int8: "go", "avx2",
+//     "vnni"), pins the choice — the A/B knob for same-host kernel
+//     comparisons. A kernel family of the tier that this CPU cannot run
+//     warns and falls through to the default. Other names are typos:
 //     the fp32 tier ignores them with a GODEBUG-style warning, and the
 //     int8 tier, for which the fp32-only spellings are not typos, stays
 //     quiet so one bad value warns once.
@@ -47,7 +49,7 @@ type microKernel[A, B, C any] func(pa []A, pb []B, c []C, kd, ldc int, store boo
 // kernel bundles a micro-kernel with the packing geometry it consumes. mc
 // is the M-tile height: mcBlock rounded down to a multiple of mr, so every
 // interior panel is a whole number of strips (a tile height that is not a
-// power of two, like the avx2-6x16 kernel's, does not divide 128 evenly)
+// power of two, like the 6-row avx2 tile's, does not divide 128 evenly)
 // and the prepacked panel offsets pm*pp + ii*kc stay exact. Column blocks
 // are cut from ncBlock in multiples of ncMin, which every nr divides.
 type kernel[A, B, C any] struct {
@@ -83,7 +85,7 @@ type registry[A, B, C any] struct {
 var (
 	fp32Kernels = &registry[float32, float32, float32]{
 		kgroup:   1,
-		families: map[string]bool{"go": true, "avx2": true, "avx2-6x16": true, "avx512": true, "neon": true},
+		families: map[string]bool{"go": true, "avx2": true, "avx512": true, "neon": true},
 		kernels:  []*kernel[float32, float32, float32]{newKernel("go", 4, 8, microKernelGo)},
 	}
 	int8Kernels = &registry[int8, byte, int32]{

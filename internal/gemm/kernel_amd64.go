@@ -2,39 +2,30 @@
 
 package gemm
 
-// AVX2/FMA and AVX-512 dispatch for amd64. Three assembly micro-kernels:
+// AVX2/FMA and AVX-512 dispatch for amd64. Two assembly micro-kernels,
+// one per instruction set:
 //
-//   - avx2: the 8x8 tile in eight YMM accumulators, one row each.
-//   - avx2-6x16: a 6x16 tile in twelve YMM accumulators (two per row).
-//     Each A broadcast feeds two FMAs and each k step loads two B strips
-//     for six broadcasts, so the FLOP-per-load ratio beats 8x8; preferred
-//     on AVX2-only hosts.
+//   - avx2: a 6x16 tile in twelve YMM accumulators (two per row). Each A
+//     broadcast feeds two FMAs and each k step loads two B strips for six
+//     broadcasts. The default on AVX2-only hosts.
 //   - avx512: a 16x16 tile in sixteen ZMM accumulators, one 16-wide
 //     register per row, each FMA taking its row's A value as an embedded
 //     broadcast operand. Sixteen rows make every channel count that is a
 //     multiple of 16 (64, 128, 256, 512) whole strips, and 16 columns pad
 //     a narrow plane by under one vector. Registered only when the CPU and
-//     OS support the AVX-512F state; preferred where available.
+//     OS support the AVX-512F state; the default where available.
 //
 // Feature detection is a hand-rolled CPUID/XGETBV probe (no external
 // dependency), so the portable kernel remains the default everywhere else.
 
 func init() {
 	if hasAVX2FMA() {
-		fp32Kernels.register(newKernel("avx2", 8, 8, adaptAsm(microKernel8x8AVX2)))
-		fp32Kernels.register(newKernel("avx2-6x16", 6, 16, adaptAsm(microKernel6x16AVX2)))
+		fp32Kernels.register(newKernel("avx2", 6, 16, adaptAsm(microKernel6x16AVX2)))
 	}
 	if hasAVX512() {
 		fp32Kernels.register(newKernel("avx512", 16, 16, adaptAsm(microKernel16x16AVX512)))
 	}
 }
-
-// microKernel8x8AVX2 computes one 8x8 block: C[r][cc] (+)= sum_p
-// pa[p*8+r]*pb[p*8+cc], with ldc the row stride of c in elements and kc
-// ≥ 1. Implemented in kernel_amd64.s.
-//
-//go:noescape
-func microKernel8x8AVX2(pa, pb, c *float32, kc, ldc int64, store bool)
 
 // microKernel6x16AVX2 computes one 6x16 block: C[r][cc] (+)= sum_p
 // pa[p*6+r]*pb[p*16+cc], with ldc the row stride of c in elements and kc

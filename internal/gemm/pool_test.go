@@ -397,7 +397,7 @@ func TestPoolBitIdenticalToSerial(t *testing.T) {
 
 // TestBlocking checks the invariants runUnit and the pool rely on for any
 // shape and worker count, at both M-tile heights the kernels have (128,
-// and 126 for the 6-row avx2-6x16 tile): blocks fit the accumulator
+// and 126 for the 6-row fp32 avx2 tile): blocks fit the accumulator
 // cap and every kernel geometry, the units tile every image's C, one
 // worker gets whole-M groups (up to the cap's height), and a many-worker
 // call is cut into at least as many units as there are workers or M-tiles

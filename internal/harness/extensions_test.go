@@ -1,6 +1,8 @@
 package harness
 
 import (
+	"fmt"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -17,8 +19,20 @@ func TestQuantizeExperiment(t *testing.T) {
 	if len(rep.Rows) != 1 {
 		t.Fatalf("rows = %d", len(rep.Rows))
 	}
-	if !strings.HasSuffix(rep.Rows[0][3], "x") {
-		t.Fatalf("compression cell = %q", rep.Rows[0][3])
+	row := rep.Rows[0]
+	if !strings.HasSuffix(row[3], "x") {
+		t.Fatalf("compression cell = %q", row[3])
+	}
+	// The row describes the compiled int8 plan: some layer runs on an int8
+	// kernel, and that plan holds fewer weight bytes than the fp32 one.
+	var quantized, layers int
+	if _, err := fmt.Sscanf(row[4], "%d/%d", &quantized, &layers); err != nil || quantized < 1 || quantized > layers {
+		t.Fatalf("int8 layers cell = %q, want k/n with 1 <= k <= n", row[4])
+	}
+	fp32MB, err1 := strconv.ParseFloat(row[1], 64)
+	int8MB, err2 := strconv.ParseFloat(row[2], 64)
+	if err1 != nil || err2 != nil || int8MB >= fp32MB {
+		t.Fatalf("weights fp32 %q MB, int8 %q MB: want the int8 plan smaller", row[1], row[2])
 	}
 }
 

@@ -2,6 +2,7 @@ package onnx
 
 import (
 	"fmt"
+	"math"
 	"os"
 
 	"orpheus/internal/graph"
@@ -26,11 +27,9 @@ func Import(m *Model) (*graph.Graph, error) {
 		isInit[t.Name] = true
 		switch t.DataType {
 		case TensorFloat:
-			shape := make([]int, len(t.Dims))
-			vol := 1
-			for j, d := range t.Dims {
-				shape[j] = int(d)
-				vol *= int(d)
+			shape, vol, err := shapeOf(t.Dims)
+			if err != nil {
+				return nil, fmt.Errorf("onnx: initializer %q: %w", t.Name, err)
 			}
 			if len(t.FloatData) != vol {
 				return nil, fmt.Errorf("onnx: initializer %q has %d floats for shape %v", t.Name, len(t.FloatData), t.Dims)
@@ -51,12 +50,14 @@ func Import(m *Model) (*graph.Graph, error) {
 		if isInit[vi.Name] {
 			continue
 		}
-		shape := make([]int, len(vi.Shape))
 		for i, d := range vi.Shape {
 			if d < 0 {
 				return nil, fmt.Errorf("onnx: input %q has dynamic dimension %d (unsupported)", vi.Name, i)
 			}
-			shape[i] = int(d)
+		}
+		shape, _, err := shapeOf(vi.Shape)
+		if err != nil {
+			return nil, fmt.Errorf("onnx: input %q: %w", vi.Name, err)
 		}
 		if _, err := g.Input(vi.Name, shape); err != nil {
 			return nil, err
@@ -82,6 +83,25 @@ func Import(m *Model) (*graph.Graph, error) {
 		return nil, fmt.Errorf("onnx: imported graph invalid: %w", err)
 	}
 	return g, nil
+}
+
+// shapeOf converts ONNX dims to a shape and its volume. The dims come from
+// the file, so a negative dim and a volume that overflows an int are
+// errors, not panics or a silently wrapped size.
+func shapeOf(dims []int64) ([]int, int, error) {
+	shape := make([]int, len(dims))
+	vol := 1
+	for i, d := range dims {
+		if d < 0 {
+			return nil, 0, fmt.Errorf("negative dimension in shape %v", dims)
+		}
+		if d > math.MaxInt || d > 0 && int64(vol) > math.MaxInt/d {
+			return nil, 0, fmt.Errorf("shape %v overflows", dims)
+		}
+		shape[i] = int(d)
+		vol *= int(d)
+	}
+	return shape, vol, nil
 }
 
 // ImportFile reads an ONNX file into an Orpheus graph.

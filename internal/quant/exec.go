@@ -1,9 +1,13 @@
+// Package quant holds the weight quantizer of the int8 execution tier:
+// per-row symmetric quantization into [-QMaxGemm, QMaxGemm], the one int8
+// scheme Orpheus runs. The int8 conv and dense kernels call it once, at
+// plan time, and feed the result to internal/gemm's u8×s8 GEMM. Activations
+// are quantized per image by the kernels themselves. The E2 experiment
+// (internal/harness) measures footprint and drift on the compiled int8
+// plan, so what it reports is what this scheme deploys.
 package quant
 
 import "math"
-
-// Quantization helpers for the executable int8 GEMM tier (internal/gemm's
-// CallInt8), as opposed to the fake-quant measurement path in quant.go.
 
 // QMaxGemm is the symmetric weight bound of the int8 GEMM tier. Weights
 // are clamped to [-63, 63] (7 significant bits) rather than the full int8

@@ -56,9 +56,9 @@ func WithFlushDeadline(d time.Duration) Option {
 // arriving while n requests are already queued (submitted but not yet
 // claimed by a batch) is shed immediately with 429 and a Retry-After
 // estimate instead of joining an unbounded goroutine pile-up. n <= 0
-// (the default) leaves queues unbounded. WithModelQueueDepth overrides
-// the value per model. Only batching servers (WithMaxBatch > 1) have
-// queues; on unbatched servers use WithMaxInflight.
+// (the default) leaves queues unbounded. Only batching servers
+// (WithMaxBatch > 1) have queues; on unbatched servers use
+// WithMaxInflight.
 func WithQueueDepth(n int) Option {
 	return func(c *config) { c.queueDepth = n }
 }
@@ -77,8 +77,8 @@ func WithMaxInflight(n int) Option {
 // queue wait: solo runs execute under a context deadline enforced at
 // plan-step boundaries, and batched runs get the same bound as the
 // batcher's RunTimeout. Requests over the deadline fail with
-// context.DeadlineExceeded (→ 500). WithModelTimeout overrides the value
-// per model. d <= 0 (the default) disables the bound.
+// context.DeadlineExceeded (→ 500). d <= 0 (the default) disables the
+// bound.
 func WithRequestTimeout(d time.Duration) Option {
 	return func(c *config) { c.reqTimeout = d }
 }
@@ -94,15 +94,10 @@ func WithInt8() Option {
 
 // modelSettings is the resolved per-model policy a ModelOption edits.
 type modelSettings struct {
-	priority   int
-	queueDepth int
-	queueSet   bool
-	timeout    time.Duration
-	timeoutSet bool
+	priority int
 }
 
-// ModelOption configures one hosted model at Add time, overriding the
-// server-wide defaults for that model only.
+// ModelOption configures one hosted model at Add time.
 type ModelOption func(*modelSettings)
 
 // WithModelPriority assigns the model's shedding priority (default 0;
@@ -113,18 +108,6 @@ type ModelOption func(*modelSettings)
 // tiering.
 func WithModelPriority(p int) ModelOption {
 	return func(m *modelSettings) { m.priority = p }
-}
-
-// WithModelQueueDepth bounds this model's batching queue, overriding
-// WithQueueDepth. n <= 0 leaves the queue unbounded.
-func WithModelQueueDepth(n int) ModelOption {
-	return func(m *modelSettings) { m.queueDepth, m.queueSet = n, true }
-}
-
-// WithModelTimeout bounds this model's request execution time, overriding
-// WithRequestTimeout. d <= 0 disables the bound for this model.
-func WithModelTimeout(d time.Duration) ModelOption {
-	return func(m *modelSettings) { m.timeout, m.timeoutSet = d, true }
 }
 
 // Registry holds the hosted models of one serving process: per-model
@@ -170,15 +153,9 @@ func NewRegistry(opts ...Option) *Registry {
 // so multi-input/multi-output graphs are rejected. Add may run while the
 // server is accepting traffic; the model serves as soon as Add returns.
 func (reg *Registry) Add(name string, g *graph.Graph, backendName string, workers int, opts ...ModelOption) error {
-	ms := modelSettings{queueDepth: reg.cfg.queueDepth, timeout: reg.cfg.reqTimeout}
+	var ms modelSettings
 	for _, o := range opts {
 		o(&ms)
-	}
-	if !ms.queueSet {
-		ms.queueDepth = reg.cfg.queueDepth
-	}
-	if !ms.timeoutSet {
-		ms.timeout = reg.cfg.reqTimeout
 	}
 	be, err := backend.ByName(backendName)
 	if err != nil {
@@ -199,8 +176,6 @@ func (reg *Registry) Add(name string, g *graph.Graph, backendName string, worker
 		sessions: runtime.NewSessionPool(plan),
 		inShape1: ins[0].Shape,
 		priority: ms.priority,
-		queueCap: ms.queueDepth,
-		timeout:  ms.timeout,
 	}
 	e.perVol = tensor.Volume(e.inShape1)
 	e.maxWireLen = wire.HeaderSize(wire.MaxRank) + 4*e.perVol
@@ -208,8 +183,8 @@ func (reg *Registry) Add(name string, g *graph.Graph, backendName string, worker
 		e.batcher, err = runtime.NewBatcher(e.sessions, runtime.BatcherOptions{
 			FlushDeadline: reg.cfg.flush,
 			Immediate:     reg.cfg.flush == 0,
-			QueueDepth:    ms.queueDepth,
-			RunTimeout:    ms.timeout,
+			QueueDepth:    reg.cfg.queueDepth,
+			RunTimeout:    reg.cfg.reqTimeout,
 		})
 		if err != nil {
 			return fmt.Errorf("serve: batching %s: %w", name, err)

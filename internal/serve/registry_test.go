@@ -118,9 +118,9 @@ func TestAdmitLimitUncapped(t *testing.T) {
 	}
 }
 
-// TestPerModelOverrides pins WithModelQueueDepth and WithModelTimeout
-// against the server-wide defaults: each model carries its own resolved
-// policy.
+// TestPerModelOverrides pins the one per-model option, WithModelPriority,
+// against the server-wide policy: each model carries its own priority
+// class, and a model added without options gets class 0.
 func TestPerModelOverrides(t *testing.T) {
 	s := New(WithMaxBatch(2), WithQueueDepth(8), WithRequestTimeout(time.Second))
 	t.Cleanup(s.Close)
@@ -128,17 +128,13 @@ func TestPerModelOverrides(t *testing.T) {
 	if err := s.AddModel("default", g, "orpheus", 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.AddModel("custom", g, "orpheus", 1,
-		WithModelQueueDepth(3), WithModelTimeout(50*time.Millisecond)); err != nil {
+	if err := s.AddModel("custom", g, "orpheus", 1, WithModelPriority(4)); err != nil {
 		t.Fatal(err)
 	}
 	d, _ := s.entry("default")
 	c, _ := s.entry("custom")
-	if d.queueCap != 8 || d.timeout != time.Second {
-		t.Fatalf("default entry policy = (%d, %v), want (8, 1s)", d.queueCap, d.timeout)
-	}
-	if c.queueCap != 3 || c.timeout != 50*time.Millisecond {
-		t.Fatalf("custom entry policy = (%d, %v), want (3, 50ms)", c.queueCap, c.timeout)
+	if d.priority != 0 || c.priority != 4 {
+		t.Fatalf("entry priorities = (%d, %d), want (0, 4)", d.priority, c.priority)
 	}
 }
 

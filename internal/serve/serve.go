@@ -103,9 +103,7 @@ type Entry struct {
 	perVol   int   // values per sample
 	batcher  *runtime.Batcher
 
-	priority int           // shedding priority class (higher = shed later)
-	queueCap int           // batching queue bound (0 = unbounded)
-	timeout  time.Duration // per-request execution bound (0 = none)
+	priority int // shedding priority class (higher = shed later)
 
 	// admitLimit is the in-flight level at which this model starts
 	// shedding, derived from the priority tiering (math.MaxInt64 when no
@@ -338,11 +336,12 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	entries := s.reg.snapshot()
 	models := make([]readyModel, 0, len(entries))
 	saturated := false
+	queueCap := s.reg.cfg.queueDepth
 	for _, e := range entries {
-		rm := readyModel{Name: e.Name, QueueCap: e.queueCap}
+		rm := readyModel{Name: e.Name, QueueCap: queueCap}
 		if e.batcher != nil {
 			rm.QueueDepth = e.batcher.Stats().QueueDepth
-			rm.Saturated = e.queueCap > 0 && rm.QueueDepth >= int64(e.queueCap)
+			rm.Saturated = queueCap > 0 && rm.QueueDepth >= int64(queueCap)
 		}
 		saturated = saturated || rm.Saturated
 		models = append(models, rm)
@@ -544,14 +543,15 @@ func (s *Server) lookupModel(w http.ResponseWriter, r *http.Request) (*Entry, bo
 }
 
 // requestCtx derives a request's execution context: the client's context,
-// additionally bounded by the model's request timeout when set — so a
+// additionally bounded by the server's request timeout when set — so a
 // wedged or slow run is cancelled at the next plan-step boundary instead
 // of holding its session (and admission slot) forever.
-func requestCtx(r *http.Request, e *Entry) (context.Context, context.CancelFunc) {
-	if e.timeout <= 0 {
+func (s *Server) requestCtx(r *http.Request) (context.Context, context.CancelFunc) {
+	d := s.reg.cfg.reqTimeout
+	if d <= 0 {
 		return r.Context(), func() {}
 	}
-	return context.WithTimeout(r.Context(), e.timeout)
+	return context.WithTimeout(r.Context(), d)
 }
 
 // predict runs one sample for e: fill writes it into the staging row of
@@ -593,7 +593,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer release()
-	ctx, cancel := requestCtx(r, e)
+	ctx, cancel := s.requestCtx(r)
 	defer cancel()
 	start := time.Now()
 	var (
@@ -672,7 +672,7 @@ func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	ctx, cancel := requestCtx(r, e)
+	ctx, cancel := s.requestCtx(r)
 	defer cancel()
 	sess := e.sessions.Get()
 	in := map[string]*tensor.Tensor{e.sessions.Plan().InputDescs()[0].Name: tensor.FromSlice(req.Input, e.inShape1...)}
