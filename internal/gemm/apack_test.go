@@ -60,7 +60,7 @@ var apackCases = []apackCase{
 
 func TestAPackMatchesExplicitA(t *testing.T) {
 	const tol = 1e-5
-	for _, kn := range KernelNames() {
+	for _, kn := range kernelLabels() {
 		for _, tc := range apackCases {
 			images := tc.batch
 			if images < 1 {
@@ -128,7 +128,7 @@ func TestLdcEmbeddedC(t *testing.T) {
 	const tol = 1e-5
 	const m, n, k, pad, images = 13, 9, 21, 5, 2
 	ldc := n + pad
-	for _, kn := range KernelNames() {
+	for _, kn := range kernelLabels() {
 		for _, workers := range []int{0, 3} {
 			t.Run(fmt.Sprintf("%s/w%d", kn, workers), func(t *testing.T) {
 				withKernel(t, kn, func() {
@@ -191,7 +191,7 @@ func TestLdcEmbeddedC(t *testing.T) {
 func TestAPackBiasColEpilogue(t *testing.T) {
 	const tol = 1e-5
 	const m, n, k = 17, 11, 23
-	for _, kn := range KernelNames() {
+	for _, kn := range kernelLabels() {
 		t.Run(kn, func(t *testing.T) {
 			withKernel(t, kn, func() {
 				r := tensor.NewRNG(7)

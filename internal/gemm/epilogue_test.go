@@ -27,7 +27,7 @@ func (s *matrixSrc) PackPanel(dst []float32, img, pp, jj, kc, nc, nr int) {
 }
 
 func TestBPackMatchesExplicitB(t *testing.T) {
-	for _, kn := range KernelNames() {
+	for _, kn := range kernelLabels() {
 		for _, dc := range diffCases {
 			if dc.k == 0 {
 				continue // a BPack call with K == 0 packs nothing
@@ -106,7 +106,7 @@ func epilogueRef(c []float32, m, n, images, strideC int, biasRow, biasCol []floa
 
 func TestEpilogueMatchesPostSweep(t *testing.T) {
 	acts := []Activation{ActNone, ActReLU, ActReLU6, ActLeakyReLU}
-	for _, kn := range KernelNames() {
+	for _, kn := range kernelLabels() {
 		for _, dc := range diffCases {
 			for _, workers := range []int{0, 3} {
 				for ai, act := range acts {

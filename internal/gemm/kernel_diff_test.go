@@ -16,10 +16,31 @@ import (
 // and FuzzKernelDifferential on every fuzzed input), so agreement here
 // pins the whole chain.
 
-// withKernel runs fn with the named kernel active, restoring the previous
-// selection afterwards.
+// kernelAliases maps extra per-kernel subtest labels to the fp32 kernel
+// they run. The AVX2 tile also runs under "avx2-6x16", the name it had
+// while the tier held a second AVX2 tile, so the subtests that pinned it
+// under that name keep it.
+var kernelAliases = map[string]string{"avx2-6x16": "avx2"}
+
+// kernelLabels returns the labels the per-kernel fp32 subtests run under:
+// every selectable kernel's name, then each alias of a selectable kernel.
+func kernelLabels() []string {
+	labels := KernelNames()
+	for alias, name := range kernelAliases {
+		if slices.Contains(labels, name) {
+			labels = append(labels, alias)
+		}
+	}
+	return labels
+}
+
+// withKernel runs fn with the named kernel (or the kernel a label of
+// kernelAliases names) active, restoring the previous selection afterwards.
 func withKernel(t testing.TB, name string, fn func()) {
 	t.Helper()
+	if k, ok := kernelAliases[name]; ok {
+		name = k
+	}
 	prev := KernelName()
 	if err := SetKernel(name); err != nil {
 		t.Fatal(err)
@@ -32,12 +53,11 @@ func withKernel(t testing.TB, name string, fn func()) {
 	fn()
 }
 
-// simdKernelNames returns the selectable kernels other than the pure-Go
-// reference, skipping the test when none exist (noasm build or an
-// unsupported CPU).
-func simdKernelNames(t testing.TB) []string {
+// simdKernelNames returns the labels other than the pure-Go reference,
+// skipping the test when none exist (noasm build or an unsupported CPU).
+func simdKernelNames(t testing.TB, labels []string) []string {
 	var names []string
-	for _, n := range KernelNames() {
+	for _, n := range labels {
 		if n != "go" {
 			names = append(names, n)
 		}
@@ -193,7 +213,7 @@ func diffBuffers(dc diffCase, seed uint64) (a, b, cInit []float32) {
 
 func TestKernelDifferential(t *testing.T) {
 	const tol = 1e-5
-	for _, simd := range simdKernelNames(t) {
+	for _, simd := range simdKernelNames(t, kernelLabels()) {
 		for _, dc := range diffCases {
 			for _, v := range diffVariants {
 				for _, store := range []bool{false, true} {
@@ -330,7 +350,7 @@ func FuzzKernelDifferential(f *testing.F) {
 					v.name, dc, store, i, wants[vi][i], ref[i])
 			}
 		}
-		for _, simd := range simdKernelNames(t) {
+		for _, simd := range simdKernelNames(t, KernelNames()) {
 			for vi, v := range diffVariants {
 				var got []float32
 				withKernel(t, simd, func() {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"testing"
 
-	"orpheus/internal/gemm"
 	"orpheus/internal/graph"
 	"orpheus/internal/tensor"
 )
@@ -41,7 +40,7 @@ const nhwcTol = 1e-5
 // geometry it supports — across the full conv matrix, every selectable
 // GEMM micro-kernel, and worker budgets 1 and 3.
 func TestConvNHWCMatchesNCHW(t *testing.T) {
-	for _, kn := range gemm.KernelNames() {
+	for _, kn := range gemmKernelLabels() {
 		for _, tc := range implicitBattery() {
 			for _, workers := range []int{1, 3} {
 				for _, act := range []string{"", "relu"} {

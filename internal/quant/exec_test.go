@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+	"testing/quick"
 )
 
 // quantizeRowsBranchy is QuantizeRowsInto as it was written before it went
@@ -81,5 +82,79 @@ func TestQuantizeRowsIntoMatchesBranchy(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// maxDequantError returns, per row, max |w - data*scale|: how far the
+// weights QuantizeRowsInto stored sit from the ones they stand for.
+func maxDequantError(w []float32, data []int8, scales []float32, rows, per int) []float64 {
+	errs := make([]float64, rows)
+	for r := 0; r < rows; r++ {
+		for i := r * per; i < (r+1)*per; i++ {
+			errs[r] = max(errs[r], math.Abs(float64(w[i])-float64(data[i])*float64(scales[r])))
+		}
+	}
+	return errs
+}
+
+// TestQuantizeRoundTripBounded holds every row to round-to-nearest: no
+// weight moves by more than half its row's scale, at the GEMM tier's bound
+// and at the full int8 range.
+func TestQuantizeRoundTripBounded(t *testing.T) {
+	f := func(seed int64, rb uint8) bool {
+		const per = 16
+		rows := int(rb%8) + 1
+		r := rand.New(rand.NewSource(seed))
+		w := make([]float32, rows*per)
+		for i := range w {
+			w[i] = float32(r.NormFloat64()) * 0.2
+		}
+		for _, qmax := range []int32{QMaxGemm, 127} {
+			data, scales := make([]int8, len(w)), make([]float32, rows)
+			QuantizeRowsInto(data, scales, w, rows, per, qmax)
+			for row, e := range maxDequantError(w, data, scales, rows, per) {
+				if e > float64(scales[row])/2*1.0001 {
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 50, Rand: rand.New(rand.NewSource(1))}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestQuantizeExactValues: a row whose largest magnitude is qmax gets
+// scale 1, so its integer weights survive exactly.
+func TestQuantizeExactValues(t *testing.T) {
+	for _, qmax := range []int32{QMaxGemm, 127} {
+		q := float32(qmax)
+		w := []float32{q, -q, 32, 0, -5}
+		data, scales := make([]int8, len(w)), make([]float32, 1)
+		QuantizeRowsInto(data, scales, w, 1, len(w), qmax)
+		if scales[0] != 1 {
+			t.Fatalf("qmax %d: scale = %v, want 1", qmax, scales[0])
+		}
+		if e := maxDequantError(w, data, scales, 1, len(w))[0]; e != 0 {
+			t.Fatalf("qmax %d: integer weights moved by %g", qmax, e)
+		}
+	}
+}
+
+// TestQuantizeZeroChannel: all-zero rows get scale 1 and round-trip to
+// zero.
+func TestQuantizeZeroChannel(t *testing.T) {
+	const rows, per = 2, 3
+	w := make([]float32, rows*per)
+	data, scales := make([]int8, len(w)), make([]float32, rows)
+	QuantizeRowsInto(data, scales, w, rows, per, QMaxGemm)
+	for r, s := range scales {
+		if s != 1 {
+			t.Fatalf("row %d: scale = %v, want 1", r, s)
+		}
+	}
+	if e := maxDequantError(w, data, scales, rows, per); e[0] != 0 || e[1] != 0 {
+		t.Fatalf("zero rows moved by %v", e)
 	}
 }
