@@ -134,3 +134,60 @@ func TestPredictIntoAllocFree(t *testing.T) {
 		t.Errorf("steady-state PredictBatchInto allocates %.1f times per run, want 0", avg)
 	}
 }
+
+// TestTorchSimPacksPerRun pins the per-call-allocation emulation on
+// torch-sim resnet-18: its sessions run the arena sessions' loop over
+// fresh buffers, give the outputs of an arena plan with the same kernels
+// bit for bit, leave the plan's constant cache empty (every run packs
+// into its own) and allocate on every run.
+func TestTorchSimPacksPerRun(t *testing.T) {
+	g, err := zoo.Build("resnet-18", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	be, err := backend.ByName("torch-sim")
+	if err != nil {
+		t.Fatal(err)
+	}
+	perCall, err := be.PrepareWith(g, backend.PrepareOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	arenaPlan, err := runtime.Compile(g.Clone(), runtime.Options{Policy: be.NewPolicy(false)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	in := map[string]*tensor.Tensor{g.Inputs[0].Name: tensor.Rand(tensor.NewRNG(1), -1, 1, g.Inputs[0].Shape...)}
+	arena, fresh := runtime.NewSession(arenaPlan), runtime.NewSession(perCall)
+	wantOuts, err := arena.Run(ctx, in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := wantOuts[g.Outputs[0].Name]
+	for i := 0; i < 2; i++ {
+		got, err := fresh.Run(ctx, in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := tensor.MaxAbsDiff(got[g.Outputs[0].Name], want); d != 0 {
+			t.Fatalf("run %d: torch-sim output differs from the arena plan's by %g", i, d)
+		}
+	}
+	if b, n := perCall.ConstBytes(), perCall.ConstStores(); b != 0 || n != 0 {
+		t.Errorf("torch-sim plan cache holds %d B after %d stores, want none", b, n)
+	}
+	run := func(s *runtime.Session) func() {
+		return func() {
+			if _, err := s.Run(ctx, in); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if avg := testing.AllocsPerRun(2, run(fresh)); avg == 0 {
+		t.Error("torch-sim Session.Run allocates nothing; want fresh buffers every run")
+	}
+	if avg := testing.AllocsPerRun(2, run(arena)); avg != 0 {
+		t.Errorf("arena Session.Run with torch-sim's kernels allocates %.1f times per run, want 0", avg)
+	}
+}

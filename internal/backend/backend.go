@@ -33,9 +33,8 @@ type Backend struct {
 	// (graph frameworks do; eager frameworks such as PyTorch and DarkNet
 	// do not).
 	Optimize bool
-	// NoBufferReuse / DisableScratchReuse model per-call allocation.
-	NoBufferReuse       bool
-	DisableScratchReuse bool
+	// NoBufferReuse models per-call allocation (runtime.Options).
+	NoBufferReuse bool
 	// ForceAllCores pins the worker count to every available core and
 	// refuses single-threaded operation (the paper's TF-Lite complaint).
 	ForceAllCores bool
@@ -106,11 +105,10 @@ func (b *Backend) PrepareWith(g *graph.Graph, o PrepareOpts) (*runtime.Plan, err
 		}
 	}
 	return runtime.Compile(work, runtime.Options{
-		Policy:              b.NewPolicy(o.Int8),
-		Workers:             o.Workers,
-		MaxBatch:            o.MaxBatch,
-		NoBufferReuse:       b.NoBufferReuse,
-		DisableScratchReuse: b.DisableScratchReuse,
+		Policy:        b.NewPolicy(o.Int8),
+		Workers:       o.Workers,
+		MaxBatch:      o.MaxBatch,
+		NoBufferReuse: b.NoBufferReuse,
 	})
 }
 
@@ -192,17 +190,16 @@ func init() {
 	Register(&Backend{
 		Name:        "torch-sim",
 		Paper:       "PyTorch",
-		Description: "PyTorch-eager emulation: GEMM convolution, per-group im2col depthwise, per-call allocation, no graph fusion",
+		Description: "PyTorch-eager emulation: explicit-unfold GEMM convolution, per-group im2col depthwise, per-call allocation and weight packing, no graph fusion",
 		NewPolicy: func(int8 bool) runtime.Policy {
 			return &PreferencePolicy{PolicyName: "torch-sim", Prefs: map[string][]string{
-				"Conv":  {"conv.group_im2col", "conv.im2col"},
+				"Conv":  {"conv.group_im2col", "conv.im2col_explicit"},
 				"Dense": {"dense.gemm"},
 			}, int8: int8}
 		},
-		Optimize:            false,
-		NoBufferReuse:       true,
-		DisableScratchReuse: true,
-		SimDispatchNs:       30000,
+		Optimize:      false,
+		NoBufferReuse: true,
+		SimDispatchNs: 30000,
 	})
 	Register(&Backend{
 		Name:        "darknet-sim",

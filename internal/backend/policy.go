@@ -8,8 +8,9 @@
 // the comparator frameworks from the paper's evaluation (TVM, PyTorch,
 // DarkNet, TF-Lite). Each emulates the characteristic algorithmic choices
 // the paper credits for that framework's performance profile — spatial-pack
-// convolution for TVM, per-group im2col depthwise plus per-call allocation
-// for PyTorch, direct convolution for DarkNet, mandatory multi-threading
+// convolution for TVM, explicit-unfold GEMM convolution, per-group im2col
+// depthwise and per-call allocation and weight packing for PyTorch, direct
+// convolution for DarkNet, mandatory multi-threading
 // for TF-Lite. No artificial delays are injected anywhere: every
 // performance difference comes from executing different real code.
 //

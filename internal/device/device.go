@@ -160,6 +160,12 @@ var defaultModel = kernelModel{baseEff: 0.25, halfWork: 0}
 // EstimateNode returns the simulated single-core execution time of one
 // node under the given kernel.
 func (d *Device) EstimateNode(n *graph.Node, kernelName string) time.Duration {
+	if kernelName == "conv.im2col_explicit" {
+		// The conv.im2col model already charges the unfold buffer's
+		// traffic (and skips it on the pointwise path, as both kernels
+		// do), so the explicit unfold costs the same.
+		kernelName = "conv.im2col"
+	}
 	m, ok := kernelModels[kernelName]
 	if !ok {
 		m = defaultModel

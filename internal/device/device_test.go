@@ -108,3 +108,30 @@ func TestUnknownKernelUsesDefaultModel(t *testing.T) {
 		t.Error("unknown kernel should fall back to the default model")
 	}
 }
+
+// TestExplicitIm2colCostsAsIm2col: torch-sim's conv kernel is the explicit
+// unfold, and the conv.im2col model already charges the unfold buffer, so
+// the two kernels must cost the same on every conv of every zoo model,
+// pointwise layers included.
+func TestExplicitIm2colCostsAsIm2col(t *testing.T) {
+	d := HiKey970()
+	for _, name := range zoo.Names() {
+		g, err := zoo.Build(name, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		convs := 0
+		for _, n := range g.Nodes {
+			if n.Op != "Conv" {
+				continue
+			}
+			convs++
+			if ex, im := d.EstimateNode(n, "conv.im2col_explicit"), d.EstimateNode(n, "conv.im2col"); ex != im {
+				t.Errorf("%s/%s: conv.im2col_explicit costs %v, conv.im2col %v", name, n.Name, ex, im)
+			}
+		}
+		if convs == 0 {
+			t.Errorf("%s: no Conv nodes", name)
+		}
+	}
+}

@@ -27,10 +27,9 @@ import (
 // correct without it.
 //
 // conv.im2col_explicit keeps the materialised unfold: it is the
-// differential reference for the implicit path and the behaviour the
-// per-call-allocation framework simulation (DisableScratchReuse) is
-// meant to model — so the production kernel delegates to it under that
-// flag.
+// differential reference for the implicit path and the kernel the
+// torch-sim backend selects to model a framework that unfolds into a
+// buffer on every call.
 //
 // Groups are handled per group with the batch folded into one strided
 // call; a pure depthwise conv is better served by conv.depthwise (this
@@ -52,12 +51,8 @@ func supportsConvNCHW(n *graph.Node) bool {
 
 // packedConvWeights returns the cached prepacked per-group weight panels
 // for the node, packing them from w on a miss: p.groups consecutive
-// buffers of PackedASize(coutG, kdim) values each. Returns nil (pack per
-// call, the seed behaviour) when scratch reuse is disabled.
+// buffers of PackedASize(coutG, kdim) values each.
 func packedConvWeights(ctx *Ctx, n *graph.Node, w []float32, p *convParams) []float32 {
-	if ctx.DisableScratchReuse {
-		return nil
-	}
 	if buf := ctx.Cache("conv.im2col/pw", n); buf != nil {
 		return buf
 	}
@@ -86,12 +81,6 @@ func prepackConvIm2col(ctx *Ctx, n *graph.Node, w []float32) error {
 // the whole strided call. (The deliberately slow per-group naive variant
 // lives in conv.group_im2col.)
 func runConvIm2col(ctx *Ctx, n *graph.Node, in, out []*tensor.Tensor) error {
-	if ctx.DisableScratchReuse {
-		// The per-call-allocation simulation studies frameworks that
-		// materialise (and allocate) the unfold per call; keep them on
-		// the explicit path.
-		return runConvIm2colExplicit(ctx, n, in, out)
-	}
 	p, err := resolveConvRT(n, in)
 	if err != nil {
 		return err
@@ -108,9 +97,8 @@ func runConvIm2col(ctx *Ctx, n *graph.Node, in, out []*tensor.Tensor) error {
 	kdim := cinG * p.kh * p.kw
 	cols := p.oh * p.ow
 	act := gemmActivation(p.activation)
-	// Scratch reuse is on (the flag took the explicit path above), so the
-	// panels are cached: a plan built them at Compile and released the
-	// weight's data; outside a plan the first run packs them here.
+	// A plan built the panels at Compile and released the weight's data;
+	// outside a plan (or in a per-run cache) a miss packs them here.
 	packedW := packedConvWeights(ctx, n, in[1].Data(), &p)
 
 	// Pointwise fast path: a 1x1 stride-1 unpadded convolution is exactly
@@ -147,15 +135,14 @@ func runConvIm2col(ctx *Ctx, n *graph.Node, in, out []*tensor.Tensor) error {
 // runConvIm2colExplicit implements conv.im2col_explicit: classic GEMM
 // convolution over a materialised im2col matrix, with separate bias and
 // activation sweeps (spread across the worker pool). It is numerically
-// the reference for the implicit path and the per-call-allocation
-// behaviour the torch-sim backend models.
+// the reference for the implicit path and the unfold-per-call behaviour
+// the torch-sim backend models.
 func runConvIm2colExplicit(ctx *Ctx, n *graph.Node, in, out []*tensor.Tensor) error {
 	p, err := resolveConvRT(n, in)
 	if err != nil {
 		return err
 	}
 	x := in[0].Data()
-	w := in[1].Data()
 	var bias []float32
 	if p.hasBias {
 		bias = in[2].Data()
@@ -166,14 +153,14 @@ func runConvIm2colExplicit(ctx *Ctx, n *graph.Node, in, out []*tensor.Tensor) er
 	coutG := p.cout / p.groups
 	kdim := cinG * p.kh * p.kw
 	cols := p.oh * p.ow
+	packedW := packedConvWeights(ctx, n, in[1].Data(), &p)
 
 	// Pointwise fast path: the unfold would be a copy, so skip it even on
 	// the explicit path (both paths share it; the comparison is about the
 	// general unfold).
 	if p.kh == 1 && p.kw == 1 && p.sh == 1 && p.sw == 1 && p.dh == 1 && p.dw == 1 &&
 		p.padT == 0 && p.padL == 0 && p.padB == 0 && p.padR == 0 && p.groups == 1 {
-		pw := packedConvWeights(ctx, n, w, &p)
-		ctx.GEMM(gemm.Call{A: w, PackedA: pw, B: x, C: y,
+		ctx.GEMM(gemm.Call{PackedA: packedW, B: x, C: y,
 			M: p.cout, N: cols, K: p.cin, Store: true,
 			Batch: p.n, StrideB: p.cin * cols, StrideC: p.cout * cols})
 		ctx.Sweep(y, bias, p.n*p.cout, cols, p.activation, p.alpha)
@@ -185,8 +172,6 @@ func runConvIm2colExplicit(ctx *Ctx, n *graph.Node, in, out []*tensor.Tensor) er
 	colBuf := ctx.ScratchUninit("conv.im2col/col", n, kdim*cols)
 
 	perGroup := gemm.PackedASize(coutG, kdim)
-	packedW := packedConvWeights(ctx, n, w, &p)
-
 	for b := 0; b < p.n; b++ {
 		for g := 0; g < p.groups; g++ {
 			// The group's input channels are contiguous within one batch
@@ -194,14 +179,8 @@ func runConvIm2colExplicit(ctx *Ctx, n *graph.Node, in, out []*tensor.Tensor) er
 			src := x[(b*p.cin+g*cinG)*p.h*p.w:]
 			tensor.Im2ColInto(colBuf, src, 1, cinG, p.h, p.w,
 				p.kh, p.kw, p.sh, p.sw, p.padT, p.padL, p.dh, p.dw, p.oh, p.ow)
-			// Weight rows for this group are contiguous: [coutG, kdim].
-			wg := w[g*coutG*kdim : (g+1)*coutG*kdim]
 			dst := y[(b*p.cout+g*coutG)*cols : (b*p.cout+(g+1)*coutG)*cols]
-			var pa []float32
-			if packedW != nil {
-				pa = packedW[g*perGroup : (g+1)*perGroup]
-			}
-			ctx.GEMM(gemm.Call{A: wg, PackedA: pa, B: colBuf, C: dst,
+			ctx.GEMM(gemm.Call{PackedA: packedW[g*perGroup : (g+1)*perGroup], B: colBuf, C: dst,
 				M: coutG, N: cols, K: kdim, Store: true})
 		}
 	}

@@ -60,12 +60,8 @@ func nhwcWeightMatrix(wt, w []float32, g, cinG, coutG, kh, kw int) {
 
 // nhwcPackedWeights returns the node's cached prepacked per-group NHWC
 // weight panels, building them on first use: groups consecutive buffers of
-// PackedBSize(kdim, coutG) values each. Returns nil (rebuild per call)
-// when scratch reuse is disabled.
+// PackedBSize(kdim, coutG) values each.
 func nhwcPackedWeights(ctx *Ctx, n *graph.Node, w []float32, groups, cinG, coutG, kh, kw int) []float32 {
-	if ctx.DisableScratchReuse {
-		return nil
-	}
 	if buf := ctx.Cache("conv.im2col_nhwc/pw", n); buf != nil {
 		return buf
 	}
@@ -101,15 +97,6 @@ func runConvIm2colNHWC(ctx *Ctx, n *graph.Node, in, out []*tensor.Tensor) error 
 	act := gemmActivation(p.activation)
 
 	packedW := nhwcPackedWeights(ctx, n, w, p.groups, cinG, coutG, p.kh, p.kw)
-	var rawW []float32
-	if packedW == nil {
-		// Per-call-allocation simulation: rebuild the weight matrices each
-		// run instead of caching packed panels.
-		rawW = ctx.ScratchUninit("conv.im2col_nhwc/wt", n, p.groups*kdim*coutG)
-		for g := 0; g < p.groups; g++ {
-			nhwcWeightMatrix(rawW[g*kdim*coutG:], w, g, cinG, coutG, p.kh, p.kw)
-		}
-	}
 
 	// Pointwise fast path: for a 1x1 stride-1 unpadded ungrouped NHWC conv
 	// the input already *is* the [n*oh*ow × cin] unfold, so the whole batch
@@ -117,7 +104,7 @@ func runConvIm2colNHWC(ctx *Ctx, n *graph.Node, in, out []*tensor.Tensor) error 
 	if p.kh == 1 && p.kw == 1 && p.sh == 1 && p.sw == 1 && p.dh == 1 && p.dw == 1 &&
 		p.padT == 0 && p.padL == 0 && p.padB == 0 && p.padR == 0 &&
 		p.groups == 1 && !p.srcNCHW {
-		ctx.GEMM(gemm.Call{A: x, B: rawW, PackedB: packedW, C: y,
+		ctx.GEMM(gemm.Call{A: x, PackedB: packedW, C: y,
 			M: p.n * cols, N: p.cout, K: p.cin, Store: true,
 			BiasCol: bias, Act: act, Alpha: p.alpha})
 		return nil
@@ -129,15 +116,10 @@ func runConvIm2colNHWC(ctx *Ctx, n *graph.Node, in, out []*tensor.Tensor) error 
 		// image index, C images start cols*cout apart, and the group's
 		// columns sit g*coutG into each output row (Ldc = cout).
 		ctx.convSrcA.init(x, &p, g)
-		call := gemm.Call{APack: &ctx.convSrcA, C: y[g*coutG:],
+		call := gemm.Call{APack: &ctx.convSrcA, PackedB: packedW[g*per : (g+1)*per], C: y[g*coutG:],
 			M: cols, N: coutG, K: kdim, Ldc: p.cout, Store: true,
 			Batch: p.n, StrideC: cols * p.cout,
 			Act: act, Alpha: p.alpha}
-		if packedW != nil {
-			call.PackedB = packedW[g*per : (g+1)*per]
-		} else {
-			call.B = rawW[g*kdim*coutG : (g+1)*kdim*coutG]
-		}
 		if bias != nil {
 			call.BiasCol = bias[g*coutG : (g+1)*coutG]
 		}
@@ -150,23 +132,16 @@ func runConvIm2colNHWC(ctx *Ctx, n *graph.Node, in, out []*tensor.Tensor) error 
 // depthwise weights, wn[(ky*kw + kx)*C + c] = w[c*khw + ky*kw + kx], so
 // each kernel tap is one contiguous C-length multiplier row.
 func depthwiseNHWCWeights(ctx *Ctx, n *graph.Node, w []float32, ch, khw int) []float32 {
-	var buf []float32
-	if ctx.DisableScratchReuse {
-		buf = ctx.ScratchUninit("conv.depthwise_nhwc/w", n, ch*khw)
-	} else {
-		if b := ctx.Cache("conv.depthwise_nhwc/w", n); b != nil {
-			return b
-		}
-		buf = make([]float32, ch*khw)
+	if b := ctx.Cache("conv.depthwise_nhwc/w", n); b != nil {
+		return b
 	}
+	buf := make([]float32, ch*khw)
 	for c := 0; c < ch; c++ {
 		for k := 0; k < khw; k++ {
 			buf[k*ch+c] = w[c*khw+k]
 		}
 	}
-	if !ctx.DisableScratchReuse {
-		ctx.PutCache("conv.depthwise_nhwc/w", n, buf)
-	}
+	ctx.PutCache("conv.depthwise_nhwc/w", n, buf)
 	return buf
 }
 

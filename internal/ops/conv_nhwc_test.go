@@ -113,8 +113,9 @@ func TestConvNHWCSrcNCHW(t *testing.T) {
 	}
 }
 
-// TestConvNHWCScratchReuseOff pins the DisableScratchReuse path (raw
-// weight matrices instead of cached prepacked panels).
+// TestConvNHWCScratchReuseOff pins the NHWC kernels under per-call
+// scratch allocation (DisableScratchReuse), with weights packed on a
+// cache miss in a context that starts without a cache.
 func TestConvNHWCScratchReuseOff(t *testing.T) {
 	for _, tc := range []convCase{convMatrix[1], convMatrix[7], convMatrix[8], implicitCases[3]} {
 		inputs := tc.tensors(tensor.SeedFromString("nhwc-noreuse-" + tc.name))

@@ -51,29 +51,18 @@ func runConvWinograd(ctx *Ctx, n *graph.Node, in, out []*tensor.Tensor) error {
 	ntiles := th * tw
 
 	// Weight transform U[pos][oc][ic] (weights are constant during
-	// inference). On the production path only the 16 prepacked GEMM
-	// A-panels are cached — the raw transform is a local stepping stone —
-	// so the constant cache holds one copy of the derived weights, not
-	// two. The per-call-allocation simulation caches the raw transform
-	// instead (the seed behaviour) and repacks per run.
+	// inference). Only the 16 prepacked GEMM A-panels are cached — the raw
+	// transform is a local stepping stone — so the constant cache holds
+	// one copy of the derived weights, not two.
 	perPos := gemm.PackedASize(p.cout, p.cin)
-	var u, pu []float32
-	if ctx.DisableScratchReuse {
-		u = ctx.Cache("conv.winograd/U", n)
-		if u == nil {
-			u = transformWinogradWeights(in[1].Data(), p.cout, p.cin)
-			ctx.PutCache("conv.winograd/U", n, u)
+	pu := ctx.Cache("conv.winograd/pU", n)
+	if pu == nil {
+		u := transformWinogradWeights(in[1].Data(), p.cout, p.cin)
+		pu = make([]float32, 16*perPos)
+		for pos := 0; pos < 16; pos++ {
+			gemm.PrepackAInto(pu[pos*perPos:], u[pos*p.cout*p.cin:(pos+1)*p.cout*p.cin], p.cout, p.cin)
 		}
-	} else {
-		pu = ctx.Cache("conv.winograd/pU", n)
-		if pu == nil {
-			u = transformWinogradWeights(in[1].Data(), p.cout, p.cin)
-			pu = make([]float32, 16*perPos)
-			for pos := 0; pos < 16; pos++ {
-				gemm.PrepackAInto(pu[pos*perPos:], u[pos*p.cout*p.cin:(pos+1)*p.cout*p.cin], p.cout, p.cin)
-			}
-			ctx.PutCache("conv.winograd/pU", n, pu)
-		}
+		ctx.PutCache("conv.winograd/pU", n, pu)
 	}
 
 	// Both transform domains are fully written every run: V by the input
@@ -126,17 +115,12 @@ func runConvWinograd(ctx *Ctx, n *graph.Node, in, out []*tensor.Tensor) error {
 		// 16 batched GEMMs: M[pos] = U[pos] (cout×cin) · V[pos] (cin×ntiles),
 		// in overwrite mode so M needs no zero-fill between runs.
 		for pos := 0; pos < 16; pos++ {
-			call := gemm.Call{
-				B: v[pos*p.cin*ntiles : (pos+1)*p.cin*ntiles],
-				C: m[pos*p.cout*ntiles : (pos+1)*p.cout*ntiles],
-				M: p.cout, N: ntiles, K: p.cin, Store: true,
-			}
-			if pu != nil {
-				call.PackedA = pu[pos*perPos : (pos+1)*perPos]
-			} else {
-				call.A = u[pos*p.cout*p.cin : (pos+1)*p.cout*p.cin]
-			}
-			ctx.GEMM(call)
+			ctx.GEMM(gemm.Call{
+				PackedA: pu[pos*perPos : (pos+1)*perPos],
+				B:       v[pos*p.cin*ntiles : (pos+1)*p.cin*ntiles],
+				C:       m[pos*p.cout*ntiles : (pos+1)*p.cout*ntiles],
+				M:       p.cout, N: ntiles, K: p.cin, Store: true,
+			})
 		}
 		// Output transform: Y tile = A^T M A.
 		for oc := 0; oc < p.cout; oc++ {

@@ -21,9 +21,11 @@ type ctxKey struct {
 // one Plan shares a single ConstCache, and runtime.Compile fills the
 // entries of every Prepacker kernel before any session exists, so pooled
 // serving sessions only read those. Entries still built at first use —
-// kernels run outside a plan, the Winograd and NHWC tiers — may see two
-// sessions racing on a miss: both compute the identical, deterministic
-// value and one store wins, which is benign.
+// kernels run outside a plan, and kernels that are not Prepackers — may
+// see two sessions racing on a miss: both compute the identical,
+// deterministic value and one store wins, which is benign. A session
+// emulating per-call allocation instead uses a fresh cache per run, so its
+// kernels rebuild every entry on every run.
 type ConstCache struct {
 	mu     sync.RWMutex
 	m      map[ctxKey][]float32
@@ -119,18 +121,15 @@ func (cc *ConstCache) Bytes() int64 {
 // a keyed scratch-buffer pool.
 //
 // Scratch buffers let kernels such as im2col reuse their unfold buffers
-// across inference runs instead of reallocating. The torch-sim backend sets
-// DisableScratchReuse to model a framework that allocates per operator
-// call; the memory-planner ablation (experiment A3) measures the cost of
-// that choice.
+// across inference runs instead of reallocating.
 type Ctx struct {
 	// Workers is the number of goroutines kernels may use. 1 reproduces
 	// the paper's single-core evaluation.
 	Workers int
 
-	// DisableScratchReuse forces a fresh allocation on every Scratch call
-	// and disables constant-weight pack caching, reproducing the seed's
-	// per-call packing in the framework simulations.
+	// DisableScratchReuse makes every Scratch call allocate afresh. A
+	// runtime session emulating per-call allocation (NoBufferReuse, the
+	// torch-sim backend) sets it; kernels never read it.
 	DisableScratchReuse bool
 
 	// Gemm is this session's packing context for GEMM-based kernels; it
@@ -161,7 +160,8 @@ type Ctx struct {
 	scratch map[ctxKey][]float32
 
 	// ScratchBytes accumulates the bytes handed out by Scratch and newly
-	// stored by PutCache, for the memory-footprint experiments.
+	// stored by PutCache. Only tests read it; the memory experiments use
+	// the plan's ArenaBytes and ConstBytes.
 	ScratchBytes int64
 }
 

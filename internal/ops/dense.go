@@ -82,20 +82,9 @@ func runDenseGemm(ctx *Ctx, n *graph.Node, in, out []*tensor.Tensor) error {
 	x, w := in[0], in[1]
 	batch, k := x.Shape()[0], x.Shape()[1]
 	m := w.Shape()[0]
-	// Y[N,M] = X[N,K] · Wᵀ[K,M]. W is run-invariant, so the production
-	// path reads only the cached prepacked panels; the per-call-allocation
-	// simulation caches the raw transpose and repacks per run, as the
-	// seed did.
-	var wt, pb []float32
-	if ctx.DisableScratchReuse {
-		wt = ctx.Cache("dense.gemm/wt", n)
-		if wt == nil {
-			wt = transposeDense(w.Data(), m, k)
-			ctx.PutCache("dense.gemm/wt", n, wt)
-		}
-	} else {
-		pb = packedDenseWeights(ctx, n, w.Data(), m, k)
-	}
+	// Y[N,M] = X[N,K] · Wᵀ[K,M]. W is run-invariant, so the kernel reads
+	// only the cached prepacked panels.
+	pb := packedDenseWeights(ctx, n, w.Data(), m, k)
 	// Bias is per output feature — a GEMM column — and the activation
 	// follows it, so both ride the epilogue at tile store instead of two
 	// extra sweeps over Y.
@@ -104,7 +93,7 @@ func runDenseGemm(ctx *Ctx, n *graph.Node, in, out []*tensor.Tensor) error {
 		bias = in[2].Data()
 	}
 	yd := out[0].Data()
-	ctx.GEMM(gemm.Call{A: x.Data(), B: wt, PackedB: pb, C: yd,
+	ctx.GEMM(gemm.Call{A: x.Data(), PackedB: pb, C: yd,
 		M: batch, N: m, K: k, Store: true,
 		BiasCol: bias,
 		Act:     gemmActivation(n.Attrs.Str("activation", "")),

@@ -60,9 +60,10 @@ func KernelOverwrites(k Kernel, n *graph.Node) bool {
 // (input 1) only through panels derived from it and kept in the Ctx's
 // ConstCache. Prepack builds those panels from the weight's data; Run's
 // cache-miss branch calls the same function, so a Run after Prepack never
-// reads the weight's data and a compiled plan may release it. Under
-// DisableScratchReuse the kernels pack per call instead, so the runtime
-// neither prepacks nor releases there.
+// reads the weight's data and a compiled plan may release it. A plan that
+// emulates per-call allocation (runtime NoBufferReuse) neither prepacks nor
+// releases: each of its runs starts from an empty cache, so the miss
+// branch packs again.
 type Prepacker interface {
 	Prepack(ctx *Ctx, n *graph.Node) error
 }

@@ -21,13 +21,12 @@ type Options struct {
 	// are sized for it; sessions then accept any batch 1 ≤ n ≤ MaxBatch per
 	// Run, executing over views sliced to n.
 	MaxBatch int
-	// NoBufferReuse disables the liveness-based memory planner: every
-	// value gets a private buffer allocated at run time, emulating
-	// frameworks that allocate per operator call (torch-sim; ablation A3).
+	// NoBufferReuse emulates frameworks that allocate per operator call
+	// (torch-sim; ablation A3): every run binds a fresh private buffer to
+	// each value, kernel scratch is allocated per call, and derived
+	// weights (packed panels, transforms) are rebuilt per run in a cache
+	// private to that run. Compile neither prepacks nor releases weights.
 	NoBufferReuse bool
-	// DisableScratchReuse additionally makes kernels reallocate their
-	// internal scratch (im2col buffers etc.) on every call.
-	DisableScratchReuse bool
 }
 
 // step is one planned node execution. overwrites records, at compile time,
@@ -97,9 +96,9 @@ func (m batchMeta) static() bool { return m.dim < 0 }
 // sessions can slice bindings to any smaller batch. And every constant that
 // only Prepacker kernels read, as the weight they pack, is released: its
 // value keeps its shape but holds a tensor.ShapeOnly in place of the data,
-// which no run reads again. Plans compiled with DisableScratchReuse pack
-// per call and release nothing. A caller that reuses g after Compile must
-// pass g.Clone() instead (backend.PrepareWith always does).
+// which no run reads again. NoBufferReuse plans pack per run and release
+// nothing. A caller that reuses g after Compile must pass g.Clone()
+// instead (backend.PrepareWith always does).
 func Compile(g *graph.Graph, opts Options) (*Plan, error) {
 	if opts.Policy == nil {
 		opts.Policy = ReferencePolicy{}
@@ -143,7 +142,7 @@ func Compile(g *graph.Graph, opts Options) (*Plan, error) {
 	if err := p.validateBindings(); err != nil {
 		return nil, err
 	}
-	if !opts.DisableScratchReuse {
+	if !opts.NoBufferReuse {
 		if err := p.prepack(); err != nil {
 			return nil, err
 		}
@@ -283,8 +282,10 @@ func (p *Plan) MaxBatch() int { return p.maxBatch }
 // ConstBytes returns the current footprint of the plan's derived-constant
 // cache: prepacked GEMM weight panels (fp32 or int8), Winograd transforms
 // and the like. Compile builds every packed GEMM panel, so for plans on
-// the packed kernels the figure is final when Compile returns; only the
-// Winograd and NHWC tiers still add entries on their first run.
+// the packed kernels the figure is final when Compile returns; kernels
+// that are not Prepackers (Winograd, the NHWC tier, the explicit im2col)
+// add their entries on their first run. NoBufferReuse plans keep the
+// cache empty: their derived weights live in a per-run cache.
 func (p *Plan) ConstBytes() int64 { return p.consts.Bytes() }
 
 // ConstStores returns how many entries have been stored in the plan's

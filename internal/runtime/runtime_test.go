@@ -83,9 +83,58 @@ func TestBufferReuseMatchesNoReuse(t *testing.T) {
 	g := smallCNN(t)
 	x := tensor.Rand(tensor.NewRNG(3), -1, 1, 1, 3, 8, 8)
 	a := runGraph(t, g, Options{}, x)
-	b := runGraph(t, g, Options{NoBufferReuse: true, DisableScratchReuse: true}, x)
+	b := runGraph(t, g, Options{NoBufferReuse: true}, x)
 	if !tensor.AllClose(a, b, 1e-6) {
 		t.Fatalf("arena execution differs from fresh-alloc execution: %g", tensor.MaxAbsDiff(a, b))
+	}
+}
+
+// TestNoBufferReuseRunsPerCall pins the per-call-allocation switch on the
+// one run loop: a NoBufferReuse session gives the arena session's outputs
+// bit for bit, packs its weights into a cache private to each run (the
+// plan's stays empty however often it runs) and allocates on every run,
+// where the arena session allocates nothing.
+func TestNoBufferReuseRunsPerCall(t *testing.T) {
+	g := smallCNN(t)
+	in := map[string]*tensor.Tensor{"x": tensor.Rand(tensor.NewRNG(3), -1, 1, 1, 3, 8, 8)}
+	ctx := context.Background()
+	arenaPlan, err := Compile(g.Clone(), Options{Policy: packingPolicy{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	perCall, err := Compile(g.Clone(), Options{Policy: packingPolicy{}, NoBufferReuse: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	arena, fresh := NewSession(arenaPlan), NewSession(perCall)
+	want, err := arena.Run(ctx, in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		got, err := fresh.Run(ctx, in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !tensor.AllClose(got["prob_out"], want["prob_out"], 0) {
+			t.Fatalf("run %d: NoBufferReuse output differs from the arena's by %g", i, tensor.MaxAbsDiff(got["prob_out"], want["prob_out"]))
+		}
+	}
+	if b, n := perCall.ConstBytes(), perCall.ConstStores(); b != 0 || n != 0 {
+		t.Errorf("NoBufferReuse plan cache holds %d B after %d stores, want none", b, n)
+	}
+	run := func(s *Session) func() {
+		return func() {
+			if _, err := s.Run(ctx, in); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if avg := testing.AllocsPerRun(5, run(fresh)); avg == 0 {
+		t.Error("NoBufferReuse Session.Run allocates nothing; want fresh buffers every run")
+	}
+	if avg := testing.AllocsPerRun(5, run(arena)); avg != 0 {
+		t.Errorf("arena Session.Run allocates %.1f times per run, want 0", avg)
 	}
 }
 
@@ -144,8 +193,8 @@ func (packingPolicy) Select(n *graph.Node) (ops.Kernel, error) {
 // still holds. The reference kernels read every weight raw, so it is all
 // of NumParams; on the packed kernels the plan keeps the conv and dense
 // weights only as panels (ConstBytes) and holds the biases alone, and the
-// released values keep their shapes. Under DisableScratchReuse the
-// kernels pack per call, so nothing is released.
+// released values keep their shapes. A NoBufferReuse plan packs per run,
+// so nothing is released.
 func TestWeightBytesCountsHeldData(t *testing.T) {
 	g := smallCNN(t)
 	params := g.NumParams() * 4
@@ -156,7 +205,7 @@ func TestWeightBytesCountsHeldData(t *testing.T) {
 	if ref.WeightBytes() != params || ref.ConstBytes() != 0 {
 		t.Fatalf("reference plan: weights %d B (want %d), packed %d B (want 0)", ref.WeightBytes(), params, ref.ConstBytes())
 	}
-	perCall, err := Compile(g.Clone(), Options{Policy: packingPolicy{}, NoBufferReuse: true, DisableScratchReuse: true})
+	perCall, err := Compile(g.Clone(), Options{Policy: packingPolicy{}, NoBufferReuse: true})
 	if err != nil {
 		t.Fatal(err)
 	}

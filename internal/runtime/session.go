@@ -23,6 +23,10 @@ import (
 // over prebound steps with zero heap allocations; output regions are
 // zero-filled per run only for kernels that do not overwrite them.
 //
+// A NoBufferReuse plan runs the same loop over a binding built afresh for
+// every run: fresh buffers for every value, and a fresh constant cache, so
+// each kernel's cache miss rebuilds its derived weights per call.
+//
 // A Session is not safe for concurrent use; create one per goroutine or
 // use a SessionPool.
 type Session struct {
@@ -30,8 +34,8 @@ type Session struct {
 	ctx   *ops.Ctx
 	fault *faultinject.Injector // the plan's hook when the session was built
 
-	// slots are the arena buffers, sized for MaxBatch (nil when
-	// NoBufferReuse, which selects the allocating dynamic path).
+	// slots are the arena buffers, sized for MaxBatch (nil under
+	// NoBufferReuse, whose runs bind fresh buffers instead).
 	slots [][]float32
 
 	// inPatches is structural (step, arg) → input wiring, identical for
@@ -42,7 +46,8 @@ type Session struct {
 	inputIdx  map[*graph.Value]int
 
 	// binds[n] holds the prebound steps for batch n (1 ≤ n ≤ MaxBatch),
-	// built lazily on the first run at that batch size.
+	// built lazily on the first run at that batch size; never kept under
+	// NoBufferReuse.
 	binds []*batchBind
 
 	// stage backs the Staging views (stageViews[n] is the batch-n one):
@@ -92,19 +97,12 @@ type outputBind struct {
 
 // NewSession prepares an executable session from a plan, allocating the
 // arena (sized for the plan's MaxBatch) and resolving the full-batch step
-// bindings up front.
+// bindings up front; a NoBufferReuse plan gets neither.
 func NewSession(plan *Plan) *Session {
 	s := &Session{plan: plan, ctx: ops.NewCtx(plan.opts.Workers), fault: plan.fault}
-	s.ctx.DisableScratchReuse = plan.opts.DisableScratchReuse
+	s.ctx.DisableScratchReuse = plan.opts.NoBufferReuse
 	s.ctx.Consts = plan.consts
 	s.inTensors = make([]*tensor.Tensor, len(plan.g.Inputs))
-	if plan.opts.NoBufferReuse {
-		return s
-	}
-	s.slots = make([][]float32, len(plan.slotSize))
-	for i, size := range plan.slotSize {
-		s.slots[i] = make([]float32, size)
-	}
 	s.inputIdx = make(map[*graph.Value]int, len(plan.g.Inputs))
 	for i, in := range plan.g.Inputs {
 		s.inputIdx[in] = i
@@ -120,6 +118,13 @@ func NewSession(plan *Plan) *Session {
 		}
 	}
 	s.binds = make([]*batchBind, plan.maxBatch+1)
+	if plan.opts.NoBufferReuse {
+		return s
+	}
+	s.slots = make([][]float32, len(plan.slotSize))
+	for i, size := range plan.slotSize {
+		s.slots[i] = make([]float32, size)
+	}
 	s.binds[plan.maxBatch] = s.bindFor(plan.maxBatch)
 	return s
 }
@@ -129,15 +134,21 @@ func NewSession(plan *Plan) *Session {
 // are created once per value; values sharing a slot get distinct views
 // over the same storage, exactly as the liveness planner intends.
 // Batch-scaled values get views over the leading n/MaxBatch fraction of
-// their slot.
+// their slot. Under NoBufferReuse every value gets a fresh zeroed buffer
+// of its batch-n shape instead, so nothing needs zero-filling.
 func (s *Session) bindFor(n int) *batchBind {
+	fresh := s.plan.opts.NoBufferReuse
 	views := make(map[*graph.Value]*tensor.Tensor)
 	view := func(v *graph.Value) *tensor.Tensor {
 		if t := views[v]; t != nil {
 			return t
 		}
-		buf := s.slots[s.plan.slotOf[v]][:s.plan.batchVolume(v, n)]
-		t := tensor.FromSlice(buf, s.plan.batchShape(v, n)...)
+		var t *tensor.Tensor
+		if fresh {
+			t = tensor.New(s.plan.batchShape(v, n)...)
+		} else {
+			t = tensor.FromSlice(s.slots[s.plan.slotOf[v]][:s.plan.batchVolume(v, n)], s.plan.batchShape(v, n)...)
+		}
 		views[v] = t
 		return t
 	}
@@ -162,7 +173,7 @@ func (s *Session) bindFor(n int) *batchBind {
 		for oi, v := range st.node.Outputs {
 			t := view(v)
 			bs.out[oi] = t
-			if !st.overwrites {
+			if !st.overwrites && !fresh {
 				bs.zero = append(bs.zero, t.Data())
 			}
 		}
@@ -383,9 +394,6 @@ func (s *Session) runStep(node *graph.Node, kernel ops.Kernel, in, out []*tensor
 }
 
 func (s *Session) run(ctx context.Context, inputs map[string]*tensor.Tensor, profile bool) (map[string]*tensor.Tensor, []LayerTiming, error) {
-	if s.slots == nil {
-		return s.runDynamic(ctx, inputs, profile)
-	}
 	n, err := s.resolveBatch(inputs)
 	if err != nil {
 		return nil, nil, err
@@ -394,7 +402,13 @@ func (s *Session) run(ctx context.Context, inputs map[string]*tensor.Tensor, pro
 	b := s.binds[n]
 	if b == nil {
 		b = s.bindFor(n)
-		s.binds[n] = b
+		if s.plan.opts.NoBufferReuse {
+			// Per-call allocation: this binding serves one run, and so
+			// does a private cache, whose misses re-derive every weight.
+			s.ctx.Consts = ops.NewConstCache()
+		} else {
+			s.binds[n] = b
+		}
 	}
 	for _, pt := range s.inPatches {
 		b.steps[pt.step].in[pt.arg] = s.inTensors[pt.input]
@@ -439,71 +453,6 @@ func (s *Session) run(ctx context.Context, inputs map[string]*tensor.Tensor, pro
 	return b.results, timings, nil
 }
 
-// runDynamic is the NoBufferReuse path: every value gets a fresh buffer on
-// every run, emulating frameworks that allocate per operator call
-// (torch-sim; ablation A3). It honours the runtime batch the same way the
-// arena path does, allocating values at their batch-n shapes.
-func (s *Session) runDynamic(ctx context.Context, inputs map[string]*tensor.Tensor, profile bool) (map[string]*tensor.Tensor, []LayerTiming, error) {
-	n, err := s.resolveBatch(inputs)
-	if err != nil {
-		return nil, nil, err
-	}
-	done := cancelCheck(ctx)
-	bound := make(map[*graph.Value]*tensor.Tensor, len(s.plan.slotOf)+len(inputs))
-	for i, in := range s.plan.g.Inputs {
-		bound[in] = s.inTensors[i]
-	}
-
-	var timings []LayerTiming
-	if profile {
-		timings = make([]LayerTiming, 0, len(s.plan.steps))
-	}
-	for _, st := range s.plan.steps {
-		if cancelled(done) {
-			return nil, timings, ctx.Err()
-		}
-		in := make([]*tensor.Tensor, len(st.node.Inputs))
-		for i, v := range st.node.Inputs {
-			t, err := tensorFor(bound, v)
-			if err != nil {
-				return nil, nil, err
-			}
-			in[i] = t
-		}
-		out := make([]*tensor.Tensor, len(st.node.Outputs))
-		for i, v := range st.node.Outputs {
-			t := tensor.New(s.plan.batchShape(v, n)...)
-			bound[v] = t
-			out[i] = t
-		}
-		start := time.Time{}
-		if profile {
-			start = time.Now()
-		}
-		if err := s.runStep(st.node, st.kernel, in, out); err != nil {
-			return nil, nil, err
-		}
-		if profile {
-			timings = append(timings, LayerTiming{
-				Node:     st.node,
-				Kernel:   st.kernel.Name(),
-				Duration: time.Since(start),
-				Flops:    scaledFlops(st.node, n, s.plan.maxBatch),
-			})
-		}
-	}
-
-	results := make(map[string]*tensor.Tensor, len(s.plan.g.Outputs))
-	for _, o := range s.plan.g.Outputs {
-		t, err := tensorFor(bound, o)
-		if err != nil {
-			return nil, nil, err
-		}
-		results[o.Name] = t
-	}
-	return results, timings, nil
-}
-
 // scaledFlops rescales a node's static flop estimate (taken at the plan's
 // MaxBatch shapes) to the runtime batch n. Every op's flop count is linear
 // in the batch, so the ratio is exact.
@@ -513,17 +462,6 @@ func scaledFlops(node *graph.Node, n, maxBatch int) int64 {
 		fl = fl * int64(n) / int64(maxBatch)
 	}
 	return fl
-}
-
-// tensorFor resolves the tensor currently bound to v on the dynamic path.
-func tensorFor(bound map[*graph.Value]*tensor.Tensor, v *graph.Value) (*tensor.Tensor, error) {
-	if t := bound[v]; t != nil {
-		return t, nil
-	}
-	if v.IsConst() {
-		return v.Const, nil
-	}
-	return nil, fmt.Errorf("runtime: value %q read before being produced", v.Name)
 }
 
 // Plan returns the session's compiled plan.

@@ -179,6 +179,7 @@ func (reg *Registry) Add(name string, g *graph.Graph, backendName string, worker
 	}
 	e.perVol = tensor.Volume(e.inShape1)
 	e.maxWireLen = wire.HeaderSize(wire.MaxRank) + 4*e.perVol
+	e.maxJSONLen = 64*int64(e.perVol) + 4096
 	if reg.cfg.maxBatch > 1 {
 		e.batcher, err = runtime.NewBatcher(e.sessions, runtime.BatcherOptions{
 			FlushDeadline: reg.cfg.flush,

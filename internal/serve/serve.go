@@ -63,6 +63,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"sort"
@@ -113,6 +114,10 @@ type Entry struct {
 	// maxWireLen bounds an encoded request body for this model: the
 	// max-rank header plus one sample's payload.
 	maxWireLen int
+	// maxJSONLen bounds a JSON request body for this model: 64 bytes per
+	// input value, room for any float formatting, plus 4 KiB for the
+	// other fields and whitespace.
+	maxJSONLen int64
 	// bufs pools request/response wire buffers (*[]byte of maxWireLen,
 	// possibly grown by a large response) so the binary path reads,
 	// decodes and encodes without per-request allocations.
@@ -514,13 +519,20 @@ func retryAfterSeconds(e *Entry) string {
 }
 
 // decodeJSONRequest decodes and validates a JSON predict body for e with
-// the uniform status mapping: malformed body or wrong-length input → 400.
-// It writes the error response itself and returns ok=false when the
-// request is done.
+// the uniform status mapping: malformed, oversize (more than e.maxJSONLen
+// bytes, which are all it reads) or wrong-length input → 400. It writes
+// the error response itself and returns ok=false when the request is done.
 func (s *Server) decodeJSONRequest(w http.ResponseWriter, r *http.Request, e *Entry) (predictRequest, bool) {
 	var req predictRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("invalid JSON: %w", err))
+	body := &io.LimitedReader{R: r.Body, N: e.maxJSONLen}
+	if err := json.NewDecoder(body).Decode(&req); err != nil {
+		if body.N == 0 {
+			err = fmt.Errorf("%w: JSON body exceeds %d bytes (one %s sample)",
+				wire.ErrTooLarge, e.maxJSONLen, tensor.ShapeString(e.inShape1))
+		} else {
+			err = fmt.Errorf("invalid JSON: %w", err)
+		}
+		writeError(w, http.StatusBadRequest, err)
 		return predictRequest{}, false
 	}
 	if len(req.Input) != e.perVol {

@@ -5,8 +5,10 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -166,6 +168,54 @@ func TestPredictValidation(t *testing.T) {
 	defer r2.Body.Close()
 	if r2.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad JSON = %d, want 400", r2.StatusCode)
+	}
+}
+
+// countingBody is an endless JSON predict body — an input array that never
+// closes — capped at limit bytes, counting what the server reads.
+type countingBody struct {
+	read, limit int64
+}
+
+func (b *countingBody) Read(p []byte) (int, error) {
+	const head, elem = `{"input":[`, "0.1234567,"
+	if b.read >= b.limit {
+		return 0, io.EOF
+	}
+	n := 0
+	for n < len(p) && b.read < b.limit {
+		if b.read < int64(len(head)) {
+			p[n] = head[b.read]
+		} else {
+			p[n] = elem[(b.read-int64(len(head)))%int64(len(elem))]
+		}
+		n++
+		b.read++
+	}
+	return n, nil
+}
+
+// TestJSONBodyBounded: a JSON body larger than the model's bound is
+// refused with 400 after the server reads no more than the bound, on both
+// JSON endpoints.
+func TestJSONBodyBounded(t *testing.T) {
+	s, _ := newTestServer(t)
+	e, _ := s.entry("tiny")
+	for _, path := range []string{"/predict/tiny", "/profile/tiny"} {
+		body := &countingBody{limit: 10 * e.maxJSONLen}
+		req := httptest.NewRequest(http.MethodPost, path, body)
+		req.Header.Set("Content-Type", "application/json")
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, req)
+		if rec.Code != http.StatusBadRequest {
+			t.Errorf("%s: oversize JSON body = %d, want 400", path, rec.Code)
+		}
+		if body.read > e.maxJSONLen {
+			t.Errorf("%s: server read %d bytes of the body, bound is %d", path, body.read, e.maxJSONLen)
+		}
+		if !strings.Contains(rec.Body.String(), "exceeds") {
+			t.Errorf("%s: error body %q does not report the size bound", path, rec.Body.String())
+		}
 	}
 }
 
