@@ -40,8 +40,9 @@ func maxRowGo(dst []float32, ldd int, x []float32, ldx, stride, n, rows int) {
 	}
 }
 
-// The GatherTaps bodies, in the order a host may run them: each host runs
-// gatherBody, and every body below it is also present for the tests.
+// The GatherTaps and DepthwiseRow bodies, in the order a host may run
+// them: each host runs vecBody, and every body below it is also present
+// for the tests.
 const (
 	bodyGo = iota
 	bodyAVX2
@@ -72,7 +73,7 @@ func GatherTaps(dst []float32, ldd int, x []float32, tap []int, n, stride int) {
 	if !writeOK || rowEnd > len(dst)-n {
 		panic(fmt.Sprintf("gemm: GatherTaps writes %d rows of %d at %d apart into %d elements", len(tap), n, ldd, len(dst)))
 	}
-	gatherTaps(gatherBody, dst, ldd, x, tap, n, stride)
+	gatherTaps(vecBody, dst, ldd, x, tap, n, stride)
 }
 
 // span returns count*step, and whether both are non-negative and the

@@ -4,12 +4,14 @@ package gemm
 
 // Vectorised row helpers for amd64. FMARow backs the NHWC depthwise
 // convolution kernel, whose inner loop is a straight elementwise FMA over
-// the channel axis; AXPYRow backs the NCHW one, whose inner loop is one
-// broadcast weight times a run of input columns, and average pooling;
-// MaxRow backs max pooling; GatherTaps backs the implicit-GEMM conv
-// gather, moving one stretch of a B panel for all its k-rows in one call
-// with masked AVX-512 or AVX2 moves; reluRowHead and requantRowHead are
-// the vector heads of the fp32 and int8 GEMM epilogues.
+// the channel axis; DepthwiseRow backs the NCHW one and NCHW average
+// pooling with AVX-512 or AVX2 bodies that keep each output vector in a
+// register through all its taps; AXPYRow backs NHWC average pooling and
+// the residual add; MaxRow backs max pooling; GatherTaps backs the
+// implicit-GEMM conv gather, moving one stretch of a B panel for all its
+// k-rows in one call with masked AVX-512 or AVX2 moves; reluRowHead and
+// requantRowHead are the vector heads of the fp32 and int8 GEMM
+// epilogues.
 
 // vecAVX2 gates the assembly row helpers on the same probe as the AVX2
 // GEMM kernel.
@@ -35,38 +37,32 @@ func FMARow(dst, a, b []float32) {
 //go:noescape
 func fmaRowAVX2(dst, a, b *float32, n int64)
 
-// AXPYRow is the row primitive of NCHW depthwise convolution — one scalar
-// times a run of an input row, added to a run of an output row — applied
-// to rows consecutive rows in one call:
+// AXPYRow is one scalar times a run of an input row, added to a run of an
+// output row, applied to rows consecutive rows in one call:
 //
 //	dst[r*ldd+i] += a * x[r*ldx+i*stride]   r in [0, rows), i in [0, n)
 //
-// dst and x must reach the last element that touches. Strides 1 and 2 —
-// the column strides depthwise convolutions have — run AVX2/FMA bodies
-// that take any n, since rows of 7 and 14 columns are as common as rows
-// of 112; other strides take the portable loop.
+// dst and x must reach the last element that touches. Stride 1 — what
+// its callers run — takes an AVX2/FMA body for any n; other strides take
+// the portable loop.
 func AXPYRow(dst []float32, ldd int, x []float32, ldx, stride int, a float32, n, rows int) {
 	if n <= 0 || rows <= 0 {
 		return
 	}
 	_ = dst[(rows-1)*ldd+n-1]
 	_ = x[(rows-1)*ldx+(n-1)*stride]
-	switch {
-	case !vecAVX2 || stride > 2:
+	if !vecAVX2 || stride != 1 {
 		axpyRowGo(dst, ldd, x, ldx, stride, a, n, rows)
-	case stride == 1:
-		axpyRowsAVX2(&dst[0], int64(ldd), &x[0], int64(ldx), a, int64(n), int64(rows))
-	default:
-		q := stride2Head(n, (rows-1)*ldx, len(x))
-		axpyRows2AVX2(&dst[0], int64(ldd), &x[0], int64(ldx), a, int64(q), int64(n-q), int64(rows))
+		return
 	}
+	axpyRowsAVX2(&dst[0], int64(ldd), &x[0], int64(ldx), a, int64(n), int64(rows))
 }
 
-// stride2Head returns how many of a row's n outputs the stride-2 vector
-// bodies take. They read 16 elements for 8 outputs, one more than the last
-// output needs: the block that would run past the end of x on the last
-// row, which starts at lastRow of its lenX elements, is left to the scalar
-// tail.
+// stride2Head returns how many of a row's n outputs MaxRow's stride-2
+// vector body takes. It reads 16 elements for 8 outputs, one more than
+// the last output needs: the block that would run past the end of x on
+// the last row, which starts at lastRow of its lenX elements, is left to
+// the scalar tail.
 func stride2Head(n, lastRow, lenX int) int {
 	q := n &^ 7
 	if lastRow+2*q > lenX {
@@ -81,13 +77,6 @@ func stride2Head(n, lastRow, lenX int) int {
 //go:noescape
 func axpyRowsAVX2(dst *float32, ldd int64, x *float32, ldx int64, a float32, n, rows int64)
 
-// axpyRows2AVX2 is AXPYRow at stride 2 for rows ≥ 1 and n = q+tail
-// columns, q a multiple of 8 handled 8 outputs at a time and tail one at
-// a time. Implemented in vec_amd64.s.
-//
-//go:noescape
-func axpyRows2AVX2(dst *float32, ldd int64, x *float32, ldx int64, a float32, q, tail, rows int64)
-
 // MaxRow is the row primitive of max pooling — a run of an input row
 // folded into a run of an output row with max — applied to rows consecutive
 // rows in one call:
@@ -95,9 +84,8 @@ func axpyRows2AVX2(dst *float32, ldd int64, x *float32, ldx int64, a float32, q,
 //	dst[r*ldd+i] = max(dst[r*ldd+i], x[r*ldx+i*stride])   r in [0, rows), i in [0, n)
 //
 // dst keeps its value unless x is greater. dst and x must reach the last
-// element that touches. Strides 1 and 2 run AVX2 bodies shaped like
-// AXPYRow's, with the same over-read guard at stride 2; other strides take
-// the portable loop.
+// element that touches. Strides 1 and 2 run AVX2 bodies, stride 2 with an
+// over-read guard; other strides take the portable loop.
 func MaxRow(dst []float32, ldd int, x []float32, ldx, stride, n, rows int) {
 	if n <= 0 || rows <= 0 {
 		return
@@ -128,9 +116,9 @@ func maxRowsAVX2(dst *float32, ldd int64, x *float32, ldx int64, n, rows int64)
 //go:noescape
 func maxRows2AVX2(dst *float32, ldd int64, x *float32, ldx int64, q, tail, rows int64)
 
-// gatherBody is the GatherTaps body this host runs: AVX-512 where the
-// micro-kernel registry would take its AVX-512 tile, else AVX2.
-var gatherBody = func() int {
+// vecBody is the GatherTaps and DepthwiseRow body this host runs: AVX-512
+// where the micro-kernel registry would take its AVX-512 tile, else AVX2.
+var vecBody = func() int {
 	switch {
 	case hasAVX512():
 		return bodyAVX512
@@ -178,6 +166,50 @@ func gatherTapsAVX512(dst, x *float32, tap *int, ldd, rows, stride, full int64, 
 //
 //go:noescape
 func gatherTapsAVX2(dst, x *float32, tap *int, ldd, rows, stride, full int64, smask, lmask uint32)
+
+// depthwiseRow runs DepthwiseRow on body, whose bounds the caller has
+// proved. The vector bodies cut the output plane into columns of w
+// outputs (16 on AVX-512, 8 on AVX2) and take each column from top to
+// bottom: they turn the ColTap table into the column's lane masks once,
+// then keep one output vector of a row in a register from the bias to the
+// store. ReLU is fused into the store as max(0, ·), as the epilogues apply
+// it; ReLU6 and LeakyReLU rows are finished by ActivateRow.
+func depthwiseRow(body int, dst []float32, ldd int, x []float32, ldx int, w []float32, bias float32, d *Depthwise, oy0, rows int) {
+	if !depthwiseVector(body, d) {
+		depthwiseRowGo(dst, ldd, x, ldx, w, bias, d, oy0, rows, false)
+		return
+	}
+	a := d.args
+	a.ldd, a.ldx, a.rows = int64(ldd), int64(ldx), int64(rows)
+	a.iy0, a.bias = int64(oy0*d.g.SH-d.g.PadT), bias
+	if len(w) == 1 {
+		a.wstep, a.wpitch = 0, 0
+	}
+	taps := d.taps()
+	if body == bodyAVX512 {
+		depthwiseAVX512(&dst[0], &x[0], &w[0], &taps[0], &a)
+	} else {
+		depthwiseAVX2(&dst[0], &x[0], &w[0], &taps[0], &a)
+	}
+	if d.act == ActReLU6 || d.act == ActLeakyReLU {
+		for r := 0; r < rows; r++ {
+			row := dst[r*ldd:][:d.g.OW]
+			ActivateRow(row, row, d.act, d.alpha)
+		}
+	}
+}
+
+// depthwiseAVX512 is DepthwiseRow in columns of 16 outputs, for strides 1
+// and 2 and kw ≤ 16. Implemented in vec_amd64.s.
+//
+//go:noescape
+func depthwiseAVX512(dst, x, w *float32, taps *ColTap, a *depthwiseArgs)
+
+// depthwiseAVX2 is depthwiseAVX512 in columns of 8. Implemented in
+// vec_amd64.s.
+//
+//go:noescape
+func depthwiseAVX2(dst, x, w *float32, taps *ColTap, a *depthwiseArgs)
 
 // reluRowHead stores relu(src[i]+bias) to dst[i] for the leading elements
 // the AVX2 body takes — whole blocks of 8 — and returns how many that was;

@@ -13,15 +13,13 @@ func FMARow(dst, a, b []float32) {
 	}
 }
 
-// AXPYRow is the row primitive of NCHW depthwise convolution — one scalar
-// times a run of an input row, added to a run of an output row — applied
-// to rows consecutive rows in one call:
+// AXPYRow is one scalar times a run of an input row, added to a run of an
+// output row, applied to rows consecutive rows in one call:
 //
 //	dst[r*ldd+i] += a * x[r*ldx+i*stride]   r in [0, rows), i in [0, n)
 //
 // dst and x must reach the last element that touches. Portable form;
-// amd64 dispatches strides 1 and 2 to AVX2/FMA loops when the CPU
-// supports them.
+// amd64 dispatches stride 1 to an AVX2/FMA loop when the CPU supports it.
 func AXPYRow(dst []float32, ldd int, x []float32, ldx, stride int, a float32, n, rows int) {
 	if n > 0 {
 		axpyRowGo(dst, ldd, x, ldx, stride, a, n, rows)
@@ -43,13 +41,20 @@ func MaxRow(dst []float32, ldd int, x []float32, ldx, stride, n, rows int) {
 	}
 }
 
-// gatherBody is the GatherTaps body this build runs: the portable one.
-const gatherBody = bodyGo
+// vecBody is the GatherTaps and DepthwiseRow body this build runs: the
+// portable one.
+const vecBody = bodyGo
 
 // gatherTaps runs the portable GatherTaps body, the only one here; amd64
 // runs AVX-512 or AVX2 bodies at strides 1 and 2.
 func gatherTaps(body int, dst []float32, ldd int, x []float32, tap []int, n, stride int) {
 	gatherTapsGo(dst, ldd, x, tap, n, stride)
+}
+
+// depthwiseRow runs the portable DepthwiseRow body, the only one here;
+// amd64 runs AVX-512 or AVX2 bodies at strides 1 and 2.
+func depthwiseRow(body int, dst []float32, ldd int, x []float32, ldx int, w []float32, bias float32, d *Depthwise, oy0, rows int) {
+	depthwiseRowGo(dst, ldd, x, ldx, w, bias, d, oy0, rows, false)
 }
 
 // reluRowHead reports that no leading elements were taken: there is no

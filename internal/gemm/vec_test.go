@@ -163,7 +163,7 @@ func checkGatherTaps(t *testing.T, body int, x []float32, tap []int, n, stride, 
 // call.
 func TestGatherTapsAsmMatchesGo(t *testing.T) {
 	r := rand.New(rand.NewSource(29))
-	for body := bodyGo; body <= gatherBody; body++ {
+	for body := bodyGo; body <= vecBody; body++ {
 		for _, stride := range []int{1, 2, 3} {
 			for n := 1; n <= 40; n++ {
 				for _, ldd := range []int{n, n + 1, max(n, 32), 2*n + 5} {

@@ -15,14 +15,15 @@ import (
 //     PyTorch's MobileNetV1 collapse — every group (one channel!) gets its
 //     own im2col unfold plus a 1-row GEMM, so per-call overhead dominates.
 //
-// conv.depthwise is the plane walk (planewalk.go) over each (image,
-// channel) plane: seed the block with the channel's bias, apply each tap
-// as one gemm.AXPYRow — the tap's weight, broadcast, times a run of each
-// input row — and finish the block with gemm.ActivateRow, the branchless
-// activation the GEMM epilogues use. Every output is the same sum in the
-// same order as the scalar walk this replaced (conv_depthwise_test.go keeps
-// that walk as the oracle: bit for bit without the FMA assembly, 1e-5 with
-// it).
+// conv.depthwise makes one gemm.DepthwiseRow call per (image, channel)
+// plane: each output vector of a row is seeded with the channel's bias,
+// takes every in-image tap (ky, kx) as one fused multiply-add in a
+// register, in (ky, kx) order, and is stored once through the activation.
+// Border vectors skip exactly the taps that fall outside the image, by
+// lane masks built from the layer's ColTap table, so every output is the
+// same sum in the same order as the scalar walk this replaced
+// (conv_depthwise_test.go keeps that walk as the oracle: bit for bit
+// without the FMA assembly, 1e-5 with it).
 //
 // A depth multiplier (cout = m·cin) only changes which input plane an
 // output channel reads: oc/m.
@@ -51,32 +52,18 @@ func runConvDepthwise(ctx *Ctx, n *graph.Node, in, out []*tensor.Tensor) error {
 		bias = in[2].Data()
 	}
 	y := out[0].Data()
-	act := gemmActivation(p.activation)
 	mult := p.cout / p.cin
-
-	g := planeWalk{h: p.h, w: p.w, oh: p.oh, ow: p.ow, kh: p.kh, kw: p.kw,
-		sh: p.sh, sw: p.sw, dh: p.dh, dw: p.dw, padT: p.padT, padL: p.padL, c: 1}
-	g.init()
-
+	dw := gemm.NewDepthwise(gemm.Window{H: p.h, W: p.w, OH: p.oh, OW: p.ow, KH: p.kh, KW: p.kw,
+		SH: p.sh, SW: p.sw, DH: p.dh, DW: p.dw, PadT: p.padT, PadL: p.padL}, gemmActivation(p.activation), p.alpha)
 	for b := 0; b < p.n; b++ {
 		for oc := 0; oc < p.cout; oc++ {
 			src := x[(b*p.cin+oc/mult)*p.h*p.w:][:p.h*p.w]
 			dst := y[(b*p.cout+oc)*p.oh*p.ow:][:p.oh*p.ow]
-			wc := w[oc*p.kh*p.kw:][:p.kh*p.kw]
 			var bv float32
 			if bias != nil {
 				bv = bias[oc]
 			}
-			g.walk(func(oy0, rows int) {
-				fill(g.block(dst, oy0, rows), bv)
-			}, func(ky, kx int, op rowOp) {
-				gemm.AXPYRow(dst[op.dst:], op.ldd, src[op.src:], op.ldx, op.stride, wc[ky*p.kw+kx], op.n, op.rows)
-			}, func(oy0, rows int) {
-				if act != gemm.ActNone {
-					blk := g.block(dst, oy0, rows)
-					gemm.ActivateRow(blk, blk, act, p.alpha)
-				}
-			})
+			gemm.DepthwiseRow(dst, p.ow, src, p.w, w[oc*p.kh*p.kw:][:p.kh*p.kw], bv, &dw, 0, p.oh)
 		}
 	}
 	return nil

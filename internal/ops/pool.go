@@ -21,7 +21,7 @@ func init() {
 // tensor, or every image of an NHWC one with its pixels c floats wide.
 func (p *poolParams) planeWalk() (g planeWalk, planes int) {
 	g = planeWalk{h: p.h, w: p.w, oh: p.oh, ow: p.ow, kh: p.kh, kw: p.kw,
-		sh: p.sh, sw: p.sw, dh: 1, dw: 1, padT: p.padT, padL: p.padL, c: 1}
+		sh: p.sh, sw: p.sw, padT: p.padT, padL: p.padL, c: 1}
 	if p.layout == "nhwc" {
 		g.c = p.c
 		return g, p.n
@@ -53,14 +53,16 @@ func runMaxPool(ctx *Ctx, n *graph.Node, in, out []*tensor.Tensor) error {
 	return nil
 }
 
-// runAvgPool is the plane walk seeded with zero, each window tap one
-// gemm.AXPYRow with a = 1 (a fused 1·x + sum rounds once, like the add it
-// stands for), so a block holds the scalar walk's sums in its order; the
-// finish scales each by its window's in-image tap count, which is
-// separable — validRows(oy) × validCols(ox), kw along the whole interior
-// of a row — or by kh·kw under count_include_pad. NCHW divides and NHWC
-// multiplies by the reciprocal, as the scalar walks of the two layouts
-// did, so each layout's outputs are unchanged to the bit.
+// runAvgPool sums each window and scales the sum by its window's size.
+// NCHW planes make one gemm.DepthwiseRow call each with a unit weight
+// (fma(1, x, sum) rounds once, like the add it stands for); NHWC images
+// take the plane walk seeded with zero, each window tap one gemm.AXPYRow
+// with a = 1. Either way every sum holds the scalar walk's terms in its
+// order. The finish scales each sum by its window's in-image tap count,
+// which is separable — validRows(oy) × validCols(ox), kw along the whole
+// interior of a row — or by kh·kw under count_include_pad. NCHW divides
+// and NHWC multiplies by the reciprocal, as the scalar walks of the two
+// layouts did, so each layout's outputs are unchanged to the bit.
 func runAvgPool(ctx *Ctx, n *graph.Node, in, out []*tensor.Tensor) error {
 	p, err := resolvePoolRT(n, in)
 	if err != nil {
@@ -85,31 +87,45 @@ func runAvgPool(ctx *Ctx, n *graph.Node, in, out []*tensor.Tensor) error {
 		}
 	}
 	// Output columns [in0, in1) see all kw window columns inside the row.
-	in0, in1 := g.taps()[0].lo, g.taps()[p.kw-1].hi
+	in0, in1 := g.taps()[0].Lo, g.taps()[p.kw-1].Hi
+	finish := func(dst []float32, oy0, rows int) {
+		if p.includePad {
+			scale(g.block(dst, oy0, rows), p.kh*p.kw)
+			return
+		}
+		for oy := oy0; oy < oy0+rows; oy++ {
+			r, nr := g.block(dst, oy, 1), g.validRows(oy)
+			for ox := 0; ox < p.ow; {
+				end, nc := ox+1, p.kw
+				if in0 <= ox && ox < in1 {
+					end = in1
+				} else {
+					nc = g.validCols(ox)
+				}
+				scale(r[ox*g.c:end*g.c], nr*nc)
+				ox = end
+			}
+		}
+	}
+	var dw gemm.Depthwise
+	if g.c == 1 {
+		dw = gemm.NewDepthwise(gemm.Window{H: p.h, W: p.w, OH: p.oh, OW: p.ow, KH: p.kh, KW: p.kw,
+			SH: p.sh, SW: p.sw, DH: 1, DW: 1, PadT: p.padT, PadL: p.padL}, gemm.ActNone, 0)
+	}
+	unit := []float32{1}
 	for i := 0; i < planes; i++ {
 		src, dst := x[i*inSize:][:inSize], y[i*outSize:][:outSize]
+		if g.c == 1 {
+			gemm.DepthwiseRow(dst, p.ow, src, p.w, unit, 0, &dw, 0, p.oh)
+			finish(dst, 0, p.oh)
+			continue
+		}
 		g.walk(func(oy0, rows int) {
 			clear(g.block(dst, oy0, rows))
 		}, func(_, _ int, op rowOp) {
 			gemm.AXPYRow(dst[op.dst:], op.ldd, src[op.src:], op.ldx, op.stride, 1, op.n, op.rows)
 		}, func(oy0, rows int) {
-			if p.includePad {
-				scale(g.block(dst, oy0, rows), p.kh*p.kw)
-				return
-			}
-			for oy := oy0; oy < oy0+rows; oy++ {
-				r, nr := g.block(dst, oy, 1), g.validRows(oy)
-				for ox := 0; ox < p.ow; {
-					end, nc := ox+1, p.kw
-					if in0 <= ox && ox < in1 {
-						end = in1
-					} else {
-						nc = g.validCols(ox)
-					}
-					scale(r[ox*g.c:end*g.c], nr*nc)
-					ox = end
-				}
-			}
+			finish(dst, oy0, rows)
 		})
 	}
 	return nil

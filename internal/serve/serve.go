@@ -519,13 +519,22 @@ func retryAfterSeconds(e *Entry) string {
 }
 
 // decodeJSONRequest decodes and validates a JSON predict body for e with
-// the uniform status mapping: malformed, oversize (more than e.maxJSONLen
-// bytes, which are all it reads) or wrong-length input → 400. It writes
-// the error response itself and returns ok=false when the request is done.
+// the uniform status mapping: malformed (anything but whitespace after the
+// one JSON value included, as validateWireBody rejects trailing bytes
+// after a wire message), oversize (more than e.maxJSONLen bytes, which are
+// all it reads) or wrong-length input → 400. It writes the error response
+// itself and returns ok=false when the request is done.
 func (s *Server) decodeJSONRequest(w http.ResponseWriter, r *http.Request, e *Entry) (predictRequest, bool) {
 	var req predictRequest
 	body := &io.LimitedReader{R: r.Body, N: e.maxJSONLen}
-	if err := json.NewDecoder(body).Decode(&req); err != nil {
+	dec := json.NewDecoder(body)
+	err := dec.Decode(&req)
+	if err == nil {
+		if _, next := dec.Token(); next != io.EOF {
+			err = errors.New("data after the JSON value")
+		}
+	}
+	if err != nil {
 		if body.N == 0 {
 			err = fmt.Errorf("%w: JSON body exceeds %d bytes (one %s sample)",
 				wire.ErrTooLarge, e.maxJSONLen, tensor.ShapeString(e.inShape1))

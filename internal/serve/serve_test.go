@@ -308,6 +308,12 @@ func TestHandlerStatusTable(t *testing.T) {
 		{"profile short input", "POST", "/profile/tiny", string(shortBody), http.StatusBadRequest},
 		{"predict empty body", "POST", "/predict/tiny", "", http.StatusBadRequest},
 		{"profile empty body", "POST", "/profile/tiny", "", http.StatusBadRequest},
+		{"predict trailing junk", "POST", "/predict/tiny", string(okBody) + " this is not json", http.StatusBadRequest},
+		{"profile trailing junk", "POST", "/profile/tiny", string(okBody) + " this is not json", http.StatusBadRequest},
+		{"predict second value", "POST", "/predict/tiny", string(okBody) + string(okBody), http.StatusBadRequest},
+		{"profile second value", "POST", "/profile/tiny", string(okBody) + "{}", http.StatusBadRequest},
+		{"predict trailing whitespace", "POST", "/predict/tiny", string(okBody) + " \r\n\t\n", http.StatusOK},
+		{"profile trailing whitespace", "POST", "/profile/tiny", string(okBody) + "\n", http.StatusOK},
 		{"predict wrong method", "GET", "/predict/tiny", "", http.StatusMethodNotAllowed},
 		{"profile wrong method", "GET", "/profile/tiny", "", http.StatusMethodNotAllowed},
 		{"models ok", "GET", "/models", "", http.StatusOK},
