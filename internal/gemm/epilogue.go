@@ -33,6 +33,20 @@ type PackSrc interface {
 	PackPanel(dst []float32, img, pp, jj, kc, nc, nr int)
 }
 
+// ClearEdgeCols zero-pads a packed panel of rows-row strips nr columns
+// wide: it clears the columns beyond nc of the last strip, which PackSrc
+// requires and every panel packer leaves to this one call. The padding is
+// geometric; the kernels without an exact-width edge multiply it and
+// discard the products.
+func ClearEdgeCols(dst []float32, rows, nr, nc int) {
+	if jl := nc % nr; jl != 0 {
+		last := dst[(nc/nr)*rows*nr:]
+		for p := 0; p < rows; p++ {
+			clear(last[p*nr+jl : (p+1)*nr])
+		}
+	}
+}
+
 // PackSrcA supplies a virtual A operand panel by panel — the A-side mirror
 // of PackSrc. NHWC implicit-GEMM convolution gathers per-image receptive
 // fields this way while the constant weights ride as a prepacked, shared B

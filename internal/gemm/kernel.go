@@ -16,6 +16,12 @@ package gemm
 // registered kernel is the tier's default: a pinned name runs the kernel
 // that production selects on a host whose widest instruction set it is.
 //
+// A kernel may also carry an edge body (edgeKernel) for a column block's
+// last strip when it is narrower than nr: the fp32 Go, AVX2 and AVX-512
+// kernels do, and compute that strip at its exact width with the padded
+// tile's bits. NEON (no arm64 host verifies it yet) and every int8 kernel
+// have none and multiply the zero padding.
+//
 // Selection order, per tier:
 //
 //  1. The ORPHEUS_GEMM_KERNEL environment variable, when it names a kernel
@@ -46,21 +52,39 @@ import (
 // elements; store overwrites c instead of accumulating; kd ≥ 1.
 type microKernel[A, B, C any] func(pa []A, pb []B, c []C, kd, ldc int, store bool)
 
+// edgeKernel is a micro-kernel's exact-width column edge: for each of
+// strips consecutive A strips (kd·mr values apart in pa) it computes the
+// first cols < nr columns of the block micro would compute against the B
+// strip pb, into rows strip·mr … of c. Each of those elements is the chain
+// micro runs for it — the same products in the same k order from +0,
+// stored or added to c with the same operand order — so it is bit for bit
+// micro's element; columns [cols, nr) of c and everything beyond the
+// strips' rows are left untouched.
+type edgeKernel[A, B, C any] func(pa []A, pb []B, c []C, kd, ldc, strips, cols int, store bool)
+
 // kernel bundles a micro-kernel with the packing geometry it consumes. mc
 // is the M-tile height: mcBlock rounded down to a multiple of mr, so every
 // interior panel is a whole number of strips (a tile height that is not a
 // power of two, like the 6-row avx2 tile's, does not divide 128 evenly)
 // and the prepacked panel offsets pm*pp + ii*kc stay exact. Column blocks
-// are cut from ncBlock in multiples of ncMin, which every nr divides.
+// are cut from ncBlock in multiples of ncMin, which every nr divides. edge
+// is nil for a kernel that runs a narrow last strip as a padded tile.
 type kernel[A, B, C any] struct {
 	name   string
 	mr, nr int // micro-tile rows and columns
 	mc     int // M-tile rows (a multiple of mr)
 	micro  microKernel[A, B, C]
+	edge   edgeKernel[A, B, C]
 }
 
 func newKernel[A, B, C any](name string, mr, nr int, micro microKernel[A, B, C]) *kernel[A, B, C] {
 	return &kernel[A, B, C]{name: name, mr: mr, nr: nr, mc: mcBlock - mcBlock%mr, micro: micro}
+}
+
+// withEdge gives k the exact-width edge body edge.
+func (k *kernel[A, B, C]) withEdge(edge edgeKernel[A, B, C]) *kernel[A, B, C] {
+	k.edge = edge
+	return k
 }
 
 // Micro-tile geometry bounds, which register enforces: no kernel is taller
@@ -86,7 +110,7 @@ var (
 	fp32Kernels = &registry[float32, float32, float32]{
 		kgroup:   1,
 		families: map[string]bool{"go": true, "avx2": true, "avx512": true, "neon": true},
-		kernels:  []*kernel[float32, float32, float32]{newKernel("go", 4, 8, microKernelGo)},
+		kernels:  []*kernel[float32, float32, float32]{newKernel("go", 4, 8, microKernelGo).withEdge(edgeGo)},
 	}
 	int8Kernels = &registry[int8, byte, int32]{
 		tier:     "int8 ",
@@ -209,6 +233,14 @@ func Kernel8Names() []string { return int8Kernels.names() }
 // quantized-tier calls. Like SetKernel, switching invalidates buffers
 // produced by earlier PrepackAInt8 calls and must not race in-flight GEMMs.
 func SetKernel8(name string) error { return int8Kernels.set(name) }
+
+// adaptEdgeAsm wraps an assembly edge body into an edgeKernel, as adaptAsm
+// wraps a micro-kernel; the walk calls it with strips, cols and kd ≥ 1.
+func adaptEdgeAsm[A, B, C any](asm func(pa *A, pb *B, c *C, kd, ldc, strips, cols int64, store bool)) edgeKernel[A, B, C] {
+	return func(pa []A, pb []B, c []C, kd, ldc, strips, cols int, store bool) {
+		asm(&pa[0], &pb[0], &c[0], int64(kd), int64(ldc), int64(strips), int64(cols), store)
+	}
+}
 
 // adaptAsm wraps an assembly micro-kernel, which takes pointers into the
 // packed panels and the accumulator, into a microKernel. The walk calls

@@ -15,15 +15,20 @@ package gemm
 //     a narrow plane by under one vector. Registered only when the CPU and
 //     OS support the AVX-512F state; the default where available.
 //
+// Each has an exact-width edge body (edge6AVX2, edge16AVX512) for a last
+// strip of cols < 16 columns: vectors over a strip's rows, one broadcast
+// per B value, cols FMAs per strip and k step, blocks of 4 strips and then
+// single strips.
+//
 // Feature detection is a hand-rolled CPUID/XGETBV probe (no external
 // dependency), so the portable kernel remains the default everywhere else.
 
 func init() {
 	if hasAVX2FMA() {
-		fp32Kernels.register(newKernel("avx2", 6, 16, adaptAsm(microKernel6x16AVX2)))
+		fp32Kernels.register(newKernel("avx2", 6, 16, adaptAsm(microKernel6x16AVX2)).withEdge(adaptEdgeAsm(edge6AVX2)))
 	}
 	if hasAVX512() {
-		fp32Kernels.register(newKernel("avx512", 16, 16, adaptAsm(microKernel16x16AVX512)))
+		fp32Kernels.register(newKernel("avx512", 16, 16, adaptAsm(microKernel16x16AVX512)).withEdge(adaptEdgeAsm(edge16AVX512)))
 	}
 }
 
@@ -40,6 +45,20 @@ func microKernel6x16AVX2(pa, pb, c *float32, kc, ldc int64, store bool)
 //
 //go:noescape
 func microKernel16x16AVX512(pa, pb, c *float32, kc, ldc int64, store bool)
+
+// edge6AVX2 is microKernel6x16AVX2's exact-width edge (see edgeKernel):
+// columns [0, cols) of the 16-wide B strip pb against strips 6-row A
+// strips, cols < 16. Implemented in kernel_amd64.s.
+//
+//go:noescape
+func edge6AVX2(pa, pb, c *float32, kd, ldc, strips, cols int64, store bool)
+
+// edge16AVX512 is microKernel16x16AVX512's exact-width edge (see
+// edgeKernel): columns [0, cols) of the 16-wide B strip pb against strips
+// 16-row A strips, cols < 16. Implemented in kernel_amd64.s.
+//
+//go:noescape
+func edge16AVX512(pa, pb, c *float32, kd, ldc, strips, cols int64, store bool)
 
 // cpuid executes the CPUID instruction for (eaxIn, ecxIn).
 func cpuid(eaxIn, ecxIn uint32) (eax, ebx, ecx, edx uint32)

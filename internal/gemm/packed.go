@@ -8,6 +8,15 @@ package gemm
 // by CPU-feature dispatch — see kernel.go; the pure-Go 4x8 kernel below is
 // the portable fallback and the correctness reference for the SIMD ones.
 //
+// A raw B panel is packed by packB as one GatherTaps call per strip — the
+// masked-vector strided move the convolution pack sources use — and every
+// packer zero-pads the last strip with ClearEdgeCols. The packed layout is
+// always whole strips, but a kernel with an exact-width edge body (the
+// fp32 Go, AVX2 and AVX-512 kernels) computes a last strip of cols < nr
+// columns at that width: cols FMAs per k step instead of nr, each element
+// the chain the padded tile would run, so outputs do not change. The NEON
+// kernel and the int8 tier run that strip as a padded tile.
+//
 // The fp32 entry point is Call executed through Context.Run or, with a
 // worker budget, Pool.Run — the same walk over the same units (pool.go);
 // CallInt8 (int8.go) supplies the walk its own operands. Either fp32
@@ -277,8 +286,10 @@ func (w *work[A, B, C]) plan(workers int) int {
 // image's C across the full K extent. For every k-panel the B panel is
 // packed (or located) once and swept by each M-tile of the row group,
 // accumulating into the Context's unit accumulator — full micro-tiles in
-// the padded geometry, so there is no edge staging. Then the call stores
-// the unit to C in a single pass, with its epilogue fused, while it is
+// the padded geometry, so there is no edge staging. A kernel with an edge
+// body takes a last strip narrower than nr at its exact width instead, in
+// one call per M-tile; the others run it padded. Then the call stores the
+// unit to C in a single pass, with its epilogue fused, while it is
 // cache-hot. Every C element sums its k-panels in ascending order whatever
 // the cut, so the result does not depend on it. K == 0 stores a zero
 // accumulator (the epilogue only).
@@ -292,6 +303,11 @@ func (w *work[A, B, C]) runUnit(ctx *Context, unit int) {
 	if w.k == 0 {
 		clear(s.acc[:size])
 	}
+	whole, cols := ldc, 0 // columns the tile covers; the edge body's rest
+	if kern.edge != nil {
+		cols = nc % kern.nr
+		whole = nc - cols
+	}
 	for pp := 0; pp < w.k; pp += kcBlock {
 		kc := min(kcBlock, w.k-pp)
 		kd := ceilDiv(kc, kg)
@@ -302,9 +318,12 @@ func (w *work[A, B, C]) runUnit(ctx *Context, unit int) {
 			tile := s.acc[(ii-i0)*ldc:]
 			for i := 0; i < mc; i += kern.mr {
 				aStrip := pa[i*kd*kg:]
-				for j := 0; j < ldc; j += kern.nr {
+				for j := 0; j < whole; j += kern.nr {
 					kern.micro(aStrip, pb[j*kd*kg:], tile[i*ldc+j:], kd, ldc, pp == 0)
 				}
+			}
+			if cols > 0 {
+				kern.edge(pa, pb[whole*kd*kg:], tile[whole:], kd, ldc, ceilDiv(mc, kern.mr), cols, pp == 0)
 			}
 		}
 	}
@@ -389,22 +408,19 @@ func packA(dst, a []float32, ii, pp, mc, kc, lda, mr int) {
 }
 
 // packB copies a kc×nc panel of B (row pp, col jj) into strips of nr
-// columns, row-major within each strip: one copy per strip row. Columns
-// beyond nc are zero-padded.
+// columns, row-major within each strip: one GatherTaps call per strip over
+// the panel's row offsets, so each strip row is a masked vector move
+// rather than a copy call. Columns beyond nc are zero-padded.
 func packB(dst, b []float32, pp, jj, kc, nc, ldb, nr int) {
-	di := 0
-	for j := 0; j < nc; j += nr {
-		cols := min(nr, nc-j)
-		base := pp*ldb + jj + j
-		for p := 0; p < kc; p++ {
-			copy(dst[di:di+cols], b[base:base+cols])
-			for cc := cols; cc < nr; cc++ {
-				dst[di+cc] = 0
-			}
-			di += nr
-			base += ldb
-		}
+	var tab [MaxPanelK]int
+	tap := tab[:kc]
+	for p := range tap {
+		tap[p] = (pp + p) * ldb
 	}
+	for j := 0; j < nc; j += nr {
+		GatherTaps(dst[j*kc:], nr, b[jj+j:], tap, min(nr, nc-j), 1)
+	}
+	ClearEdgeCols(dst, kc, nr, nc)
 }
 
 // microKernelGo is the portable 4x8 micro-kernel: C[r][cc] (+)= sum_p
@@ -509,6 +525,40 @@ func microKernelGo(pa, pb, c []float32, kc, ldc int, store bool) {
 	r3[5] += c35
 	r3[6] += c36
 	r3[7] += c37
+}
+
+// edgeGo is microKernelGo's exact-width edge: the first cols columns of one
+// 8-wide B strip against strips consecutive 4-row A strips, each element
+// the same chain microKernelGo runs for it — the same products, summed in
+// the same k order from +0 and added to c (or stored) the same way. Only
+// which of two NaN payloads survives an operation is the compiler's choice,
+// here as in microKernelGo.
+func edgeGo(pa, pb, c []float32, kd, ldc, strips, cols int, store bool) {
+	const mr, nr = 4, 8
+	pb = pb[:kd*nr]
+	for s := 0; s < strips; s++ {
+		a := pa[s*kd*mr:][:kd*mr]
+		t := c[s*mr*ldc:]
+		for j := 0; j < cols; j++ {
+			var c0, c1, c2, c3 float32
+			for p := 0; p < kd; p++ {
+				a4 := a[p*mr : p*mr+mr : p*mr+mr]
+				b := pb[p*nr+j]
+				c0 += a4[0] * b
+				c1 += a4[1] * b
+				c2 += a4[2] * b
+				c3 += a4[3] * b
+			}
+			if store {
+				t[j], t[ldc+j], t[2*ldc+j], t[3*ldc+j] = c0, c1, c2, c3
+				continue
+			}
+			t[j] += c0
+			t[ldc+j] += c1
+			t[2*ldc+j] += c2
+			t[3*ldc+j] += c3
+		}
+	}
 }
 
 // Packed computes C += A·B with a throwaway Context. Prefer a long-lived

@@ -103,18 +103,6 @@ func quadBytes(w []float32) []byte {
 	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(w))), 4*len(w))
 }
 
-// clearEdgeCols clears the columns beyond nc of a panel's last strip —
-// geometric padding whose products are discarded — in a panel of
-// nr-column strips of rows rows.
-func clearEdgeCols(dst []float32, rows, nr, nc int) {
-	if jl := nc % nr; jl != 0 {
-		last := dst[(nc/nr)*rows*nr:]
-		for p := 0; p < rows; p++ {
-			clear(last[p*nr+jl : (p+1)*nr])
-		}
-	}
-}
-
 // convPackSrc is the virtual B matrix of one convolution group over a
 // padded fp32 batch. It is read-only during a gemm call, so the pool may
 // pack panels from several workers at once.
@@ -167,5 +155,5 @@ func (s *convPackSrc) PackPanel(dst []float32, img, pp, jj, kc, nc, nr int) {
 			d = d[kc*nr:]
 		}
 	}
-	clearEdgeCols(dst, kc, nr, nc)
+	gemm.ClearEdgeCols(dst, kc, nr, nc)
 }

@@ -124,5 +124,5 @@ func (s *densePackSrc8) PackPanel8(dst []byte, img, pp, jj, kc, nc, nr int) {
 	for j := 0; j < nc; j += nr {
 		gemm.GatherTaps(d[(j/nr)*len(tap)*nr:], nr, s.q8[(jj+j)*s.ld+(pp>>2):], tap, min(nr, nc-j), s.ld)
 	}
-	clearEdgeCols(d, len(tap), nr, nc)
+	gemm.ClearEdgeCols(d, len(tap), nr, nc)
 }
