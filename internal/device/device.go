@@ -17,8 +17,8 @@
 //
 // Constants were calibrated once against the qualitative results in the
 // paper (who wins where, and by roughly what factor) and are documented
-// inline; EXPERIMENTS.md records the resulting numbers next to the
-// paper's.
+// inline; `orpheus-bench -experiment fig2` prints the resulting numbers
+// next to the paper's (docs/CLI.md).
 package device
 
 import (

@@ -13,13 +13,15 @@ import (
 // it replaced.
 
 // edgeSpecials are values whose bits a reordered or re-associated chain
-// would change: signed zeros, infinities, and NaNs with distinct payloads
-// and signs (one signalling), so that which NaN operand an instruction
-// propagates shows in the result.
+// would change: signed zeros, infinities, NaNs with distinct payloads and
+// signs (one signalling), so that which NaN operand an instruction
+// propagates shows in the result, and two values whose product underflows
+// to a signed zero, so that a one-step chain can be −0.
 var edgeSpecials = []float32{
 	0, float32(math.Copysign(0, -1)), float32(math.Inf(1)), float32(math.Inf(-1)),
 	math.Float32frombits(0x7fc00001), math.Float32frombits(0xffc00abc),
 	math.Float32frombits(0x7f800123), math.Float32frombits(0x7fd0f00d),
+	1e-25, -1e-25,
 }
 
 // edgeFill fills v with normal values in [-1, 1) and, with probability
@@ -74,9 +76,9 @@ func checkEdge(t testing.TB, kern *kernel[float32, float32, float32], c edgeCase
 	size := edgeGuard + rows*c.ldc + edgeGuard
 	got, want := append([]float32(nil), cInit[:size]...), append([]float32(nil), cInit[:size]...)
 	pa, pb = pa[:c.strips*c.kd*mr], pb[:c.kd*nr]
-	kern.edge(pa, pb, got[edgeGuard:], c.kd, c.ldc, c.strips, c.cols, c.store)
+	kern.edge(pa, pb, got[edgeGuard:], c.kd, c.ldc, c.strips, c.cols, c.store, nil, 0, 0)
 	for s := 0; s < c.strips; s++ {
-		kern.micro(pa[s*c.kd*mr:], pb, want[edgeGuard+s*mr*c.ldc:], c.kd, c.ldc, c.store)
+		kern.micro(pa[s*c.kd*mr:], pb, want[edgeGuard+s*mr*c.ldc:], c.kd, c.ldc, c.store, nil, 0, 0)
 	}
 	for i := range got {
 		r, col := (i-edgeGuard)/c.ldc, (i-edgeGuard)%c.ldc

@@ -12,12 +12,16 @@ import "math"
 // sweep over it.
 //
 // The epilogue fields of Call (BiasRow, BiasCol, Act, Alpha) fuse the
-// bias-add and elementwise activation into the store of a unit: each row
-// of the unit accumulator goes to C through them in one pass, while the
-// unit is still cache-resident, instead of as separate full-tensor sweeps
-// after the GEMM returns. (Micro-tile granularity was measured slower: a
-// call per 8×8 tile costs more in call/branch overhead than the cache win
-// returns; one pass per unit row amortises it.)
+// bias-add and elementwise activation into the GEMM instead of separate
+// full-tensor sweeps after it returns. A finishing kernel (the fp32 Go,
+// AVX2 and AVX-512 ones) applies them in registers on a unit's last
+// k-panel, inside the tile and edge bodies, and writes each element of C
+// once (epi). Micro-tile granularity from Go was measured slower — a call
+// per 8×8 tile cost more in call/branch overhead than the cache win
+// returned — which is why the finish lives in the kernel body, not in a
+// Go call per tile. The other kernels, and the calls a finishing body does
+// not cover (see Call.epilogue), go through Call.store: one pass per row of
+// the unit accumulator, while the unit is still cache-resident.
 
 // PackSrc supplies a virtual B operand panel by panel. Implementations
 // must be safe for concurrent PackPanel calls: the worker pool packs
@@ -110,6 +114,77 @@ func (c *Call) store(acc []float32, ldc, img, i0, jj, rows, nc int) {
 			copy(dst, src)
 		}
 	}
+}
+
+// epi is the epilogue a finishing body applies to each element it
+// completes on a unit's last k-panel, in the order Call.store applies the
+// call's: the sum x of the element at row r, column j (added to C first
+// when the panel accumulates) becomes
+//
+//	col:       x = (+0 + col[j]) + x
+//	row:       x = x + b, b = row[r], a +0 b taken as −0
+//	row, relu: x = max(+0, b + x)
+//	relu:      x = max(+0, +0 + x)
+//
+// where the max passes −0 and NaN through. The operand order of each add
+// is store's — its column-bias and ReLU vector rows put the bias first,
+// its plain bias row the sum — so when both operands are NaN the same
+// payload survives. +0 + col[j] is store's bv + bcol[j] with no row bias,
+// a −0 for a +0 row bias its plain copy when the bias is zero, and the +0
+// before a bare ReLU its zero bias. row and col never come together. A
+// nil *epi finishes nothing: the body stores or adds its sums as they
+// are.
+type epi struct {
+	row, col []float32
+	relu     bool
+}
+
+// zeroRows is the row bias of a ReLU without one, which store adds as +0:
+// as many rows as an M-tile has, the most any body reads.
+var zeroRows [mcBlock]float32
+
+// at returns e's bias pointers for a block whose first element is row r,
+// column j — nil for no bias — and its activation flag, as the assembly
+// bodies take them. A nil e gives none.
+func (e *epi) at(r, j int) (row, col *float32, relu bool) {
+	switch {
+	case e == nil:
+		return nil, nil, false
+	case e.col != nil:
+		col = &e.col[j]
+	case e.row != nil:
+		row = &e.row[r]
+	case e.relu:
+		row = &zeroRows[0]
+	}
+	return row, col, e.relu
+}
+
+// apply finishes x, the sum of the element at row r, column j. The Go
+// bodies call it; their operand order on each add is the compiler's.
+func (e *epi) apply(x float32, r, j int) float32 {
+	if e == nil {
+		return x
+	}
+	var zero float32
+	switch {
+	case e.col != nil:
+		x = (zero + e.col[j]) + x
+	case e.relu && e.row != nil:
+		x = e.row[r] + x
+	case e.row != nil:
+		b := e.row[r]
+		if b == 0 {
+			b = negZero
+		}
+		x = x + b
+	case e.relu:
+		x = zero + x
+	}
+	if e.relu {
+		x = activate(x, ActReLU, 0)
+	}
+	return x
 }
 
 // negZero is the bias that changes nothing: x + (−0) is x for every x,

@@ -14,13 +14,18 @@
 //     boundary and requantizes the int32 result to fp32.
 //
 // Both dtypes run one walk (packed.go): a call is cut into independent
-// units — one (image, column block, row group) each — and a unit
-// accumulates its k-panels in a per-Context scratch of full micro-tiles,
-// then stores to C once with the call's bias and activation fused. The
-// walk runs the units on the calling goroutine alone or shares them with a
-// persistent worker Pool (pool.go); the result is the same bit for bit
-// either way. What differs by dtype is the call's own operand methods and
-// the micro-kernel table it draws from.
+// units — one (image, column block, row group) each — and a unit sums
+// its k-panels per C element in ascending order. An fp32 kernel with
+// exact-width and exact-height edges (Go, AVX2, AVX-512) sums them in C
+// itself and, on the last k-panel, adds the call's bias and applies its
+// activation in registers before the one store of each element. NEON,
+// the int8 tier and the calls those bodies do not cover sum in a
+// per-Context accumulator of full micro-tiles, which the call then stores
+// to C once with its epilogue. The walk runs the units on the calling
+// goroutine alone or shares them with a persistent worker Pool (pool.go);
+// the result is the same bit for bit either way. What differs by dtype is
+// the call's own operand methods and the micro-kernel table it draws
+// from.
 //
 // Each dtype's micro-kernel is chosen at runtime by CPU-feature dispatch
 // (see kernel.go): AVX2/FMA and AVX-512 assembly on amd64, NEON on arm64,

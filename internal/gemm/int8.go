@@ -196,6 +196,12 @@ func (c *CallInt8) dims() (m, n, k, images int) {
 
 func (c *CallInt8) scratch(ctx *Context) *scratch[int8, byte, int32] { return &ctx.i8 }
 
+// epilogue implements operands: no int8 kernel finishes its output.
+func (c *CallInt8) epilogue() (epi, bool) { return epi{}, false }
+
+// window implements operands; it is never called.
+func (c *CallInt8) window(_, _, _ int) ([]int32, int) { return nil, 0 }
+
 // panelA implements operands. A prepacked panel starts where
 // PrepackAInt8Into put it.
 func (c *CallInt8) panelA(s *scratch[int8, byte, int32], kern *kernel[int8, byte, int32], _, ii, pp, mc, kc int) []int8 {
@@ -367,8 +373,9 @@ func RowSumsInt8(dst []int32, a []int8, m, k int) {
 // microKernel8Go is the portable int8 micro-kernel: a 4x8 int32
 // accumulator block fed by k-quads, the bit-exactness reference for the
 // SIMD kernels. pa is packed as quads of 4 rows × 4 bytes, pb as quads of
-// 8 columns × 4 bytes.
-func microKernel8Go(pa []int8, pb []byte, acc []int32, kq, ldc int, store bool) {
+// 8 columns × 4 bytes. It finishes nothing: the int8 tier requantizes in
+// its store.
+func microKernel8Go(pa []int8, pb []byte, acc []int32, kq, ldc int, store bool, _ *epi, _, _ int) {
 	const mr, nr = 4, 8
 	var c0, c1, c2, c3 [nr]int32
 	pa = pa[:kq*mr*kQuad]

@@ -16,11 +16,13 @@ package gemm
 // registered kernel is the tier's default: a pinned name runs the kernel
 // that production selects on a host whose widest instruction set it is.
 //
-// A kernel may also carry an edge body (edgeKernel) for a column block's
-// last strip when it is narrower than nr: the fp32 Go, AVX2 and AVX-512
-// kernels do, and compute that strip at its exact width with the padded
-// tile's bits. NEON (no arm64 host verifies it yet) and every int8 kernel
-// have none and multiply the zero padding.
+// A kernel may also carry an exact-width column edge (edgeKernel) and an
+// exact-height row edge (rowKernel), which make it a finishing kernel: the
+// fp32 Go, AVX2 and AVX-512 kernels do. Their tile and edges accumulate a
+// unit in C itself and apply the bias and activation in registers on the
+// last k-panel, with the padded tile's bits. NEON (no arm64 host verifies
+// it yet) and every int8 kernel have neither: they multiply the zero
+// padding into a unit accumulator that the call's store writes to C.
 //
 // Selection order, per tier:
 //
@@ -46,44 +48,62 @@ import (
 	"sync/atomic"
 )
 
-// microKernel computes a full mr×nr block of an accumulator c from packed
-// panels A (elements A) and B (elements B): c[r][j] (+)= the dot product of
-// row r's and column j's kd k-groups. ldc is the row stride of c in
-// elements; store overwrites c instead of accumulating; kd ≥ 1.
-type microKernel[A, B, C any] func(pa []A, pb []B, c []C, kd, ldc int, store bool)
+// microKernel computes a full mr×nr block of c from packed panels A
+// (elements A) and B (elements B): c[r][j] (+)= the dot product of row r's
+// and column j's kd k-groups. ldc is the row stride of c in elements;
+// store overwrites c instead of accumulating; kd ≥ 1. A finishing body
+// (see kernel.row) finishes each element with e before it writes it, the
+// block's first element being row r, column j of e's call; a nil e
+// finishes nothing, and other kernels are only ever handed a nil e.
+type microKernel[A, B, C any] func(pa []A, pb []B, c []C, kd, ldc int, store bool, e *epi, r, j int)
 
 // edgeKernel is a micro-kernel's exact-width column edge: for each of
 // strips consecutive A strips (kd·mr values apart in pa) it computes the
 // first cols < nr columns of the block micro would compute against the B
 // strip pb, into rows strip·mr … of c. Each of those elements is the chain
 // micro runs for it — the same products in the same k order from +0,
-// stored or added to c with the same operand order — so it is bit for bit
-// micro's element; columns [cols, nr) of c and everything beyond the
-// strips' rows are left untouched.
-type edgeKernel[A, B, C any] func(pa []A, pb []B, c []C, kd, ldc, strips, cols int, store bool)
+// stored or added to c with the same operand order, then finished by e —
+// so it is bit for bit micro's element; columns [cols, nr) of c and
+// everything beyond the strips' rows are left untouched.
+type edgeKernel[A, B, C any] func(pa []A, pb []B, c []C, kd, ldc, strips, cols int, store bool, e *epi, r, j int)
+
+// rowKernel is a micro-kernel's exact-height row edge, the column edge's
+// twin: the first rows < mr rows of the A strip pa against every strip of
+// the B panel pb (kd·nr values apart) up to column nc, into rows 0 … rows-1
+// of c. Each element is micro's chain for it, stored or added and then
+// finished by e as micro would; rows [rows, mr) and columns from nc on are
+// left untouched.
+type rowKernel[A, B, C any] func(pa []A, pb []B, c []C, kd, ldc, rows, nc int, store bool, e *epi, r, j int)
 
 // kernel bundles a micro-kernel with the packing geometry it consumes. mc
 // is the M-tile height: mcBlock rounded down to a multiple of mr, so every
 // interior panel is a whole number of strips (a tile height that is not a
 // power of two, like the 6-row avx2 tile's, does not divide 128 evenly)
 // and the prepacked panel offsets pm*pp + ii*kc stay exact. Column blocks
-// are cut from ncBlock in multiples of ncMin, which every nr divides. edge
-// is nil for a kernel that runs a narrow last strip as a padded tile.
+// are cut from ncBlock in multiples of ncMin, which every nr divides.
+//
+// edge and row are nil for a kernel that runs a narrow last strip as a
+// padded tile into the unit accumulator. A kernel that has them finishes
+// its own output: micro, edge and row together cover any block of C
+// exactly, so the walk runs them in C itself and hands them the call's
+// epilogue on the last k-panel (see runUnit).
 type kernel[A, B, C any] struct {
 	name   string
 	mr, nr int // micro-tile rows and columns
 	mc     int // M-tile rows (a multiple of mr)
 	micro  microKernel[A, B, C]
 	edge   edgeKernel[A, B, C]
+	row    rowKernel[A, B, C]
 }
 
 func newKernel[A, B, C any](name string, mr, nr int, micro microKernel[A, B, C]) *kernel[A, B, C] {
 	return &kernel[A, B, C]{name: name, mr: mr, nr: nr, mc: mcBlock - mcBlock%mr, micro: micro}
 }
 
-// withEdge gives k the exact-width edge body edge.
-func (k *kernel[A, B, C]) withEdge(edge edgeKernel[A, B, C]) *kernel[A, B, C] {
-	k.edge = edge
+// withEdges gives k the exact-width column edge and exact-height row edge
+// that make it a finishing kernel.
+func (k *kernel[A, B, C]) withEdges(edge edgeKernel[A, B, C], row rowKernel[A, B, C]) *kernel[A, B, C] {
+	k.edge, k.row = edge, row
 	return k
 }
 
@@ -110,7 +130,7 @@ var (
 	fp32Kernels = &registry[float32, float32, float32]{
 		kgroup:   1,
 		families: map[string]bool{"go": true, "avx2": true, "avx512": true, "neon": true},
-		kernels:  []*kernel[float32, float32, float32]{newKernel("go", 4, 8, microKernelGo).withEdge(edgeGo)},
+		kernels:  []*kernel[float32, float32, float32]{newKernel("go", 4, 8, microKernelGo).withEdges(edgeGo, rowGo)},
 	}
 	int8Kernels = &registry[int8, byte, int32]{
 		tier:     "int8 ",
@@ -234,20 +254,41 @@ func Kernel8Names() []string { return int8Kernels.names() }
 // produced by earlier PrepackAInt8 calls and must not race in-flight GEMMs.
 func SetKernel8(name string) error { return int8Kernels.set(name) }
 
-// adaptEdgeAsm wraps an assembly edge body into an edgeKernel, as adaptAsm
-// wraps a micro-kernel; the walk calls it with strips, cols and kd ≥ 1.
-func adaptEdgeAsm[A, B, C any](asm func(pa *A, pb *B, c *C, kd, ldc, strips, cols int64, store bool)) edgeKernel[A, B, C] {
-	return func(pa []A, pb []B, c []C, kd, ldc, strips, cols int, store bool) {
-		asm(&pa[0], &pb[0], &c[0], int64(kd), int64(ldc), int64(strips), int64(cols), store)
+// adaptAsm wraps an assembly micro-kernel, which takes pointers into the
+// packed panels and the accumulator, into a microKernel that finishes
+// nothing. The walk calls micro-kernels on full tiles with kd ≥ 1 only, so
+// the slices are never empty.
+func adaptAsm[A, B, C any](asm func(pa *A, pb *B, c *C, kd, ldc int64, store bool)) microKernel[A, B, C] {
+	return func(pa []A, pb []B, c []C, kd, ldc int, store bool, _ *epi, _, _ int) {
+		asm(&pa[0], &pb[0], &c[0], int64(kd), int64(ldc), store)
 	}
 }
 
-// adaptAsm wraps an assembly micro-kernel, which takes pointers into the
-// packed panels and the accumulator, into a microKernel. The walk calls
-// micro-kernels on full tiles with kd ≥ 1 only, so the slices are never
-// empty.
-func adaptAsm[A, B, C any](asm func(pa *A, pb *B, c *C, kd, ldc int64, store bool)) microKernel[A, B, C] {
-	return func(pa []A, pb []B, c []C, kd, ldc int, store bool) {
-		asm(&pa[0], &pb[0], &c[0], int64(kd), int64(ldc), store)
+// The finishing assembly bodies take e at the block's row r, column j as
+// two bias pointers (nil for none) and the activation flag (see epi.at).
+
+// adaptTileAsm wraps a finishing assembly tile into a microKernel.
+func adaptTileAsm(asm func(pa, pb, c *float32, kd, ldc int64, store bool, row, col *float32, relu bool)) microKernel[float32, float32, float32] {
+	return func(pa, pb, c []float32, kd, ldc int, store bool, e *epi, r, j int) {
+		row, col, relu := e.at(r, j)
+		asm(&pa[0], &pb[0], &c[0], int64(kd), int64(ldc), store, row, col, relu)
+	}
+}
+
+// adaptEdgeAsm wraps a finishing assembly column edge into an edgeKernel;
+// the walk calls it with strips, cols and kd ≥ 1.
+func adaptEdgeAsm(asm func(pa, pb, c *float32, kd, ldc, strips, cols int64, store bool, row, col *float32, relu bool)) edgeKernel[float32, float32, float32] {
+	return func(pa, pb, c []float32, kd, ldc, strips, cols int, store bool, e *epi, r, j int) {
+		row, col, relu := e.at(r, j)
+		asm(&pa[0], &pb[0], &c[0], int64(kd), int64(ldc), int64(strips), int64(cols), store, row, col, relu)
+	}
+}
+
+// adaptRowAsm wraps a finishing assembly row edge into a rowKernel; the
+// walk calls it with rows, nc and kd ≥ 1.
+func adaptRowAsm(asm func(pa, pb, c *float32, kd, ldc, rows, nc int64, store bool, row, col *float32, relu bool)) rowKernel[float32, float32, float32] {
+	return func(pa, pb, c []float32, kd, ldc, rows, nc int, store bool, e *epi, r, j int) {
+		row, col, relu := e.at(r, j)
+		asm(&pa[0], &pb[0], &c[0], int64(kd), int64(ldc), int64(rows), int64(nc), store, row, col, relu)
 	}
 }

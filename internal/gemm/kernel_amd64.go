@@ -15,50 +15,71 @@ package gemm
 //     a narrow plane by under one vector. Registered only when the CPU and
 //     OS support the AVX-512F state; the default where available.
 //
-// Each has an exact-width edge body (edge6AVX2, edge16AVX512) for a last
-// strip of cols < 16 columns: vectors over a strip's rows, one broadcast
-// per B value, cols FMAs per strip and k step, blocks of 4 strips and then
-// single strips.
+// Each finishes its own output (see epi): the tile, an exact-width column
+// edge (edge6AVX2, edge16AVX512) for a last strip of cols < 16 columns —
+// vectors over a strip's rows, one broadcast per B value, cols FMAs per
+// strip and k step, blocks of 4 strips and then single strips — and an
+// exact-height row edge (rows6AVX2, rows16AVX512) for a last strip of
+// rows < mr rows, a row at a time against up to 4 or 8 B strips at once.
 //
 // Feature detection is a hand-rolled CPUID/XGETBV probe (no external
 // dependency), so the portable kernel remains the default everywhere else.
 
 func init() {
 	if hasAVX2FMA() {
-		fp32Kernels.register(newKernel("avx2", 6, 16, adaptAsm(microKernel6x16AVX2)).withEdge(adaptEdgeAsm(edge6AVX2)))
+		fp32Kernels.register(newKernel("avx2", 6, 16, adaptTileAsm(microKernel6x16AVX2)).
+			withEdges(adaptEdgeAsm(edge6AVX2), adaptRowAsm(rows6AVX2)))
 	}
 	if hasAVX512() {
-		fp32Kernels.register(newKernel("avx512", 16, 16, adaptAsm(microKernel16x16AVX512)).withEdge(adaptEdgeAsm(edge16AVX512)))
+		fp32Kernels.register(newKernel("avx512", 16, 16, adaptTileAsm(microKernel16x16AVX512)).
+			withEdges(adaptEdgeAsm(edge16AVX512), adaptRowAsm(rows16AVX512)))
 	}
 }
 
 // microKernel6x16AVX2 computes one 6x16 block: C[r][cc] (+)= sum_p
 // pa[p*6+r]*pb[p*16+cc], with ldc the row stride of c in elements and kc
-// ≥ 1. Implemented in kernel_amd64.s.
+// ≥ 1, finished by the epi of row, col and relu. Implemented in
+// kernel_amd64.s.
 //
 //go:noescape
-func microKernel6x16AVX2(pa, pb, c *float32, kc, ldc int64, store bool)
+func microKernel6x16AVX2(pa, pb, c *float32, kc, ldc int64, store bool, row, col *float32, relu bool)
 
 // microKernel16x16AVX512 computes one 16x16 block: C[r][cc] (+)= sum_p
 // pa[p*16+r]*pb[p*16+cc], with ldc the row stride of c in elements and kc
-// ≥ 1. Implemented in kernel_amd64.s.
+// ≥ 1, finished by the epi of row, col and relu. Implemented in
+// kernel_amd64.s.
 //
 //go:noescape
-func microKernel16x16AVX512(pa, pb, c *float32, kc, ldc int64, store bool)
+func microKernel16x16AVX512(pa, pb, c *float32, kc, ldc int64, store bool, row, col *float32, relu bool)
 
 // edge6AVX2 is microKernel6x16AVX2's exact-width edge (see edgeKernel):
 // columns [0, cols) of the 16-wide B strip pb against strips 6-row A
 // strips, cols < 16. Implemented in kernel_amd64.s.
 //
 //go:noescape
-func edge6AVX2(pa, pb, c *float32, kd, ldc, strips, cols int64, store bool)
+func edge6AVX2(pa, pb, c *float32, kd, ldc, strips, cols int64, store bool, row, col *float32, relu bool)
 
 // edge16AVX512 is microKernel16x16AVX512's exact-width edge (see
 // edgeKernel): columns [0, cols) of the 16-wide B strip pb against strips
 // 16-row A strips, cols < 16. Implemented in kernel_amd64.s.
 //
 //go:noescape
-func edge16AVX512(pa, pb, c *float32, kd, ldc, strips, cols int64, store bool)
+func edge16AVX512(pa, pb, c *float32, kd, ldc, strips, cols int64, store bool, row, col *float32, relu bool)
+
+// rows6AVX2 is microKernel6x16AVX2's exact-height row edge (see
+// rowKernel): rows [0, rows) of the 6-row A strip pa against the 16-wide
+// B strips of pb up to column nc, rows < 6. Implemented in kernel_amd64.s.
+//
+//go:noescape
+func rows6AVX2(pa, pb, c *float32, kd, ldc, rows, nc int64, store bool, row, col *float32, relu bool)
+
+// rows16AVX512 is microKernel16x16AVX512's exact-height row edge (see
+// rowKernel): rows [0, rows) of the 16-row A strip pa against the 16-wide
+// B strips of pb up to column nc, rows < 16. Implemented in
+// kernel_amd64.s.
+//
+//go:noescape
+func rows16AVX512(pa, pb, c *float32, kd, ldc, rows, nc int64, store bool, row, col *float32, relu bool)
 
 // cpuid executes the CPUID instruction for (eaxIn, ecxIn).
 func cpuid(eaxIn, ecxIn uint32) (eax, ebx, ecx, edx uint32)

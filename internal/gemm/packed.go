@@ -2,20 +2,25 @@ package gemm
 
 // Packing + micro-kernel GEMM, and the walk both dtypes run on. Panels of
 // A and B are repacked into contiguous strips sized for the
-// register-blocked micro-kernel, which computes one mr×nr block of a unit
-// accumulator per inner iteration; a finished unit is stored to C once.
-// The micro-kernel (and with it the mr×nr geometry) is selected at runtime
-// by CPU-feature dispatch — see kernel.go; the pure-Go 4x8 kernel below is
-// the portable fallback and the correctness reference for the SIMD ones.
+// register-blocked micro-kernel, which computes one mr×nr block per inner
+// iteration. The micro-kernel (and with it the mr×nr geometry) is selected
+// at runtime by CPU-feature dispatch — see kernel.go; the pure-Go 4x8
+// kernel below is the portable fallback and the correctness reference for
+// the SIMD ones.
 //
 // A raw B panel is packed by packB as one GatherTaps call per strip — the
 // masked-vector strided move the convolution pack sources use — and every
 // packer zero-pads the last strip with ClearEdgeCols. The packed layout is
-// always whole strips, but a kernel with an exact-width edge body (the
-// fp32 Go, AVX2 and AVX-512 kernels) computes a last strip of cols < nr
-// columns at that width: cols FMAs per k step instead of nr, each element
-// the chain the padded tile would run, so outputs do not change. The NEON
-// kernel and the int8 tier run that strip as a padded tile.
+// always whole strips. A finishing kernel (the fp32 Go, AVX2 and AVX-512
+// ones) computes a last strip of cols < nr columns at that width with its
+// column edge — cols FMAs per k step instead of nr — and an M-tile's last
+// strip of rows < mr rows at that height with its row edge, each element
+// the chain the padded tile would run, so outputs do not change. Tiles and
+// edges then cover a unit's block of C exactly: they accumulate its
+// k-panels in C and finish each element there (see runUnit), and a
+// batch-1 dense layer is the row edge alone, a GEMV over the packed
+// weights. The NEON kernel and the int8 tier run every strip as a padded
+// tile into the unit accumulator, which the call's store writes to C.
 //
 // The fp32 entry point is Call executed through Context.Run or, with a
 // worker budget, Pool.Run — the same walk over the same units (pool.go);
@@ -72,7 +77,7 @@ const (
 // group's output-channel slice in place this way. Zero means dense (Ldc=N).
 //
 // BiasRow, BiasCol, Act and Alpha describe a fused epilogue applied once
-// per output element as its unit is stored to C (see epilogue.go):
+// per output element as it is written to C (see epilogue.go):
 // BiasRow[i] is added to every element of row i (convolution output
 // channels), BiasCol[j] to every element of column j (dense output
 // features), then Act runs, replacing the separate post-GEMM bias and
@@ -193,9 +198,10 @@ func (c *Call) validate() {
 }
 
 // Context holds the scratch of packed GEMM — per dtype, the packed panels
-// and the unit accumulator, each grown on first use — so repeated calls
-// (the common case during inference) do not reallocate. The zero value is
-// ready to use. A Context is not safe for concurrent use.
+// and the unit accumulator (fp32 units that run in C never grow it), each
+// grown on first use — so repeated calls (the common case during
+// inference) do not reallocate. The zero value is ready to use. A Context
+// is not safe for concurrent use.
 type Context struct {
 	f32 scratch[float32, float32, float32]
 	i8  scratch[int8, byte, int32]
@@ -255,6 +261,12 @@ type operands[A, B, C any] interface {
 	// packing into s when the operand is not prepacked.
 	panelA(s *scratch[A, B, C], kern *kernel[A, B, C], img, ii, pp, mc, kc int) []A
 	panelB(s *scratch[A, B, C], kern *kernel[A, B, C], img, pp, jj, kc, nc int) []B
+	// epilogue reports whether a finishing kernel may run the call's
+	// units in C itself, and the epilogue its bodies then apply.
+	epilogue() (e epi, ok bool)
+	// window returns image img's C from row i0, column jj, and its row
+	// stride, for a unit that runs in C.
+	window(img, i0, jj int) (out []C, ldc int)
 	// store writes a finished unit — rows×nc of acc, row stride ldc — to
 	// image img's C at (i0, jj), through the call's epilogue.
 	store(acc []C, ldc, img, i0, jj, rows, nc int)
@@ -262,13 +274,16 @@ type operands[A, B, C any] interface {
 
 // work is one call of either dtype cut into units (see blocking). kern is
 // the micro-kernel resolved by plan, so every unit of one call — caller-
-// and helper-executed — packs and computes with the same geometry.
+// and helper-executed — packs and computes with the same geometry; inC
+// says whether its units run in C, finished by fin.
 type work[A, B, C any] struct {
 	call operands[A, B, C]
 	reg  *registry[A, B, C]
 	kern *kernel[A, B, C]
 	k    int
 	grid unitGrid
+	fin  epi
+	inC  bool
 }
 
 // plan implements unitWork.
@@ -279,31 +294,51 @@ func (w *work[A, B, C]) plan(workers int) int {
 	}
 	w.kern, w.k = w.reg.get(), k
 	w.grid = blocking(m, n, images, workers, w.kern.mc)
+	w.fin, w.inC = w.call.epilogue()
+	w.inC = w.inC && w.kern.row != nil
 	return w.grid.units()
 }
 
 // runUnit implements unitWork: rows [i0, i1) × columns [jj, jj+nc) of one
-// image's C across the full K extent. For every k-panel the B panel is
-// packed (or located) once and swept by each M-tile of the row group,
-// accumulating into the Context's unit accumulator — full micro-tiles in
-// the padded geometry, so there is no edge staging. A kernel with an edge
-// body takes a last strip narrower than nr at its exact width instead, in
-// one call per M-tile; the others run it padded. Then the call stores the
-// unit to C in a single pass, with its epilogue fused, while it is
-// cache-hot. Every C element sums its k-panels in ascending order whatever
-// the cut, so the result does not depend on it. K == 0 stores a zero
-// accumulator (the epilogue only).
+// image's C across the full K extent. A finishing kernel runs the unit in
+// C itself when the call allows it: its k-panels accumulate there, and
+// the last one adds the bias and applies the activation in registers
+// before the one store of each element. Otherwise the unit accumulates in
+// the Context's unit accumulator — full micro-tiles in the padded
+// geometry, so there is no edge staging — and the call stores it to C in
+// a single pass, with its epilogue, while it is cache-hot. Every C element
+// sums its k-panels in ascending order whatever the cut or the path, so
+// the result depends on neither. K == 0 stores a zero accumulator (the
+// epilogue only).
 func (w *work[A, B, C]) runUnit(ctx *Context, unit int) {
-	kern, kg := w.kern, w.reg.kgroup
 	img, i0, i1, jj, nc := w.grid.unit(unit)
 	s := w.call.scratch(ctx)
-	ldc := roundUp(nc, kern.nr)
-	size := roundUp(i1-i0, kern.mr) * ldc
+	if w.inC {
+		out, ldc := w.call.window(img, i0, jj)
+		w.sweep(s, out, ldc, img, i0, i1, jj, nc)
+		return
+	}
+	ldc := roundUp(nc, w.kern.nr)
+	size := roundUp(i1-i0, w.kern.mr) * ldc
 	s.acc = grow(s.acc, size)
 	if w.k == 0 {
 		clear(s.acc[:size])
 	}
-	whole, cols := ldc, 0 // columns the tile covers; the edge body's rest
+	w.sweep(s, s.acc, ldc, img, i0, i1, jj, nc)
+	w.call.store(s.acc, ldc, img, i0, jj, i1-i0, nc)
+}
+
+// sweep runs the unit's k-panels into out, row stride ldc. For every
+// k-panel the B panel is packed (or located) once and swept by each M-tile
+// of the row group. A kernel with a column edge takes a last strip
+// narrower than nr at its exact width, in one call per M-tile; the others
+// run it padded. When the unit runs in C, out is C: the row edge takes an
+// M-tile's last strip shorter than mr at its exact height, and the last
+// k-panel finishes every element with the call's epilogue. Otherwise out
+// is the unit accumulator and every strip is a whole tile.
+func (w *work[A, B, C]) sweep(s *scratch[A, B, C], out []C, ldc, img, i0, i1, jj, nc int) {
+	kern, kg := w.kern, w.reg.kgroup
+	whole, cols := roundUp(nc, kern.nr), 0 // columns the tile covers; the edge's rest
 	if kern.edge != nil {
 		cols = nc % kern.nr
 		whole = nc - cols
@@ -311,23 +346,35 @@ func (w *work[A, B, C]) runUnit(ctx *Context, unit int) {
 	for pp := 0; pp < w.k; pp += kcBlock {
 		kc := min(kcBlock, w.k-pp)
 		kd := ceilDiv(kc, kg)
+		first := pp == 0
+		var e *epi // finishes nothing before the last panel
+		if w.inC && pp+kc == w.k {
+			e = &w.fin
+		}
 		pb := w.call.panelB(s, kern, img, pp, jj, kc, nc)
 		for ii := i0; ii < i1; ii += kern.mc {
 			mc := min(kern.mc, i1-ii)
 			pa := w.call.panelA(s, kern, img, ii, pp, mc, kc)
-			tile := s.acc[(ii-i0)*ldc:]
-			for i := 0; i < mc; i += kern.mr {
+			tile := out[(ii-i0)*ldc:]
+			full, part := roundUp(mc, kern.mr), 0 // rows the tile covers; the row edge's rest
+			if w.inC {
+				part = mc % kern.mr
+				full = mc - part
+			}
+			for i := 0; i < full; i += kern.mr {
 				aStrip := pa[i*kd*kg:]
 				for j := 0; j < whole; j += kern.nr {
-					kern.micro(aStrip, pb[j*kd*kg:], tile[i*ldc+j:], kd, ldc, pp == 0)
+					kern.micro(aStrip, pb[j*kd*kg:], tile[i*ldc+j:], kd, ldc, first, e, ii+i, jj+j)
 				}
 			}
-			if cols > 0 {
-				kern.edge(pa, pb[whole*kd*kg:], tile[whole:], kd, ldc, ceilDiv(mc, kern.mr), cols, pp == 0)
+			if cols > 0 && full > 0 {
+				kern.edge(pa, pb[whole*kd*kg:], tile[whole:], kd, ldc, full/kern.mr, cols, first, e, ii, jj+whole)
+			}
+			if part > 0 {
+				kern.row(pa[full*kd*kg:], pb, tile[full*ldc:], kd, ldc, part, nc, first, e, ii+full, jj)
 			}
 		}
 	}
-	w.call.store(s.acc, ldc, img, i0, jj, i1-i0, nc)
 }
 
 // dims implements operands. An empty C, or an accumulating product over an
@@ -341,6 +388,23 @@ func (c *Call) dims() (m, n, k, images int) {
 }
 
 func (c *Call) scratch(ctx *Context) *scratch[float32, float32, float32] { return &ctx.f32 }
+
+// epilogue implements operands. A storing call with a shared dimension,
+// at most one bias vector and no activation other than ReLU runs in C;
+// the rest — the accumulating form, which sums a unit's k-panels apart,
+// K == 0, both biases at once, ReLU6 and LeakyReLU — goes through store.
+func (c *Call) epilogue() (epi, bool) {
+	if !c.Store || c.K == 0 || c.BiasRow != nil && c.BiasCol != nil || c.Act != ActNone && c.Act != ActReLU {
+		return epi{}, false
+	}
+	return epi{row: c.BiasRow, col: c.BiasCol, relu: c.Act == ActReLU}, true
+}
+
+// window implements operands.
+func (c *Call) window(img, i0, jj int) ([]float32, int) {
+	ldc := c.ldc()
+	return c.C[img*c.StrideC+i0*ldc+jj:], ldc
+}
 
 // panelA implements operands. A prepacked panel starts where PrepackAInto
 // put it.
@@ -426,8 +490,10 @@ func packB(dst, b []float32, pp, jj, kc, nc, ldb, nr int) {
 // microKernelGo is the portable 4x8 micro-kernel: C[r][cc] (+)= sum_p
 // A[p][r]*B[p][cc] with the mr×nr block held in scalar registers. pa is
 // packed as kc groups of 4 values; pb as kc groups of 8 values. ldc is the
-// row stride of c; store overwrites C instead of accumulating.
-func microKernelGo(pa, pb, c []float32, kc, ldc int, store bool) {
+// row stride of c; store overwrites C instead of accumulating, and e
+// finishes each element — row r, column j of e's call first — before it
+// is written.
+func microKernelGo(pa, pb, c []float32, kc, ldc int, store bool, e *epi, r0, j0 int) {
 	const mr, nr = 4, 8
 	var (
 		c00, c01, c02, c03, c04, c05, c06, c07 float32
@@ -478,85 +544,73 @@ func microKernelGo(pa, pb, c []float32, kc, ldc int, store bool) {
 		c36 += a3 * b6
 		c37 += a3 * b7
 	}
-	r0 := c[0*ldc : 0*ldc+nr]
-	r1 := c[1*ldc : 1*ldc+nr]
-	r2 := c[2*ldc : 2*ldc+nr]
-	r3 := c[3*ldc : 3*ldc+nr]
-	if store {
-		r0[0], r0[1], r0[2], r0[3] = c00, c01, c02, c03
-		r0[4], r0[5], r0[6], r0[7] = c04, c05, c06, c07
-		r1[0], r1[1], r1[2], r1[3] = c10, c11, c12, c13
-		r1[4], r1[5], r1[6], r1[7] = c14, c15, c16, c17
-		r2[0], r2[1], r2[2], r2[3] = c20, c21, c22, c23
-		r2[4], r2[5], r2[6], r2[7] = c24, c25, c26, c27
-		r3[0], r3[1], r3[2], r3[3] = c30, c31, c32, c33
-		r3[4], r3[5], r3[6], r3[7] = c34, c35, c36, c37
-		return
+	sums := [mr][nr]float32{
+		{c00, c01, c02, c03, c04, c05, c06, c07},
+		{c10, c11, c12, c13, c14, c15, c16, c17},
+		{c20, c21, c22, c23, c24, c25, c26, c27},
+		{c30, c31, c32, c33, c34, c35, c36, c37},
 	}
-	r0[0] += c00
-	r0[1] += c01
-	r0[2] += c02
-	r0[3] += c03
-	r0[4] += c04
-	r0[5] += c05
-	r0[6] += c06
-	r0[7] += c07
-	r1[0] += c10
-	r1[1] += c11
-	r1[2] += c12
-	r1[3] += c13
-	r1[4] += c14
-	r1[5] += c15
-	r1[6] += c16
-	r1[7] += c17
-	r2[0] += c20
-	r2[1] += c21
-	r2[2] += c22
-	r2[3] += c23
-	r2[4] += c24
-	r2[5] += c25
-	r2[6] += c26
-	r2[7] += c27
-	r3[0] += c30
-	r3[1] += c31
-	r3[2] += c32
-	r3[3] += c33
-	r3[4] += c34
-	r3[5] += c35
-	r3[6] += c36
-	r3[7] += c37
+	for r := range sums {
+		row := c[r*ldc : r*ldc+nr : r*ldc+nr]
+		for j, x := range sums[r] {
+			if !store {
+				x += row[j]
+			}
+			row[j] = e.apply(x, r0+r, j0+j)
+		}
+	}
 }
 
 // edgeGo is microKernelGo's exact-width edge: the first cols columns of one
 // 8-wide B strip against strips consecutive 4-row A strips, each element
 // the same chain microKernelGo runs for it — the same products, summed in
-// the same k order from +0 and added to c (or stored) the same way. Only
-// which of two NaN payloads survives an operation is the compiler's choice,
-// here as in microKernelGo.
-func edgeGo(pa, pb, c []float32, kd, ldc, strips, cols int, store bool) {
+// the same k order from +0, added to c (or stored) and finished by e the
+// same way. Only which of two NaN payloads survives an operation is the
+// compiler's choice, here as in microKernelGo.
+func edgeGo(pa, pb, c []float32, kd, ldc, strips, cols int, store bool, e *epi, r0, j0 int) {
 	const mr, nr = 4, 8
 	pb = pb[:kd*nr]
 	for s := 0; s < strips; s++ {
 		a := pa[s*kd*mr:][:kd*mr]
 		t := c[s*mr*ldc:]
 		for j := 0; j < cols; j++ {
-			var c0, c1, c2, c3 float32
+			var sums [mr]float32
 			for p := 0; p < kd; p++ {
 				a4 := a[p*mr : p*mr+mr : p*mr+mr]
 				b := pb[p*nr+j]
-				c0 += a4[0] * b
-				c1 += a4[1] * b
-				c2 += a4[2] * b
-				c3 += a4[3] * b
+				sums[0] += a4[0] * b
+				sums[1] += a4[1] * b
+				sums[2] += a4[2] * b
+				sums[3] += a4[3] * b
 			}
-			if store {
-				t[j], t[ldc+j], t[2*ldc+j], t[3*ldc+j] = c0, c1, c2, c3
-				continue
+			for r, x := range sums {
+				if !store {
+					x += t[r*ldc+j]
+				}
+				t[r*ldc+j] = e.apply(x, r0+s*mr+r, j0+j)
 			}
-			t[j] += c0
-			t[ldc+j] += c1
-			t[2*ldc+j] += c2
-			t[3*ldc+j] += c3
+		}
+	}
+}
+
+// rowGo is microKernelGo's exact-height row edge: the first rows < 4 rows
+// of one A strip against the first nc columns of the B panel's 8-wide
+// strips, each element microKernelGo's chain for it, added to c (or
+// stored) and finished by e the same way.
+func rowGo(pa, pb, c []float32, kd, ldc, rows, nc int, store bool, e *epi, r0, j0 int) {
+	const mr, nr = 4, 8
+	pa = pa[:kd*mr]
+	for j := 0; j < nc; j++ {
+		b := pb[j/nr*kd*nr+j%nr:]
+		for r := 0; r < rows; r++ {
+			var x float32
+			for p := 0; p < kd; p++ {
+				x += pa[p*mr+r] * b[p*nr]
+			}
+			if !store {
+				x += c[r*ldc+j]
+			}
+			c[r*ldc+j] = e.apply(x, r0+r, j0+j)
 		}
 	}
 }

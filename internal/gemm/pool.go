@@ -213,7 +213,7 @@ func (p *Pool) Run(ctx *Context, c Call, workers int) {
 	ctx.call = c
 	ctx.gemm = work[float32, float32, float32]{call: &ctx.call, reg: fp32Kernels}
 	p.run(ctx, &ctx.gemm, workers)
-	ctx.call = Call{}
+	ctx.call, ctx.gemm.fin = Call{}, epi{}
 }
 
 // run executes w, a payload held by ctx: in order on the caller alone when
