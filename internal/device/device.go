@@ -91,10 +91,10 @@ func gemmDepth(n *graph.Node) float64 {
 }
 
 // isPointwise reports a 1x1 convolution, which both GEMM and spatial-pack
-// kernels execute as a plain channel-contraction GEMM: GEMM skips the
-// unfold entirely (the fast path in conv.im2col) and spatial packing
-// degenerates to the same loop, so the two run with near-identical,
-// NCHWc-style efficiency curves.
+// kernels execute as a plain channel-contraction GEMM: conv.im2col's
+// gather reads a 1x1 input with no unfold buffer (a stride-1 one in
+// place), and spatial packing degenerates to the same loop, so the two run
+// with near-identical, NCHWc-style efficiency curves.
 func isPointwise(n *graph.Node) bool {
 	if n.Op != "Conv" || len(n.Inputs) < 2 {
 		return false
@@ -179,9 +179,9 @@ func (d *Device) EstimateNode(n *graph.Node, kernelName string) time.Duration {
 	if k := gemmDepth(n); k > 0 {
 		switch {
 		case isPointwise(n) && kernelName == "conv.im2col":
-			// No-unfold GEMM fast path.
+			// The gather reads the input in place: no unfold buffer.
 			eff = 0.50 * k / (k + 250)
-			bytes -= float64(im2colBufferBytes(n)) // fast path skips the buffer
+			bytes -= float64(im2colBufferBytes(n)) // no unfold buffer
 		case isPointwise(n) && kernelName == "conv.spatialpack":
 			// Degenerates to the same contraction, slightly better
 			// small-K utilisation (NCHWc-style schedule).

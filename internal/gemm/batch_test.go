@@ -3,6 +3,7 @@ package gemm
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -14,10 +15,10 @@ func refStridedBatch(a, b, c []float32, m, n, k, batch, strideB, strideC int) {
 	}
 }
 
-// TestStridedBatchMatchesLooped checks Call{Batch, StrideB, StrideC}
-// against per-image GEMMs for single-threaded, prepacked-A and pooled
-// multi-worker execution, across shapes that cover single-tile and
-// multi-tile grids.
+// TestStridedBatchMatchesLooped checks Call{Batch, BPack, StrideC}, each
+// image's B a window of one strided matrix (matrixSrc), against per-image
+// GEMMs for single-threaded, prepacked-A and pooled multi-worker
+// execution, across shapes that cover single-tile and multi-tile grids.
 func TestStridedBatchMatchesLooped(t *testing.T) {
 	shapes := []struct{ m, n, k, batch int }{
 		{4, 8, 4, 1},
@@ -52,8 +53,8 @@ func TestStridedBatchMatchesLooped(t *testing.T) {
 					}
 				}
 			}
-			call := Call{A: a, B: b, M: sh.m, N: sh.n, K: sh.k, Store: true,
-				Batch: sh.batch, StrideB: strideB, StrideC: strideC}
+			call := Call{A: a, BPack: &matrixSrc{b: b, k: sh.k, n: sh.n, strideB: strideB},
+				M: sh.m, N: sh.n, K: sh.k, Store: true, Batch: sh.batch, StrideC: strideC}
 
 			var ctx Context
 			got := make([]float32, len(want))
@@ -77,5 +78,34 @@ func TestStridedBatchMatchesLooped(t *testing.T) {
 				check(fmt.Sprintf("pool-%d", workers), got3)
 			}
 		})
+	}
+}
+
+// TestBatchedCallNeedsPackSource pins that a raw or prepacked B is one
+// image's: a batched call without a BPack or APack source panics, whether
+// its B is raw, prepacked or, at K = 0, absent.
+func TestBatchedCallNeedsPackSource(t *testing.T) {
+	const m, n, k, batch = 4, 8, 4, 2
+	a, b, c := make([]float32, m*k), make([]float32, batch*k*n), make([]float32, batch*m*n)
+	for _, tc := range []struct {
+		name, want string
+		call       Call
+	}{
+		{"raw B", "gemm: batched call needs a BPack or APack source",
+			Call{A: a, B: b, C: c, M: m, N: n, K: k, Store: true, Batch: batch, StrideC: m * n}},
+		{"PackedB", "gemm: batched call needs a BPack or APack source",
+			Call{A: a, PackedB: PrepackB(b[:k*n], k, n), C: c, M: m, N: n, K: k, Store: true, Batch: batch, StrideC: m * n}},
+		{"K=0", "gemm: batched call needs a BPack or APack source",
+			Call{C: c, M: m, N: n, Store: true, Batch: batch, StrideC: m * n}},
+	} {
+		func() {
+			defer func() {
+				if msg, _ := recover().(string); !strings.HasPrefix(msg, tc.want) {
+					t.Errorf("%s: recovered %q, want %q", tc.name, msg, tc.want)
+				}
+			}()
+			var ctx Context
+			ctx.Run(tc.call)
+		}()
 	}
 }

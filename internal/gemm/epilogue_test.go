@@ -38,7 +38,18 @@ func TestBPackMatchesExplicitB(t *testing.T) {
 					t.Run(name, func(t *testing.T) {
 						withKernel(t, kn, func() {
 							a, b, cInit := diffBuffers(dc, uint64(dc.m+dc.n+dc.k+7))
-							want := runDiffCall(dc, variant{workers: workers}, a, b, cInit, store)
+							want := append([]float32(nil), cInit...)
+							if dc.batch > 1 {
+								// An explicit B is one image's: the
+								// reference runs the images one by one.
+								for img := 0; img < dc.batch; img++ {
+									var ctx Context
+									ctx.Run(Call{A: a, B: b[img*(dc.k*dc.n+dc.padB):], C: want[img*(dc.m*dc.n+dc.padC):],
+										M: dc.m, N: dc.n, K: dc.k, Store: store})
+								}
+							} else {
+								want = runDiffCall(dc, variant{workers: workers}, a, b, cInit, store)
+							}
 
 							c := Call{M: dc.m, N: dc.n, K: dc.k, Store: store}
 							strideB := 0
@@ -138,8 +149,8 @@ func TestEpilogueMatchesPostSweep(t *testing.T) {
 							c := Call{A: a, B: b, M: dc.m, N: dc.n, K: dc.k, Store: true,
 								BiasRow: biasRow, BiasCol: biasCol, Act: act, Alpha: 0.125}
 							if dc.batch > 1 {
-								c.Batch = dc.batch
-								c.StrideB = dc.k*dc.n + dc.padB
+								c.Batch, c.B = dc.batch, nil
+								c.BPack = &matrixSrc{b: b, k: dc.k, n: dc.n, strideB: dc.k*dc.n + dc.padB}
 								c.StrideC = dc.m*dc.n + dc.padC
 							}
 							c.C = append([]float32(nil), cInit...)

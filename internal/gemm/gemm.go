@@ -5,7 +5,7 @@
 // Two implementations are provided:
 //
 //   - Naive: textbook fp32 triple loop; the correctness reference.
-//   - Packed: panel packing plus a register-blocked micro-kernel; the
+//   - the packed tier: panel packing plus a register-blocked micro-kernel; the
 //     production path used by the Orpheus backend. A Call (Context.Run,
 //     Pool.Run) multiplies fp32 operands — raw, prepacked, or virtual
 //     ones packed straight from a tensor — with overwrite (beta=0)

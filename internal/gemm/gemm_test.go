@@ -88,9 +88,9 @@ func TestPackedMatchesNaive(t *testing.T) {
 		want := make([]float32, m*n)
 		got := make([]float32, m*n)
 		Naive(a, b, want, m, n, k)
-		Packed(a, b, got, m, n, k)
+		new(Context).Run(Call{A: a, B: b, C: got, M: m, N: n, K: k})
 		if d := maxDiff(want, got); d > 1e-3 {
-			t.Fatalf("Packed differs from Naive for %v: %v", dims, d)
+			t.Fatalf("packed Call differs from Naive for %v: %v", dims, d)
 		}
 	}
 }
@@ -105,19 +105,19 @@ func TestPackedContextReuse(t *testing.T) {
 		want := make([]float32, m*n)
 		got := make([]float32, m*n)
 		Naive(a, b, want, m, n, k)
-		ctx.Packed(a, b, got, m, n, k)
+		ctx.Run(Call{A: a, B: b, C: got, M: m, N: n, K: k})
 		if d := maxDiff(want, got); d > 1e-3 {
-			t.Fatalf("trial %d: context-reused Packed differs: %v", trial, d)
+			t.Fatalf("trial %d: context-reused Call differs: %v", trial, d)
 		}
 	}
 }
 
 func TestPackedZeroDims(t *testing.T) {
 	// Must not panic or write anything.
-	Packed(nil, nil, nil, 0, 5, 3)
-	Packed(nil, nil, nil, 4, 0, 3)
+	new(Context).Run(Call{M: 0, N: 5, K: 3})
+	new(Context).Run(Call{M: 4, N: 0, K: 3})
 	c := []float32{1, 2, 3, 4}
-	Packed(nil, nil, c, 2, 2, 0)
+	new(Context).Run(Call{C: c, M: 2, N: 2, K: 0})
 	if c[0] != 1 || c[3] != 4 {
 		t.Fatal("k=0 GEMM should leave C unchanged")
 	}
@@ -137,8 +137,8 @@ func TestPropPackedAssociativeWithScaling(t *testing.T) {
 		}
 		c1 := make([]float32, m*n)
 		c2 := make([]float32, m*n)
-		Packed(sa, b, c1, m, n, k)
-		Packed(a, b, c2, m, n, k)
+		new(Context).Run(Call{A: sa, B: b, C: c1, M: m, N: n, K: k})
+		new(Context).Run(Call{A: a, B: b, C: c2, M: m, N: n, K: k})
 		for i := range c2 {
 			c2[i] *= s
 		}
@@ -162,10 +162,10 @@ func TestPropPackedDistributes(t *testing.T) {
 			bc[i] = b[i] + c[i]
 		}
 		lhs := make([]float32, m*n)
-		Packed(a, bc, lhs, m, n, k)
+		new(Context).Run(Call{A: a, B: bc, C: lhs, M: m, N: n, K: k})
 		rhs := make([]float32, m*n)
-		Packed(a, b, rhs, m, n, k)
-		Packed(a, c, rhs, m, n, k)
+		new(Context).Run(Call{A: a, B: b, C: rhs, M: m, N: n, K: k})
+		new(Context).Run(Call{A: a, B: c, C: rhs, M: m, N: n, K: k})
 		return maxDiff(lhs, rhs) < 1e-3
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {

@@ -10,7 +10,7 @@ import (
 
 // Differential tests for the SIMD micro-kernels: every selectable kernel
 // must match the portable pure-Go kernel at ≤ 1e-5 relative tolerance on
-// the same Call, across odd shapes, edge tails, strided batched calls,
+// the same Call, across odd shapes, edge tails, batched calls,
 // store-vs-accumulate modes, prepacked operands and the pool path. The
 // pure-Go kernel is itself checked against Naive (TestPackedMatchesNaive,
 // and FuzzKernelDifferential on every fuzzed input), so agreement here
@@ -72,7 +72,7 @@ func simdKernelNames(t testing.TB, labels []string) []string {
 type diffCase struct {
 	m, n, k int
 	batch   int // 0 = unbatched
-	padB    int // extra elements between batched B images
+	padB    int // extra elements between batched B images (matrixSrc)
 	padC    int // extra elements between batched C images
 }
 
@@ -132,19 +132,19 @@ func runDiffCall(dc diffCase, v variant, a, b, cInit []float32, store bool) []fl
 	if images < 2 {
 		images = 1
 	}
-	c := Call{M: dc.m, N: dc.n, K: dc.k, Store: store}
+	c := Call{M: dc.m, N: dc.n, K: dc.k, Store: store, A: a, B: b}
 	if dc.batch > 1 {
-		c.Batch = dc.batch
-		c.StrideB = dc.k*dc.n + dc.padB
+		// A batched B is a pack source: each image a window of b.
+		c.Batch, c.B = dc.batch, nil
+		c.BPack = &matrixSrc{b: b, k: dc.k, n: dc.n, strideB: dc.k*dc.n + dc.padB}
 		c.StrideC = dc.m*dc.n + dc.padC
 	}
-	c.A, c.B = a, b
 	c.C = append([]float32(nil), cInit...)
 	if v.packA && dc.k > 0 {
 		c.PackedA = PrepackA(a, dc.m, dc.k)
 		c.A = nil
 	}
-	// PackedB is incompatible with batched calls; fall back to raw B.
+	// PackedB is one image's B; batched calls keep their pack source.
 	if v.packB && dc.k > 0 && dc.batch <= 1 {
 		c.PackedB = PrepackB(b, dc.k, dc.n)
 		c.B = nil

@@ -49,28 +49,26 @@ const (
 // then be nil. Store with K == 0 zeroes C (a BLAS beta=0 product with an
 // empty shared dimension).
 //
-// Batch > 1 describes a strided batch of GEMMs sharing one A (or PackedA)
-// operand: image i multiplies B[i*StrideB:] into C[i*StrideC:]. This is
-// the shape of batched inference through a constant weight matrix — the
-// packed weight panels are loaded once and reused across the whole batch,
-// and a worker Pool claims the units of every image from one counter.
-// PackedB is unsupported for batched calls (each image would need its own
-// panels).
+// Batch > 1 describes a batch of GEMMs, image i written to C[i*StrideC:],
+// whose per-image operand is a pack source: BPack with a shared A (or
+// PackedA), or APack with a shared B (or PackedB). The source is handed the
+// image index. This is the shape of batched inference through a constant
+// weight matrix — the packed weight panels are loaded once and reused
+// across the whole batch, and a worker Pool claims the units of every
+// image from one counter. A raw or prepacked B is a single image's, so a
+// batched call must have a pack source.
 //
 // BPack, when non-nil, replaces the B operand entirely: the packed tier
 // asks the source for each kc×nc panel instead of re-packing a
-// materialised matrix, so B may be nil and StrideB is ignored — batched
-// calls hand the image index to the source. Implicit-GEMM convolution
-// packs panels straight from the NCHW input this way. BPack cannot be
-// combined with PackedB.
+// materialised matrix, so B may be nil. Implicit-GEMM convolution packs
+// panels straight from the NCHW input this way. BPack cannot be combined
+// with PackedB.
 //
 // APack is the A-side mirror of BPack: a virtual A operand packed panel by
-// panel, replacing A/PackedA. Unlike BPack it composes with PackedB and
-// with batching — this is the shape of NHWC implicit-GEMM convolution,
-// where the constant weight panels are the (prepacked, batch-shared) B
-// operand and the per-image receptive fields are gathered as A. Batched
-// APack calls share B/PackedB across images (StrideB is ignored) and hand
-// the image index to the source.
+// panel, replacing A/PackedA. Unlike BPack it composes with PackedB — this
+// is the shape of NHWC implicit-GEMM convolution, where the constant
+// weight panels are the (prepacked, batch-shared) B operand and the
+// per-image receptive fields are gathered as A.
 //
 // Ldc, when non-zero, is the row stride of C in elements (Ldc ≥ N): C is an
 // M×N window of a wider row-major matrix. Grouped convolution writes each
@@ -91,8 +89,8 @@ type Call struct {
 
 	Ldc int // row stride of C in elements; 0 means N (dense)
 
-	Batch            int // number of strided images; 0 and 1 mean a single GEMM
-	StrideB, StrideC int // element offsets between consecutive images
+	Batch   int // number of images; 0 and 1 mean a single GEMM
+	StrideC int // element offset between consecutive images' C
 
 	BPack PackSrc  // virtual B operand; replaces B/PackedB when non-nil
 	APack PackSrcA // virtual A operand; replaces A/PackedA when non-nil
@@ -151,23 +149,16 @@ func (c *Call) validate() {
 	}
 	rowsC := (c.M-1)*ldc + c.N // extent of one image's C window
 	if images > 1 {
-		// APack batches share the B operand (constant weights) across
-		// images, so PackedB is allowed and StrideB is ignored there.
-		if c.PackedB != nil && c.APack == nil {
-			panicf("gemm: batched call cannot use PackedB")
+		// The per-image operand comes from a pack source; raw and
+		// prepacked operands are one image's.
+		if c.BPack == nil && c.APack == nil {
+			panicf("gemm: batched call needs a BPack or APack source")
 		}
 		// Image windows must not overlap: tiles of different images are
 		// scheduled concurrently and assume disjoint C regions.
 		if c.StrideC < rowsC {
 			panicf("gemm: batch C stride %d overlaps %dx%d images", c.StrideC, c.M, c.N)
 		}
-		if c.BPack == nil && c.APack == nil && c.K > 0 && c.StrideB < c.K*c.N {
-			panicf("gemm: batch B stride %d overlaps %dx%d images", c.StrideB, c.K, c.N)
-		}
-	}
-	lastB := (images - 1) * c.StrideB
-	if c.APack != nil {
-		lastB = 0
 	}
 	lastC := (images - 1) * c.StrideC
 	if len(c.C) < lastC+rowsC {
@@ -192,8 +183,8 @@ func (c *Call) validate() {
 		if len(c.PackedB) < PackedBSize(c.K, c.N) {
 			panicf("gemm: PackedB %d too small for k=%d n=%d", len(c.PackedB), c.K, c.N)
 		}
-	} else if len(c.B) < lastB+c.K*c.N {
-		panicf("gemm: B buffer %d too small for %dx%d × %d images", len(c.B), c.K, c.N, images)
+	} else if len(c.B) < c.K*c.N {
+		panicf("gemm: B buffer %d too small for %dx%d", len(c.B), c.K, c.N)
 	}
 }
 
@@ -422,27 +413,18 @@ func (c *Call) panelA(s *scratch[float32, float32, float32], kern *kernel[float3
 }
 
 // panelB implements operands. A pack source is handed the image index;
-// raw B is strided by image except under APack, whose batches share B.
+// every image shares a raw or prepacked B.
 func (c *Call) panelB(s *scratch[float32, float32, float32], kern *kernel[float32, float32, float32], img, pp, jj, kc, nc int) []float32 {
 	if c.PackedB != nil {
 		return c.PackedB[roundUp(c.N, kern.nr)*pp+jj*kc:]
 	}
 	s.b = grow(s.b, bScratch)
-	b := c.B
-	switch {
-	case c.BPack != nil:
+	if c.BPack != nil {
 		c.BPack.PackPanel(s.b, img, pp, jj, kc, nc, kern.nr)
-		return s.b
-	case c.APack == nil:
-		b = b[img*c.StrideB:]
+	} else {
+		packB(s.b, c.B, pp, jj, kc, nc, c.N, kern.nr)
 	}
-	packB(s.b, b, pp, jj, kc, nc, c.N, kern.nr)
 	return s.b
-}
-
-// Packed computes C += A·B using panel packing and the active micro-kernel.
-func (ctx *Context) Packed(a, b, c []float32, m, n, k int) {
-	ctx.Run(Call{A: a, B: b, C: c, M: m, N: n, K: k})
 }
 
 // PackedStore computes C = A·B, overwriting C. Kernels that fully produce
@@ -613,11 +595,4 @@ func rowGo(pa, pb, c []float32, kd, ldc, rows, nc int, store bool, e *epi, r0, j
 			c[r*ldc+j] = e.apply(x, r0+r, j0+j)
 		}
 	}
-}
-
-// Packed computes C += A·B with a throwaway Context. Prefer a long-lived
-// Context in hot paths.
-func Packed(a, b, c []float32, m, n, k int) {
-	var ctx Context
-	ctx.Packed(a, b, c, m, n, k)
 }

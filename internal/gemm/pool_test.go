@@ -372,8 +372,8 @@ func TestPoolBitIdenticalToSerial(t *testing.T) {
 			Store: true, Batch: batch, StrideC: m * n})},
 		{"PackedA+PackedB accumulate", gemmCase(Call{PackedA: pa, PackedB: pb, M: m, N: n, K: k})},
 		{"Ldc window", gemmCase(Call{A: a, B: b, M: m, N: n - 60, K: k, Ldc: n, Store: true, Act: ActLeakyReLU, Alpha: 0.1})},
-		{"BiasCol", gemmCase(Call{A: a, B: b, M: m, N: n, K: k, Store: true, Batch: batch, StrideB: k * n, StrideC: m * n,
-			BiasCol: biasCol, Act: ActReLU6})},
+		{"BiasCol", gemmCase(Call{A: a, BPack: &matrixSrc{b: b, k: k, n: n, strideB: k * n}, M: m, N: n, K: k,
+			Store: true, Batch: batch, StrideC: m * n, BiasCol: biasCol, Act: ActReLU6})},
 		{"K=0 epilogue", gemmCase(Call{M: m, N: n, K: 0, Store: true, BiasRow: biasRow, BiasCol: biasCol, Act: ActReLU})},
 		{"one unit", gemmCase(Call{A: a, B: b, M: 3, N: 4, K: 5})},
 		{"int8", func(workers int) []float32 {

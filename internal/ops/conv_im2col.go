@@ -12,7 +12,8 @@ import (
 // kdim×cols column matrix and packing panels out of it, a convPackSrc
 // (conv_implicit.go) packs each B panel straight from the NCHW input — or
 // from its zero-bordered copy when the conv pads — so the unfold scratch
-// and its extra write+read sweep over memory are gone.
+// and its extra write+read sweep over memory are gone; a pointwise conv
+// takes the same gather, which then reads the input in place.
 // One strided batched call covers the whole batch per group, and the
 // bias add and fused activation ride the GEMM epilogue — applied at tile
 // store while the tile is cache-hot — instead of two more full-tensor
@@ -29,7 +30,7 @@ import (
 // conv.im2col_explicit keeps the materialised unfold: it is the
 // differential reference for the implicit path and the kernel the
 // torch-sim backend selects to model a framework that unfolds into a
-// buffer on every call.
+// buffer on every call (a pointwise conv's unfold is its input's planes).
 //
 // Groups are handled per group with the batch folded into one strided
 // call; a pure depthwise conv is better served by conv.depthwise (this
@@ -101,18 +102,6 @@ func runConvIm2col(ctx *Ctx, n *graph.Node, in, out []*tensor.Tensor) error {
 	// outside a plan (or in a per-run cache) a miss packs them here.
 	packedW := packedConvWeights(ctx, n, in[1].Data(), &p)
 
-	// Pointwise fast path: a 1x1 stride-1 unpadded convolution is exactly
-	// C[cout×HW] = W[cout×cin] · X[cin×HW]; even the implicit unfold would
-	// be an identity gather, so B is the input itself.
-	if p.kh == 1 && p.kw == 1 && p.sh == 1 && p.sw == 1 && p.dh == 1 && p.dw == 1 &&
-		p.padT == 0 && p.padL == 0 && p.padB == 0 && p.padR == 0 && p.groups == 1 {
-		ctx.GEMM(gemm.Call{PackedA: packedW, B: x, C: y,
-			M: p.cout, N: cols, K: p.cin, Store: true,
-			Batch: p.n, StrideB: p.cin * cols, StrideC: p.cout * cols,
-			BiasRow: bias, Act: act, Alpha: p.alpha})
-		return nil
-	}
-
 	perGroup := gemm.PackedASize(coutG, kdim)
 	ctx.convSrc.init(x, &p)
 	for g := 0; g < p.groups; g++ {
@@ -155,32 +144,27 @@ func runConvIm2colExplicit(ctx *Ctx, n *graph.Node, in, out []*tensor.Tensor) er
 	cols := p.oh * p.ow
 	packedW := packedConvWeights(ctx, n, in[1].Data(), &p)
 
-	// Pointwise fast path: the unfold would be a copy, so skip it even on
-	// the explicit path (both paths share it; the comparison is about the
-	// general unfold).
-	if p.kh == 1 && p.kw == 1 && p.sh == 1 && p.sw == 1 && p.dh == 1 && p.dw == 1 &&
-		p.padT == 0 && p.padL == 0 && p.padB == 0 && p.padR == 0 && p.groups == 1 {
-		ctx.GEMM(gemm.Call{PackedA: packedW, B: x, C: y,
-			M: p.cout, N: cols, K: p.cin, Store: true,
-			Batch: p.n, StrideB: p.cin * cols, StrideC: p.cout * cols})
-		ctx.Sweep(y, bias, p.n*p.cout, cols, p.activation, p.alpha)
-		return nil
-	}
-
 	// The unfold writes every element (padding included), so the scratch
-	// needs no zero-fill.
-	colBuf := ctx.ScratchUninit("conv.im2col/col", n, kdim*cols)
+	// needs no zero-fill; a pointwise conv multiplies the group's planes.
+	pointwise := p.pointwise()
+	var colBuf []float32
+	if !pointwise {
+		colBuf = ctx.ScratchUninit("conv.im2col/col", n, kdim*cols)
+	}
 
 	perGroup := gemm.PackedASize(coutG, kdim)
 	for b := 0; b < p.n; b++ {
 		for g := 0; g < p.groups; g++ {
 			// The group's input channels are contiguous within one batch
 			// image: offset (b*cin + g*cinG)*h*w.
-			src := x[(b*p.cin+g*cinG)*p.h*p.w:]
-			tensor.Im2ColInto(colBuf, src, 1, cinG, p.h, p.w,
-				p.kh, p.kw, p.sh, p.sw, p.padT, p.padL, p.dh, p.dw, p.oh, p.ow)
+			bm := x[(b*p.cin+g*cinG)*p.h*p.w:]
+			if !pointwise {
+				tensor.Im2ColInto(colBuf, bm, 1, cinG, p.h, p.w,
+					p.kh, p.kw, p.sh, p.sw, p.padT, p.padL, p.dh, p.dw, p.oh, p.ow)
+				bm = colBuf
+			}
 			dst := y[(b*p.cout+g*coutG)*cols : (b*p.cout+(g+1)*coutG)*cols]
-			ctx.GEMM(gemm.Call{PackedA: packedW[g*perGroup : (g+1)*perGroup], B: colBuf, C: dst,
+			ctx.GEMM(gemm.Call{PackedA: packedW[g*perGroup : (g+1)*perGroup], B: bm, C: dst,
 				M: coutG, N: cols, K: kdim, Store: true})
 		}
 	}

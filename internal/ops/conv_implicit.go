@@ -19,7 +19,9 @@ import (
 // and one division-free walk carries its columns through output pixels
 // and strips together, moving each stretch that stays inside one output
 // row and one strip for all kc rows in one gemm.GatherTaps call — one
-// bounds check per call, no padding branch, no per-row clear.
+// bounds check per call, no padding branch, no per-row clear. A pointwise
+// conv reads each plane contiguously, so its geometry is one output row
+// per plane and a stretch crosses the image's output rows.
 //
 // The walk moves 32-bit elements, so it serves both dtypes: convPackSrc8
 // (conv_int8.go) builds planes of channel-quad words, four channels of one
@@ -37,12 +39,16 @@ type convGeo struct {
 	ow                     int
 }
 
-// set takes p's geometry, group 0 selected.
+// set takes p's geometry, group 0 selected; a pointwise conv flattens to
+// one row of h·w pixels per plane.
 func (g *convGeo) set(p *convParams) {
 	g.cin, g.chan0 = p.cin, 0
 	g.hp, g.wp = p.h+p.padT+p.padB, p.w+p.padL+p.padR
 	g.kh, g.kw, g.sh, g.sw, g.dh, g.dw = p.kh, p.kw, p.sh, p.sw, p.dh, p.dw
 	g.ow = p.ow
+	if p.pointwise() {
+		g.hp, g.wp, g.ow = 1, p.h*p.w, p.oh*p.ow
+	}
 }
 
 // taps sets tap[i] to the offset, from the group's first plane, that k-row
@@ -113,12 +119,13 @@ type convPackSrc struct {
 }
 
 // init points the source at the input batch of the convolution p
-// describes, copying it into zero-bordered planes when p pads; callers
-// select a group by setting chan0.
+// describes, copying it into zero-bordered planes when p pads (the
+// geometry's dims alone cannot tell: a pointwise conv flattens them);
+// callers select a group by setting chan0.
 func (s *convPackSrc) init(x []float32, p *convParams) {
 	s.set(p)
 	s.x = x
-	if s.hp != p.h || s.wp != p.w {
+	if p.padT|p.padL|p.padB|p.padR != 0 {
 		s.pad = growF32(s.pad, p.n*p.cin*s.hp*s.wp)
 		padPlanes(s.pad, p.n*p.cin, p, 0, func(d []float32, c, y int) {
 			copy(d, x[(c*p.h+y)*p.w:])
@@ -130,8 +137,9 @@ func (s *convPackSrc) init(x []float32, p *convParams) {
 // PackPanel implements gemm.PackSrc: the kc×nc panel at (pp, jj) of image
 // img's unfold matrix, written as strips of nr columns, row-major within
 // each strip. Each stretch — the columns that stay inside one output row
-// and one strip — is one gemm.GatherTaps call over the panel's tap table,
-// increasing by construction; only the edge strip's tail is cleared.
+// (unless the plane is read contiguously) and one strip — is one
+// gemm.GatherTaps call over the panel's tap table, increasing by
+// construction; only the edge strip's tail is cleared.
 func (s *convPackSrc) PackPanel(dst []float32, img, pp, jj, kc, nc, nr int) {
 	var tab [gemm.MaxPanelK]int
 	tap := tab[:kc]

@@ -113,8 +113,20 @@ var implicitCases = []convCase{
 	{name: "tall-stride", n: 1, cin: 2, h: 40, w: 3, cout: 3, kh: 5, kw: 1, sh: 3, sw: 1, padT: 2, padL: 0, padB: 2, padR: 0, dh: 1, dw: 1, groups: 1},
 }
 
+// pointwiseCases are 1×1 geometries at batch 3: stride-1 unpadded ones,
+// which flatten to one output row per plane, at output rows shorter (7),
+// near (14) and longer (56) than a strip, grouped and ungrouped, and a
+// stride-2 one, which must not flatten.
+var pointwiseCases = []convCase{
+	{name: "pw-7x7-b3", n: 3, cin: 16, h: 7, w: 7, cout: 24, kh: 1, kw: 1, sh: 1, sw: 1, dh: 1, dw: 1, groups: 1, bias: true},
+	{name: "pw-14x14-b3-g2", n: 3, cin: 12, h: 14, w: 14, cout: 8, kh: 1, kw: 1, sh: 1, sw: 1, dh: 1, dw: 1, groups: 2, bias: true},
+	{name: "pw-56x56-b3", n: 3, cin: 8, h: 56, w: 56, cout: 16, kh: 1, kw: 1, sh: 1, sw: 1, dh: 1, dw: 1, groups: 1},
+	{name: "pw-56x56-b3-g4", n: 3, cin: 8, h: 56, w: 56, cout: 8, kh: 1, kw: 1, sh: 1, sw: 1, dh: 1, dw: 1, groups: 4, bias: true},
+	{name: "pw-s2-14x14-b3", n: 3, cin: 6, h: 14, w: 14, cout: 4, kh: 1, kw: 1, sh: 2, sw: 2, dh: 1, dw: 1, groups: 1, bias: true},
+}
+
 func implicitBattery() []convCase {
-	return append(append([]convCase(nil), convMatrix...), implicitCases...)
+	return append(append(append([]convCase(nil), convMatrix...), implicitCases...), pointwiseCases...)
 }
 
 func TestConvImplicitMatchesExplicit(t *testing.T) {
@@ -251,6 +263,11 @@ func FuzzPackPanelVsIm2Col(f *testing.F) {
 	f.Add(uint64(2), uint8(3), uint8(30), uint8(30), uint8(7), uint8(2), uint8(3), uint8(1), uint8(1), uint8(0), uint8(0), uint8(255), uint8(255), uint8(2))
 	f.Add(uint64(3), uint8(4), uint8(11), uint8(13), uint8(3), uint8(2), uint8(2), uint8(2), uint8(2), uint8(5), uint8(9), uint8(6), uint8(10), uint8(1))
 	f.Add(uint64(4), uint8(6), uint8(15), uint8(15), uint8(1), uint8(4), uint8(0), uint8(1), uint8(1), uint8(0), uint8(0), uint8(255), uint8(255), uint8(0))
+	// Pointwise at batch 3: 7×7 whole, 14×14 grouped from mid-row, and a
+	// 1×1 stride 2, which keeps its rows.
+	f.Add(uint64(2), uint8(4), uint8(6), uint8(6), uint8(0), uint8(0), uint8(0), uint8(0), uint8(0), uint8(0), uint8(3), uint8(255), uint8(255), uint8(0))
+	f.Add(uint64(5), uint8(3), uint8(13), uint8(13), uint8(0), uint8(0), uint8(0), uint8(4), uint8(1), uint8(1), uint8(20), uint8(255), uint8(100), uint8(2))
+	f.Add(uint64(8), uint8(2), uint8(13), uint8(13), uint8(0), uint8(4), uint8(0), uint8(0), uint8(0), uint8(0), uint8(5), uint8(255), uint8(30), uint8(1))
 	f.Fuzz(func(t *testing.T, seed uint64, cin, h, w, k, stride, pad, dil, groups, ppb, jjb, kcb, ncb, nrb uint8) {
 		tc := convCase{name: "fuzz", n: 1 + int(seed%3), cin: int(cin%8) + 1, h: int(h%20) + 1, w: int(w%20) + 1,
 			kh: int(k%7) + 1, kw: int(k/7%7) + 1, sh: int(stride%3) + 1, sw: int(stride/3%3) + 1,
@@ -279,6 +296,31 @@ func FuzzPackPanelVsIm2Col(f *testing.F) {
 		nr := []int{8, 16, 32}[nrb%3]
 		checkPackPanel(t, &src, im2colGroup(x, &p, p.n-1, g), cols, p.n-1, pp, jj, kc, nc, nr)
 	})
+}
+
+// TestPointwiseReadsInputInPlace pins that a pointwise conv gathers from
+// its input itself: conv.im2col leaves the source aliasing the input with
+// no pad planes, over a geometry flattened to one row per plane. The pad
+// decision must come from the conv's pads, since the flattened dims
+// differ from the input's.
+func TestPointwiseReadsInputInPlace(t *testing.T) {
+	for _, tc := range pointwiseCases {
+		inputs := tc.tensors(tensor.SeedFromString(tc.name))
+		n := buildNode(t, "Conv", tc.attrs(), inputs...)
+		ctx := NewCtx(1)
+		out := tensor.New(n.Outputs[0].Shape...)
+		if err := ByName("conv.im2col").Run(ctx, n, inputs, []*tensor.Tensor{out}); err != nil {
+			t.Fatal(err)
+		}
+		s, x := &ctx.convSrc, inputs[0].Data()
+		if len(s.pad) != 0 || len(s.x) == 0 || &s.x[0] != &x[0] {
+			t.Errorf("%s: source reads a %d-element pad copy, not the input", tc.name, len(s.pad))
+		}
+		flat := tc.sh == 1 && tc.sw == 1
+		if got := s.hp == 1 && s.wp == tc.h*tc.w && s.ow == tc.h*tc.w; got != flat {
+			t.Errorf("%s: geometry hp %d wp %d ow %d, flattened %v, want %v", tc.name, s.hp, s.wp, s.ow, got, flat)
+		}
+	}
 }
 
 // TestConvImplicitRuntimeBatchSlices mirrors how sessions bind batched

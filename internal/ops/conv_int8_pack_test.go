@@ -126,7 +126,7 @@ func firstDiff(a, b []byte) int {
 // panels whose column offsets and extents are multiples of nothing (k
 // offsets and extents are whole quads, as in every quadK-deep call).
 func TestPackPanel8MatchesScalar(t *testing.T) {
-	cases := append(append([]convCase{}, convMatrix...), resnetPackCases...)
+	cases := append(append(append([]convCase{}, convMatrix...), resnetPackCases...), pointwiseCases...)
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			for g := 0; g < tc.groups; g++ {
@@ -162,6 +162,11 @@ func FuzzPackPanel8VsScalar(f *testing.F) {
 	f.Add(uint64(5), uint8(2), uint8(12), uint8(9), uint8(3), uint8(1), uint8(1), uint8(1), uint8(2), uint8(8), uint8(3), uint8(20), uint8(30), false)
 	f.Add(uint64(6), uint8(4), uint8(7), uint8(7), uint8(3), uint8(0), uint8(1), uint8(0), uint8(0), uint8(12), uint8(1), uint8(8), uint8(48), true)
 	f.Add(uint64(7), uint8(5), uint8(10), uint8(11), uint8(9), uint8(4), uint8(5), uint8(0), uint8(1), uint8(4), uint8(2), uint8(12), uint8(9), false)
+	// Pointwise: 7×7 whole, 14×14 grouped from mid-row, and a 1×1 stride
+	// 2, which keeps its rows.
+	f.Add(uint64(1), uint8(5), uint8(6), uint8(6), uint8(0), uint8(0), uint8(0), uint8(0), uint8(0), uint8(0), uint8(0), uint8(255), uint8(255), true)
+	f.Add(uint64(3), uint8(2), uint8(13), uint8(13), uint8(0), uint8(0), uint8(0), uint8(4), uint8(1), uint8(0), uint8(9), uint8(255), uint8(100), false)
+	f.Add(uint64(4), uint8(3), uint8(19), uint8(19), uint8(0), uint8(4), uint8(0), uint8(0), uint8(0), uint8(0), uint8(5), uint8(255), uint8(60), true)
 	f.Fuzz(func(t *testing.T, seed uint64, cin, h, w, k, stride, pad, dil, groups, ppb, jjb, kcb, ncb uint8, wide bool) {
 		tc := convCase{name: "fuzz", n: 1 + int(seed%2), cin: int(cin%8) + 1, h: int(h%20) + 1, w: int(w%20) + 1,
 			kh: int(k%7) + 1, kw: int(k/7%7) + 1, sh: int(stride%3) + 1, sw: int(stride/3%3) + 1,

@@ -101,9 +101,7 @@ func runConvIm2colNHWC(ctx *Ctx, n *graph.Node, in, out []*tensor.Tensor) error 
 	// Pointwise fast path: for a 1x1 stride-1 unpadded ungrouped NHWC conv
 	// the input already *is* the [n*oh*ow × cin] unfold, so the whole batch
 	// collapses into one dense GEMM with no gather at all.
-	if p.kh == 1 && p.kw == 1 && p.sh == 1 && p.sw == 1 && p.dh == 1 && p.dw == 1 &&
-		p.padT == 0 && p.padL == 0 && p.padB == 0 && p.padR == 0 &&
-		p.groups == 1 && !p.srcNCHW {
+	if p.pointwise() && p.groups == 1 && !p.srcNCHW {
 		ctx.GEMM(gemm.Call{A: x, PackedB: packedW, C: y,
 			M: p.n * cols, N: p.cout, K: p.cin, Store: true,
 			BiasCol: bias, Act: act, Alpha: p.alpha})

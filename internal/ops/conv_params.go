@@ -166,6 +166,12 @@ func (p convParams) isDepthwise() bool {
 	return p.groups > 1 && p.groups == p.cin && p.cout == p.cin
 }
 
+// pointwise reports a 1×1 stride-1 unpadded convolution: its unfold is
+// the input itself, a group's planes read as one contiguous matrix.
+func (p convParams) pointwise() bool {
+	return p.kh == 1 && p.kw == 1 && p.sh == 1 && p.sw == 1 && p.padT|p.padL|p.padB|p.padR == 0
+}
+
 // flops returns the multiply-accumulate count of the convolution, used by
 // the device cost model and the profiler.
 func (p convParams) flops() int64 {
