@@ -37,12 +37,13 @@ func (g Window) ColTap(kx int) ColTap {
 }
 
 // Depthwise is a checked window for DepthwiseRow with the activation its
-// stores apply: NewDepthwise builds one per layer, and every plane of the
-// layer reuses it.
+// stores apply: NewDepthwise (or NewMaxPool) builds one per layer, and
+// every plane of the layer reuses it.
 type Depthwise struct {
 	g     Window
 	act   Activation
 	alpha float32
+	max   bool          // a max window: NewMaxPool's
 	args  depthwiseArgs // the per-layer fields of a vector body's call
 
 	// tapBuf keeps the KW-entry ColTap table inside the value — on the
@@ -61,7 +62,7 @@ func NewDepthwise(g Window, act Activation, alpha float32) Depthwise {
 	}
 	d := Depthwise{g: g, act: act, alpha: alpha, args: depthwiseArgs{
 		n: int64(g.OW), h: int64(g.H), sh: int64(g.SH), dh: int64(g.DH),
-		kh: int64(g.KH), kw: int64(g.KW), stride: int64(g.SW),
+		kh: int64(g.KH), kw: int64(g.KW), stride: int64(g.SW), loop: int64(g.SW - 1),
 		wstep: 4, wpitch: 4 * int64(g.KW), floor: float32(math.Inf(-1)),
 	}}
 	if act == ActReLU {
@@ -73,6 +74,15 @@ func NewDepthwise(g Window, act Activation, alpha float32) Depthwise {
 	for kx := range d.taps() {
 		d.taps()[kx] = g.ColTap(kx)
 	}
+	return d
+}
+
+// NewMaxPool checks g and returns it ready for DepthwiseRow as a max
+// window: each output is the greatest of its window's in-image taps.
+func NewMaxPool(g Window) Depthwise {
+	d := NewDepthwise(g, ActNone, 0)
+	d.max = true
+	d.args.loop += 2
 	return d
 }
 
@@ -102,10 +112,19 @@ func (d *Depthwise) taps() []ColTap {
 // through the activation. Strides 1 and 2 at KW ≤ 16 run them (AVX-512,
 // or AVX2, with one fused multiply-add per tap); the rest take the
 // portable body.
+//
+// A max window (NewMaxPool) takes neither weights nor bias, and w may be
+// nil: its outputs are seeded with −Inf, which a window wholly in padding
+// stores, and each tap replaces the held value only if it is greater —
+// VMAXPS with the held value as its second source — so a NaN tap is
+// skipped and the first of two equal zeros is kept.
 func DepthwiseRow(dst []float32, ldd int, x []float32, ldx int, w []float32, bias float32, d *Depthwise, oy0, rows int) {
 	g := d.g
 	if rows <= 0 {
 		return
+	}
+	if d.max {
+		w, bias = unitWeight, float32(math.Inf(-1))
 	}
 	if oy0 < 0 || oy0+rows > g.OH || ldx < g.W || ldd < g.OW ||
 		len(x) < (g.H-1)*ldx+g.W || len(dst) < (rows-1)*ldd+g.OW ||
@@ -116,16 +135,22 @@ func DepthwiseRow(dst []float32, ldd int, x []float32, ldx int, w []float32, bia
 	depthwiseRow(vecBody, dst, ldd, x, ldx, w, bias, d, oy0, rows)
 }
 
+// unitWeight is the weight a max window's vector call is given: one for
+// every tap, and read by none.
+var unitWeight = []float32{1}
+
 // depthwiseArgs is what a vector body reads besides its operands; the
 // field offsets are spelled out in vec_amd64.s. Pitches are in floats,
 // wstep and wpitch in bytes: from one window column's weight to the
-// next's, and from one window row's to the next's.
+// next's, and from one window row's to the next's. loop picks the tap
+// loop: stride − 1, plus 2 in a max window.
 type depthwiseArgs struct {
 	ldd, ldx, n, rows int64
 	iy0, h, sh, dh    int64
 	kh, kw, stride    int64
 	wstep, wpitch     int64
 	bias, floor       float32
+	loop              int64
 }
 
 // depthwiseVector reports whether body runs d in vector registers, with
@@ -139,7 +164,7 @@ func depthwiseVector(body int, d *Depthwise) bool {
 // run [Lo, Hi), in (ky, kx) order, so every output sees its taps in the
 // order the vector bodies apply them. fused rounds each multiply-add once,
 // as they do; unfused, a product is rounded before its add, as Go
-// arithmetic is on amd64.
+// arithmetic is on amd64. A max window's taps go through maxRun instead.
 func depthwiseRowGo(dst []float32, ldd int, x []float32, ldx int, w []float32, bias float32, d *Depthwise, oy0, rows int, fused bool) {
 	g, taps := d.g, d.taps()
 	for r := 0; r < rows; r++ {
@@ -157,11 +182,16 @@ func depthwiseRowGo(dst []float32, ldd int, x []float32, ldx int, w []float32, b
 				if t.Lo == t.Hi {
 					continue
 				}
+				src := x[iy*ldx+t.Lo*g.SW+t.Off:]
+				if d.max {
+					maxRun(row[t.Lo:t.Hi], src, g.SW)
+					continue
+				}
 				a := w[0]
 				if len(w) > 1 {
 					a = w[ky*g.KW+kx]
 				}
-				maddRun(row[t.Lo:t.Hi], a, x[iy*ldx+t.Lo*g.SW+t.Off:], g.SW, fused)
+				maddRun(row[t.Lo:t.Hi], a, src, g.SW, fused)
 			}
 		}
 		if d.act != ActNone {
@@ -185,6 +215,17 @@ func maddRun(d []float32, a float32, x []float32, stride int, fused bool) {
 	default:
 		for i := range d {
 			d[i] += a * x[i*stride]
+		}
+	}
+}
+
+// maxRun sets d[i] to x[i*stride] where that is greater, so a NaN in x is
+// skipped and the first of two equal zeros is kept, exactly as VMAXPS
+// decides with d as its second source.
+func maxRun(d []float32, x []float32, stride int) {
+	for i := range d {
+		if v := x[i*stride]; v > d[i] {
+			d[i] = v
 		}
 	}
 }

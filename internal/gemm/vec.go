@@ -6,37 +6,70 @@ import (
 	"math/bits"
 )
 
-// axpyRowGo is the portable AXPYRow: the same walk as the assembly, one
-// element at a time.
-func axpyRowGo(dst []float32, ldd int, x []float32, ldx, stride int, a float32, n, rows int) {
+// FMARow computes dst[i] += a[i]*b[i] for i in [0, len(dst)). a and b must
+// be at least as long as dst. Whole blocks of 8 take an AVX2/FMA body
+// where there is one.
+func FMARow(dst, a, b []float32) {
+	n := len(dst)
+	if vecAVX2 && n >= 8 {
+		q := n &^ 7
+		fmaRowAVX2(&dst[0], &a[0], &b[0], int64(q))
+		dst, a, b = dst[q:n], a[q:n], b[q:n]
+	}
+	for i := range dst {
+		dst[i] += a[i] * b[i]
+	}
+}
+
+// AXPYRow is one scalar times a run of an input row, added to a run of an
+// output row, applied to rows consecutive rows in one call:
+//
+//	dst[r*ldd+i] += a * x[r*ldx+i]   r in [0, rows), i in [0, n)
+//
+// dst and x must reach the last element that touches. It takes an
+// AVX2/FMA body where there is one.
+func AXPYRow(dst []float32, ldd int, x []float32, ldx int, a float32, n, rows int) {
+	if n <= 0 || rows <= 0 {
+		return
+	}
+	_ = dst[(rows-1)*ldd+n-1]
+	_ = x[(rows-1)*ldx+n-1]
+	if vecAVX2 {
+		axpyRowsAVX2(&dst[0], int64(ldd), &x[0], int64(ldx), a, int64(n), int64(rows))
+		return
+	}
 	for r := 0; r < rows; r++ {
-		d := dst[r*ldd:][:n]
-		xr := x[r*ldx:]
-		if stride == 1 {
-			xr = xr[:n]
-			for i := range d {
-				d[i] += a * xr[i]
-			}
-			continue
-		}
+		d, xr := dst[r*ldd:][:n], x[r*ldx:][:n]
 		for i := range d {
-			d[i] += a * xr[i*stride]
+			d[i] += a * xr[i]
 		}
 	}
 }
 
-// maxRowGo is the portable MaxRow. The comparison keeps dst unless x is
-// greater, so NaNs in x are ignored and the first of two equal zeros wins,
-// exactly as VMAXPS decides with dst as its second source.
-func maxRowGo(dst []float32, ldd int, x []float32, ldx, stride, n, rows int) {
+// MaxRow is a run of an input row folded into a run of an output row with
+// max, applied to rows consecutive rows in one call:
+//
+//	dst[r*ldd+i] = max(dst[r*ldd+i], x[r*ldx+i])   r in [0, rows), i in [0, n)
+//
+// dst keeps its value unless x is greater. dst and x must reach the last
+// element that touches. It takes an AVX2 body where there is one.
+func MaxRow(dst []float32, ldd int, x []float32, ldx, n, rows int) {
+	if n <= 0 || rows <= 0 {
+		return
+	}
+	_ = dst[(rows-1)*ldd+n-1]
+	_ = x[(rows-1)*ldx+n-1]
+	if vecAVX2 {
+		maxRowsAVX2(&dst[0], int64(ldd), &x[0], int64(ldx), int64(n), int64(rows))
+		return
+	}
+	maxRowGo(dst, ldd, x, ldx, n, rows)
+}
+
+// maxRowGo is the portable MaxRow, one maxRun per row.
+func maxRowGo(dst []float32, ldd int, x []float32, ldx, n, rows int) {
 	for r := 0; r < rows; r++ {
-		d := dst[r*ldd:][:n]
-		xr := x[r*ldx:]
-		for i := range d {
-			if v := xr[i*stride]; v > d[i] {
-				d[i] = v
-			}
-		}
+		maxRun(dst[r*ldd:][:n], x[r*ldx:], 1)
 	}
 }
 

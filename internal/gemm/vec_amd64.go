@@ -4,10 +4,10 @@ package gemm
 
 // Vectorised row helpers for amd64. FMARow backs the NHWC depthwise
 // convolution kernel, whose inner loop is a straight elementwise FMA over
-// the channel axis; DepthwiseRow backs the NCHW one and NCHW average
-// pooling with AVX-512 or AVX2 bodies that keep each output vector in a
-// register through all its taps; AXPYRow backs NHWC average pooling and
-// the residual add; MaxRow backs max pooling; GatherTaps backs the
+// the channel axis; DepthwiseRow backs the NCHW one and NCHW max and
+// average pooling with AVX-512 or AVX2 bodies that keep each output vector
+// in a register through all its taps; AXPYRow backs NHWC average pooling
+// and the residual add; MaxRow backs NHWC max pooling; GatherTaps backs the
 // implicit-GEMM conv gather, moving one stretch of a B panel for all its
 // k-rows in one call with masked AVX-512 or AVX2 moves; reluRowHead and
 // requantRowHead are the vector heads of the fp32 and int8 GEMM
@@ -17,104 +17,21 @@ package gemm
 // GEMM kernel.
 var vecAVX2 = hasAVX2FMA()
 
-// FMARow computes dst[i] += a[i]*b[i] for i in [0, len(dst)). a and b must
-// be at least as long as dst.
-func FMARow(dst, a, b []float32) {
-	n := len(dst)
-	if vecAVX2 && n >= 8 {
-		q := n &^ 7
-		fmaRowAVX2(&dst[0], &a[0], &b[0], int64(q))
-		dst, a, b = dst[q:n], a[q:n], b[q:n]
-	}
-	for i := range dst {
-		dst[i] += a[i] * b[i]
-	}
-}
-
-// fmaRowAVX2 computes dst[i] += a[i]*b[i] for i in [0, n); n must be a
-// positive multiple of 8. Implemented in vec_amd64.s.
+// fmaRowAVX2 is FMARow over n elements, a positive multiple of 8.
+// Implemented in vec_amd64.s.
 //
 //go:noescape
 func fmaRowAVX2(dst, a, b *float32, n int64)
 
-// AXPYRow is one scalar times a run of an input row, added to a run of an
-// output row, applied to rows consecutive rows in one call:
-//
-//	dst[r*ldd+i] += a * x[r*ldx+i*stride]   r in [0, rows), i in [0, n)
-//
-// dst and x must reach the last element that touches. Stride 1 — what
-// its callers run — takes an AVX2/FMA body for any n; other strides take
-// the portable loop.
-func AXPYRow(dst []float32, ldd int, x []float32, ldx, stride int, a float32, n, rows int) {
-	if n <= 0 || rows <= 0 {
-		return
-	}
-	_ = dst[(rows-1)*ldd+n-1]
-	_ = x[(rows-1)*ldx+(n-1)*stride]
-	if !vecAVX2 || stride != 1 {
-		axpyRowGo(dst, ldd, x, ldx, stride, a, n, rows)
-		return
-	}
-	axpyRowsAVX2(&dst[0], int64(ldd), &x[0], int64(ldx), a, int64(n), int64(rows))
-}
-
-// stride2Head returns how many of a row's n outputs MaxRow's stride-2
-// vector body takes. It reads 16 elements for 8 outputs, one more than
-// the last output needs: the block that would run past the end of x on
-// the last row, which starts at lastRow of its lenX elements, is left to
-// the scalar tail.
-func stride2Head(n, lastRow, lenX int) int {
-	q := n &^ 7
-	if lastRow+2*q > lenX {
-		q -= 8
-	}
-	return q
-}
-
-// axpyRowsAVX2 is AXPYRow at stride 1 for n, rows ≥ 1. Implemented in
-// vec_amd64.s.
+// axpyRowsAVX2 is AXPYRow for n, rows ≥ 1. Implemented in vec_amd64.s.
 //
 //go:noescape
 func axpyRowsAVX2(dst *float32, ldd int64, x *float32, ldx int64, a float32, n, rows int64)
 
-// MaxRow is the row primitive of max pooling — a run of an input row
-// folded into a run of an output row with max — applied to rows consecutive
-// rows in one call:
-//
-//	dst[r*ldd+i] = max(dst[r*ldd+i], x[r*ldx+i*stride])   r in [0, rows), i in [0, n)
-//
-// dst keeps its value unless x is greater. dst and x must reach the last
-// element that touches. Strides 1 and 2 run AVX2 bodies, stride 2 with an
-// over-read guard; other strides take the portable loop.
-func MaxRow(dst []float32, ldd int, x []float32, ldx, stride, n, rows int) {
-	if n <= 0 || rows <= 0 {
-		return
-	}
-	_ = dst[(rows-1)*ldd+n-1]
-	_ = x[(rows-1)*ldx+(n-1)*stride]
-	switch {
-	case !vecAVX2 || stride > 2:
-		maxRowGo(dst, ldd, x, ldx, stride, n, rows)
-	case stride == 1:
-		maxRowsAVX2(&dst[0], int64(ldd), &x[0], int64(ldx), int64(n), int64(rows))
-	default:
-		q := stride2Head(n, (rows-1)*ldx, len(x))
-		maxRows2AVX2(&dst[0], int64(ldd), &x[0], int64(ldx), int64(q), int64(n-q), int64(rows))
-	}
-}
-
-// maxRowsAVX2 is MaxRow at stride 1 for n, rows ≥ 1. Implemented in
-// vec_amd64.s.
+// maxRowsAVX2 is MaxRow for n, rows ≥ 1. Implemented in vec_amd64.s.
 //
 //go:noescape
 func maxRowsAVX2(dst *float32, ldd int64, x *float32, ldx int64, n, rows int64)
-
-// maxRows2AVX2 is MaxRow at stride 2 for rows ≥ 1 and n = q+tail columns,
-// q a multiple of 8 handled 8 outputs at a time and tail one at a time.
-// Implemented in vec_amd64.s.
-//
-//go:noescape
-func maxRows2AVX2(dst *float32, ldd int64, x *float32, ldx int64, q, tail, rows int64)
 
 // vecBody is the GatherTaps and DepthwiseRow body this host runs: AVX-512
 // where the micro-kernel registry would take its AVX-512 tile, else AVX2.

@@ -188,66 +188,6 @@ maxnext:
 	VZEROUPPER
 	RET
 
-// func maxRows2AVX2(dst *float32, ldd int64, x *float32, ldx int64, q, tail, rows int64)
-//
-// dst[r*ldd+i] = max(dst[r*ldd+i], x[r*ldx+2i]) for r in [0, rows), i in
-// [0, q+tail). Eight outputs per iteration over a row's first q (a
-// multiple of 8): two 8-float loads, VSHUFPS keeps the even elements of
-// each 128-bit lane pair and VPERMPD puts the four pairs back in order.
-// Then tail outputs one at a time.
-TEXT ·maxRows2AVX2(SB), NOSPLIT, $0-56
-	MOVQ dst+0(FP), R8
-	MOVQ ldd+8(FP), R10
-	MOVQ x+16(FP), R9
-	MOVQ ldx+24(FP), R11
-	MOVQ q+32(FP), R12
-	MOVQ tail+40(FP), BX
-	MOVQ rows+48(FP), R13
-	SHLQ $2, R10
-	SHLQ $2, R11
-	SHRQ $3, R12
-
-max2row:
-	MOVQ  R8, DI
-	MOVQ  R9, SI
-	MOVQ  R12, CX
-	MOVQ  BX, DX
-	TESTQ CX, CX
-	JZ    max2tail
-
-max2loop:
-	VMOVUPS (SI), Y1
-	VMOVUPS 32(SI), Y2
-	VSHUFPS $0x88, Y2, Y1, Y1
-	VPERMPD $0xD8, Y1, Y1
-	VMAXPS  (DI), Y1, Y1
-	VMOVUPS Y1, (DI)
-	ADDQ    $64, SI
-	ADDQ    $32, DI
-	DECQ    CX
-	JNZ     max2loop
-
-max2tail:
-	TESTQ DX, DX
-	JZ    max2next
-
-max2one:
-	VMOVSS (SI), X1
-	VMAXSS (DI), X1, X1
-	VMOVSS X1, (DI)
-	ADDQ   $8, SI
-	ADDQ   $4, DI
-	DECQ   DX
-	JNZ    max2one
-
-max2next:
-	ADDQ R10, R8
-	ADDQ R11, R9
-	DECQ R13
-	JNZ  max2row
-	VZEROUPPER
-	RET
-
 // evenIdx<> is the VPERMT2PS index vector that picks the even elements
 // of a 32-float pair of registers: 0, 2, …, 30.
 DATA evenIdx<>+0(SB)/4, $0
@@ -370,8 +310,9 @@ g512s2last:
 // func gatherTapsAVX2(dst, x *float32, tap *int, ldd, rows, stride, full int64, smask, lmask uint32)
 //
 // gatherTapsAVX512 in blocks of 8: the masks become VMASKMOVPS lane masks
-// (Y13 the stores', Y14:Y12 the loads'), and stride 2 de-interleaves with
-// maxRows2AVX2's VSHUFPS and VPERMPD.
+// (Y13 the stores', Y14:Y12 the loads'), and stride 2 de-interleaves
+// each pair of 8-float loads: VSHUFPS keeps the even elements of each
+// 128-bit lane pair and VPERMPD puts the four pairs back in order.
 TEXT ·gatherTapsAVX2(SB), NOSPLIT, $0-64
 	MOVQ         dst+0(FP), DI
 	MOVQ         x+8(FP), SI
@@ -484,6 +425,7 @@ GLOBL laneBitHi<>(SB), RODATA|NOPTR, $32
 #define DW_WPITCH 96
 #define DW_BIAS 104
 #define DW_FLOOR 108
+#define DW_LOOP 112
 
 // The frame of both depthwise bodies: up to 16 tap entries of 24 bytes
 // from 0(SP) — the x pointer of the column's first lane in input row 0,
@@ -510,7 +452,9 @@ GLOBL laneBitHi<>(SB), RODATA|NOPTR, $32
 // inside the image, every entry's tap as one VFMADD231PS merge-masked by
 // its smask (K1) — a lane outside the tap's [Lo, Hi) keeps its value, as
 // the portable body skips it — and is stored once, max(floor, ·), under
-// K7. A load reads only its mask's elements (at stride 2, K2:K3 over two
+// K7. DW_LOOP picks the tap loop once per window row: stride 1 or 2, and
+// in a max window (seeded −Inf) VMAXPS with the accumulator as its second
+// source in place of the multiply-add. A load reads only its mask's elements (at stride 2, K2:K3 over two
 // registers that VPERMT2PS de-interleaves), and a masked-off element is
 // neither read nor faults. Rows go four at a time (Z0–Z3) wherever all
 // their window rows are inside the image, so that four multiply-add
@@ -638,8 +582,9 @@ dw512g4ky:
 	MOVQ DW_END(SP), CX
 	CMPQ R8, CX
 	JEQ  dw512g4kynext
-	CMPQ DW_STRIDE(R12), $1
-	JNE  dw512g4s2
+	CMPQ DW_LOOP(R12), $1
+	JEQ  dw512g4s2
+	JGT  dw512g4max
 
 dw512g4s1:
 	MOVQ         0(R8), AX
@@ -689,6 +634,58 @@ dw512g4s2:
 	ADDQ         $24, R8
 	CMPQ         R8, CX
 	JNE          dw512g4s2
+	JMP          dw512g4kynext
+
+dw512g4max:
+	// A max window's taps: each lane of K1 keeps the held value unless the
+	// tap's is greater.
+	CMPQ DW_LOOP(R12), $3
+	JEQ  dw512g4m2
+
+dw512g4m1:
+	MOVQ      0(R8), AX
+	ADDQ      SI, AX
+	KMOVW     16(R8), K1
+	VMOVUPS.Z (AX), K1, Z5
+	VMOVUPS.Z (AX)(R9*1), K1, Z6
+	LEAQ      (AX)(R9*2), AX
+	VMOVUPS.Z (AX), K1, Z7
+	VMOVUPS.Z (AX)(R9*1), K1, Z8
+	VMAXPS    Z0, Z5, K1, Z0
+	VMAXPS    Z1, Z6, K1, Z1
+	VMAXPS    Z2, Z7, K1, Z2
+	VMAXPS    Z3, Z8, K1, Z3
+	ADDQ      $24, R8
+	CMPQ      R8, CX
+	JNE       dw512g4m1
+	JMP       dw512g4kynext
+
+dw512g4m2:
+	MOVQ      0(R8), AX
+	ADDQ      SI, AX
+	KMOVW     16(R8), K1
+	KMOVW     20(R8), K2
+	KMOVW     22(R8), K3
+	VMOVUPS.Z (AX), K2, Z5
+	VMOVUPS.Z 64(AX), K3, Z6
+	VPERMT2PS Z6, Z29, Z5
+	VMOVUPS.Z (AX)(R9*1), K2, Z7
+	VMOVUPS.Z 64(AX)(R9*1), K3, Z8
+	VPERMT2PS Z8, Z29, Z7
+	LEAQ      (AX)(R9*2), AX
+	VMOVUPS.Z (AX), K2, Z9
+	VMOVUPS.Z 64(AX), K3, Z10
+	VPERMT2PS Z10, Z29, Z9
+	VMOVUPS.Z (AX)(R9*1), K2, Z11
+	VMOVUPS.Z 64(AX)(R9*1), K3, Z12
+	VPERMT2PS Z12, Z29, Z11
+	VMAXPS    Z0, Z5, K1, Z0
+	VMAXPS    Z1, Z7, K1, Z1
+	VMAXPS    Z2, Z9, K1, Z2
+	VMAXPS    Z3, Z11, K1, Z3
+	ADDQ      $24, R8
+	CMPQ      R8, CX
+	JNE       dw512g4m2
 
 dw512g4kynext:
 	ADDQ    DW_WPITCH(R12), DX
@@ -734,8 +731,9 @@ dw512ky:
 	MOVQ  DW_END(SP), CX
 	CMPQ  R8, CX
 	JEQ   dw512kynext
-	CMPQ  DW_STRIDE(R12), $1
-	JNE   dw512s2
+	CMPQ  DW_LOOP(R12), $1
+	JEQ   dw512s2
+	JGT   dw512max
 
 dw512s1:
 	MOVQ             0(R8), AX
@@ -761,6 +759,34 @@ dw512s2:
 	ADDQ             $24, R8
 	CMPQ             R8, CX
 	JNE              dw512s2
+	JMP              dw512kynext
+
+dw512max:
+	CMPQ DW_LOOP(R12), $3
+	JEQ  dw512m2
+
+dw512m1:
+	MOVQ      0(R8), AX
+	KMOVW     16(R8), K1
+	VMOVUPS.Z (AX)(SI*1), K1, Z1
+	VMAXPS    Z0, Z1, K1, Z0
+	ADDQ      $24, R8
+	CMPQ      R8, CX
+	JNE       dw512m1
+	JMP       dw512kynext
+
+dw512m2:
+	MOVQ      0(R8), AX
+	KMOVW     16(R8), K1
+	KMOVW     20(R8), K2
+	KMOVW     22(R8), K3
+	VMOVUPS.Z (AX)(SI*1), K2, Z1
+	VMOVUPS.Z 64(AX)(SI*1), K3, Z2
+	VPERMT2PS Z2, Z29, Z1
+	VMAXPS    Z0, Z1, K1, Z0
+	ADDQ      $24, R8
+	CMPQ      R8, CX
+	JNE       dw512m2
 
 dw512kynext:
 	ADDQ    DW_WPITCH(R12), DX
@@ -790,7 +816,8 @@ dw512colnext:
 // become VMASKMOVPS lane masks through laneBit<> and laneBitHi<> (Y9 the
 // tap's lanes, Y14:Y7 a stride-2 block's loads), the multiply-add goes to
 // a copy of the accumulator, and VBLENDVPS takes the copy's lanes where
-// the tap applies. A column of 8 stores with VMOVUPS, a narrower one with
+// the tap applies (in a max window, VMAXPS takes the multiply-add's
+// place). A column of 8 stores with VMOVUPS, a narrower one with
 // VMASKMOVPS under Y11.
 TEXT ·depthwiseAVX2(SB), NOSPLIT, $DW_FRAME-40
 	MOVQ         a+32(FP), R12
@@ -920,8 +947,9 @@ dw256g4ky:
 	MOVQ DW_END(SP), CX
 	CMPQ R8, CX
 	JEQ  dw256g4kynext
-	CMPQ DW_STRIDE(R12), $1
-	JNE  dw256g4s2
+	CMPQ DW_LOOP(R12), $1
+	JEQ  dw256g4s2
+	JGT  dw256g4max
 
 dw256g4s1:
 	MOVQ         0(R8), AX
@@ -998,6 +1026,77 @@ dw256g4s2:
 	ADDQ         $24, R8
 	CMPQ         R8, CX
 	JNE          dw256g4s2
+	JMP          dw256g4kynext
+
+dw256g4max:
+	// A max window's taps: Y6 is the held value unless the tap's is
+	// greater, and VBLENDVPS takes it in the tap's lanes.
+	CMPQ DW_LOOP(R12), $3
+	JEQ  dw256g4m2
+
+dw256g4m1:
+	MOVQ         0(R8), AX
+	ADDQ         SI, AX
+	VPBROADCASTD 16(R8), Y9
+	VPAND        Y15, Y9, Y9
+	VPCMPEQD     Y15, Y9, Y9
+	VMASKMOVPS   (AX), Y9, Y4
+	VMAXPS       Y0, Y4, Y6
+	VBLENDVPS    Y9, Y6, Y0, Y0
+	VMASKMOVPS   (AX)(R9*1), Y9, Y4
+	VMAXPS       Y1, Y4, Y6
+	VBLENDVPS    Y9, Y6, Y1, Y1
+	LEAQ         (AX)(R9*2), AX
+	VMASKMOVPS   (AX), Y9, Y4
+	VMAXPS       Y2, Y4, Y6
+	VBLENDVPS    Y9, Y6, Y2, Y2
+	VMASKMOVPS   (AX)(R9*1), Y9, Y4
+	VMAXPS       Y3, Y4, Y6
+	VBLENDVPS    Y9, Y6, Y3, Y3
+	ADDQ         $24, R8
+	CMPQ         R8, CX
+	JNE          dw256g4m1
+	JMP          dw256g4kynext
+
+dw256g4m2:
+	MOVQ         0(R8), AX
+	ADDQ         SI, AX
+	VPBROADCASTD 16(R8), Y9
+	VPAND        Y15, Y9, Y9
+	VPCMPEQD     Y15, Y9, Y9
+	VPBROADCASTD 20(R8), Y7
+	VPAND        Y15, Y7, Y14
+	VPCMPEQD     Y15, Y14, Y14
+	VPAND        Y13, Y7, Y7
+	VPCMPEQD     Y13, Y7, Y7
+	VMASKMOVPS   (AX), Y14, Y4
+	VMASKMOVPS   32(AX), Y7, Y5
+	VSHUFPS      $0x88, Y5, Y4, Y4
+	VPERMPD      $0xD8, Y4, Y4
+	VMAXPS       Y0, Y4, Y6
+	VBLENDVPS    Y9, Y6, Y0, Y0
+	VMASKMOVPS   (AX)(R9*1), Y14, Y4
+	VMASKMOVPS   32(AX)(R9*1), Y7, Y5
+	VSHUFPS      $0x88, Y5, Y4, Y4
+	VPERMPD      $0xD8, Y4, Y4
+	VMAXPS       Y1, Y4, Y6
+	VBLENDVPS    Y9, Y6, Y1, Y1
+	LEAQ         (AX)(R9*2), AX
+	VMASKMOVPS   (AX), Y14, Y4
+	VMASKMOVPS   32(AX), Y7, Y5
+	VSHUFPS      $0x88, Y5, Y4, Y4
+	VPERMPD      $0xD8, Y4, Y4
+	VMAXPS       Y2, Y4, Y6
+	VBLENDVPS    Y9, Y6, Y2, Y2
+	VMASKMOVPS   (AX)(R9*1), Y14, Y4
+	VMASKMOVPS   32(AX)(R9*1), Y7, Y5
+	VSHUFPS      $0x88, Y5, Y4, Y4
+	VPERMPD      $0xD8, Y4, Y4
+	VMAXPS       Y3, Y4, Y6
+	VBLENDVPS    Y9, Y6, Y3, Y3
+	ADDQ         $24, R8
+	CMPQ         R8, CX
+	JNE          dw256g4m2
 
 dw256g4kynext:
 	ADDQ    DW_WPITCH(R12), DX
@@ -1058,8 +1157,9 @@ dw256ky:
 	MOVQ  DW_END(SP), CX
 	CMPQ  R8, CX
 	JEQ   dw256kynext
-	CMPQ  DW_STRIDE(R12), $1
-	JNE   dw256s2
+	CMPQ  DW_LOOP(R12), $1
+	JEQ   dw256s2
+	JGT   dw256max
 
 dw256s1:
 	MOVQ         0(R8), AX
@@ -1100,6 +1200,45 @@ dw256s2:
 	ADDQ         $24, R8
 	CMPQ         R8, CX
 	JNE          dw256s2
+	JMP          dw256kynext
+
+dw256max:
+	CMPQ DW_LOOP(R12), $3
+	JEQ  dw256m2
+
+dw256m1:
+	MOVQ         0(R8), AX
+	VPBROADCASTD 16(R8), Y9
+	VPAND        Y15, Y9, Y9
+	VPCMPEQD     Y15, Y9, Y9
+	VMASKMOVPS   (AX)(SI*1), Y9, Y4
+	VMAXPS       Y0, Y4, Y6
+	VBLENDVPS    Y9, Y6, Y0, Y0
+	ADDQ         $24, R8
+	CMPQ         R8, CX
+	JNE          dw256m1
+	JMP          dw256kynext
+
+dw256m2:
+	MOVQ         0(R8), AX
+	ADDQ         SI, AX
+	VPBROADCASTD 16(R8), Y9
+	VPAND        Y15, Y9, Y9
+	VPCMPEQD     Y15, Y9, Y9
+	VPBROADCASTD 20(R8), Y7
+	VPAND        Y15, Y7, Y14
+	VPCMPEQD     Y15, Y14, Y14
+	VPAND        Y13, Y7, Y7
+	VPCMPEQD     Y13, Y7, Y7
+	VMASKMOVPS   (AX), Y14, Y4
+	VMASKMOVPS   32(AX), Y7, Y5
+	VSHUFPS      $0x88, Y5, Y4, Y4
+	VPERMPD      $0xD8, Y4, Y4
+	VMAXPS       Y0, Y4, Y6
+	VBLENDVPS    Y9, Y6, Y0, Y0
+	ADDQ         $24, R8
+	CMPQ         R8, CX
+	JNE          dw256m2
 
 dw256kynext:
 	ADDQ    DW_WPITCH(R12), DX

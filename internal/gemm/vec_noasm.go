@@ -2,44 +2,13 @@
 
 package gemm
 
-// FMARow computes dst[i] += a[i]*b[i] for i in [0, len(dst)). a and b must
-// be at least as long as dst. Portable form; amd64 dispatches to an
-// AVX2/FMA loop when the CPU supports it.
-func FMARow(dst, a, b []float32) {
-	a = a[:len(dst)]
-	b = b[:len(dst)]
-	for i := range dst {
-		dst[i] += a[i] * b[i]
-	}
-}
+// vecAVX2 is false: there is no assembly here, and the row helpers never
+// call the bodies below, which stand in for vec_amd64.s.
+const vecAVX2 = false
 
-// AXPYRow is one scalar times a run of an input row, added to a run of an
-// output row, applied to rows consecutive rows in one call:
-//
-//	dst[r*ldd+i] += a * x[r*ldx+i*stride]   r in [0, rows), i in [0, n)
-//
-// dst and x must reach the last element that touches. Portable form;
-// amd64 dispatches stride 1 to an AVX2/FMA loop when the CPU supports it.
-func AXPYRow(dst []float32, ldd int, x []float32, ldx, stride int, a float32, n, rows int) {
-	if n > 0 {
-		axpyRowGo(dst, ldd, x, ldx, stride, a, n, rows)
-	}
-}
-
-// MaxRow is the row primitive of max pooling — a run of an input row
-// folded into a run of an output row with max — applied to rows consecutive
-// rows in one call:
-//
-//	dst[r*ldd+i] = max(dst[r*ldd+i], x[r*ldx+i*stride])   r in [0, rows), i in [0, n)
-//
-// dst keeps its value unless x is greater. dst and x must reach the last
-// element that touches. Portable form; amd64 dispatches strides 1 and 2 to
-// AVX2 loops when the CPU supports them.
-func MaxRow(dst []float32, ldd int, x []float32, ldx, stride, n, rows int) {
-	if n > 0 {
-		maxRowGo(dst, ldd, x, ldx, stride, n, rows)
-	}
-}
+func fmaRowAVX2(dst, a, b *float32, n int64)                                                {}
+func axpyRowsAVX2(dst *float32, ldd int64, x *float32, ldx int64, a float32, n, rows int64) {}
+func maxRowsAVX2(dst *float32, ldd int64, x *float32, ldx int64, n, rows int64)             {}
 
 // vecBody is the GatherTaps and DepthwiseRow body this build runs: the
 // portable one.

@@ -15,51 +15,49 @@ import (
 func axpyFused() bool {
 	a := float32(1 + 1.0/4096)
 	d := []float32{-(a * a)}
-	AXPYRow(d, 1, []float32{a}, 1, 1, a, 1, 1)
+	AXPYRow(d, 1, []float32{a}, 1, a, 1, 1)
 	return d[0] != 0
 }
 
-// TestAXPYRowAsmMatchesGo pins the dispatched AXPYRow (AVX2/FMA at strides
-// 1 and 2 where available, otherwise the portable loop, which must then be
-// exact) to dst[r*ldd+i] + a*x[r*ldx+i*stride] for every row length across
-// the vector, masked and scalar blocks of the assembly bodies, over 1 and 3
-// rows, on operands at every 4-byte alignment. x ends at the last element
+// TestAXPYRowAsmMatchesGo pins the dispatched AXPYRow (AVX2/FMA where
+// available, otherwise the portable loop, which must then be exact) to
+// dst[r*ldd+i] + a*x[r*ldx+i] for every row length across the vector,
+// masked and scalar blocks of the assembly body, over 1 and 3 rows, on
+// operands at every 4-byte alignment. x ends at the last element
 // read and at the end of its backing array, and every float of dst outside
 // the rows — before, between and after — must stay untouched.
 func TestAXPYRowAsmMatchesGo(t *testing.T) {
 	r := rand.New(rand.NewSource(17))
 	fused := axpyFused()
 	const guard = 1234.5
-	for _, stride := range []int{1, 2, 3} {
-		for _, rows := range []int{1, 3} {
-			for n := 0; n <= 70; n++ {
-				for align := 0; align < 4; align++ {
-					ldd, ldx := n+3, (n+1)*stride+align
-					x := make([]float32, align+(rows-1)*ldx+max(n-1, 0)*stride+1)[align:]
-					for i := range x {
-						x[i] = r.Float32()*2 - 1
+	for _, rows := range []int{1, 3} {
+		for n := 0; n <= 70; n++ {
+			for align := 0; align < 4; align++ {
+				ldd, ldx := n+3, n+1+align
+				x := make([]float32, align+(rows-1)*ldx+n)[align:]
+				for i := range x {
+					x[i] = r.Float32()*2 - 1
+				}
+				buf := make([]float32, align+rows*ldd+8)
+				want := make([]float32, len(buf))
+				for i := range buf {
+					buf[i], want[i] = guard, guard
+				}
+				a := r.Float32()*2 - 1
+				for row := 0; row < rows; row++ {
+					for i := 0; i < n; i++ {
+						at := align + row*ldd + i
+						buf[at] = r.Float32()*2 - 1
+						want[at] = buf[at] + a*x[row*ldx+i]
 					}
-					buf := make([]float32, align+rows*ldd+8)
-					want := make([]float32, len(buf))
-					for i := range buf {
-						buf[i], want[i] = guard, guard
+				}
+				AXPYRow(buf[align:], ldd, x, ldx, a, n, rows)
+				for i, got := range buf {
+					if (want[i] == guard || !fused) && got != want[i] {
+						t.Fatalf("rows %d n %d align %d: element %d = %v, want exactly %v", rows, n, align, i-align, got, want[i])
 					}
-					a := r.Float32()*2 - 1
-					for row := 0; row < rows; row++ {
-						for i := 0; i < n; i++ {
-							at := align + row*ldd + i
-							buf[at] = r.Float32()*2 - 1
-							want[at] = buf[at] + a*x[row*ldx+i*stride]
-						}
-					}
-					AXPYRow(buf[align:], ldd, x, ldx, stride, a, n, rows)
-					for i, got := range buf {
-						if (want[i] == guard || !fused) && got != want[i] {
-							t.Fatalf("stride %d rows %d n %d align %d: element %d = %v, want exactly %v", stride, rows, n, align, i-align, got, want[i])
-						}
-						if math.Abs(float64(got-want[i])) > 1e-6 {
-							t.Fatalf("stride %d rows %d n %d align %d: element %d = %v, want %v", stride, rows, n, align, i-align, got, want[i])
-						}
+					if math.Abs(float64(got-want[i])) > 1e-6 {
+						t.Fatalf("rows %d n %d align %d: element %d = %v, want %v", rows, n, align, i-align, got, want[i])
 					}
 				}
 			}
@@ -70,9 +68,8 @@ func TestAXPYRowAsmMatchesGo(t *testing.T) {
 // TestMaxRowAsmMatchesGo pins the dispatched MaxRow to its portable body
 // bit for bit — −Inf seeds, zeros of both signs and NaNs in x included —
 // for every row length across the vector, partial and scalar blocks of the
-// AVX2 bodies, over 1 to 3 rows, at every 4-byte alignment. x ends at the
-// last element read, which at stride 2 is the case the over-read guard is
-// for, and dst outside the rows must stay untouched.
+// AVX2 body, over 1 to 3 rows, at every 4-byte alignment. x ends at the
+// last element read, and dst outside the rows must stay untouched.
 func TestMaxRowAsmMatchesGo(t *testing.T) {
 	r := rand.New(rand.NewSource(23))
 	special := []float32{float32(math.Inf(-1)), 0, negZero, float32(math.NaN())}
@@ -83,37 +80,35 @@ func TestMaxRowAsmMatchesGo(t *testing.T) {
 		return r.Float32()*2 - 1
 	}
 	const guard = 1234.5
-	for _, stride := range []int{1, 2, 3} {
-		for rows := 1; rows <= 3; rows++ {
-			for n := 1; n <= 40; n++ {
-				for align := 0; align < 4; align++ {
-					ldd, ldx := n+3, (n+1)*stride+align
-					x := make([]float32, align+(rows-1)*ldx+(n-1)*stride+1)[align:]
-					for i := range x {
-						x[i] = draw()
-					}
-					got := make([]float32, align+rows*ldd+8)
-					for i := range got {
-						got[i] = guard
-					}
-					for row := 0; row < rows; row++ {
-						for i := 0; i < n; i++ {
-							// dst is never NaN: it starts at −Inf and only
-							// takes values that compared greater.
-							v := draw()
-							for v != v {
-								v = draw()
-							}
-							got[align+row*ldd+i] = v
+	for rows := 1; rows <= 3; rows++ {
+		for n := 1; n <= 40; n++ {
+			for align := 0; align < 4; align++ {
+				ldd, ldx := n+3, n+1+align
+				x := make([]float32, align+(rows-1)*ldx+n)[align:]
+				for i := range x {
+					x[i] = draw()
+				}
+				got := make([]float32, align+rows*ldd+8)
+				for i := range got {
+					got[i] = guard
+				}
+				for row := 0; row < rows; row++ {
+					for i := 0; i < n; i++ {
+						// dst is never NaN: it starts at −Inf and only
+						// takes values that compared greater.
+						v := draw()
+						for v != v {
+							v = draw()
 						}
+						got[align+row*ldd+i] = v
 					}
-					want := append([]float32(nil), got...)
-					maxRowGo(want[align:], ldd, x, ldx, stride, n, rows)
-					MaxRow(got[align:], ldd, x, ldx, stride, n, rows)
-					for i := range got {
-						if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
-							t.Fatalf("stride %d rows %d n %d align %d: element %d = %v, want exactly %v", stride, rows, n, align, i-align, got[i], want[i])
-						}
+				}
+				want := append([]float32(nil), got...)
+				maxRowGo(want[align:], ldd, x, ldx, n, rows)
+				MaxRow(got[align:], ldd, x, ldx, n, rows)
+				for i := range got {
+					if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+						t.Fatalf("rows %d n %d align %d: element %d = %v, want exactly %v", rows, n, align, i-align, got[i], want[i])
 					}
 				}
 			}

@@ -85,7 +85,7 @@ func runConvDepthwiseScalar(n *graph.Node, in, out []*tensor.Tensor) error {
 func axpyFused() bool {
 	a := float32(1 + 1.0/4096)
 	d := []float32{-(a * a)}
-	gemm.AXPYRow(d, 1, []float32{a}, 1, 1, a, 1, 1)
+	gemm.AXPYRow(d, 1, []float32{a}, 1, a, 1, 1)
 	return d[0] != 0
 }
 

@@ -174,8 +174,8 @@ var stridedPackCases = []convCase{
 // output rows shorter than a strip (one 32-wide strip spans five 7-wide
 // rows), single-column rows, stride-2 stretches of whole vector blocks
 // whose last tap is the last element of the last (padded or unpadded)
-// plane — the stride2Head over-read guard — and a grouped batch with
-// dilation and asymmetric padding.
+// plane, where a whole-block load would read past the end, and a grouped
+// batch with dilation and asymmetric padding.
 var walkPackCases = []convCase{
 	{name: "ow7-nr32", n: 1, cin: 4, h: 7, w: 7, cout: 2, kh: 3, kw: 3, sh: 1, sw: 1, padT: 1, padL: 1, padB: 1, padR: 1, dh: 1, dw: 1, groups: 1},
 	{name: "ow1", n: 2, cin: 3, h: 11, w: 3, cout: 2, kh: 3, kw: 3, sh: 1, sw: 1, padT: 1, padB: 1, dh: 1, dw: 1, groups: 1},

@@ -16,6 +16,10 @@ func init() {
 	Register(NewOverwritingKernel("mul.direct", "Mul", nil, runMul))
 }
 
+// blockFloats is the block of elements runAdd and runMul finish at a time:
+// 8 KB of output, with as much of each operand, stays in L1.
+const blockFloats = 2048
+
 // runAdd and runMul with same-shape operands go a block of blockFloats
 // at a time through the gemm row helpers, so each output element is
 // written and finished while it is in L1 and nothing is swept twice: an
@@ -41,7 +45,7 @@ func runAdd(ctx *Ctx, n *graph.Node, in, out []*tensor.Tensor) error {
 	for i := 0; i < len(a); i += blockFloats {
 		blk := y[i:min(i+blockFloats, len(a))]
 		copy(blk, a[i:])
-		gemm.AXPYRow(blk, 0, b[i:], 0, 1, 1, len(blk), 1)
+		gemm.AXPYRow(blk, 0, b[i:], 0, 1, len(blk), 1)
 		if act != gemm.ActNone {
 			gemm.ActivateRow(blk, blk, act, alpha)
 		}

@@ -9,72 +9,142 @@ import (
 )
 
 // Pooling kernels: MaxPool, AveragePool (with optional count_include_pad)
-// and GlobalAveragePool.
+// and GlobalAveragePool. An NCHW plane is one gemm.DepthwiseRow call — a
+// max window, or unit weights for an average's sums — which keeps each
+// output in a register through all its taps; channel-innermost images go
+// one output row at a time through poolNHWC. Either way every output sees
+// its window's in-image taps in (ky, kx) order, as the scalar walks that
+// pool_test.go keeps as oracles do, and carries their bits.
 func init() {
 	Register(NewOverwritingKernel("maxpool.direct", "MaxPool", nil, runMaxPool))
 	Register(NewOverwritingKernel("avgpool.direct", "AveragePool", nil, runAvgPool))
 	Register(NewOverwritingKernel("globalavgpool.direct", "GlobalAveragePool", nil, runGlobalAvgPool))
 }
 
-// planeWalk returns the window walk of the pool (init not yet called) and
-// how many planes it runs over: every (image, channel) plane of an NCHW
-// tensor, or every image of an NHWC one with its pixels c floats wide.
-func (p *poolParams) planeWalk() (g planeWalk, planes int) {
-	g = planeWalk{h: p.h, w: p.w, oh: p.oh, ow: p.ow, kh: p.kh, kw: p.kw,
-		sh: p.sh, sw: p.sw, padT: p.padT, padL: p.padL, c: 1}
-	if p.layout == "nhwc" {
-		g.c = p.c
-		return g, p.n
-	}
-	return g, p.n * p.c
+// window returns the pool's window over one plane: one channel of an NCHW
+// image, or a whole NHWC image with its pixels c floats wide.
+func (p *poolParams) window() gemm.Window {
+	return gemm.Window{H: p.h, W: p.w, OH: p.oh, OW: p.ow, KH: p.kh, KW: p.kw,
+		SH: p.sh, SW: p.sw, DH: 1, DW: 1, PadT: p.padT, PadL: p.padL}
 }
 
-// runMaxPool is the plane walk (planewalk.go) seeded with −Inf, each window
-// tap one gemm.MaxRow. max keeps the value it holds unless the tap's is
-// greater, as the scalar walk's comparison did, so outputs are that walk's
-// bit for bit (pool_test.go keeps it as the oracle).
+// colTaps appends the window's ColTap table, the entry of window column kx
+// at kx, to buf.
+func (p *poolParams) colTaps(buf []gemm.ColTap) []gemm.ColTap {
+	win := p.window()
+	for kx := 0; kx < p.kw; kx++ {
+		buf = append(buf, win.ColTap(kx))
+	}
+	return buf
+}
+
+// runMaxPool takes the greatest of each window's in-image taps, −Inf for a
+// window wholly in padding. A tap replaces the value held only if it is
+// greater, as the scalar walk's comparison did.
 func runMaxPool(ctx *Ctx, n *graph.Node, in, out []*tensor.Tensor) error {
 	p, err := resolvePoolRT(n, in)
 	if err != nil {
 		return err
 	}
 	x, y := in[0].Data(), out[0].Data()
-	g, planes := p.planeWalk()
-	g.init()
-	inSize, outSize := p.h*p.w*g.c, p.oh*p.ow*g.c
-	for i := 0; i < planes; i++ {
-		src, dst := x[i*inSize:][:inSize], y[i*outSize:][:outSize]
-		g.walk(func(oy0, rows int) {
-			fill(g.block(dst, oy0, rows), float32(math.Inf(-1)))
-		}, func(_, _ int, op rowOp) {
-			gemm.MaxRow(dst[op.dst:], op.ldd, src[op.src:], op.ldx, op.stride, op.n, op.rows)
-		}, func(int, int) {})
+	if p.layout == "nhwc" {
+		var buf [16]gemm.ColTap
+		p.poolNHWC(x, y, true, p.colTaps(buf[:0]))
+		return nil
+	}
+	d := gemm.NewMaxPool(p.window())
+	inSize, outSize := p.h*p.w, p.oh*p.ow
+	for i := 0; i < p.n*p.c; i++ {
+		gemm.DepthwiseRow(y[i*outSize:][:outSize], p.ow, x[i*inSize:][:inSize], p.w, nil, 0, &d, 0, p.oh)
 	}
 	return nil
 }
 
-// runAvgPool sums each window and scales the sum by its window's size.
-// NCHW planes make one gemm.DepthwiseRow call each with a unit weight
-// (fma(1, x, sum) rounds once, like the add it stands for); NHWC images
-// take the plane walk seeded with zero, each window tap one gemm.AXPYRow
-// with a = 1. Either way every sum holds the scalar walk's terms in its
-// order. The finish scales each sum by its window's in-image tap count,
-// which is separable — validRows(oy) × validCols(ox), kw along the whole
-// interior of a row — or by kh·kw under count_include_pad. NCHW divides
-// and NHWC multiplies by the reciprocal, as the scalar walks of the two
-// layouts did, so each layout's outputs are unchanged to the bit.
+// runAvgPool sums each window and scales the sum by its window's size
+// (scaleAvg). An NCHW plane's sums are one gemm.DepthwiseRow call with a
+// unit weight: fma(1, x, sum) rounds once, like the add it stands for.
 func runAvgPool(ctx *Ctx, n *graph.Node, in, out []*tensor.Tensor) error {
 	p, err := resolvePoolRT(n, in)
 	if err != nil {
 		return err
 	}
 	x, y := in[0].Data(), out[0].Data()
-	g, planes := p.planeWalk()
-	g.init()
-	inSize, outSize := p.h*p.w*g.c, p.oh*p.ow*g.c
+	var buf [16]gemm.ColTap
+	taps := p.colTaps(buf[:0])
+	if p.layout == "nhwc" {
+		p.poolNHWC(x, y, false, taps)
+		return nil
+	}
+	d := gemm.NewDepthwise(p.window(), gemm.ActNone, 0)
+	unit := []float32{1}
+	inSize, outSize := p.h*p.w, p.oh*p.ow
+	for i := 0; i < p.n*p.c; i++ {
+		dst := y[i*outSize:][:outSize]
+		gemm.DepthwiseRow(dst, p.ow, x[i*inSize:][:inSize], p.w, unit, 0, &d, 0, p.oh)
+		for oy := 0; oy < p.oh; oy++ {
+			p.scaleAvg(dst[oy*p.ow:][:p.ow], oy, 1, taps)
+		}
+	}
+	return nil
+}
+
+// poolNHWC pools channel-innermost images one output row at a time. The
+// row is seeded (−Inf for max, zero for an average's sums); then each tap
+// (ky, kx) whose input row is inside the image folds in the pixels [Lo,
+// Hi) of its ColTap run with one gemm.MaxRow or gemm.AXPYRow call over
+// contiguous channel runs — one run of (Hi−Lo)·c floats at sw = 1, else
+// Hi−Lo runs of c floats, a pixel apart in the output and sw pixels in the
+// input — and an average's row is scaled.
+func (p *poolParams) poolNHWC(x, y []float32, isMax bool, taps []gemm.ColTap) {
+	c, inSize, rowLen := p.c, p.h*p.w*p.c, p.ow*p.c
+	for b := 0; b < p.n; b++ {
+		img := x[b*inSize:][:inSize]
+		for oy := 0; oy < p.oh; oy++ {
+			row := y[(b*p.oh+oy)*rowLen:][:rowLen]
+			if isMax {
+				fill(row, float32(math.Inf(-1)))
+			} else {
+				clear(row)
+			}
+			for ky := 0; ky < p.kh; ky++ {
+				iy := oy*p.sh - p.padT + ky
+				if iy < 0 || iy >= p.h {
+					continue
+				}
+				for _, t := range taps {
+					if t.Lo == t.Hi {
+						continue
+					}
+					dst, src := row[t.Lo*c:], img[(iy*p.w+t.Lo*p.sw+t.Off)*c:]
+					n, runs := c, t.Hi-t.Lo
+					if p.sw == 1 {
+						n, runs = n*runs, 1
+					}
+					if isMax {
+						gemm.MaxRow(dst, c, src, p.sw*c, n, runs)
+					} else {
+						gemm.AXPYRow(dst, c, src, p.sw*c, 1, n, runs)
+					}
+				}
+			}
+			if !isMax {
+				p.scaleAvg(row, oy, c, taps)
+			}
+		}
+	}
+}
+
+// scaleAvg turns the window sums of output row oy, c floats a pixel, into
+// means. The count is kh·kw under count_include_pad, else the window's
+// in-image taps, which is separable: the window rows of oy inside the
+// image times the window columns whose ColTap run holds ox — all kw across
+// [taps[0].Lo, taps[kw−1].Hi). NCHW divides by the count and NHWC
+// multiplies by its reciprocal, as the scalar walks of the two layouts
+// did; a window wholly in padding keeps its sum, the seed.
+func (p *poolParams) scaleAvg(row []float32, oy, c int, taps []gemm.ColTap) {
 	scale := func(seg []float32, count int) {
 		switch {
-		case count == 0: // a window wholly in padding: the sum is the seed
+		case count == 0:
 		case p.layout == "nhwc":
 			inv := 1 / float32(count)
 			for i := range seg {
@@ -86,49 +156,32 @@ func runAvgPool(ctx *Ctx, n *graph.Node, in, out []*tensor.Tensor) error {
 			}
 		}
 	}
-	// Output columns [in0, in1) see all kw window columns inside the row.
-	in0, in1 := g.taps()[0].Lo, g.taps()[p.kw-1].Hi
-	finish := func(dst []float32, oy0, rows int) {
-		if p.includePad {
-			scale(g.block(dst, oy0, rows), p.kh*p.kw)
-			return
+	if p.includePad {
+		scale(row, p.kh*p.kw)
+		return
+	}
+	nr := 0
+	for ky := 0; ky < p.kh; ky++ {
+		if iy := oy*p.sh - p.padT + ky; iy >= 0 && iy < p.h {
+			nr++
 		}
-		for oy := oy0; oy < oy0+rows; oy++ {
-			r, nr := g.block(dst, oy, 1), g.validRows(oy)
-			for ox := 0; ox < p.ow; {
-				end, nc := ox+1, p.kw
-				if in0 <= ox && ox < in1 {
-					end = in1
-				} else {
-					nc = g.validCols(ox)
+	}
+	in0, in1 := taps[0].Lo, taps[p.kw-1].Hi
+	for ox := 0; ox < p.ow; {
+		end, nc := ox+1, p.kw
+		if in0 <= ox && ox < in1 {
+			end = in1
+		} else {
+			nc = 0
+			for _, t := range taps {
+				if t.Lo <= ox && ox < t.Hi {
+					nc++
 				}
-				scale(r[ox*g.c:end*g.c], nr*nc)
-				ox = end
 			}
 		}
+		scale(row[ox*c:end*c], nr*nc)
+		ox = end
 	}
-	var dw gemm.Depthwise
-	if g.c == 1 {
-		dw = gemm.NewDepthwise(gemm.Window{H: p.h, W: p.w, OH: p.oh, OW: p.ow, KH: p.kh, KW: p.kw,
-			SH: p.sh, SW: p.sw, DH: 1, DW: 1, PadT: p.padT, PadL: p.padL}, gemm.ActNone, 0)
-	}
-	unit := []float32{1}
-	for i := 0; i < planes; i++ {
-		src, dst := x[i*inSize:][:inSize], y[i*outSize:][:outSize]
-		if g.c == 1 {
-			gemm.DepthwiseRow(dst, p.ow, src, p.w, unit, 0, &dw, 0, p.oh)
-			finish(dst, 0, p.oh)
-			continue
-		}
-		g.walk(func(oy0, rows int) {
-			clear(g.block(dst, oy0, rows))
-		}, func(_, _ int, op rowOp) {
-			gemm.AXPYRow(dst[op.dst:], op.ldd, src[op.src:], op.ldx, op.stride, 1, op.n, op.rows)
-		}, func(oy0, rows int) {
-			finish(dst, oy0, rows)
-		})
-	}
-	return nil
 }
 
 func runGlobalAvgPool(ctx *Ctx, n *graph.Node, in, out []*tensor.Tensor) error {

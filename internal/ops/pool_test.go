@@ -3,6 +3,7 @@ package ops
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 
 	"orpheus/internal/graph"
@@ -111,10 +112,9 @@ func TestPoolShapeErrors(t *testing.T) {
 	}
 }
 
-// scalarMaxPool and scalarAvgPool are the pooling kernels as they were
-// before the plane walk — one bounds-tested window per output pixel, a
-// C-vector per pixel in NHWC — kept as the oracle the walk is held to bit
-// for bit.
+// scalarMaxPool and scalarAvgPool are the pooling kernels as scalar walks
+// — one bounds-tested window per output pixel, a C-vector per pixel in
+// NHWC — kept as the oracle the pools are held to bit for bit.
 func scalarMaxPool(p poolParams, x, y []float32) {
 	if p.layout == "nhwc" {
 		// Channel-innermost: one output pixel is a C-vector, reduced
@@ -271,15 +271,25 @@ func (c poolCase) String() string {
 }
 
 // checkPoolVsScalar runs maxpool.direct and avgpool.direct on the case and
-// requires every output to carry the scalar walk's bits.
+// requires every output to carry the scalar walk's bits. A quarter of the
+// inputs are NaN, +0, −0 or −Inf, so that the max rule — keep the held
+// value unless the tap's is greater — shows in the bits: a NaN tap is
+// skipped, the first of two equal zeros is kept.
 func checkPoolVsScalar(t *testing.T, c poolCase, seed uint64) {
 	t.Helper()
+	special := []float32{float32(math.NaN()), 0, float32(math.Copysign(0, -1)), float32(math.Inf(-1))}
 	for _, layout := range []string{"", "nhwc"} {
 		shape := []int{c.n, c.c, c.h, c.w}
 		if layout == "nhwc" {
 			shape = []int{c.n, c.h, c.w, c.c}
 		}
 		x := tensor.Rand(tensor.NewRNG(seed), -1, 1, shape...)
+		r := rand.New(rand.NewSource(int64(seed)))
+		for i := range x.Data() {
+			if k := r.Intn(16); k < len(special) {
+				x.Data()[i] = special[k]
+			}
+		}
 		for _, v := range []struct {
 			kernel, op string
 			pad        bool
@@ -311,12 +321,12 @@ func checkPoolVsScalar(t *testing.T, c poolCase, seed uint64) {
 	}
 }
 
-// TestPoolVsScalar holds the plane walk to the scalar walks exactly over
-// the geometries that exercise each part of it: strides 1 to 3 (the two
+// TestPoolVsScalar holds the pools to the scalar walks exactly over the
+// geometries that exercise each part of them: strides 1 to 3 (the two
 // vector bodies and the portable one), asymmetric pads, output rows
-// narrower than a vector, windows that lie wholly in padding, planes cut
-// into several blocks, batches, and channel counts on both sides of a
-// vector in NHWC.
+// narrower than a vector or than a column of the DepthwiseRow bodies,
+// windows that lie wholly in padding, tall planes, batches, and channel
+// counts on both sides of a vector in NHWC.
 func TestPoolVsScalar(t *testing.T) {
 	for i, c := range []poolCase{
 		{n: 1, c: 3, h: 8, w: 8, kh: 2, kw: 2, sh: 2, sw: 2},
@@ -326,7 +336,7 @@ func TestPoolVsScalar(t *testing.T) {
 		{n: 1, c: 2, h: 7, w: 5, kh: 3, kw: 2, sh: 1, sw: 2, padT: 0, padL: 1, padB: 1, padR: 0},
 		{n: 3, c: 9, h: 6, w: 6, kh: 2, kw: 2, sh: 2, sw: 2, padT: 2, padL: 2, padB: 2, padR: 2}, // border windows wholly in padding
 		{n: 1, c: 1, h: 3, w: 3, kh: 3, kw: 3, sh: 2, sw: 2, padT: 3, padL: 3, padB: 3, padR: 3},
-		{n: 1, c: 2, h: 112, w: 112, kh: 3, kw: 3, sh: 2, sw: 2, padT: 1, padL: 1, padB: 1, padR: 1}, // resnet's stem pool: two blocks a plane
+		{n: 1, c: 2, h: 112, w: 112, kh: 3, kw: 3, sh: 2, sw: 2, padT: 1, padL: 1, padB: 1, padR: 1}, // resnet-18's stem pool
 		{n: 2, c: 3, h: 70, w: 41, kh: 5, kw: 4, sh: 2, sw: 1, padT: 2, padL: 1, padB: 1, padR: 2},
 		{n: 1, c: 17, h: 4, w: 4, kh: 4, kw: 4, sh: 1, sw: 1},
 	} {
@@ -334,7 +344,7 @@ func TestPoolVsScalar(t *testing.T) {
 	}
 }
 
-// FuzzPoolVsScalar holds the plane walk to the scalar walks exactly over
+// FuzzPoolVsScalar holds the pools to the scalar walks exactly over
 // arbitrary geometries.
 func FuzzPoolVsScalar(f *testing.F) {
 	f.Add(uint64(1), uint8(14), uint8(14), uint8(2), uint8(2), uint8(1), uint8(1), uint16(0x1111), uint8(0))

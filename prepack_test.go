@@ -3,6 +3,7 @@ package orpheus
 import (
 	"context"
 	"fmt"
+	"math"
 	"testing"
 
 	"orpheus/internal/ops"
@@ -172,3 +173,56 @@ func TestCompileReleasesPackedOriginals(t *testing.T) {
 }
 
 func mib(b int64) float64 { return float64(b) / (1 << 20) }
+
+// TestCompileTwiceLeavesModelIntact: Compile works on a clone of the
+// Model's graph that shares its constant tensors, and it releases the data
+// of the weights it packs, so it must never write the caller's weights.
+// One Model compiled as fp32 and then as int8 gives, in both sessions and
+// at every batch size, the outputs of the same compiles of fresh Models,
+// bit for bit.
+func TestCompileTwiceLeavesModelIntact(t *testing.T) {
+	const model, maxBatch = "wrn-40-2", 2
+	compile := func(m *Model, opts ...CompileOption) *Session {
+		t.Helper()
+		s, err := m.Compile(append(opts, WithMaxBatch(maxBatch))...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { s.Close() })
+		return s
+	}
+	fresh := func() *Model {
+		t.Helper()
+		m, err := BuildZooModel(model)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	shared := fresh()
+	twice := []*Session{compile(shared), compile(shared, WithInt8())}
+	once := []*Session{compile(fresh()), compile(fresh(), WithInt8())}
+	inputs := make([]*Tensor, maxBatch)
+	for i := range inputs {
+		inputs[i] = RandomTensor(uint64(11+i), shared.InputShape()...)
+	}
+	for i, tier := range []string{"fp32", "int8"} {
+		for n := 1; n <= maxBatch; n++ {
+			got, err := twice[i].PredictBatch(context.Background(), inputs[:n])
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := once[i].PredictBatch(context.Background(), inputs[:n])
+			if err != nil {
+				t.Fatal(err)
+			}
+			for s := range got {
+				for j, v := range got[s].Data() {
+					if w := want[s].Data()[j]; math.Float32bits(v) != math.Float32bits(w) {
+						t.Fatalf("%s batch %d sample %d: output[%d] = %v after a second compile of the Model, %v from a fresh Model", tier, n, s, j, v, w)
+					}
+				}
+			}
+		}
+	}
+}
