@@ -15,10 +15,12 @@ import "math"
 //     products along k-quads of 4 (the VPMADDUBSW / VPDPBUSD reduction
 //     unit), so the accumulator is int32.
 //
+//   - A is always prepacked (PrepackAInt8Into): the weights are plan
+//     constants, packed once.
+//
 //   - B is always virtual: a PackSrc8 quantizes the fp32 activations once
-//     per call into private scratch and packs each kc×nc panel from it
-//     (convolution from the NCHW input, dense from the row-major
-//     activation matrix), so no int8 activation tensor ever exists.
+//     per call into private scratch and packs each kc×nc panel from it,
+//     so no int8 activation tensor ever exists.
 //
 //   - The store is the requantize + bias + activation epilogue, and the
 //     only pass that produces fp32 output.
@@ -30,19 +32,19 @@ import "math"
 // that contract every VPMADDUBSW pair-sum |a0·b0 + a1·b1| ≤ 2·63·255 =
 // 32130 < 32767 fits int16, so the saturating AVX2 instruction can never
 // saturate, and all kernels (go, avx2, vnni) produce bit-identical int32
-// accumulators. The int32 accumulator itself cannot overflow for any
-// K ≤ 2^31 / (255·63·4) ≈ 33 million.
+// accumulators. The int32 accumulator itself is exact while
+// K·63·255 < 2^31, i.e. for K ≤ 133,674; ops.maxInt8K = 2^17 enforces
+// that bound on every int8 layer.
 //
 // # Scale propagation
 //
 // Activations are quantized asymmetrically, q = clamp(round(x/s) + z, 0,
-// 255), with one (s, z) pair per image (convolution) or per sample column
-// (dense, ColQuant). Zero quantizes exactly to z, so implicit convolution
-// padding contributes exactly zero after compensation. Weights are
-// per-output-channel symmetric: w ≈ ScaleA[r] · A[r][k]. The epilogue
-// reconstructs
+// 255), with one (s, z) pair per image. Zero quantizes exactly to z, so
+// implicit convolution padding contributes exactly zero after
+// compensation. Weights are per-output-channel symmetric: w ≈ ScaleA[r] ·
+// A[r][k]. The epilogue reconstructs, for image i,
 //
-//	C[r][j] = ScaleA[r]·BScale[·]·(acc[r][j] − BZero[·]·RowSum[r]) + bias
+//	C[r][j] = ScaleA[r]·BScale[i]·(acc[r][j] − BZero[i]·RowSum[r]) + bias
 //
 // with the zero-point compensation BZero·RowSum done exactly in int32,
 // then applies the fused activation — the dequantize, bias and activation
@@ -54,9 +56,13 @@ import "math"
 const kQuad = 4
 
 // PackSrc8 supplies the virtual quantized B operand of a CallInt8 panel by
-// panel. Implementations must be safe for concurrent PackPanel8 calls and
-// must quantize deterministically: the pool packs panels of one call from
-// several goroutines, and overlapping panels must agree on shared values.
+// panel, quantized with one (scale, zero point) pair per image. The one
+// production source is the int8 convolution's in ops, which packs from
+// the NCHW input; a dense layer runs through it as a 1×1 convolution over
+// one-pixel images. Implementations must be safe for concurrent PackPanel8
+// calls and must quantize deterministically: the pool packs panels of one
+// call from several goroutines, and overlapping panels must agree on
+// shared values.
 type PackSrc8 interface {
 	// PackPanel8 writes the quantized kc×nc panel of image img's B matrix
 	// starting at row pp, column jj into dst, in the int8 B layout: strips
@@ -69,26 +75,21 @@ type PackSrc8 interface {
 	PackPanel8(dst []byte, img, pp, jj, kc, nc, nr int)
 }
 
-// CallInt8 describes one quantized GEMM: a fp32 C produced from an int8 A
-// (M×K weights, typically prepacked once per plan) and a virtual uint8 B
-// (K×N activations, quantized at the pack boundary), C always overwritten.
+// CallInt8 describes one quantized GEMM: a row-major fp32 C (M×N per
+// image) produced from a prepacked int8 A (M×K weights, packed once per
+// plan) and a virtual uint8 B (K×N activations, quantized at the pack
+// boundary), C always overwritten.
 //
 // Batch > 1 runs images over a shared A: image i's B panels come from
 // B.PackPanel8(..., img=i, ...) and its output lands at C[i*StrideC:].
 //
-// TransC stores the transpose: C[j*M+r] instead of C[r*N+j], so a dense
-// layer can run as Yᵀ = W·Xᵀ without transposing the weight matrix or the
-// stored output. TransC requires ColQuant and an unbatched call.
-//
 // ScaleA and RowSum are per-row (per output channel) weight metadata:
 // ScaleA[r] the symmetric quantization scale, RowSum[r] the int32 sum of
 // row r's quantized weights (for zero-point compensation). BScale/BZero
-// are the activation quantization parameters: indexed by image when
-// ColQuant is false, by column when true. BiasRow, Act and Alpha describe
-// the fused epilogue exactly as in Call.
+// are the activation quantization parameters, one pair per image. BiasRow,
+// Act and Alpha describe the fused epilogue exactly as in Call.
 type CallInt8 struct {
-	A       []int8 // M×K row-major signed weights; nil when PackedA is set
-	PackedA []int8 // prepacked panels from PrepackAInt8
+	PackedA []int8 // prepacked M×K weight panels from PrepackAInt8Into
 	B       PackSrc8
 	C       []float32
 	M, N, K int
@@ -96,13 +97,10 @@ type CallInt8 struct {
 	Batch   int // number of images; 0 and 1 mean a single GEMM
 	StrideC int // element offset between consecutive images' C windows
 
-	TransC   bool // store C[j*M+r] (N×M layout); requires ColQuant, Batch ≤ 1
-	ColQuant bool // BScale/BZero are per column (dense samples), not per image
-
 	ScaleA []float32 // per-row weight scales, len ≥ M
 	RowSum []int32   // per-row quantized-weight sums, len ≥ M
-	BScale []float32 // activation scales, len ≥ N (ColQuant) or ≥ images
-	BZero  []int32   // activation zero points, matching BScale's indexing
+	BScale []float32 // per-image activation scales, len ≥ images
+	BZero  []int32   // per-image activation zero points, len ≥ images
 
 	BiasRow []float32  // optional per-row epilogue bias, len ≥ M
 	Act     Activation // epilogue activation, applied after the bias add
@@ -131,23 +129,11 @@ func (c *CallInt8) validate() {
 		panicf("gemm: int8 call requires a PackSrc8 B operand")
 	}
 	images := c.images()
-	if c.TransC {
-		if !c.ColQuant {
-			panicf("gemm: TransC requires ColQuant")
-		}
-		if images > 1 {
-			panicf("gemm: TransC cannot be batched")
-		}
-	}
 	if len(c.ScaleA) < c.M || len(c.RowSum) < c.M {
 		panicf("gemm: ScaleA/RowSum %d/%d too short for m=%d", len(c.ScaleA), len(c.RowSum), c.M)
 	}
-	bq := images
-	if c.ColQuant {
-		bq = c.N
-	}
-	if len(c.BScale) < bq || len(c.BZero) < bq {
-		panicf("gemm: BScale/BZero %d/%d too short for %d quant groups", len(c.BScale), len(c.BZero), bq)
+	if len(c.BScale) < images || len(c.BZero) < images {
+		panicf("gemm: BScale/BZero %d/%d too short for %d images", len(c.BScale), len(c.BZero), images)
 	}
 	if c.BiasRow != nil && len(c.BiasRow) < c.M {
 		panicf("gemm: BiasRow %d too short for m=%d", len(c.BiasRow), c.M)
@@ -158,15 +144,8 @@ func (c *CallInt8) validate() {
 	if len(c.C) < (images-1)*c.StrideC+c.M*c.N {
 		panicf("gemm: C buffer %d too small for %dx%d × %d images", len(c.C), c.M, c.N, images)
 	}
-	if c.K == 0 {
-		return
-	}
-	if c.PackedA != nil {
-		if len(c.PackedA) < PackedAInt8Size(c.M, c.K) {
-			panicf("gemm: PackedA %d too small for int8 m=%d k=%d", len(c.PackedA), c.M, c.K)
-		}
-	} else if len(c.A) < c.M*c.K {
-		panicf("gemm: A buffer %d too small for %dx%d", len(c.A), c.M, c.K)
+	if c.K > 0 && len(c.PackedA) < PackedAInt8Size(c.M, c.K) {
+		panicf("gemm: PackedA %d too small for int8 m=%d k=%d", len(c.PackedA), c.M, c.K)
 	}
 }
 
@@ -202,15 +181,10 @@ func (c *CallInt8) epilogue() (epi, bool) { return epi{}, false }
 // window implements operands; it is never called.
 func (c *CallInt8) window(_, _, _ int) ([]int32, int) { return nil, 0 }
 
-// panelA implements operands. A prepacked panel starts where
-// PrepackAInt8Into put it.
-func (c *CallInt8) panelA(s *scratch[int8, byte, int32], kern *kernel[int8, byte, int32], _, ii, pp, mc, kc int) []int8 {
-	if c.PackedA != nil {
-		return c.PackedA[roundUp(c.M, kern.mr)*pp+ii*roundUp(kc, kQuad):]
-	}
-	s.a = grow(s.a, aScratch)
-	packAInt8(s.a, c.A, ii, pp, mc, kc, c.K, kern.mr)
-	return s.a
+// panelA implements operands: a panel starts where PrepackAInt8Into put
+// it.
+func (c *CallInt8) panelA(_ *scratch[int8, byte, int32], kern *kernel[int8, byte, int32], _, ii, pp, _, kc int) []int8 {
+	return c.PackedA[roundUp(c.M, kern.mr)*pp+ii*roundUp(kc, kQuad):]
 }
 
 // panelB implements operands: the pack source quantizes and packs.
@@ -251,27 +225,12 @@ func activate(v float32, act Activation, alpha float32) float32 {
 // store implements operands with the requantize epilogue: it converts the
 // live mc×nc region of the int32 accumulator (row stride ldc) into fp32,
 // applying zero-point compensation, the combined weight×activation scale,
-// the bias add and the activation, and stores it to the call's C layout.
-// This is the only pass that touches C, and it writes each element once.
-// The per-image (convolution) form sends the two activations resnet-18
-// runs through requantRow, a vector row on AVX2 hosts; the others take the
-// general loop, with its per-element switch on the activation.
+// the bias add and the activation, and stores it to the row-major C of
+// image img. This is the only pass that touches C, and it writes each
+// element once. The two activations resnet-18 runs go through requantRow,
+// a vector row on AVX2 hosts; the others take the general loop, with its
+// per-element switch on the activation.
 func (c *CallInt8) store(acc []int32, ldc, img, ii, jj, mc, nc int) {
-	if c.TransC {
-		for j := 0; j < nc; j++ {
-			col := c.C[(jj+j)*c.M+ii : (jj+j)*c.M+ii+mc]
-			sB := c.BScale[jj+j]
-			z := c.BZero[jj+j]
-			for r := range col {
-				v := float32(acc[r*ldc+j]-z*c.RowSum[ii+r]) * (c.ScaleA[ii+r] * sB)
-				if c.BiasRow != nil {
-					v += c.BiasRow[ii+r]
-				}
-				col[r] = activate(v, c.Act, c.Alpha)
-			}
-		}
-		return
-	}
 	base := img*c.StrideC + jj
 	alpha := c.Alpha
 	for r := 0; r < mc; r++ {
@@ -283,12 +242,6 @@ func (c *CallInt8) store(acc []int32, ldc, img, ii, jj, mc, nc int) {
 			bv = c.BiasRow[ii+r]
 		}
 		arow := acc[r*ldc : r*ldc+nc]
-		if c.ColQuant {
-			for i, a := range arow {
-				row[i] = activate(float32(a-c.BZero[jj+i]*rs)*(sA*c.BScale[jj+i])+bv, c.Act, alpha)
-			}
-			continue
-		}
 		s := sA * c.BScale[img]
 		comp := c.BZero[img] * rs
 		switch c.Act {

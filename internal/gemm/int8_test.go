@@ -2,6 +2,8 @@ package gemm
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 	"testing"
 
 	"orpheus/internal/tensor"
@@ -81,36 +83,17 @@ func quantParamsTest(lo, hi float32) (float32, int32) {
 }
 
 // testSrc8 is a PackSrc8 over a materialised fp32 B (images × k×n
-// row-major), quantizing per image or per column with precomputed params.
+// row-major), quantizing per image with precomputed params.
 type testSrc8 struct {
-	b        []float32
-	k, n     int
-	stride   int // elements between images
-	colQuant bool
-	scales   []float32
-	zeros    []int32
+	b      []float32
+	k, n   int
+	stride int // elements between images
+	scales []float32
+	zeros  []int32
 }
 
-func newTestSrc8(b []float32, k, n, images, stride int, colQuant bool) *testSrc8 {
-	s := &testSrc8{b: b, k: k, n: n, stride: stride, colQuant: colQuant}
-	if colQuant {
-		s.scales = make([]float32, n)
-		s.zeros = make([]int32, n)
-		for j := 0; j < n; j++ {
-			lo, hi := float32(0), float32(0)
-			for p := 0; p < k; p++ {
-				v := b[p*n+j]
-				if v < lo {
-					lo = v
-				}
-				if v > hi {
-					hi = v
-				}
-			}
-			s.scales[j], s.zeros[j] = quantParamsTest(lo, hi)
-		}
-		return s
-	}
+func newTestSrc8(b []float32, k, n, images, stride int) *testSrc8 {
+	s := &testSrc8{b: b, k: k, n: n, stride: stride}
 	s.scales = make([]float32, images)
 	s.zeros = make([]int32, images)
 	for img := 0; img < images; img++ {
@@ -131,13 +114,7 @@ func newTestSrc8(b []float32, k, n, images, stride int, colQuant bool) *testSrc8
 
 // at returns the quantized byte for element (p, j) of image img.
 func (s *testSrc8) at(img, p, j int) byte {
-	sc, z := s.scales[0], s.zeros[0]
-	if s.colQuant {
-		sc, z = s.scales[j], s.zeros[j]
-	} else {
-		sc, z = s.scales[img], s.zeros[img]
-	}
-	return quantU8Test(s.b[img*s.stride+p*s.n+j], sc, z)
+	return quantU8Test(s.b[img*s.stride+p*s.n+j], s.scales[img], s.zeros[img])
 }
 
 // PackPanel8 implements PackSrc8 in the documented k-quad layout.
@@ -158,13 +135,12 @@ func (s *testSrc8) PackPanel8(dst []byte, img, pp, jj, kc, nc, nr int) {
 
 // int8Case is one CallInt8 shape in the differential battery.
 type int8Case struct {
-	m, n, k  int
-	batch    int
-	padC     int
-	transC   bool // implies colQuant, unbatched
-	colQuant bool
-	act      Activation
-	bias     bool
+	m, n, k int
+	batch   int
+	padC    int
+	act     Activation
+	bias    bool
+	name    string // the subtest name, when not the one String derives
 }
 
 var int8Cases = []int8Case{
@@ -184,11 +160,19 @@ var int8Cases = []int8Case{
 	{m: 5, n: 6, k: 9, batch: 3, bias: true},
 	{m: 8, n: 16, k: 18, batch: 4, padC: 5, act: ActReLU},
 	{m: 130, n: 36, k: 40, batch: 2, padC: 1},
-	{m: 11, n: 13, k: 21, transC: true, colQuant: true, bias: true, act: ActReLU},
-	{m: 64, n: 9, k: 130, transC: true, colQuant: true},
-	{m: 17, n: 19, k: 23, colQuant: true, act: ActLeakyReLU},
-	{m: 16, n: 9, k: 12, colQuant: true, act: ActReLU6, bias: true},
-	{m: 12, n: 7, k: 8, transC: true, colQuant: true, act: ActLeakyReLU},
+	// Dense layers: one one-pixel image per sample, so StrideC = m lays
+	// the batch out as the row-major samples×m output. The named ones
+	// keep the subtest names they had when a dense layer ran as a single
+	// call of n = samples columns, transposed (_tc) or quantized per
+	// column (_cq).
+	{m: 11, n: 1, k: 21, batch: 13, bias: true, act: ActReLU, name: "m11_n13_k21_tc"},
+	{m: 64, n: 1, k: 130, batch: 9, name: "m64_n9_k130_tc"},
+	{m: 17, n: 1, k: 23, batch: 19, act: ActLeakyReLU, name: "m17_n19_k23_cq"},
+	{m: 16, n: 1, k: 12, batch: 9, act: ActReLU6, bias: true, name: "m16_n9_k12_cq"},
+	{m: 12, n: 1, k: 8, batch: 7, act: ActLeakyReLU, name: "m12_n7_k8_tc"},
+	{m: 31, n: 1, k: 17, batch: 15, act: ActReLU, name: "m31_n15_k17_cq"},
+	{m: 33, n: 1, k: 49, batch: 17, bias: true, name: "m33_n17_k49_tc"},
+	{m: 150, n: 1, k: 33, batch: 3},                  // a dense layer at batch 3, K not a multiple of 4
 	{m: 300, n: 20, k: 260, act: ActLeakyReLU},       // three M-tiles in one group
 	{m: 520, n: 530, k: 9, bias: true, act: ActReLU}, // group narrows the column block
 	// 16-row/16-column tile edges; odd k padding to an odd quad count.
@@ -198,19 +182,15 @@ var int8Cases = []int8Case{
 	{m: 31, n: 49, k: 27, bias: true, act: ActReLU6},
 	{m: 33, n: 16, k: 41},
 	{m: 16, n: 49, k: 11, batch: 2, padC: 3},
-	{m: 31, n: 15, k: 17, colQuant: true, act: ActReLU},
-	{m: 33, n: 17, k: 49, transC: true, colQuant: true, bias: true},
 }
 
 func (ic int8Case) String() string {
+	if ic.name != "" {
+		return ic.name
+	}
 	s := fmt.Sprintf("m%d_n%d_k%d", ic.m, ic.n, ic.k)
 	if ic.batch > 1 {
 		s += fmt.Sprintf("_b%d", ic.batch)
-	}
-	if ic.transC {
-		s += "_tc"
-	} else if ic.colQuant {
-		s += "_cq"
 	}
 	return s
 }
@@ -248,7 +228,7 @@ func int8Buffers(ic int8Case, seed uint64) (a []int8, scaleA []float32, rowSum [
 }
 
 // buildCall assembles the CallInt8 for one case over shared buffers and a
-// fresh C.
+// fresh C, with A prepacked under the active int8 kernel.
 func buildCall(ic int8Case, a []int8, scaleA []float32, rowSum []int32, src *testSrc8, bias []float32) CallInt8 {
 	images := 1
 	if ic.batch > 1 {
@@ -256,10 +236,9 @@ func buildCall(ic int8Case, a []int8, scaleA []float32, rowSum []int32, src *tes
 	}
 	cLen := ic.m * ic.n
 	c := CallInt8{
-		A: a, B: src, M: ic.m, N: ic.n, K: ic.k,
+		PackedA: prepackTestA(a, ic), B: src, M: ic.m, N: ic.n, K: ic.k,
 		ScaleA: scaleA, RowSum: rowSum,
 		BScale: src.scales, BZero: src.zeros,
-		TransC: ic.transC, ColQuant: ic.colQuant || ic.transC,
 		BiasRow: bias, Act: ic.act, Alpha: 0.1,
 	}
 	if ic.batch > 1 {
@@ -271,27 +250,19 @@ func buildCall(ic int8Case, a []int8, scaleA []float32, rowSum []int32, src *tes
 	return c
 }
 
-// storeTwoPass is the requantize epilogue in its original two-pass
-// form — requantize a row (or TransC column), then sweep it again with
-// applyActivationRow — kept as the oracle for store's fused
-// single-pass loops.
-func (c *CallInt8) storeTwoPass(acc []int32, ldc, img, ii, jj, mc, nc int) {
-	if c.TransC {
-		for j := 0; j < nc; j++ {
-			col := c.C[(jj+j)*c.M+ii : (jj+j)*c.M+ii+mc]
-			sB := c.BScale[jj+j]
-			z := c.BZero[jj+j]
-			for r := 0; r < mc; r++ {
-				v := float32(acc[r*ldc+j]-z*c.RowSum[ii+r]) * (c.ScaleA[ii+r] * sB)
-				if c.BiasRow != nil {
-					v += c.BiasRow[ii+r]
-				}
-				col[r] = v
-			}
-			applyActivationRow(col, c.Act, c.Alpha)
-		}
-		return
+// prepackTestA packs the case's weights under the active int8 kernel; a
+// K = 0 call has no panels.
+func prepackTestA(a []int8, ic int8Case) []int8 {
+	if ic.k == 0 {
+		return nil
 	}
+	return PrepackAInt8(a, ic.m, ic.k)
+}
+
+// storeTwoPass is the requantize epilogue in its original two-pass
+// form — requantize a row, then sweep it again with applyActivationRow —
+// kept as the oracle for store's fused single-pass loops.
+func (c *CallInt8) storeTwoPass(acc []int32, ldc, img, ii, jj, mc, nc int) {
 	base := img*c.StrideC + jj
 	for r := 0; r < mc; r++ {
 		row := c.C[base+(ii+r)*c.N : base+(ii+r)*c.N+nc]
@@ -302,16 +273,10 @@ func (c *CallInt8) storeTwoPass(acc []int32, ldc, img, ii, jj, mc, nc int) {
 			bv = c.BiasRow[ii+r]
 		}
 		arow := acc[r*ldc : r*ldc+nc]
-		if c.ColQuant {
-			for i, a := range arow {
-				row[i] = float32(a-c.BZero[jj+i]*rs)*(sA*c.BScale[jj+i]) + bv
-			}
-		} else {
-			s := sA * c.BScale[img]
-			comp := c.BZero[img] * rs
-			for i, a := range arow {
-				row[i] = float32(a-comp)*s + bv
-			}
+		s := sA * c.BScale[img]
+		comp := c.BZero[img] * rs
+		for i, a := range arow {
+			row[i] = float32(a-comp)*s + bv
 		}
 		applyActivationRow(row, c.Act, c.Alpha)
 	}
@@ -341,26 +306,32 @@ func refInt8(c *CallInt8, ic int8Case, a []int8, src *testSrc8) []float32 {
 	return want
 }
 
-// int8Variant selects execution mode and prepacking.
+// int8Variant selects the execution mode: serial or on the pool, with
+// PackedA exactly sized or the head of a longer buffer whose tail is
+// poison, as ops lays a grouped conv's panels back to back.
 type int8Variant struct {
 	name    string
-	packA   bool
 	workers int
+	tail    bool
 }
 
+// The tail variants keep the names "raw" and "pool3" they had when
+// CallInt8 also took an unpacked A, so the battery's subtest names hold.
 var int8Variants = []int8Variant{
-	{name: "raw"},
-	{name: "packedA", packA: true},
-	{name: "pool3", workers: 3},
-	{name: "pool3-packedA", packA: true, workers: 3},
+	{name: "raw", tail: true},
+	{name: "packedA"},
+	{name: "pool3", workers: 3, tail: true},
+	{name: "pool3-packedA", workers: 3},
 }
 
 // runInt8Call executes the call under the active kernel, prepacking under
 // that same kernel.
 func runInt8Call(c CallInt8, ic int8Case, a []int8, v int8Variant) []float32 {
-	if v.packA && ic.k > 0 {
-		c.PackedA = PrepackAInt8(a, ic.m, ic.k)
-		c.A = nil
+	c.PackedA = prepackTestA(a, ic)
+	if v.tail && c.PackedA != nil {
+		buf := slices.Repeat([]int8{63}, 2*len(c.PackedA))
+		copy(buf, c.PackedA)
+		c.PackedA = buf
 	}
 	var ctx Context
 	if v.workers > 0 {
@@ -379,7 +350,7 @@ func TestInt8KernelDifferential(t *testing.T) {
 		if ic.batch > 1 {
 			images = ic.batch
 		}
-		src := newTestSrc8(b, ic.k, ic.n, images, ic.k*ic.n, ic.colQuant || ic.transC)
+		src := newTestSrc8(b, ic.k, ic.n, images, ic.k*ic.n)
 		call := buildCall(ic, a, scaleA, rowSum, src, bias)
 		want := refInt8(&call, ic, a, src)
 		for _, kn := range kernels {
@@ -425,7 +396,7 @@ func TestInt8PacksEachPanelOnce(t *testing.T) {
 		t.Run(ic.String(), func(t *testing.T) {
 			a, scaleA, rowSum, b, bias := int8Buffers(ic, 99)
 			images := max(ic.batch, 1)
-			src := &countingSrc8{PackSrc8: newTestSrc8(b, ic.k, ic.n, images, ic.k*ic.n, false)}
+			src := &countingSrc8{PackSrc8: newTestSrc8(b, ic.k, ic.n, images, ic.k*ic.n)}
 			call := buildCall(ic, a, scaleA, rowSum, src.PackSrc8.(*testSrc8), bias)
 			call.B = src
 			grid := func(workers int) unitGrid {
@@ -475,7 +446,7 @@ func TestInt8KernelSaturationEdge(t *testing.T) {
 	}
 	rowSum := make([]int32, m)
 	RowSumsInt8(rowSum, a, m, k)
-	src := newTestSrc8(b, k, n, 1, k*n, false)
+	src := newTestSrc8(b, k, n, 1, k*n)
 	ic := int8Case{m: m, n: n, k: k}
 	call := buildCall(ic, a, scaleA, rowSum, src, nil)
 	want := refInt8(&call, ic, a, src)
@@ -483,7 +454,7 @@ func TestInt8KernelSaturationEdge(t *testing.T) {
 		t.Run(kn, func(t *testing.T) {
 			var got []float32
 			withKernel8(t, kn, func() {
-				got = runInt8Call(call, ic, a, int8Variant{name: "raw"})
+				got = runInt8Call(call, ic, a, int8Variants[0])
 			})
 			for i := range want {
 				if got[i] != want[i] {
@@ -492,6 +463,28 @@ func TestInt8KernelSaturationEdge(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestInt8CallNeedsPackedA pins that prepacked panels are the only A
+// operand: a call with K > 0 and no PackedA panics in validate, while a
+// K = 0 call, which reads no A, runs its epilogue without one.
+func TestInt8CallNeedsPackedA(t *testing.T) {
+	const m, n = 4, 8
+	call := CallInt8{B: newTestSrc8(make([]float32, 8*n), 8, n, 1, 8*n), C: make([]float32, m*n), M: m, N: n, K: 8,
+		ScaleA: make([]float32, m), RowSum: make([]int32, m), BScale: []float32{1}, BZero: []int32{0}}
+	func() {
+		defer func() {
+			const want = "gemm: PackedA 0 too small"
+			if msg, _ := recover().(string); !strings.HasPrefix(msg, want) {
+				t.Errorf("K=8 without PackedA: recovered %q, want %q", msg, want)
+			}
+		}()
+		var ctx Context
+		ctx.RunInt8(call)
+	}()
+	call.K = 0
+	var ctx Context
+	ctx.RunInt8(call)
 }
 
 // TestKernel8Selection pins the int8 dispatch API, mirroring
@@ -531,6 +524,7 @@ func FuzzInt8KernelDifferential(f *testing.F) {
 	f.Add(uint8(7), uint8(9), uint8(13), uint64(3), uint8(2), uint8(2))
 	f.Add(uint8(130), uint8(66), uint8(40), uint64(9), uint8(3), uint8(3))
 	f.Add(uint8(4), uint8(16), uint8(0), uint64(2), uint8(0), uint8(0))
+	f.Add(uint8(149), uint8(0), uint8(33), uint64(5), uint8(3), uint8(0)) // a dense layer: batch 3 of N = 1
 	f.Fuzz(func(t *testing.T, m, n, k uint8, seed uint64, batch, mode uint8) {
 		ic := int8Case{
 			m: int(m%150) + 1, n: int(n%150) + 1, k: int(k % 200),
@@ -538,15 +532,12 @@ func FuzzInt8KernelDifferential(f *testing.F) {
 			act:   Activation(mode % 4),
 			bias:  mode%2 == 0,
 		}
-		if mode%3 == 0 && ic.batch <= 1 {
-			ic.transC, ic.colQuant = true, true
-		}
 		a, scaleA, rowSum, b, bias := int8Buffers(ic, seed)
 		images := 1
 		if ic.batch > 1 {
 			images = ic.batch
 		}
-		src := newTestSrc8(b, ic.k, ic.n, images, ic.k*ic.n, ic.colQuant || ic.transC)
+		src := newTestSrc8(b, ic.k, ic.n, images, ic.k*ic.n)
 		call := buildCall(ic, a, scaleA, rowSum, src, bias)
 		want := refInt8(&call, ic, a, src)
 		for _, kn := range Kernel8Names() {

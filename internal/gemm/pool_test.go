@@ -194,7 +194,7 @@ func TestPoolPanicIsolation(t *testing.T) {
 			pool.Run(ctx, Call{A: a, BPack: panickyPack{}, C: make([]float32, m*n), M: m, N: n, K: k, Store: true}, 4)
 		}},
 		{"gemm8", func(ctx *Context) {
-			pool.RunInt8(ctx, CallInt8{A: make([]int8, m*k), B: panickyPack{}, C: make([]float32, m*n), M: m, N: n, K: k,
+			pool.RunInt8(ctx, CallInt8{PackedA: make([]int8, PackedAInt8Size(m, k)), B: panickyPack{}, C: make([]float32, m*n), M: m, N: n, K: k,
 				ScaleA: make([]float32, m), RowSum: make([]int32, m), BScale: []float32{1}, BZero: []int32{0}}, 4)
 		}},
 		{"sweep", func(*Context) { // the second half of the rows lies beyond data
@@ -351,7 +351,7 @@ func TestPoolBitIdenticalToSerial(t *testing.T) {
 
 	ic := int8Case{m: 520, n: 530, k: 270, batch: 2, bias: true, act: ActReLU}
 	a8, scaleA, rowSum, b8, bias8 := int8Buffers(ic, 17)
-	src8 := newTestSrc8(b8, ic.k, ic.n, ic.batch, ic.k*ic.n, false)
+	src8 := newTestSrc8(b8, ic.k, ic.n, ic.batch, ic.k*ic.n)
 
 	// Each case returns the C a call with the given worker budget leaves.
 	gemmCase := func(c Call) func(int) []float32 {
@@ -457,8 +457,7 @@ func TestRunAllocFree(t *testing.T) {
 		M: m, N: n, K: k, Store: true, BiasRow: randMat(r, m, 1), Act: ActReLU}
 	ic := int8Case{m: 300, n: 200, k: 270, bias: true, act: ActReLU}
 	a8, scaleA, rowSum, b8, bias8 := int8Buffers(ic, 8)
-	call8 := buildCall(ic, a8, scaleA, rowSum, newTestSrc8(b8, ic.k, ic.n, 1, ic.k*ic.n, false), bias8)
-	call8.PackedA, call8.A = PrepackAInt8(a8, ic.m, ic.k), nil
+	call8 := buildCall(ic, a8, scaleA, rowSum, newTestSrc8(b8, ic.k, ic.n, 1, ic.k*ic.n), bias8)
 	var ctx Context
 	for _, tc := range []struct {
 		name string

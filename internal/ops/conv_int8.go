@@ -113,23 +113,29 @@ func runConvIm2colInt8(ctx *Ctx, n *graph.Node, in, out []*tensor.Tensor) error 
 	if err != nil {
 		return err
 	}
-	x := in[0].Data()
 	var bias []float32
 	if p.hasBias {
 		bias = in[2].Data()
 	}
-	y := out[0].Data()
+	convInt8(ctx, n, &p, in[0].Data(), in[1].Data(), bias, out[0].Data())
+	return nil
+}
 
+// convInt8 runs the int8 convolution p describes over the batch x into y:
+// one batched CallInt8 per group over n's cached weight panels (built
+// from w on a miss) and the batch's quantized word planes. dense.gemm_int8
+// runs through it too, as the 1×1 convolution a dense layer is.
+func convInt8(ctx *Ctx, n *graph.Node, p *convParams, x, w, bias, y []float32) {
 	coutG := p.cout / p.groups
-	kq := quadK(&p)
+	kq := quadK(p)
 	cols := p.oh * p.ow
 	act := gemmActivation(p.activation)
 
-	wq := int8ConvWeights(ctx, n, in[1].Data(), &p)
+	wq := int8ConvWeights(ctx, n, w, p)
 	perGroup := gemm.PackedAInt8Size(coutG, kq)
 
 	src := &ctx.convSrc8
-	src.quantize(x, &p)
+	src.quantize(x, p)
 	for g := 0; g < p.groups; g++ {
 		src.chan0 = g * src.cin / p.groups
 		var bg []float32
@@ -145,7 +151,6 @@ func runConvIm2colInt8(ctx *Ctx, n *graph.Node, in, out []*tensor.Tensor) error 
 			BScale: src.scales, BZero: src.zeros,
 			BiasRow: bg, Act: act, Alpha: p.alpha})
 	}
-	return nil
 }
 
 // quantRange derives the asymmetric uint8 parameters for values in

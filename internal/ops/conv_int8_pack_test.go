@@ -192,33 +192,43 @@ func FuzzPackPanel8VsScalar(f *testing.F) {
 	})
 }
 
-// TestDensePackPanel8Layout pins the dense source to the PackSrc8 layout
-// formula element by element, k tails and edge strips included.
+// TestDensePackPanel8Layout pins the panels a dense layer packs — the conv
+// source over its 1×1 geometry, one one-pixel image per sample — to the
+// PackSrc8 layout formula element by element: each sample quantized with
+// its own parameters, the channels that pad K to whole quads at the
+// sample's zero point, and the edge strip's columns zero.
 func TestDensePackPanel8Layout(t *testing.T) {
 	for _, tc := range []struct{ samples, k int }{{1, 4}, {1, 33}, {3, 100}, {20, 7}, {17, 300}} {
 		t.Run(fmt.Sprintf("n%d_k%d", tc.samples, tc.k), func(t *testing.T) {
-			x := tensor.Rand(tensor.NewRNG(uint64(tc.k)), -2, 2, tc.samples, tc.k).Data()
-			src := &densePackSrc8{}
-			src.init(x, tc.samples, tc.k)
-			for _, nr := range []int{8, 16} {
-				for pp := 0; pp < tc.k; pp += gemm.MaxPanelK {
-					kc := min(gemm.MaxPanelK, tc.k-pp)
-					kcq4 := (kc + 3) &^ 3
-					for _, jj := range []int{0, tc.samples / 2} {
-						nc := tc.samples - jj
-						size := (nc + nr - 1) / nr * nr * kcq4
-						got := bytes.Repeat([]byte{0xA5}, size)
-						src.PackPanel8(got, 0, pp, jj, kc, nc, nr)
-						want := make([]byte, size)
-						for j := 0; j < nc; j++ {
-							q := make([]byte, kc)
-							gemm.QuantizeU8(q, x[(jj+j)*tc.k+pp:(jj+j)*tc.k+pp+kc], 1/src.scales[jj+j], float32(src.zeros[jj+j])+0.5)
-							for p := 0; p < kc; p++ {
-								want[(j/nr)*nr*kcq4+(p/4)*nr*4+(j%nr)*4+p%4] = q[p]
+			r := tensor.NewRNG(uint64(tc.k))
+			x := tensor.Rand(r, -2, 2, tc.samples, tc.k)
+			p := denseConv(buildNode(t, "Dense", nil, x, tensor.Rand(r, -1, 1, 5, tc.k)), tc.samples)
+			src := &convPackSrc8{}
+			src.quantize(x.Data(), &p)
+			kq := quadK(&p)
+			q := make([]byte, tc.k)
+			for img := 0; img < tc.samples; img++ {
+				xi := x.Data()[img*tc.k : (img+1)*tc.k]
+				scale, zero := quantRange(gemm.MinMaxF32(xi))
+				if src.scales[img] != scale || src.zeros[img] != zero {
+					t.Fatalf("sample %d quantizes with (%v, %d), its own range gives (%v, %d)", img, src.scales[img], src.zeros[img], scale, zero)
+				}
+				gemm.QuantizeU8(q, xi, 1/scale, float32(zero)+0.5)
+				for _, nr := range []int{8, 16} {
+					for pp := 0; pp < kq; pp += gemm.MaxPanelK {
+						kc := min(gemm.MaxPanelK, kq-pp)
+						got := bytes.Repeat([]byte{0xA5}, nr*kc)
+						src.PackPanel8(got, img, pp, 0, kc, 1, nr)
+						want := make([]byte, nr*kc)
+						for k := 0; k < kc; k++ {
+							v := byte(zero)
+							if pp+k < tc.k {
+								v = q[pp+k]
 							}
+							want[(k/4)*nr*4+k%4] = v
 						}
 						if i := firstDiff(got, want); i >= 0 {
-							t.Fatalf("nr %d pp %d jj %d: byte %d = %d, layout formula gives %d", nr, pp, jj, i, got[i], want[i])
+							t.Fatalf("sample %d nr %d pp %d: byte %d = %d, layout formula gives %d", img, nr, pp, i, got[i], want[i])
 						}
 					}
 				}

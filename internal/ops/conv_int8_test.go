@@ -1,6 +1,8 @@
 package ops
 
 import (
+	"cmp"
+	"fmt"
 	"math"
 	"testing"
 
@@ -61,9 +63,11 @@ func TestConvInt8WithinQuantTolerance(t *testing.T) {
 	}
 }
 
-// TestDenseInt8WithinQuantTolerance is the dense counterpart: the
-// transposed int8 product must match dense.gemm on the quantization
-// budget for single samples and batches, with and without bias.
+// TestDenseInt8WithinQuantTolerance is the dense counterpart: the int8
+// product must match dense.gemm on the quantization budget for single
+// samples and batches, with and without bias, and bit for bit the
+// int8ConvReference of the 1×1 convolution it runs as — which pins
+// per-sample quantization and Y's row-major layout.
 func TestDenseInt8WithinQuantTolerance(t *testing.T) {
 	k := ByName("dense.gemm_int8")
 	if k == nil {
@@ -72,17 +76,31 @@ func TestDenseInt8WithinQuantTolerance(t *testing.T) {
 	if !IsQuantized(k) {
 		t.Fatal("dense.gemm_int8 must register as quantized")
 	}
-	cases := []struct {
+	type denseCase struct {
 		name        string
 		batch, m, n int
 		bias        bool
 		act         string
-	}{
+	}
+	cases := []denseCase{
 		{"single", 1, 10, 64, false, ""},
 		{"single-bias", 1, 7, 33, true, ""},
 		{"batch4-relu", 4, 16, 128, true, "relu"},
 		{"batch3-odd", 3, 5, 100, false, ""},
 		{"deep", 2, 12, 1024, true, ""},
+	}
+	for _, act := range []string{"", "relu", "relu6", "leakyrelu"} {
+		for _, batch := range []int{1, 3} {
+			for _, n := range []int{33, 100} {
+				for _, bias := range []bool{false, true} {
+					name := fmt.Sprintf("b%d-k%d-%s", batch, n, cmp.Or(act, "linear"))
+					if bias {
+						name += "-bias"
+					}
+					cases = append(cases, denseCase{name, batch, 11, n, bias, act})
+				}
+			}
+		}
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -90,8 +108,10 @@ func TestDenseInt8WithinQuantTolerance(t *testing.T) {
 			x := tensor.Rand(r, -2, 2, tc.batch, tc.n)
 			w := tensor.Rand(r, -1, 1, tc.m, tc.n)
 			inputs := []*tensor.Tensor{x, w}
+			var bias []float32
 			if tc.bias {
 				inputs = append(inputs, tensor.Rand(r, -1, 1, tc.m))
+				bias = inputs[2].Data()
 			}
 			attrs := map[string]any{}
 			if tc.act != "" {
@@ -100,6 +120,13 @@ func TestDenseInt8WithinQuantTolerance(t *testing.T) {
 			ref := runKernel(t, "dense.gemm", "Dense", attrs, inputs...)
 			got := runKernel(t, "dense.gemm_int8", "Dense", attrs, inputs...)
 			quantCloseEnough(t, "dense.gemm_int8", got, ref)
+			p := denseConv(buildNode(t, "Dense", attrs, inputs...), tc.batch)
+			want := int8ConvReference(x.Data(), w.Data(), bias, &p)
+			for i, v := range got.Data() {
+				if g, w := math.Float32bits(v), math.Float32bits(want[i]); g != w {
+					t.Fatalf("output %d = %v (%#08x), 1×1 conv reference %v (%#08x)", i, v, g, want[i], w)
+				}
+			}
 		})
 	}
 }

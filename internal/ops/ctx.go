@@ -152,10 +152,9 @@ type Ctx struct {
 	// its Calls at, reusable per session like convSrc.
 	convSrcA convPackSrcA
 
-	// convSrc8 and denseSrc8 are the quantizing pack sources of the int8
-	// kernels, reusable per session for the same reason.
-	convSrc8  convPackSrc8
-	denseSrc8 densePackSrc8
+	// convSrc8 is the quantizing pack source of the int8 kernels,
+	// reusable per session for the same reason.
+	convSrc8 convPackSrc8
 
 	scratch map[ctxKey][]float32
 
