@@ -1,6 +1,7 @@
 package gemm
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
@@ -73,16 +74,17 @@ func checkEnvGuard[A, B, C any](t *testing.T, r *registry[A, B, C], unknown []st
 // TestPinnedAVX2IsTheAVX2Default holds each tier to one kernel per
 // instruction set: no name maps to two kernels, and on a host with AVX2
 // the kernel ORPHEUS_GEMM_KERNEL=avx2 pins is the one an AVX2-only host
-// selects by default — this host's registry with the AVX-512 kernel left
-// out. A CI lane that pins "avx2" then runs production's AVX2 kernels.
+// selects by default — this host's registry with every kernel above AVX2
+// left out. A CI lane that pins "avx2" then runs production's AVX2
+// kernels.
 func TestPinnedAVX2IsTheAVX2Default(t *testing.T) {
 	t.Run("fp32", func(t *testing.T) { checkAVX2Default(t, fp32Kernels, "avx512") })
-	t.Run("int8", func(t *testing.T) { checkAVX2Default(t, int8Kernels, "vnni") })
+	t.Run("int8", func(t *testing.T) { checkAVX2Default(t, int8Kernels, "vnni", "amx") })
 }
 
 // checkAVX2Default holds one registry to TestPinnedAVX2IsTheAVX2Default;
-// avx512 names the tier's AVX-512 kernel.
-func checkAVX2Default[A, B, C any](t *testing.T, r *registry[A, B, C], avx512 string) {
+// above names the tier's kernels that need more than AVX2.
+func checkAVX2Default[A, B, C any](t *testing.T, r *registry[A, B, C], above ...string) {
 	seen := map[string]bool{}
 	for _, k := range r.kernels {
 		if seen[k.name] {
@@ -98,7 +100,7 @@ func checkAVX2Default[A, B, C any](t *testing.T, r *registry[A, B, C], avx512 st
 	defer func() { r.kernels = saved }()
 	var avx2Host []*kernel[A, B, C]
 	for _, k := range saved {
-		if k.name != avx512 {
+		if !slices.Contains(above, k.name) {
 			avx2Host = append(avx2Host, k)
 		}
 	}

@@ -11,12 +11,14 @@ import "math"
 // the walk (its operands methods below):
 //
 //   - Operands are quantized: A (weights) is signed int8, B (activations)
-//     is unsigned uint8, and the micro-kernels accumulate exact int32 dot
-//     products along k-quads of 4 (the VPMADDUBSW / VPDPBUSD reduction
-//     unit), so the accumulator is int32.
+//     is unsigned uint8, and the kernels accumulate exact int32 dot
+//     products along k-quads of 4 (the VPMADDUBSW / VPDPBUSD / TDPBSUD
+//     reduction unit), so the accumulator is int32.
 //
 //   - A is always prepacked (PrepackAInt8Into): the weights are plan
-//     constants, packed once.
+//     constants, packed once, in the active kernel's layout — the k-quad
+//     layout of packAInt8, or amx's own tile layout (packAAMX), which
+//     has the same size.
 //
 //   - B is always virtual: a PackSrc8 quantizes the fp32 activations once
 //     per call into private scratch and packs each kc×nc panel from it,
@@ -31,8 +33,8 @@ import "math"
 // quant.QuantizeRowsInto with QMaxGemm) and activations in [0, 255]. Under
 // that contract every VPMADDUBSW pair-sum |a0·b0 + a1·b1| ≤ 2·63·255 =
 // 32130 < 32767 fits int16, so the saturating AVX2 instruction can never
-// saturate, and all kernels (go, avx2, vnni) produce bit-identical int32
-// accumulators. The int32 accumulator itself is exact while
+// saturate, and all kernels (go, avx2, vnni, amx) produce bit-identical
+// int32 accumulators. The int32 accumulator itself is exact while
 // K·63·255 < 2^31, i.e. for K ≤ 133,674; ops.maxInt8K = 2^17 enforces
 // that bound on every int8 layer.
 //
@@ -298,7 +300,8 @@ func PackedAInt8Size(m, k int) int {
 // hold PackedAInt8Size(m, k) bytes, in the fp32 layout with k padded to
 // whole quads per k-panel: panel (pp, ii) starts at roundUp(m,mr)*pp +
 // ii*roundUp(kc,4) (kcBlock is a multiple of 4, so only the final k-panel
-// pads k).
+// pads k). Within a strip the bytes are in the active kernel's order:
+// packAInt8's, or the amx kernel's own.
 func PrepackAInt8Into(dst, a []int8, m, k int) { prepackA(int8Kernels, packAInt8, dst, a, m, k) }
 
 // PrepackAInt8 allocates and fills the packed-panel form of the m×k int8

@@ -2,9 +2,13 @@ package gemm
 
 import (
 	"fmt"
+	"runtime"
 	"slices"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"orpheus/internal/tensor"
 )
@@ -182,6 +186,21 @@ var int8Cases = []int8Case{
 	{m: 31, n: 49, k: 27, bias: true, act: ActReLU6},
 	{m: 33, n: 16, k: 41},
 	{m: 16, n: 49, k: 11, batch: 2, padC: 3},
+	// The amx kernel's paths. A k-panel is kd quads deep, run as whole
+	// steps of 16 quads and a tail of kd mod 16: here 0 (K = 64), 1
+	// (K = 68, and resnet-18's stem, K = 196), and 15 (K = 60, K = 124).
+	// Its 16-row strips run in pairs and an odd count ends on one strip
+	// (M = 48; resnet-18's fc, M = 1000, N = 1); K > 256 accumulates later
+	// k-panels in the accumulator. Every case also runs on pool3.
+	{m: 32, n: 16, k: 64},
+	{m: 48, n: 20, k: 68, bias: true},
+	{m: 48, n: 33, k: 60, act: ActReLU},
+	{m: 17, n: 5, k: 124},
+	{m: 64, n: 49, k: 196, bias: true, act: ActReLU},
+	{m: 1000, n: 1, k: 512, bias: true},
+	{m: 1000, n: 1, k: 196, batch: 3},
+	{m: 48, n: 40, k: 452, act: ActReLU},
+	{m: 80, n: 30, k: 196, batch: 3, bias: true},
 }
 
 func (ic int8Case) String() string {
@@ -525,6 +544,12 @@ func FuzzInt8KernelDifferential(f *testing.F) {
 	f.Add(uint8(130), uint8(66), uint8(40), uint64(9), uint8(3), uint8(3))
 	f.Add(uint8(4), uint8(16), uint8(0), uint64(2), uint8(0), uint8(0))
 	f.Add(uint8(149), uint8(0), uint8(33), uint64(5), uint8(3), uint8(0)) // a dense layer: batch 3 of N = 1
+	// amx: k-panels of kd mod 16 = 0, 1, 15 quads; three 16-row strips;
+	// resnet-18's stem K = 196 at batch 3.
+	f.Add(uint8(31), uint8(15), uint8(64), uint64(11), uint8(0), uint8(1))
+	f.Add(uint8(47), uint8(19), uint8(68), uint64(12), uint8(0), uint8(2))
+	f.Add(uint8(47), uint8(32), uint8(60), uint64(13), uint8(1), uint8(1))
+	f.Add(uint8(63), uint8(48), uint8(196), uint64(14), uint8(3), uint8(1))
 	f.Fuzz(func(t *testing.T, m, n, k uint8, seed uint64, batch, mode uint8) {
 		ic := int8Case{
 			m: int(m%150) + 1, n: int(n%150) + 1, k: int(k % 200),
@@ -554,5 +579,158 @@ func FuzzInt8KernelDifferential(f *testing.F) {
 				}
 			}
 		}
+	})
+}
+
+// BenchmarkInt8Panel times each int8 kernel on one k-panel of a whole
+// M-tile (128 rows × 256 k) against column blocks of resnet-18's widths,
+// as sweep runs it, and reports GMAC/s: the kernels alone, without the
+// quantizing B pack or the requantize store.
+func BenchmarkInt8Panel(b *testing.B) {
+	const m, k = 128, 256
+	for _, kn := range Kernel8Names() {
+		kern := int8Kernels.lookup(kn)
+		for _, n := range []int{512, 208, 64} {
+			b.Run(fmt.Sprintf("%s/%dx%dx%d", kn, m, n, k), func(b *testing.B) {
+				ic := int8Case{m: m, n: n, k: k}
+				a, _, _, _, _ := int8Buffers(ic, 1)
+				var pa []int8 // one M-tile × k-panel, in the kernel's A layout
+				withKernel8(b, kn, func() { pa = PrepackAInt8(a, m, k) })
+				pb := make([]byte, n*k)
+				for i := range pb {
+					pb[i] = byte(i * 7)
+				}
+				acc := make([]int32, m*n)
+				kd, strips, nb := k/kQuad, m/kern.mr, n/kern.nr
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if kern.panel != nil {
+						kern.panel(pa, pb, acc, kd, n, strips, nb, true)
+						continue
+					}
+					for s := 0; s < strips; s++ {
+						for j := 0; j < nb; j++ {
+							kern.micro(pa[s*kern.mr*k:], pb[j*kern.nr*k:], acc[s*kern.mr*n+j*kern.nr:], kd, n, true, nil, 0, 0)
+						}
+					}
+				}
+				b.ReportMetric(float64(m*n*k)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GMAC/s")
+			})
+		}
+	}
+}
+
+// TestPackedAInt8FillsItsSize holds every int8 kernel's A packer to
+// PackedAInt8Size: PrepackAInt8Into writes every byte of the first
+// PackedAInt8Size(m, k) — the same bytes over two different poisons — and
+// none past them. amx packs its own layout into the tier's size.
+func TestPackedAInt8FillsItsSize(t *testing.T) {
+	shapes := [][2]int{{1, 1}, {16, 64}, {17, 68}, {48, 60}, {64, 196}, {130, 300}, {1000, 512}, {33, 452}}
+	for _, kn := range Kernel8Names() {
+		withKernel8(t, kn, func() {
+			for _, mk := range shapes {
+				m, k := mk[0], mk[1]
+				a, _, _, _, _ := int8Buffers(int8Case{m: m, k: k}, uint64(m+k))
+				size := PackedAInt8Size(m, k)
+				var bufs [2][]int8
+				for i, poison := range []int8{-128, 127} {
+					bufs[i] = slices.Repeat([]int8{poison}, size+64)
+					PrepackAInt8Into(bufs[i], a, m, k)
+					for j, v := range bufs[i][size:] {
+						if v != poison {
+							t.Fatalf("%s m=%d k=%d: packer wrote %d bytes past PackedAInt8Size %d", kn, m, k, j+1, size)
+						}
+					}
+				}
+				for j := range size {
+					if bufs[0][j] != bufs[1][j] {
+						t.Fatalf("%s m=%d k=%d: packer left byte %d of %d unwritten", kn, m, k, j, size)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestAMXUnderGoRuntime runs the amx kernel from 8 goroutines for about
+// 2 s while another goroutine forces garbage collections back to back:
+// their stop-the-world and preemption signals land on threads inside a
+// panel call, and Gosched between calls moves goroutines across threads.
+// Tile state lives only within a call, so every result must equal the go
+// kernel's bit for bit. It skips where amx is not registered.
+func TestAMXUnderGoRuntime(t *testing.T) {
+	if int8Kernels.lookup("amx") == nil {
+		t.Skip("amx kernel not registered on this host")
+	}
+	cases := []int8Case{
+		{m: 64, n: 49, k: 196, bias: true, act: ActReLU},
+		{m: 48, n: 33, k: 452},
+		{m: 1000, n: 1, k: 512, batch: 3},
+	}
+	type job struct {
+		call CallInt8
+		want []float32
+	}
+	jobs := make([]job, len(cases))
+	for i, ic := range cases {
+		a, scaleA, rowSum, b, bias := int8Buffers(ic, uint64(i+1))
+		images := max(ic.batch, 1)
+		src := newTestSrc8(b, ic.k, ic.n, images, ic.k*ic.n)
+		call := buildCall(ic, a, scaleA, rowSum, src, bias)
+		withKernel8(t, "go", func() { jobs[i].want = runInt8Call(call, ic, a, int8Variant{}) })
+		withKernel8(t, "amx", func() { call.PackedA = prepackTestA(a, ic) })
+		jobs[i].call = call
+	}
+	withKernel8(t, "amx", func() {
+		done := make(chan struct{})
+		var gc sync.WaitGroup
+		gc.Add(1)
+		go func() {
+			defer gc.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+					runtime.GC()
+				}
+			}
+		}()
+		deadline := time.Now().Add(2 * time.Second)
+		errs := make(chan error, 8)
+		var runs atomic.Int64
+		var wg sync.WaitGroup
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				var ctx Context
+				outs := make([][]float32, len(jobs))
+				for i, j := range jobs {
+					outs[i] = make([]float32, len(j.want))
+				}
+				for run := g; time.Now().Before(deadline); run++ {
+					i := run % len(jobs)
+					c := jobs[i].call
+					c.C = outs[i]
+					clear(c.C)
+					ctx.RunInt8(c)
+					if !slices.Equal(c.C, jobs[i].want) {
+						errs <- fmt.Errorf("goroutine %d run %d: %v differs from the go kernel", g, run, cases[i])
+						return
+					}
+					runs.Add(1)
+					runtime.Gosched()
+				}
+			}()
+		}
+		wg.Wait()
+		close(done)
+		gc.Wait()
+		close(errs)
+		for err := range errs {
+			t.Error(err)
+		}
+		t.Logf("%d calls checked", runs.Load())
 	})
 }

@@ -11,10 +11,11 @@ package gemm
 // always present and the correctness reference for the others, then the
 // SIMD kernels architecture files register at init when the CPU supports
 // them — fp32 AVX2/FMA 6x16 and AVX-512 16x16 on amd64, NEON 8x8 on
-// arm64; int8 AVX2 VPMADDUBSW 8x8 and AVX-512 VNNI 16x16 on amd64. Each
-// tier has one kernel per instruction set, named after it, and the last
-// registered kernel is the tier's default: a pinned name runs the kernel
-// that production selects on a host whose widest instruction set it is.
+// arm64; int8 AVX2 VPMADDUBSW 8x8, AVX-512 VNNI 16x16 and AMX TDPBSUD
+// 16x16 on amd64. Each tier has one kernel per instruction set, named
+// after it, and the last registered kernel is the tier's default: a
+// pinned name runs the kernel that production selects on a host whose
+// widest instruction set it is.
 //
 // A kernel may also carry an exact-width column edge (edgeKernel) and an
 // exact-height row edge (rowKernel), which make it a finishing kernel: the
@@ -24,11 +25,16 @@ package gemm
 // it yet) and every int8 kernel have neither: they multiply the zero
 // padding into a unit accumulator that the call's store writes to C.
 //
+// A kernel may instead be a panel kernel (panelKernel): the int8 AMX
+// kernel, whose tile-unit setup costs more than one tile's arithmetic,
+// takes a whole M-tile's k-panel per call, from A in its own packed layout
+// (kernel.packA) of the tier's size.
+//
 // Selection order, per tier:
 //
 //  1. The ORPHEUS_GEMM_KERNEL environment variable, when it names a kernel
 //     of the tier ("go", "avx2", "avx512", "neon"; int8: "go", "avx2",
-//     "vnni"), pins the choice — the A/B knob for same-host kernel
+//     "vnni", "amx"), pins the choice — the A/B knob for same-host kernel
 //     comparisons. A kernel family of the tier that this CPU cannot run
 //     warns and falls through to the default. Other names are typos:
 //     the fp32 tier ignores them with a GODEBUG-style warning, and the
@@ -75,6 +81,14 @@ type edgeKernel[A, B, C any] func(pa []A, pb []B, c []C, kd, ldc, strips, cols i
 // left untouched.
 type rowKernel[A, B, C any] func(pa []A, pb []B, c []C, kd, ldc, rows, nc int, store bool, e *epi, r, j int)
 
+// panelKernel computes one k-panel of a whole M-tile × column block in one
+// call: strips A strips of pa (kd·mr groups apart) against nb B strips of
+// pb (kd·nr groups apart) into c, row stride ldc, each tile its micro
+// block. first stores, otherwise the panel accumulates into c. It is for
+// a kernel whose setup costs more than a tile's arithmetic (amx), which
+// then pays it once per panel.
+type panelKernel[A, B, C any] func(pa []A, pb []B, c []C, kd, ldc, strips, nb int, first bool)
+
 // kernel bundles a micro-kernel with the packing geometry it consumes. mc
 // is the M-tile height: mcBlock rounded down to a multiple of mr, so every
 // interior panel is a whole number of strips (a tile height that is not a
@@ -87,6 +101,11 @@ type rowKernel[A, B, C any] func(pa []A, pb []B, c []C, kd, ldc, rows, nc int, s
 // its own output: micro, edge and row together cover any block of C
 // exactly, so the walk runs them in C itself and hands them the call's
 // epilogue on the last k-panel (see runUnit).
+//
+// panel, when set, replaces micro: the walk hands it each M-tile's whole
+// k-panel (see sweep). packA, when set, is the kernel's own A panel
+// packer, which replaces the tier's (the int8 tier's for amx): same
+// arguments, same panel size, its own byte order within a strip.
 type kernel[A, B, C any] struct {
 	name   string
 	mr, nr int // micro-tile rows and columns
@@ -94,10 +113,20 @@ type kernel[A, B, C any] struct {
 	micro  microKernel[A, B, C]
 	edge   edgeKernel[A, B, C]
 	row    rowKernel[A, B, C]
+	panel  panelKernel[A, B, C]
+	packA  func(dst, a []A, ii, pp, mc, kc, lda, mr int)
 }
 
 func newKernel[A, B, C any](name string, mr, nr int, micro microKernel[A, B, C]) *kernel[A, B, C] {
 	return &kernel[A, B, C]{name: name, mr: mr, nr: nr, mc: mcBlock - mcBlock%mr, micro: micro}
+}
+
+// newPanelKernel returns a kernel that runs whole panels, from A packed
+// by packA.
+func newPanelKernel[A, B, C any](name string, mr, nr int, panel panelKernel[A, B, C], packA func(dst, a []A, ii, pp, mc, kc, lda, mr int)) *kernel[A, B, C] {
+	k := newKernel[A, B, C](name, mr, nr, nil)
+	k.panel, k.packA = panel, packA
+	return k
 }
 
 // withEdges gives k the exact-width column edge and exact-height row edge
@@ -135,7 +164,7 @@ var (
 	int8Kernels = &registry[int8, byte, int32]{
 		tier:     "int8 ",
 		kgroup:   kQuad,
-		families: map[string]bool{"go": true, "avx2": true, "vnni": true},
+		families: map[string]bool{"go": true, "avx2": true, "vnni": true, "amx": true},
 		quiet:    true,
 		kernels:  []*kernel[int8, byte, int32]{newKernel("go", 4, 8, microKernel8Go)},
 	}
@@ -242,7 +271,7 @@ func KernelNames() []string { return fp32Kernels.names() }
 func SetKernel(name string) error { return fp32Kernels.set(name) }
 
 // Kernel8Name reports the name of the int8 micro-kernel the quantized tier
-// currently dispatches to ("go", "avx2", "vnni").
+// currently dispatches to ("go", "avx2", "vnni", "amx").
 func Kernel8Name() string { return int8Kernels.get().name }
 
 // Kernel8Names lists the int8 micro-kernels selectable on this CPU, in the

@@ -280,3 +280,170 @@ vnniaccum:
 	VMOVDQU32 Z15, (DI)
 	VZEROUPPER
 	RET
+
+// AMX instructions, which the Go assembler cannot spell, as their VEX
+// encodings (cross-checked against GNU as). Each name spells its operands:
+// TILELOADD_T2_R8_R11 is TILELOADD tmm2, [r8 + r11*1], the tile's rows
+// r11 bytes apart; TDPBSUD_T0_T2_T4 is tmm0 += tmm2 (signed bytes, the
+// weights) · tmm4 (unsigned bytes, the activations).
+#define LDTILECFG_DI BYTE $0xc4; BYTE $0xe2; BYTE $0x78; BYTE $0x49; BYTE $0x07
+#define TILERELEASE BYTE $0xc4; BYTE $0xe2; BYTE $0x78; BYTE $0x49; BYTE $0xc0
+#define TILEZERO_T0 BYTE $0xc4; BYTE $0xe2; BYTE $0x7b; BYTE $0x49; BYTE $0xc0
+#define TILEZERO_T1 BYTE $0xc4; BYTE $0xe2; BYTE $0x7b; BYTE $0x49; BYTE $0xc8
+#define TILELOADD_T0_CX_R13 BYTE $0xc4; BYTE $0xa2; BYTE $0x7b; BYTE $0x4b; BYTE $0x04; BYTE $0x29
+#define TILELOADD_T1_BX_R13 BYTE $0xc4; BYTE $0xa2; BYTE $0x7b; BYTE $0x4b; BYTE $0x0c; BYTE $0x2b
+#define TILESTORED_CX_R13_T0 BYTE $0xc4; BYTE $0xa2; BYTE $0x7a; BYTE $0x4b; BYTE $0x04; BYTE $0x29
+#define TILESTORED_BX_R13_T1 BYTE $0xc4; BYTE $0xa2; BYTE $0x7a; BYTE $0x4b; BYTE $0x0c; BYTE $0x2b
+#define TILELOADD_T2_R8_R11 BYTE $0xc4; BYTE $0x82; BYTE $0x7b; BYTE $0x4b; BYTE $0x14; BYTE $0x18
+#define TILELOADD_T3_R9_R11 BYTE $0xc4; BYTE $0x82; BYTE $0x7b; BYTE $0x4b; BYTE $0x1c; BYTE $0x19
+#define TILELOADD_T4_R10_R11 BYTE $0xc4; BYTE $0x82; BYTE $0x7b; BYTE $0x4b; BYTE $0x24; BYTE $0x1a
+#define TILELOADD_T5_R8_R12 BYTE $0xc4; BYTE $0x82; BYTE $0x7b; BYTE $0x4b; BYTE $0x2c; BYTE $0x20
+#define TILELOADD_T6_R9_R12 BYTE $0xc4; BYTE $0x82; BYTE $0x7b; BYTE $0x4b; BYTE $0x34; BYTE $0x21
+#define TILELOADD_T7_R10_R11 BYTE $0xc4; BYTE $0x82; BYTE $0x7b; BYTE $0x4b; BYTE $0x3c; BYTE $0x1a
+#define TDPBSUD_T0_T2_T4 BYTE $0xc4; BYTE $0xe2; BYTE $0x5a; BYTE $0x5e; BYTE $0xc2
+#define TDPBSUD_T1_T3_T4 BYTE $0xc4; BYTE $0xe2; BYTE $0x5a; BYTE $0x5e; BYTE $0xcb
+#define TDPBSUD_T0_T5_T7 BYTE $0xc4; BYTE $0xe2; BYTE $0x42; BYTE $0x5e; BYTE $0xc5
+#define TDPBSUD_T1_T6_T7 BYTE $0xc4; BYTE $0xe2; BYTE $0x42; BYTE $0x5e; BYTE $0xce
+
+// func panelAMX(pa *int8, pb *byte, acc *int32, cfg *[64]byte, kd, ldc, strips, nb int64, first bool)
+//
+// One k-panel of an M-tile × column block on the AMX tile unit: strips
+// 16-row A strips (packAAMX's layout) against nb 16-column B strips into
+// the int32 accumulator acc (row stride ldc elements), kd ≥ 1 k-quads
+// deep. first zeroes each C tile; otherwise it is loaded from acc and
+// accumulated into. cfg is the tile configuration for kd mod 16 (see
+// amxConfigs): tmm0–1 are C tiles, tmm2–3 A steps of 16 rows × 64 bytes,
+// tmm4 a B step of 16 quad rows × 64 bytes, and tmm5–7 the same for the
+// tail of kd mod 16 quads. Each B step feeds two C tiles (32×16); an odd
+// strip count ends on a single-tile pass. The tile state lives only
+// inside this call: LDTILECFG at entry, TILERELEASE before RET.
+//
+// Registers: SI is A strip s, DX B strip j, CX the C tile of (s, j) and
+// BX the one 16 rows below it; R8/R9/R10 walk the A/A/B steps, AX counts
+// them. DI is a strip's byte size (kd·64, the same for A and B), R11 the
+// step row stride 64, R12 the A tail's row stride 4·(kd mod 16) and R13
+// the C row stride.
+TEXT ·panelAMX(SB), NOSPLIT, $24-65
+	MOVQ cfg+24(FP), DI
+	LDTILECFG_DI
+	MOVQ kd+32(FP), DI
+	MOVQ DI, R12
+	ANDQ $15, R12
+	SHLQ $2, R12
+	SHLQ $6, DI
+	MOVQ $64, R11
+	MOVQ ldc+40(FP), R13
+	SHLQ $2, R13
+	MOVQ pb+8(FP), DX
+	MOVQ acc+16(FP), AX
+	MOVQ AX, ccol-8(SP)
+	MOVQ nb+56(FP), AX
+	MOVQ AX, jleft-16(SP)
+
+amxcols:
+	MOVQ pa+0(FP), SI
+	MOVQ ccol-8(SP), CX
+	MOVQ strips+48(FP), AX
+	MOVQ AX, sleft-24(SP)
+
+amxpairs:
+	CMPQ sleft-24(SP), $2
+	JLT  amxsingle
+	MOVQ R13, BX
+	SHLQ $4, BX
+	ADDQ CX, BX
+	MOVBLZX first+64(FP), AX
+	TESTB   AL, AL
+	JZ      amxpairload
+	TILEZERO_T0
+	TILEZERO_T1
+	JMP amxpairsteps
+
+amxpairload:
+	TILELOADD_T0_CX_R13
+	TILELOADD_T1_BX_R13
+
+amxpairsteps:
+	MOVQ SI, R8
+	LEAQ (SI)(DI*1), R9
+	MOVQ DX, R10
+	MOVQ kd+32(FP), AX
+	SHRQ $4, AX
+	JZ   amxpairtail
+
+amxpairstep:
+	TILELOADD_T2_R8_R11
+	TILELOADD_T3_R9_R11
+	TILELOADD_T4_R10_R11
+	TDPBSUD_T0_T2_T4
+	TDPBSUD_T1_T3_T4
+	ADDQ $1024, R8
+	ADDQ $1024, R9
+	ADDQ $1024, R10
+	DECQ AX
+	JNZ  amxpairstep
+
+amxpairtail:
+	TESTQ R12, R12
+	JZ    amxpairstore
+	TILELOADD_T5_R8_R12
+	TILELOADD_T6_R9_R12
+	TILELOADD_T7_R10_R11
+	TDPBSUD_T0_T5_T7
+	TDPBSUD_T1_T6_T7
+
+amxpairstore:
+	TILESTORED_CX_R13_T0
+	TILESTORED_BX_R13_T1
+	LEAQ (SI)(DI*2), SI
+	MOVQ R13, AX
+	SHLQ $5, AX
+	ADDQ AX, CX
+	SUBQ $2, sleft-24(SP)
+	JMP  amxpairs
+
+amxsingle:
+	CMPQ sleft-24(SP), $0
+	JEQ  amxnext
+	MOVBLZX first+64(FP), AX
+	TESTB   AL, AL
+	JZ      amxsingleload
+	TILEZERO_T0
+	JMP amxsinglesteps
+
+amxsingleload:
+	TILELOADD_T0_CX_R13
+
+amxsinglesteps:
+	MOVQ SI, R8
+	MOVQ DX, R10
+	MOVQ kd+32(FP), AX
+	SHRQ $4, AX
+	JZ   amxsingletail
+
+amxsinglestep:
+	TILELOADD_T2_R8_R11
+	TILELOADD_T4_R10_R11
+	TDPBSUD_T0_T2_T4
+	ADDQ $1024, R8
+	ADDQ $1024, R10
+	DECQ AX
+	JNZ  amxsinglestep
+
+amxsingletail:
+	TESTQ R12, R12
+	JZ    amxsinglestore
+	TILELOADD_T5_R8_R12
+	TILELOADD_T7_R10_R11
+	TDPBSUD_T0_T5_T7
+
+amxsinglestore:
+	TILESTORED_CX_R13_T0
+
+amxnext:
+	ADDQ DI, DX
+	ADDQ $64, ccol-8(SP)
+	DECQ jleft-16(SP)
+	JNZ  amxcols
+	TILERELEASE
+	RET

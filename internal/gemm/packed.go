@@ -20,7 +20,9 @@ package gemm
 // k-panels in C and finish each element there (see runUnit), and a
 // batch-1 dense layer is the row edge alone, a GEMV over the packed
 // weights. The NEON kernel and the int8 tier run every strip as a padded
-// tile into the unit accumulator, which the call's store writes to C.
+// tile into the unit accumulator, which the call's store writes to C; the
+// int8 AMX kernel does so one whole M-tile k-panel per call (a panel
+// kernel), which configures the tile unit once for all of its tiles.
 //
 // The fp32 entry point is Call executed through Context.Run or, with a
 // worker budget, Pool.Run — the same walk over the same units (pool.go);
@@ -321,9 +323,9 @@ func (w *work[A, B, C]) runUnit(ctx *Context, unit int) {
 
 // sweep runs the unit's k-panels into out, row stride ldc. For every
 // k-panel the B panel is packed (or located) once and swept by each M-tile
-// of the row group. A kernel with a column edge takes a last strip
-// narrower than nr at its exact width, in one call per M-tile; the others
-// run it padded. When the unit runs in C, out is C: the row edge takes an
+// of the row group; a panel kernel takes the whole M-tile in one call. A
+// kernel with a column edge takes a last strip narrower than nr at its
+// exact width, in one call per M-tile; the others run it padded. When the unit runs in C, out is C: the row edge takes an
 // M-tile's last strip shorter than mr at its exact height, and the last
 // k-panel finishes every element with the call's epilogue. Otherwise out
 // is the unit accumulator and every strip is a whole tile.
@@ -348,6 +350,10 @@ func (w *work[A, B, C]) sweep(s *scratch[A, B, C], out []C, ldc, img, i0, i1, jj
 			pa := w.call.panelA(s, kern, img, ii, pp, mc, kc)
 			tile := out[(ii-i0)*ldc:]
 			full, part := roundUp(mc, kern.mr), 0 // rows the tile covers; the row edge's rest
+			if kern.panel != nil {
+				kern.panel(pa, pb, tile, kd, ldc, full/kern.mr, whole/kern.nr, first)
+				continue
+			}
 			if w.inC {
 				part = mc % kern.mr
 				full = mc - part

@@ -37,10 +37,14 @@ func PackedBSize(k, n int) int { return roundUp(n, fp32Kernels.get().nr) * k }
 func PrepackAInto(dst, a []float32, m, k int) { prepackA(fp32Kernels, packA, dst, a, m, k) }
 
 // prepackA packs the whole m×k matrix a with pack, a tier's panel packer,
-// in its active kernel's geometry: panel (pp, ii) starts at
-// roundUp(m,mr)*pp + ii*roundUp(kc,kgroup), where the walk reads it.
+// or the active kernel's own, in that kernel's geometry: panel (pp, ii)
+// starts at roundUp(m,mr)*pp + ii*roundUp(kc,kgroup), where the walk
+// reads it.
 func prepackA[A, B, C any](r *registry[A, B, C], pack func(dst, a []A, ii, pp, mc, kc, lda, mr int), dst, a []A, m, k int) {
 	kern := r.get()
+	if kern.packA != nil {
+		pack = kern.packA
+	}
 	pm := roundUp(m, kern.mr)
 	for pp := 0; pp < k; pp += kcBlock {
 		kc := min(kcBlock, k-pp)
